@@ -89,6 +89,7 @@ class RunConfig:
             raise ValueError(f"unknown regression mode {self.regression_mode!r}")
         if self.grid_resolution < 2:
             raise ValueError("grid resolution must be >= 2")
+        self.design_spec()
 
     def design_spec(self) -> DesignSpec:
         if self.regression_mode == "interaction-linear":
@@ -375,7 +376,22 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_oracle(cfg, perturb=getattr(args, "perturb", 0.0))
     except Exception as err:
         print(f"run failed: {err}", file=sys.stderr)
+        for cause in _causes(err):
+            print(f"caused by: {type(cause).__name__}: {cause}", file=sys.stderr)
         return 1
+
+
+def _causes(err: BaseException):
+    """The exceptions chained below ``err``, outermost first, as a traceback shows them."""
+    seen = {id(err)}
+    while True:
+        err = err.__cause__ if err.__cause__ is not None else (
+            None if err.__suppress_context__ else err.__context__
+        )
+        if err is None or id(err) in seen:
+            return
+        seen.add(id(err))
+        yield err
 
 
 if __name__ == "__main__":

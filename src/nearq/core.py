@@ -311,7 +311,13 @@ def load_csv(path: str | Path) -> OfflineDataset:
 
     sidecar_path = Path(str(path) + _SIDECAR_SUFFIX)
     if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text())
+        try:
+            meta = json.loads(sidecar_path.read_text())
+        except json.JSONDecodeError as err:
+            raise SchemaError(f"sidecar {sidecar_path}: malformed JSON ({err})") from err
+        for key in ("horizon", "feature_dims", "action_values"):
+            if not isinstance(meta, dict) or key not in meta:
+                raise SchemaError(f"sidecar {sidecar_path}: missing key {key!r}")
         horizon = int(meta["horizon"])
         feature_dims = tuple(int(x) for x in meta["feature_dims"])
         if any(dim != d for dim in feature_dims):

@@ -12,8 +12,10 @@ index ascending on ties); padding repeats the rank-1 value so all patients
 share a common width m = max over patients of the list length. The padded
 values seed m parallel backward recursions: column j propagates each patient's
 rank-j admissible value, and every column is fit with its own regression chain
-down to stage 0. Column 1 carries the per-patient maxima, so its chain
-reproduces classical backward Q-learning exactly.
+down to stage 0. The chains run through the classical backward loop
+(:func:`nearq.qlearn.fit_chains`) as m columns that share every factorization.
+Column 1 carries the per-patient maxima, so its chain reproduces classical
+backward Q-learning bit for bit.
 
 The tolerance is applied once, to the final-stage values feeding the fit one
 stage earlier. Selecting at every stage is out of scope: the number of chains
@@ -29,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import OfflineDataset
-from .qlearn import GreedyPolicy, StageFitError, fit_final_stage
-from .regression import DesignSpec, FittedQ, fit
+from .qlearn import GreedyPolicy, StageFitError, fit_chains, fit_final_stage, stage_targets
+from .regression import DesignSpec, FittedQ, max_over_actions
 
 RELATIVE = "relative"
 ABSOLUTE = "absolute"
@@ -157,31 +159,20 @@ def pseudo_outcome_matrix(
     if not 0 <= t < t_final:
         raise ValueError(f"stage {t} has no future stage (horizon {t_final})")
     n = dataset.n_patients
+    idx_next, feats_next, _, _ = dataset.stage_rows(t + 1)
     if isinstance(source, np.ndarray):
         if t != t_final - 1:
             raise ValueError("padded value matrix applies only at the stage before the final one")
         if source.ndim != 2 or source.shape[0] != n:
             raise ValueError(f"padded matrix has shape {source.shape}, expected ({n}, m)")
-        m = source.shape[1]
+        future = source[idx_next, :]
     else:
         if t == t_final - 1:
             raise ValueError("the stage before the final one takes the padded value matrix")
-        m = len(source)
-        if m == 0:
+        if not source:
             raise ValueError("need at least one column model")
-
-    out = np.full((n, m), np.nan)
-    idx_t, _, _, rewards_t = dataset.stage_rows(t)
-    out[idx_t, :] = rewards_t[:, None]
-    idx_next, feats_next, _, _ = dataset.stage_rows(t + 1)
-    if idx_next.size == 0:
-        return out
-    if isinstance(source, np.ndarray):
-        out[idx_next, :] += source[idx_next, :]
-    else:
-        for j, model in enumerate(source):
-            out[idx_next, j] += model.predict_all_matrix(feats_next).max(axis=1)
-    return out
+        future = max_over_actions(source, feats_next)
+    return stage_targets(dataset, t, future)
 
 
 @dataclass(frozen=True)
@@ -221,41 +212,18 @@ def backward_fit_near_equiv(
     except Exception as err:
         raise StageFitError(t_final) from err
     selection = select_and_pad(final_model, dataset, cfg)
-    m = selection.m
-
-    # grid[t][j]: stage-t model of chain j
-    grid: dict[int, list[FittedQ]] = {}
-    if t_final >= 1:
-        t = t_final - 1
-        targets = pseudo_outcome_matrix(dataset, t, selection.padded)
-        grid[t] = _fit_columns(dataset, spec, t, targets)
-        for t in range(t_final - 2, -1, -1):
-            targets = pseudo_outcome_matrix(dataset, t, grid[t + 1])
-            grid[t] = _fit_columns(dataset, spec, t, targets)
-
-    column_models = tuple(
-        tuple(grid[t][j] for t in range(t_final)) for j in range(m)
-    )
+    idx_final = dataset.stage_rows(t_final)[0]
+    stages = fit_chains(dataset, spec, selection.padded[idx_final, :])
+    column_models = tuple(tuple(stage[j] for stage in stages) for j in range(selection.m))
     return NearEquivQStack(
         final_model=final_model,
         column_models=column_models,
-        m=m,
+        m=selection.m,
         admissible_sets=selection.admissible,
         padding_log=selection.padding_counts,
         horizon=t_final,
         action_spaces=dataset.action_spaces,
     )
-
-
-def _fit_columns(dataset, spec, t, targets) -> list[FittedQ]:
-    idx, feats, actions, _ = dataset.stage_rows(t)
-    models = []
-    for j in range(targets.shape[1]):
-        try:
-            models.append(fit(spec, feats, actions, targets[idx, j], dataset.action_spaces[t]))
-        except Exception as err:
-            raise StageFitError(t, column=j) from err
-    return models
 
 
 @dataclass(frozen=True)

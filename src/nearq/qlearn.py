@@ -8,6 +8,11 @@ Greedy policies pick the argmax action, lowest index on exact ties.
 Patients whose trajectory ended before a stage contribute nothing to that
 stage's fit. A patient whose trajectory ends exactly at stage t has no future
 value to add, so their pseudo-outcome is the observed reward alone.
+
+:func:`fit_chains` is the one backward loop: it carries m value columns from
+the final stage down to stage 0, fitting the m stage-t models together.
+Classical Q-learning is its single-column case; the near-equivalent fit feeds
+it the padded admissible values.
 """
 
 from __future__ import annotations
@@ -17,17 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DatasetError, OfflineDataset
-from .regression import DesignSpec, FittedQ, fit
+from .regression import DesignSpec, FittedQ, fit, fit_columns, max_over_actions
 
 
 class StageFitError(RuntimeError):
-    """A stage (optionally a specific pseudo-outcome column) failed to fit."""
+    """A stage failed to fit; the underlying error is the ``__cause__``."""
 
-    def __init__(self, stage: int, column: int | None = None):
+    def __init__(self, stage: int):
         self.stage = stage
-        self.column = column
-        where = f"stage {stage}" if column is None else f"stage {stage}, column {column}"
-        super().__init__(f"regression failed at {where}")
+        super().__init__(f"regression failed at stage {stage}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,20 @@ def fit_final_stage(dataset: OfflineDataset, spec: DesignSpec) -> FittedQ:
     return fit(spec, feats, actions, rewards, dataset.action_spaces[t_final])
 
 
+def stage_targets(dataset: OfflineDataset, t: int, future: np.ndarray) -> np.ndarray:
+    """(N, m) stage-t targets: the stage-t reward plus each column of ``future``.
+
+    ``future`` holds m values per stage-(t+1) row, aligned with
+    ``dataset.stage_rows(t + 1)``. Rows are NaN for patients absent from stage
+    t; patients whose trajectory ends at stage t get their reward alone.
+    """
+    out = np.full((dataset.n_patients, future.shape[1]), np.nan)
+    idx_t, _, _, rewards_t = dataset.stage_rows(t)
+    out[idx_t, :] = rewards_t[:, None]
+    out[dataset.stage_rows(t + 1)[0], :] += future
+    return out
+
+
 def pseudo_outcome_vector(dataset: OfflineDataset, t: int, next_model: FittedQ) -> np.ndarray:
     """Stage-t regression targets: reward plus best next-stage predicted value.
 
@@ -93,34 +110,48 @@ def pseudo_outcome_vector(dataset: OfflineDataset, t: int, next_model: FittedQ) 
     """
     if not 0 <= t < dataset.horizon:
         raise ValueError(f"stage {t} has no future stage (horizon {dataset.horizon})")
-    out = np.full(dataset.n_patients, np.nan)
-    idx_t, _, _, rewards_t = dataset.stage_rows(t)
-    out[idx_t] = rewards_t
-    idx_next, feats_next, _, _ = dataset.stage_rows(t + 1)
-    if idx_next.size:
-        out[idx_next] += next_model.predict_all_matrix(feats_next).max(axis=1)
-    return out
+    feats_next = dataset.stage_rows(t + 1)[1]
+    return stage_targets(dataset, t, max_over_actions([next_model], feats_next))[:, 0]
+
+
+def fit_chains(
+    dataset: OfflineDataset, spec: DesignSpec, future: np.ndarray
+) -> tuple[tuple[FittedQ, ...], ...]:
+    """Fit stages T-1 .. 0 backward, one regression chain per column of ``future``.
+
+    ``future`` is the (n_T, m) matrix of final-stage values at the stage-T
+    rows. Returns ``stages[t]``, the m stage-t models; column j's stage-t
+    targets add the best value of its stage-(t+1) model.
+    """
+    stages: list = [None] * dataset.horizon
+    for t in range(dataset.horizon - 1, -1, -1):
+        targets = stage_targets(dataset, t, future)
+        idx, feats, actions, _ = dataset.stage_rows(t)
+        try:
+            stages[t] = fit_columns(spec, feats, actions, targets[idx], dataset.action_spaces[t])
+        except Exception as err:
+            raise StageFitError(t) from err
+        if t:
+            future = max_over_actions(stages[t], feats)
+    return tuple(stages)
 
 
 def backward_fit(dataset: OfflineDataset, spec: DesignSpec) -> QStack:
     """Fit all stage models backward from the final stage."""
     t_final = dataset.horizon
-    models: list[FittedQ | None] = [None] * (t_final + 1)
-    provenance: list[dict] = [dict() for _ in range(t_final + 1)]
     try:
-        models[t_final] = fit_final_stage(dataset, spec)
+        final_model = fit_final_stage(dataset, spec)
     except Exception as err:
         raise StageFitError(t_final) from err
-    provenance[t_final] = {"stage": t_final, "targets": "reward", "source_stage": None}
-    for t in range(t_final - 1, -1, -1):
-        targets = pseudo_outcome_vector(dataset, t, models[t + 1])
-        idx, feats, actions, _ = dataset.stage_rows(t)
-        try:
-            models[t] = fit(spec, feats, actions, targets[idx], dataset.action_spaces[t])
-        except Exception as err:
-            raise StageFitError(t) from err
-        provenance[t] = {"stage": t, "targets": "pseudo-outcome", "source_stage": t + 1}
-    return QStack(tuple(models), t_final, dataset.action_spaces, tuple(provenance))
+    stages = ()
+    if t_final:
+        future = max_over_actions([final_model], dataset.stage_rows(t_final)[1])
+        stages = fit_chains(dataset, spec, future)
+    models = tuple(stage[0] for stage in stages) + (final_model,)
+    provenance = tuple(
+        {"stage": t, "targets": "pseudo-outcome", "source_stage": t + 1} for t in range(t_final)
+    ) + ({"stage": t_final, "targets": "reward", "source_stage": None},)
+    return QStack(models, t_final, dataset.action_spaces, provenance)
 
 
 def greedy_action(stack: QStack, t: int, features: np.ndarray) -> int:

@@ -15,11 +15,19 @@ Both solve regularized normal equations through a symmetric positive definite
 factorization, so fitting is deterministic: identical inputs give bitwise
 identical parameters. Rank deficiency surfaces as a factorization failure and
 is reported as :class:`RankDeficientError`.
+
+:func:`fit_columns` fits target columns that share rows, features and actions:
+each normal-equation matrix is factorized once and solved per column
+(Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share each
+action's inputs, so :func:`max_over_actions` builds each kernel matrix once.
+Solves and matrix-vector products stay per column, so column j is bitwise
+equal to a single-column fit on it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -60,8 +68,8 @@ class DesignSpec:
             raise ValueError(f"unknown regression mode {self.mode!r}")
         if self.kernel_bandwidth is not None and not self.kernel_bandwidth > 0:
             raise ValueError("kernel_bandwidth must be positive")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        if not 0 <= self.ridge < math.inf:
+            raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
 
     @staticmethod
     def interaction_linear(ridge: float = 0.0) -> "DesignSpec":
@@ -72,14 +80,19 @@ class DesignSpec:
         return DesignSpec(MODE_KERNEL, kernel_bandwidth=kernel_bandwidth, ridge=ridge)
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+def _factor_spd(gram: np.ndarray, context: str):
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True)
+        return scipy.linalg.cho_factor(gram, lower=True)
     except scipy.linalg.LinAlgError as err:
         raise RankDeficientError(
             f"rank-deficient design in {context}; refit with ridge > 0"
         ) from err
-    return scipy.linalg.cho_solve(factor, rhs)
+
+
+def _solve(factor, rhs: np.ndarray) -> np.ndarray:
+    # fit_columns checked features and targets finite, and cho_factor the gram
+    # matrix, so the per-column solve skips scipy's repeated finiteness scan
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -245,6 +258,22 @@ def fit(
     action_space: ActionSpace,
 ) -> FittedQ:
     """Fit a Q-function regression minimizing ridge-regularized squared error."""
+    targets = np.asarray(targets, dtype=float)[..., None]
+    return fit_columns(spec, features, actions, targets, action_space)[0]
+
+
+def fit_columns(
+    spec: DesignSpec,
+    features: np.ndarray,
+    actions: np.ndarray,
+    targets: np.ndarray,
+    action_space: ActionSpace,
+) -> tuple[FittedQ, ...]:
+    """Fit one Q-function per column of the (n, m) target matrix.
+
+    All columns share the rows, features and actions, so every factorization
+    is done once; model j equals ``fit`` on ``targets[:, j]`` bit for bit.
+    """
     x = np.asarray(features, dtype=float)
     a = np.asarray(actions, dtype=int)
     y = np.asarray(targets, dtype=float)
@@ -253,56 +282,97 @@ def fit(
     n = x.shape[0]
     if n < 1:
         raise ValueError("need at least one training row")
-    if a.shape != (n,) or y.shape != (n,):
+    if a.shape != (n,) or y.ndim != 2 or y.shape[0] != n:
         raise ValueError("features, actions and targets must have matching length")
+    if y.shape[1] < 1:
+        raise ValueError("need at least one target column")
     if a.min(initial=0) < 0 or a.max(initial=0) >= action_space.size:
         raise ValueError("action index outside the action space")
-    if not np.all(np.isfinite(y)):
+    bad_rows = ~np.isfinite(x).all(axis=1)
+    if bad_rows.any():
+        raise ValueError(f"features contain non-finite values (row {int(bad_rows.argmax())})")
+    if not np.isfinite(y).all():
         raise ValueError("targets contain non-finite values")
 
+    columns = [np.ascontiguousarray(y[:, j]) for j in range(y.shape[1])]
     if spec.mode == MODE_LINEAR:
-        return _fit_interaction_linear(spec, x, a, y, action_space)
-    return _fit_per_action_kernel(spec, x, a, y, action_space)
+        return _fit_interaction_linear(spec, x, a, columns, action_space)
+    return _fit_per_action_kernel(spec, x, a, columns, action_space)
 
 
-def _fit_interaction_linear(spec, x, a, y, action_space) -> InteractionLinearQ:
-    labels = np.array([action_space.label(k) for k in a], dtype=float)
+def _fit_interaction_linear(spec, x, a, columns, action_space) -> tuple[InteractionLinearQ, ...]:
+    labels = np.asarray(action_space.values)[a]
     design = np.hstack(
         [np.ones((x.shape[0], 1)), x, labels[:, None], x * labels[:, None]]
     )
     gram = design.T @ design
     if spec.ridge > 0:
         gram = gram + spec.ridge * np.eye(gram.shape[0])
-    coef = _solve_spd(gram, design.T @ y, "interaction-linear fit")
-    return InteractionLinearQ(action_space, coef, x.shape[1])
+    factor = _factor_spd(gram, "interaction-linear fit")
+    return tuple(
+        InteractionLinearQ(action_space, _solve(factor, design.T @ y), x.shape[1])
+        for y in columns
+    )
 
 
-def _fit_per_action_kernel(spec, x, a, y, action_space) -> PerActionKernelQ:
+def _fit_per_action_kernel(spec, x, a, columns, action_space) -> tuple[PerActionKernelQ, ...]:
     bandwidth = spec.kernel_bandwidth
     if bandwidth is None:
         bandwidth = 1.0 / (x.shape[1] + 1)
-    components = []
+    components = [[] for _ in columns]
     fallback = []
     for k in range(action_space.size):
         mask = a == k
         if not mask.any():
             # no data for this action anywhere: predict the global target mean
-            components.append(("constant", float(y.mean())))
+            for comps, y in zip(components, columns):
+                comps.append(("constant", float(y.mean())))
             fallback.append(k)
             continue
         xa = x[mask]
-        ya = y[mask]
-        mean = float(ya.mean())
         gram = _rbf(xa, xa, bandwidth)
         if spec.ridge > 0:
             gram = gram + spec.ridge * np.eye(gram.shape[0])
-        weights = _solve_spd(gram, ya - mean, f"kernel fit for action {k}")
-        xa = xa.copy()
+        factor = _factor_spd(gram, f"kernel fit for action {k}")
         xa.setflags(write=False)
-        weights.setflags(write=False)
-        components.append(("kernel", xa, weights, mean))
+        for comps, y in zip(components, columns):
+            ya = y[mask]
+            mean = float(ya.mean())
+            weights = _solve(factor, ya - mean)
+            weights.setflags(write=False)
+            comps.append(("kernel", xa, weights, mean))
     meta = {"mean_fallback_actions": tuple(fallback)} if fallback else {}
-    return PerActionKernelQ(action_space, x.shape[1], bandwidth, tuple(components), meta)
+    return tuple(
+        PerActionKernelQ(action_space, x.shape[1], bandwidth, tuple(comps), meta)
+        for comps in components
+    )
+
+
+def max_over_actions(models, features: np.ndarray) -> np.ndarray:
+    """(n, m) matrix whose column j is the best predicted value of ``models[j]``.
+
+    Equals stacking ``models[j].predict_all_matrix(features).max(axis=1)`` bit
+    for bit. Kernel models that share an action's training inputs (the models
+    of one ``fit_columns`` call) share that action's kernel matrix, which is
+    built once per action and dropped before the next.
+    """
+    for model in models:
+        model._check_features(features)
+    x = np.asarray(features, dtype=float)
+    out = np.full((x.shape[0], len(models)), -np.inf)
+    for k in range(models[0].action_space.size):
+        inputs = kernel = bandwidth = None
+        for j, model in enumerate(models):
+            comp = model.components[k] if isinstance(model, PerActionKernelQ) else None
+            if comp is not None and comp[0] == "kernel":
+                if comp[1] is not inputs or model.bandwidth != bandwidth:
+                    inputs, bandwidth = comp[1], model.bandwidth
+                    kernel = _rbf(x, inputs, bandwidth)
+                values = kernel @ comp[2] + comp[3]
+            else:
+                values = model.predict_matrix(x, k)
+            np.maximum(out[:, j], values, out=out[:, j])
+    return out
 
 
 # --- model serialization ------------------------------------------------------

@@ -116,3 +116,27 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"volume": 11}))
     assert _run("itr", "--config", str(cfg)) == 2
+
+
+def test_nan_ridge_rejected_before_any_work(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert _run("cancer", "--ridge", "nan", "--out", str(out)) == 2
+    assert not out.exists()
+    assert "ridge" in capsys.readouterr().err
+
+
+def test_failed_run_prints_the_cause_chain(tmp_path, capsys, monkeypatch):
+    import nearq.qlearn
+
+    def failing_fit(*args, **kwargs):
+        raise ValueError("injected solver failure")
+
+    monkeypatch.setattr(nearq.qlearn, "fit_columns", failing_fit)
+    out = tmp_path / "failed"
+    code = _run("cancer", "--seed", "3", "--n-train", "40", "--n-test", "10",
+                "--epsilon", "0.1", "--out", str(out))
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "run failed: regression failed at stage 4"
+    assert err[1] == "caused by: ValueError: injected solver failure"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,24 @@ def test_csv_infers_horizon_without_sidecar(tmp_path):
     assert ds.horizon == 1
     assert ds.action_spaces[0].values == (0.0, 1.0)
     assert ds.patients[0].terminal_stage == 1
+
+
+def test_csv_malformed_sidecar_json_is_schema_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("patient_id,stage,cov_0,action_index,reward\n0,0,1.0,0,2.0\n")
+    (tmp_path / "bad.csv.meta.json").write_text('{"horizon": 0, "feature_dims": [1')
+    with pytest.raises(SchemaError, match="malformed JSON") as err:
+        load_csv(path)
+    assert "bad.csv.meta.json" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["horizon", "feature_dims", "action_values"])
+def test_csv_sidecar_missing_key_is_schema_error(tmp_path, key):
+    path = tmp_path / "bad.csv"
+    path.write_text("patient_id,stage,cov_0,action_index,reward\n0,0,1.0,0,2.0\n")
+    meta = {"format_version": 1, "horizon": 0, "feature_dims": [1], "action_values": [[-1.0, 1.0]]}
+    del meta[key]
+    (tmp_path / "bad.csv.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(SchemaError, match=f"missing key '{key}'") as err:
+        load_csv(path)
+    assert "bad.csv.meta.json" in str(err.value)

@@ -366,3 +366,45 @@ def test_admissible_audit_csv(tmp_path):
         values = [v for _, _, v in rows]
         assert values == sorted(values, reverse=True)
     assert set(seen) == set(range(30))
+
+
+def _kernel_arrays(model):
+    """Every array and scalar a kernel model holds, for bitwise comparison."""
+    out = [model.bandwidth]
+    for comp in model.components:
+        out.extend(comp)
+    return out
+
+
+def _bitwise_equal(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v for u, v in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.9])
+def test_rank_one_chain_models_equal_classical_bitwise(eps):
+    ds = _cancer_dataset(300, seed=17)
+    classical = backward_fit(ds, KERNEL)
+    stack = backward_fit_near_equiv(ds, KERNEL, EpsilonConfig(eps))
+    assert stack.m > 1
+    for t in range(ds.horizon):
+        assert _bitwise_equal(
+            _kernel_arrays(stack.column_models[0][t]), _kernel_arrays(classical.models[t])
+        )
+    assert _bitwise_equal(
+        _kernel_arrays(stack.final_model), _kernel_arrays(classical.models[ds.horizon])
+    )
+
+
+def test_stage_models_share_one_inputs_buffer_per_action():
+    ds = _cancer_dataset(120, seed=4)
+    stack = backward_fit_near_equiv(ds, KERNEL, EpsilonConfig(0.5))
+    assert stack.m > 1
+    for t in range(ds.horizon):
+        first = stack.column_models[0][t]
+        for k, comp in enumerate(first.components):
+            if comp[0] == "kernel":
+                assert all(
+                    chain[t].components[k][1] is comp[1] for chain in stack.column_models
+                )

@@ -7,7 +7,9 @@ from nearq.regression import (
     InteractionLinearQ,
     RankDeficientError,
     fit,
+    fit_columns,
     load_model,
+    max_over_actions,
     model_from_dict,
     save_model,
 )
@@ -162,6 +164,9 @@ def test_design_spec_guards():
         DesignSpec("per-action-kernel", kernel_bandwidth=0.0)
     with pytest.raises(ValueError):
         DesignSpec("interaction-linear", ridge=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ridge"):
+            DesignSpec("per-action-kernel", ridge=bad)
 
 
 def test_fit_input_validation():
@@ -169,3 +174,83 @@ def test_fit_input_validation():
         fit(DesignSpec.interaction_linear(), np.zeros((2, 1)), np.array([0, 3]), np.zeros(2), two_actions())
     with pytest.raises(ValueError):
         fit(DesignSpec.interaction_linear(), np.zeros((2, 1)), np.array([0, 1]), np.array([np.nan, 0.0]), two_actions())
+
+
+def test_fit_rejects_non_finite_features_naming_the_row():
+    x = np.zeros((4, 2))
+    x[2, 1] = np.nan
+    x[3, 0] = np.inf
+    for spec in (DesignSpec.interaction_linear(ridge=1.0), DesignSpec.per_action_kernel()):
+        with pytest.raises(ValueError, match=r"features contain non-finite values \(row 2\)"):
+            fit(spec, x, np.array([0, 1, 0, 1]), np.zeros(4), two_actions())
+
+
+def _three_action_columns(seed=8, n=40, m=4):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    a = rng.integers(0, 2, size=n)  # action 2 never observed: constant fallback
+    y = rng.normal(size=(n, m))
+    return x, a, y, ActionSpace((0.0, 0.5, 1.0))
+
+
+def _assert_models_bitwise_equal(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, InteractionLinearQ):
+        assert np.array_equal(got.coef, want.coef)
+        return
+    assert got.bandwidth == want.bandwidth
+    assert dict(got.meta) == dict(want.meta)
+    for c_got, c_want in zip(got.components, want.components, strict=True):
+        assert c_got[0] == c_want[0]
+        if c_want[0] == "constant":
+            assert c_got[1] == c_want[1]
+        else:
+            assert np.array_equal(c_got[1], c_want[1])
+            assert np.array_equal(c_got[2], c_want[2])
+            assert c_got[3] == c_want[3]
+
+
+@pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
+def test_fit_columns_column_equals_single_column_fit_bitwise(mode):
+    x, a, y, space = _three_action_columns()
+    spec = DesignSpec(mode, ridge=0.2)
+    models = fit_columns(spec, x, a, y, space)
+    assert len(models) == y.shape[1]
+    for j, model in enumerate(models):
+        _assert_models_bitwise_equal(model, fit(spec, x, a, y[:, j], space))
+    if mode == "per-action-kernel":
+        assert models[0].meta["mean_fallback_actions"] == (2,)
+
+
+def test_fit_columns_kernel_models_share_inputs_per_action():
+    x, a, y, space = _three_action_columns()
+    models = fit_columns(DesignSpec.per_action_kernel(ridge=0.2), x, a, y, space)
+    for k in (0, 1):
+        inputs = models[0].components[k][1]
+        assert not inputs.flags.writeable
+        assert all(model.components[k][1] is inputs for model in models)
+
+
+def test_fit_columns_rejects_bad_target_shapes():
+    x, a, y, space = _three_action_columns()
+    spec = DesignSpec.per_action_kernel()
+    with pytest.raises(ValueError, match="target column"):
+        fit_columns(spec, x, a, y[:, :0], space)
+    with pytest.raises(ValueError, match="matching length"):
+        fit_columns(spec, x, a, y[1:], space)
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_columns(spec, x, a, np.where(np.arange(y.size).reshape(y.shape) == 5, np.nan, y), space)
+
+
+@pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
+def test_max_over_actions_matches_predict_all_max_bitwise(mode):
+    x, a, y, space = _three_action_columns()
+    models = fit_columns(DesignSpec(mode, ridge=0.2), x, a, y, space)
+    # a separately fitted model shares no inputs with the others
+    models = models + (fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 0], space),)
+    probe = np.random.default_rng(9).normal(size=(15, 2))
+    got = max_over_actions(models, probe)
+    want = np.column_stack([model.predict_all_matrix(probe).max(axis=1) for model in models])
+    assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="feature matrix"):
+        max_over_actions(models, probe[:, :1])
