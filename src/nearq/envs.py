@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +148,11 @@ class CancerState:
         object.__setattr__(self, "cured", self.tumor == 0.0)
 
 
-def _step_arrays(params: CancerParams, tumor, tox, tumor0, tox0, dose):
-    """Vectorized monthly update; returns (next_tumor, next_tox, hazard_prob)."""
+def _step_arrays(params: CancerParams, tumor, tox, tumor0, tox0, dose, death_u):
+    """Vectorized monthly update and reward; returns (next_tumor, next_tox, died, reward).
+
+    A patient dies when its ``death_u`` draw is below its post-update death probability; None: no deaths.
+    """
     growing = tumor > 0.0
     d_tumor = (params.tumor_growth * np.maximum(tox, tox0)
                - params.tumor_dose * (dose - params.dose_offset)) * growing
@@ -158,8 +162,16 @@ def _step_arrays(params: CancerParams, tumor, tox, tumor0, tox0, dose):
     lam = np.exp(params.hazard_intercept
                  + params.hazard_tumor * next_tumor
                  + params.hazard_toxicity * next_tox)
-    death_prob = 1.0 - np.exp(-lam)
-    return next_tumor, next_tox, death_prob
+    died = np.zeros(lam.shape, dtype=bool) if death_u is None else death_u < 1.0 - np.exp(-lam)
+    return next_tumor, next_tox, died, _reward_arrays(tumor, tox, next_tumor, next_tox, died)
+
+
+def _reward_arrays(tumor, tox, next_tumor, next_tox, died):
+    """Sum of survival, toxicity-change and tumor-response components."""
+    r_survival = np.where(died, -60.0, 0.0)
+    r_tox = np.where(next_tox - tox <= -0.5, 5.0, -5.0)
+    r_tumor = np.where(next_tumor == 0.0, 15.0, np.where(next_tumor - tumor <= -0.5, 5.0, -5.0))
+    return r_survival + r_tox + r_tumor
 
 
 def cancer_transition(
@@ -177,34 +189,26 @@ def cancer_transition(
         raise ValueError("cannot step a dead patient")
     if min(abs(dose - g) for g in params.dose_grid) > 1e-9:
         raise ValueError(f"dose {dose!r} is not on the grid {params.dose_grid}")
-    next_tumor, next_tox, death_prob = _step_arrays(
+    next_tumor, next_tox, died, _ = _step_arrays(
         params,
         np.array([state.tumor]), np.array([state.toxicity]),
         np.array([state.tumor0]), np.array([state.tox0]),
         np.array([float(dose)]),
+        None if rng is None else np.array([rng.uniform()]),
     )
-    died = bool(rng.uniform() < death_prob[0]) if rng is not None else False
     nxt = CancerState(
         tumor=float(next_tumor[0]),
         toxicity=float(next_tox[0]),
-        alive=not died,
+        alive=not died[0],
         tumor0=state.tumor0,
         tox0=state.tox0,
     )
-    return nxt, died
+    return nxt, bool(died[0])
 
 
 def cancer_reward(prev: CancerState, nxt: CancerState, died: bool) -> float:
     """Sum of survival, toxicity-change and tumor-response components."""
-    r_survival = -60.0 if died else 0.0
-    r_tox = 5.0 if (nxt.toxicity - prev.toxicity) <= -0.5 else -5.0
-    if nxt.tumor == 0.0:
-        r_tumor = 15.0
-    elif (nxt.tumor - prev.tumor) <= -0.5:
-        r_tumor = 5.0
-    else:
-        r_tumor = -5.0
-    return r_survival + r_tox + r_tumor
+    return float(_reward_arrays(prev.tumor, prev.toxicity, nxt.tumor, nxt.toxicity, died))
 
 
 UNIFORM_RANDOM = "uniform-random"
@@ -212,20 +216,37 @@ UNIFORM_RANDOM = "uniform-random"
 
 @dataclass(frozen=True)
 class CancerCohort:
-    """Simulated cohort: offline dataset plus the full state paths.
+    """Simulated cohort: the full state paths; the offline dataset is built on first read.
 
     Paths have one column per month 0..n_stages; once a patient dies the
     state columns stop changing (the death-month state is carried forward).
     ``alive[:, t]`` flags patients alive at the start of month t;
-    ``dose_index``/``rewards`` are -1/0 after death.
+    ``dose_index`` (into ``action_space``) and ``rewards`` are -1/0 after
+    death. A rollout builds only these arrays, so evaluation makes no records.
     """
 
-    dataset: OfflineDataset
     tumor: np.ndarray
     toxicity: np.ndarray
     alive: np.ndarray
     dose_index: np.ndarray
     rewards: np.ndarray
+    action_space: ActionSpace
+
+    @cached_property
+    def dataset(self) -> OfflineDataset:
+        n, n_stages = self.dose_index.shape
+        patients = []
+        for i in range(n):
+            records = []
+            for t in range(n_stages):
+                if not self.alive[i, t]:
+                    break
+                covariates = (float(self.tumor[i, t]), float(self.toxicity[i, t]))
+                action, reward = int(self.dose_index[i, t]), float(self.rewards[i, t])
+                records.append(StageRecord(covariates, action, reward))
+            patients.append(PatientTrajectory(tuple(records)))
+        spaces = (self.action_space,) * n_stages
+        return OfflineDataset(tuple(patients), n_stages - 1, spaces, (2,) * n_stages)
 
 
 def _resolve_policy(params: CancerParams, policy, dose_rng: np.random.Generator | None):
@@ -296,49 +317,25 @@ def simulate_cancer_cohort(
         if idx.shape != (int(live.sum()),) or idx.min() < 0 or idx.max() >= space.size:
             raise ValueError("policy returned invalid action indices")
         dose_idx[live, t] = idx
-        next_tumor, next_tox, death_prob = _step_arrays(
-            params, tumor[live, t], tox[live, t], tumor0[live], tox0[live], dose_values[idx]
+        next_tumor, next_tox, died, rewards[live, t] = _step_arrays(
+            params, tumor[live, t], tox[live, t], tumor0[live], tox0[live], dose_values[idx],
+            None if disable_death else death_u[live, t],
         )
-        died = np.zeros(int(live.sum()), dtype=bool)
-        if not disable_death:
-            died = death_u[live, t] < death_prob
         tumor[live, t + 1] = next_tumor
         tox[live, t + 1] = next_tox
-        r_survival = np.where(died, -60.0, 0.0)
-        r_tox = np.where(next_tox - tox[live, t] <= -0.5, 5.0, -5.0)
-        r_tumor = np.where(
-            next_tumor == 0.0, 15.0,
-            np.where(next_tumor - tumor[live, t] <= -0.5, 5.0, -5.0),
-        )
-        rewards[live, t] = r_survival + r_tox + r_tumor
         alive[:, t + 1] = live
         alive[live, t + 1] = ~died
 
-    patients = []
-    for i in range(n):
-        records = []
-        for t in range(n_stages):
-            if not alive[i, t]:
-                break
-            records.append(
-                StageRecord((float(tumor[i, t]), float(tox[i, t])), int(dose_idx[i, t]), float(rewards[i, t]))
-            )
-        patients.append(PatientTrajectory(tuple(records)))
-    horizon = n_stages - 1
-    dataset = OfflineDataset(
-        tuple(patients), horizon, (space,) * n_stages, (2,) * n_stages
-    )
     for arr in (tumor, tox, alive, dose_idx, rewards):
         arr.setflags(write=False)
-    return CancerCohort(dataset, tumor, tox, alive, dose_idx, rewards)
+    return CancerCohort(tumor, tox, alive, dose_idx, rewards, space)
 
 
 def save_trajectories_csv(cohort: CancerCohort, path: str | Path) -> None:
     """Per-month state log: patient_id,stage,tumor,toxicity,dose,reward,alive."""
     n, n_decisions = cohort.dose_index.shape
     lines = ["patient_id,stage,tumor,toxicity,dose,reward,alive"]
-    dataset = cohort.dataset
-    grid = dataset.action_spaces[0].values
+    grid = cohort.action_space.values
     for i in range(n):
         for t in range(n_decisions + 1):
             k = cohort.dose_index[i, t] if t < n_decisions else -1

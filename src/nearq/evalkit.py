@@ -70,6 +70,9 @@ def evaluate_policy(
 ) -> EvalResult:
     """Simulate a fresh cohort under ``policy`` and aggregate it.
 
+    The rollout builds state, dose and reward arrays only; no dataset or
+    per-stage record is made, since the aggregates read nothing else.
+
     With ``shared_initial_states`` (the default) the simulation streams are
     keyed by the seed alone, so every policy evaluated with the same seed gets
     the same initial states and survival draws. Disable it to give each policy
@@ -139,11 +142,7 @@ def blip_surface(
     x[:, 0] = g0.ravel()
     x[:, 1] = g1.ravel()
     x[:, 2:] = fixed
-    labels = np.asarray(model.action_space.values)
-    hi = int(np.argmax(labels))
-    lo = int(np.argmin(labels))
-    blip = model.predict_matrix(x, hi) - model.predict_matrix(x, lo)
-    return np.column_stack([x[:, 0], x[:, 1], blip])
+    return np.column_stack([x[:, 0], x[:, 1], estimated_blips(model, x)])
 
 
 @dataclass(frozen=True)
@@ -159,6 +158,7 @@ class BandStats:
 
 
 def estimated_blips(model: FittedQ, features: np.ndarray) -> np.ndarray:
+    """Predicted value of the highest action minus that of the lowest, per row."""
     labels = np.asarray(model.action_space.values)
     hi = int(np.argmax(labels))
     lo = int(np.argmin(labels))

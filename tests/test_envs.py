@@ -12,6 +12,7 @@ from nearq.envs import (
     cancer_transition,
     simulate_cancer_cohort,
     simulate_itr,
+    stream,
     true_blip,
 )
 
@@ -195,6 +196,44 @@ def test_cohort_dataset_shape_and_validation():
     # trajectory lengths match the alive mask
     for i, patient in enumerate(ds.patients):
         assert patient.terminal_stage + 1 == cohort.alive[i, :6].sum()
+
+
+def test_cohort_dataset_is_built_from_the_arrays_once():
+    cohort = simulate_cancer_cohort(PARAMS, "uniform-random", 200, seed=29)
+    ds = cohort.dataset
+    assert cohort.dataset is ds
+    assert ds.action_spaces == (cohort.action_space,) * PARAMS.n_stages
+    n_stages = PARAMS.n_stages
+    for i, patient in enumerate(ds.patients):
+        assert patient.terminal_stage + 1 == cohort.alive[i, :n_stages].sum()
+        for t in range(n_stages):
+            if t > patient.terminal_stage:
+                assert not cohort.alive[i, t]
+                assert cohort.dose_index[i, t] == -1 and cohort.rewards[i, t] == 0.0
+                continue
+            record = patient.stages[t]
+            assert cohort.alive[i, t]
+            assert record.covariates == (cohort.tumor[i, t], cohort.toxicity[i, t])
+            assert record.action_index == cohort.dose_index[i, t]
+            assert record.reward == cohort.rewards[i, t]
+
+
+def test_cohort_matches_scalar_transition_and_reward():
+    # the scalar wrappers replay the vectorized rollout step by step, with the
+    # same survival draws, and land on the same states and rewards bit for bit
+    cohort = simulate_cancer_cohort(PARAMS, "uniform-random", 60, seed=37)
+    death_u = stream(37, "train/death").uniform(size=(60, PARAMS.n_stages))
+    for i in range(60):
+        state = CancerState(tumor=cohort.tumor[i, 0], toxicity=cohort.toxicity[i, 0])
+        for t in range(PARAMS.n_stages):
+            if not cohort.alive[i, t]:
+                break
+            dose = cohort.action_space.label(cohort.dose_index[i, t])
+            nxt, died = cancer_transition(PARAMS, state, dose, FixedUniform(death_u[i, t]))
+            assert (nxt.tumor, nxt.toxicity) == (cohort.tumor[i, t + 1], cohort.toxicity[i, t + 1])
+            assert died == (not cohort.alive[i, t + 1])
+            assert cancer_reward(state, nxt, died) == cohort.rewards[i, t]
+            state = nxt
 
 
 def test_cohort_state_invariants():

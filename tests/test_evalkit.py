@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nearq.core import StageRecord
 from nearq.envs import CancerParams, ItrConfig, simulate_cancer_cohort, simulate_itr
 from nearq.evalkit import (
     EvalResult,
@@ -11,7 +12,7 @@ from nearq.evalkit import (
     estimated_blips,
     evaluate_policy,
 )
-from nearq.qlearn import backward_fit
+from nearq.qlearn import backward_fit, greedy_policy
 from nearq.regression import DesignSpec, InteractionLinearQ
 
 from conftest import two_actions
@@ -161,3 +162,18 @@ def test_shared_initial_states_flag():
     assert shared_a.mean_combined[0] == shared_b.mean_combined[0]
     solo = evaluate_policy(PARAMS, 0.2, 80, seed=6, label="a", shared_initial_states=False)
     assert solo.mean_combined[0] != shared_a.mean_combined[0]
+
+
+def test_rollouts_build_no_stage_records(monkeypatch):
+    train = simulate_cancer_cohort(PARAMS, "uniform-random", 80, seed=12).dataset
+    policy = greedy_policy(backward_fit(train, DesignSpec.per_action_kernel()))
+
+    def refuse(self):
+        raise AssertionError("a rollout built a stage record")
+
+    monkeypatch.setattr(StageRecord, "__post_init__", refuse)
+    assert evaluate_policy(PARAMS, 0.4, 50, seed=13).label == "const-0.4"
+    assert evaluate_policy(PARAMS, policy, 50, seed=13, label="opt").label == "opt"
+    assert len(constant_dose_baselines(PARAMS, 50, seed=13)) == len(PARAMS.dose_grid)
+    with pytest.raises(AssertionError, match="stage record"):
+        simulate_cancer_cohort(PARAMS, 0.4, 5, seed=13).dataset
