@@ -239,17 +239,14 @@ def cmd_cancer(cfg: RunConfig) -> int:
     return _verify_outputs(written)
 
 
-def cmd_oracle(cfg: RunConfig, perturb: float = 0.0) -> int:
+def cmd_oracle(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.dry_run:
         print("oracle config ok (dry run, nothing executed)")
         return 0
     dataset = build_fixture_dataset()
     stack = backward_fit(dataset, DesignSpec.interaction_linear())
-    tables = dp_oracle(dataset)
-    if perturb:
-        tables.q0[0, 0] += perturb
-    worst = max_discrepancy(stack, tables)
+    worst = max_discrepancy(stack, dp_oracle(dataset))
     print(f"max |fitted - reference| = {worst:.3e}")
     if worst >= 1e-8:
         print("oracle check FAILED", file=sys.stderr)
@@ -305,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path)
         p.add_argument("--config", type=Path)
         p.add_argument("--dry-run", action="store_true", dest="dry_run")
-        if name == "oracle":
-            p.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     return parser
 
 
@@ -373,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_itr(cfg)
         if args.command == "cancer":
             return cmd_cancer(cfg)
-        return cmd_oracle(cfg, perturb=getattr(args, "perturb", 0.0))
+        return cmd_oracle(cfg)
     except Exception as err:
         print(f"run failed: {err}", file=sys.stderr)
         for cause in _causes(err):

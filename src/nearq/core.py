@@ -1,10 +1,11 @@
 """Domain types for longitudinal treatment data.
 
-A dataset holds one trajectory per patient over stages 0..T. Trajectories may
-end before T (absorbing terminal event such as death), in which case the later
-stages are simply absent. All types are immutable after construction and store
-covariates as plain float tuples, so equality is structural and instances are
-safe to share across threads.
+A dataset is one row per observed patient-stage over stages 0..T, held as
+read-only arrays: exactly the rows of the cohort CSV. Trajectories may end
+before T (absorbing terminal event such as death), in which case the later
+stages have no rows. Equality compares the arrays and the stage metadata.
+Per-patient records (``StageRecord``, ``PatientTrajectory``) are the input of
+the dataset constructor and a view built on first read.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -97,51 +99,107 @@ class PatientTrajectory:
         return len(self.stages) - 1
 
 
-@dataclass(frozen=True)
+def _checked_stages(horizon, action_spaces, feature_dims):
+    """Normalized ``(horizon, action_spaces, feature_dims)``; one feature width throughout."""
+    action_spaces = tuple(action_spaces)
+    feature_dims = tuple(int(d) for d in feature_dims)
+    if horizon < 0:
+        raise DatasetError("horizon must be >= 0")
+    if len(action_spaces) != horizon + 1:
+        raise DatasetError("need one action space per stage 0..horizon")
+    if len(feature_dims) != horizon + 1:
+        raise DatasetError("need one feature dimension per stage 0..horizon")
+    if len(set(feature_dims)) != 1:
+        raise DatasetError(f"feature dimension must be the same at every stage, got {feature_dims}")
+    return horizon, action_spaces, feature_dims
+
+
+_ROW_ARRAYS = ("patient", "stage", "features", "actions", "rewards")
+
+
 class OfflineDataset:
-    """Cohort of trajectories with per-stage action spaces and feature dims."""
+    """Cohort rows with per-stage action spaces and feature dims.
 
-    patients: tuple[PatientTrajectory, ...]
-    horizon: int
-    action_spaces: tuple[ActionSpace, ...]
-    feature_dims: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    ``patient`` (0..n-1), ``stage``, ``features`` (rows x d), ``actions`` and
+    ``rewards`` hold one row per observed patient-stage, sorted by patient then
+    stage, each patient's stages running from 0 without gaps. The constructor
+    flattens per-patient records; :meth:`from_rows` takes the arrays.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "patients", tuple(self.patients))
-        object.__setattr__(self, "action_spaces", tuple(self.action_spaces))
-        object.__setattr__(self, "feature_dims", tuple(int(d) for d in self.feature_dims))
-        if self.horizon < 0:
-            raise DatasetError("horizon must be >= 0")
-        if len(self.action_spaces) != self.horizon + 1:
-            raise DatasetError("need one action space per stage 0..horizon")
-        if len(self.feature_dims) != self.horizon + 1:
-            raise DatasetError("need one feature dimension per stage 0..horizon")
+    def __init__(self, patients, horizon: int, action_spaces, feature_dims):
+        stages = _checked_stages(horizon, action_spaces, feature_dims)
+        d = stages[2][0]
+        rows = [(i, t, rec) for i, traj in enumerate(patients) for t, rec in enumerate(traj.stages)]
+        for i, t, rec in rows:
+            if t > horizon:
+                raise DatasetError(f"patient {i} stage {t}: past the horizon {horizon}")
+            if len(rec.covariates) != d:
+                raise DatasetError(
+                    f"patient {i} stage {t}: dimension mismatch, "
+                    f"{len(rec.covariates)} covariates where {d} expected"
+                )
+        patient, stage, records = zip(*rows) if rows else ((), (), ())
+        covariates = np.array([rec.covariates for rec in records], dtype=float).reshape(-1, d)
+        self._set_rows(
+            patient, stage, covariates, [rec.action_index for rec in records],
+            [rec.reward for rec in records], *stages,
+        )
 
-    @property
-    def n_patients(self) -> int:
-        return len(self.patients)
+    @classmethod
+    def from_rows(
+        cls, patient, stage, features, actions, rewards, horizon: int, action_spaces, feature_dims
+    ) -> OfflineDataset:
+        """Dataset from row arrays; the caller keeps the row order the class describes."""
+        dataset = cls.__new__(cls)
+        stages = _checked_stages(horizon, action_spaces, feature_dims)
+        dataset._set_rows(patient, stage, features, actions, rewards, *stages)
+        return dataset
+
+    def _set_rows(self, patient, stage, features, actions, rewards, *stages):
+        horizon, action_spaces, feature_dims = stages
+        self.patient = np.array(patient, dtype=int)
+        self.stage = np.array(stage, dtype=int)
+        self.features = np.array(features, dtype=float)
+        self.actions = np.array(actions, dtype=int)
+        self.rewards = np.array(rewards, dtype=float)
+        for arr in (self.patient, self.stage, self.features, self.actions, self.rewards):
+            arr.setflags(write=False)
+        if self.features.shape != (len(self.patient), feature_dims[0]):
+            raise DatasetError(f"features must be rows x {feature_dims[0]}, got {self.features.shape}")
+        self.horizon = horizon
+        self.action_spaces = action_spaces
+        self.feature_dims = feature_dims
+        self.n_patients = int(self.patient[-1]) + 1 if len(self.patient) else 0
+
+    def __eq__(self, other):
+        if not isinstance(other, OfflineDataset):
+            return NotImplemented
+        return (self.horizon, self.action_spaces, self.feature_dims) == (
+            other.horizon, other.action_spaces, other.feature_dims
+        ) and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _ROW_ARRAYS)
+
+    @cached_property
+    def patients(self) -> tuple[PatientTrajectory, ...]:
+        """Per-patient records, built from the rows on first read."""
+        records = [
+            StageRecord(*row)
+            for row in zip(self.features.tolist(), self.actions.tolist(), self.rewards.tolist())
+        ]
+        starts = np.flatnonzero(self.stage == 0).tolist() + [len(records)]
+        return tuple(PatientTrajectory(records[lo:hi]) for lo, hi in zip(starts, starts[1:]))
 
     def stage_rows(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Regression rows for stage t over patients holding a stage-t record.
 
-        Returns ``(patient_idx, features, action_idx, rewards)`` where rows are
-        in patient order. Cached; arrays are read-only.
+        Returns read-only ``(patient_idx, features, action_idx, rewards)`` in
+        patient order.
         """
         if not 0 <= t <= self.horizon:
             raise ValueError(f"stage {t} outside 0..{self.horizon}")
-        if t in self._cache:
-            return self._cache[t]
-        idx = [i for i, p in enumerate(self.patients) if p.terminal_stage >= t]
-        feats = np.array([self.patients[i].stages[t].covariates for i in idx], dtype=float)
-        if feats.size == 0:
-            feats = feats.reshape(0, self.feature_dims[t])
-        actions = np.array([self.patients[i].stages[t].action_index for i in idx], dtype=int)
-        rewards = np.array([self.patients[i].stages[t].reward for i in idx], dtype=float)
-        out = (np.asarray(idx, dtype=int), feats, actions, rewards)
+        at = self.stage == t
+        out = (self.patient[at], self.features[at], self.actions[at], self.rewards[at])
         for arr in out:
             arr.setflags(write=False)
-        self._cache[t] = out
         return out
 
 
@@ -158,49 +216,41 @@ class ValidationReport:
 
 
 def validate(dataset: OfflineDataset) -> ValidationReport:
-    """Check a dataset against its declared shape without mutating it.
+    """Check a dataset's rows without mutating it.
 
-    Errors: no patients, trajectory longer than the horizon, covariate length
-    not matching the stage's feature dimension, action index outside the
-    stage's action space, and stages up to the horizon with no observations.
-    Warnings: stages where fewer than two distinct actions were observed
-    (regression on such a stage cannot separate actions).
+    Errors: no patients, action index outside the stage's action space,
+    non-finite covariates or rewards, and stages up to the horizon with no
+    observations. Warnings: stages where fewer than two distinct actions were
+    observed (regression on such a stage cannot separate actions). Trajectory
+    lengths and covariate widths are checked when the dataset is built.
     """
     report = ValidationReport()
     if dataset.n_patients == 0:
         report.errors.append("dataset has no patients")
         return report
-    observed_actions: dict[int, set[int]] = {t: set() for t in range(dataset.horizon + 1)}
-    for i, patient in enumerate(dataset.patients):
-        if patient.terminal_stage > dataset.horizon:
-            report.errors.append(
-                f"patient {i}: trajectory has {patient.terminal_stage + 1} stages, "
-                f"horizon is {dataset.horizon}"
-            )
-            continue
-        for t, rec in enumerate(patient.stages):
-            want = dataset.feature_dims[t]
-            if len(rec.covariates) != want:
-                report.errors.append(
-                    f"patient {i} stage {t}: dimension mismatch, "
-                    f"{len(rec.covariates)} covariates where {want} expected"
-                )
-            k = dataset.action_spaces[t].size
-            if not 0 <= rec.action_index < k:
-                report.errors.append(
-                    f"patient {i} stage {t}: action out of range "
-                    f"(index {rec.action_index}, space size {k})"
-                )
-            else:
-                observed_actions[t].add(rec.action_index)
+    sizes = np.array([space.size for space in dataset.action_spaces])[dataset.stage]
+    in_range = (dataset.actions >= 0) & (dataset.actions < sizes)
+
+    def where(r: int) -> str:
+        return f"patient {dataset.patient[r]} stage {dataset.stage[r]}"
+
+    for r in np.flatnonzero(~in_range):
+        report.errors.append(
+            f"{where(r)}: action out of range (index {dataset.actions[r]}, space size {sizes[r]})"
+        )
+    for r in np.flatnonzero(~np.isfinite(dataset.features).all(axis=1)):
+        report.errors.append(f"{where(r)}: non-finite covariate")
+    for r in np.flatnonzero(~np.isfinite(dataset.rewards)):
+        report.errors.append(f"{where(r)}: non-finite reward")
     for t in range(dataset.horizon + 1):
-        n_here = sum(1 for p in dataset.patients if p.terminal_stage >= t)
-        if n_here == 0:
+        at = dataset.stage == t
+        n_actions = np.unique(dataset.actions[at & in_range]).size
+        if not at.any():
             report.errors.append(f"empty stage {t}: no patient has a record there")
-        elif len(observed_actions[t]) < 2:
+        elif n_actions < 2:
             report.warnings.append(
                 f"degenerate action support at stage {t}: "
-                f"only {len(observed_actions[t])} distinct action observed"
+                f"only {n_actions} distinct action observed"
             )
     return report
 
@@ -227,32 +277,21 @@ def history_features(trajectory: PatientTrajectory, t: int) -> np.ndarray:
 _SIDECAR_SUFFIX = ".meta.json"
 
 
-def _uniform_dim(dataset: OfflineDataset) -> int:
-    dims = set(dataset.feature_dims)
-    if len(dims) != 1:
-        raise DatasetError(
-            f"cohort CSV requires a uniform feature dimension, got {sorted(dims)}"
-        )
-    return dims.pop()
-
-
 def save_csv(dataset: OfflineDataset, path: str | Path) -> None:
     """Write the cohort CSV plus its sidecar metadata file.
 
     Floats are written with ``repr`` so that loading reproduces the exact
     values.
     """
-    path = Path(path)
-    d = _uniform_dim(dataset)
-    header = ["patient_id", "stage"] + [f"cov_{j}" for j in range(d)] + ["action_index", "reward"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, patient in enumerate(dataset.patients):
-            for t, rec in enumerate(patient.stages):
-                writer.writerow(
-                    [i, t, *[repr(c) for c in rec.covariates], rec.action_index, repr(rec.reward)]
-                )
+    d = dataset.features.shape[1]
+    header = ["patient_id", "stage", *(f"cov_{j}" for j in range(d)), "action_index", "reward"]
+    lines = [",".join(header)]
+    for i, t, covs, a, r in zip(
+        dataset.patient.tolist(), dataset.stage.tolist(), dataset.features.tolist(),
+        dataset.actions.tolist(), dataset.rewards.tolist(),
+    ):
+        lines.append(f"{i},{t},{','.join(map(repr, covs))},{a},{r!r}")
+    Path(path).write_text("\n".join(lines) + "\n")
     sidecar = {
         "format_version": 1,
         "horizon": dataset.horizon,
@@ -265,6 +304,8 @@ def save_csv(dataset: OfflineDataset, path: str | Path) -> None:
 def load_csv(path: str | Path) -> OfflineDataset:
     """Read a cohort CSV (and sidecar metadata when present).
 
+    Rows may come in any order. Patients are numbered by sorted id: in
+    numeric order when every id is a decimal integer, in text order otherwise.
     Raises SchemaError with the offending row number on malformed content, and
     DatasetError when trajectories disagree with the declared horizon.
     """
@@ -275,39 +316,49 @@ def load_csv(path: str | Path) -> OfflineDataset:
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty file, header row required") from None
-        cov_cols = [h for h in header if h.startswith("cov_")]
-        required = ["patient_id", "stage", "action_index", "reward"]
-        for col in required:
+        d = sum(h.startswith("cov_") for h in header)
+        if not d:
+            raise SchemaError("no cov_* columns present", row=1)
+        columns = ["patient_id", "stage", "action_index", "reward", *(f"cov_{j}" for j in range(d))]
+        for col in columns:
             if col not in header:
                 raise SchemaError(f"missing column {col!r}", row=1)
-        if not cov_cols:
-            raise SchemaError("no cov_* columns present", row=1)
-        pos = {h: header.index(h) for h in header}
-        d = len(cov_cols)
-        rows_by_patient: dict[str, dict[int, StageRecord]] = {}
-        order: list[str] = []
+        i_pid, i_stage, i_action, i_reward, *i_covs = (header.index(c) for c in columns)
+        ids, stages, covs, actions, rewards = [], [], [], [], []
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise SchemaError(f"expected {len(header)} fields, got {len(row)}", row=rownum)
-            pid = row[pos["patient_id"]]
             try:
-                stage = int(row[pos["stage"]])
-                action = int(row[pos["action_index"]])
-                covs = tuple(float(row[pos[f"cov_{j}"]]) for j in range(d))
-                reward = float(row[pos["reward"]])
+                stages.append(int(row[i_stage]))
+                actions.append(int(row[i_action]))
+                covs.append([float(row[j]) for j in i_covs])
+                rewards.append(float(row[i_reward]))
             except ValueError as err:
                 raise SchemaError(str(err), row=rownum) from err
-            if stage < 0:
-                raise SchemaError(f"negative stage {stage}", row=rownum)
-            if pid not in rows_by_patient:
-                rows_by_patient[pid] = {}
-                order.append(pid)
-            if stage in rows_by_patient[pid]:
-                raise SchemaError(f"duplicate stage {stage} for patient {pid}", row=rownum)
-            rows_by_patient[pid][stage] = StageRecord(covs, action, reward)
+            if stages[-1] < 0:
+                raise SchemaError(f"negative stage {stages[-1]}", row=rownum)
+            ids.append(row[i_pid])
 
-    if not order:
+    if not ids:
         raise SchemaError("file contains no data rows")
+    names = sorted(set(ids))
+    if all(name.isdecimal() for name in names):
+        names.sort(key=int)
+    number = {name: i for i, name in enumerate(names)}
+    patient = np.array([number[pid] for pid in ids])
+    order = np.lexsort((stages, patient))
+    patient, stage = patient[order], np.array(stages)[order]
+    # sorted, a patient's stages read 0, 1, 2, ...; the first one off repeats a stage or skips one
+    starts = np.flatnonzero(np.r_[True, patient[1:] != patient[:-1]])
+    expected = np.arange(len(stage)) - starts[patient]
+    off = np.flatnonzero(stage != expected)
+    if off.size:
+        r = off[0]
+        if stage[r] < expected[r]:
+            raise SchemaError(
+                f"duplicate stage {stage[r]} for patient {names[patient[r]]}", row=int(order[r]) + 2
+            )
+        raise DatasetError(f"patient {names[patient[r]]}: stages are not contiguous from 0")
 
     sidecar_path = Path(str(path) + _SIDECAR_SUFFIX)
     if sidecar_path.exists():
@@ -326,20 +377,19 @@ def load_csv(path: str | Path) -> OfflineDataset:
             )
         action_spaces = tuple(ActionSpace(tuple(v)) for v in meta["action_values"])
     else:
-        horizon = max(max(stages) for stages in rows_by_patient.values())
+        horizon = int(stage.max())
         feature_dims = (d,) * (horizon + 1)
-        k = 1 + max(rec.action_index for stages in rows_by_patient.values() for rec in stages.values())
+        k = 1 + max(actions)
         action_spaces = (ActionSpace(tuple(float(i) for i in range(k))),) * (horizon + 1)
 
-    patients = []
-    for pid in order:
-        stages = rows_by_patient[pid]
-        n = len(stages)
-        if sorted(stages) != list(range(n)):
-            raise DatasetError(f"patient {pid}: stages are not contiguous from 0")
-        if n - 1 > horizon:
-            raise DatasetError(
-                f"patient {pid}: terminal stage {n - 1} exceeds declared horizon {horizon}"
-            )
-        patients.append(PatientTrajectory(tuple(stages[t] for t in range(n))))
-    return OfflineDataset(tuple(patients), horizon, action_spaces, feature_dims)
+    late = np.flatnonzero(stage > horizon)
+    if late.size:
+        p = patient[late[0]]
+        raise DatasetError(
+            f"patient {names[p]}: terminal stage {stage[patient == p].max()} "
+            f"exceeds declared horizon {horizon}"
+        )
+    return OfflineDataset.from_rows(
+        patient, stage, np.array(covs, dtype=float)[order], np.array(actions)[order],
+        np.array(rewards, dtype=float)[order], horizon, action_spaces, feature_dims,
+    )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSpace, OfflineDataset, PatientTrajectory, StageRecord
+from .core import ActionSpace, OfflineDataset
 
 RNG_FAMILY = "philox4x64"
 _MASK64 = (1 << 64) - 1
@@ -41,17 +41,15 @@ class ItrConfig:
 
     n_patients: int
     seed: int
-    n_covariates: int = 10
     noise_sd: float = 1.0
 
     def __post_init__(self):
         if self.n_patients < 1:
             raise ValueError("n_patients must be >= 1")
-        if self.n_covariates != 10:
-            raise ValueError("the generator is defined for exactly 10 covariates")
 
 
 ITR_ACTIONS = ActionSpace((-1.0, 1.0))
+ITR_COVARIATES = 10
 
 
 def simulate_itr(cfg: ItrConfig) -> OfflineDataset:
@@ -64,24 +62,22 @@ def simulate_itr(cfg: ItrConfig) -> OfflineDataset:
     """
     rng = stream(cfg.seed, "itr")
     n = cfg.n_patients
-    x = rng.uniform(-1.0, 1.0, size=(n, cfg.n_covariates))
+    x = rng.uniform(-1.0, 1.0, size=(n, ITR_COVARIATES))
     action_idx = rng.integers(0, 2, size=n)
     labels = np.where(action_idx == 1, 1.0, -1.0)
     noise = rng.standard_normal(n) * cfg.noise_sd
     mean = 1.0 + 2.0 * x[:, 0] + x[:, 1] + 0.5 * x[:, 2] + (x[:, 0] + x[:, 1]) * labels
     y = mean + noise
-    patients = tuple(
-        PatientTrajectory((StageRecord(tuple(x[i]), int(action_idx[i]), float(y[i])),))
-        for i in range(n)
+    return OfflineDataset.from_rows(
+        np.arange(n), np.zeros(n, dtype=int), x, action_idx, y, 0, (ITR_ACTIONS,), (ITR_COVARIATES,)
     )
-    return OfflineDataset(patients, 0, (ITR_ACTIONS,), (cfg.n_covariates,))
 
 
 def true_blip(x: np.ndarray) -> float:
     """Treatment effect 2*(x0 + x1); its sign is the best single-stage action."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (10,):
-        raise ValueError("expected a 10-entry covariate vector")
+    if x.shape != (ITR_COVARIATES,):
+        raise ValueError(f"expected a {ITR_COVARIATES}-entry covariate vector")
     return 2.0 * float(x[0] + x[1])
 
 
@@ -222,7 +218,8 @@ class CancerCohort:
     state columns stop changing (the death-month state is carried forward).
     ``alive[:, t]`` flags patients alive at the start of month t;
     ``dose_index`` (into ``action_space``) and ``rewards`` are -1/0 after
-    death. A rollout builds only these arrays, so evaluation makes no records.
+    death. A rollout builds only these arrays; the dataset's rows are their
+    alive patient-months.
     """
 
     tumor: np.ndarray
@@ -234,19 +231,15 @@ class CancerCohort:
 
     @cached_property
     def dataset(self) -> OfflineDataset:
-        n, n_stages = self.dose_index.shape
-        patients = []
-        for i in range(n):
-            records = []
-            for t in range(n_stages):
-                if not self.alive[i, t]:
-                    break
-                covariates = (float(self.tumor[i, t]), float(self.toxicity[i, t]))
-                action, reward = int(self.dose_index[i, t]), float(self.rewards[i, t])
-                records.append(StageRecord(covariates, action, reward))
-            patients.append(PatientTrajectory(tuple(records)))
-        spaces = (self.action_space,) * n_stages
-        return OfflineDataset(tuple(patients), n_stages - 1, spaces, (2,) * n_stages)
+        n_stages = self.dose_index.shape[1]
+        # row-major nonzero: patient by patient, each alive from month 0 until death
+        patient, stage = np.nonzero(self.alive[:, :n_stages])
+        return OfflineDataset.from_rows(
+            patient, stage,
+            np.column_stack([self.tumor[patient, stage], self.toxicity[patient, stage]]),
+            self.dose_index[patient, stage], self.rewards[patient, stage],
+            n_stages - 1, (self.action_space,) * n_stages, (2,) * n_stages,
+        )
 
 
 def _resolve_policy(params: CancerParams, policy, dose_rng: np.random.Generator | None):

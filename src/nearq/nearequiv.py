@@ -226,42 +226,16 @@ def backward_fit_near_equiv(
     )
 
 
-@dataclass(frozen=True)
-class PolicySet:
-    """The m near-equivalent greedy strategies of a fitted stack.
+def policy_set(stack: NearEquivQStack) -> tuple[GreedyPolicy, ...]:
+    """The m near-equivalent greedy strategies, rank 1 first.
 
     Every member shares the final-stage rule (there is a single final model);
     members differ at earlier stages through their column chains.
     """
-
-    policies: tuple[GreedyPolicy, ...]
-
-    def __len__(self) -> int:
-        return len(self.policies)
-
-    def __iter__(self):
-        return iter(self.policies)
-
-    def __getitem__(self, j: int) -> GreedyPolicy:
-        return self.policies[j]
-
-
-def policy_set(stack: NearEquivQStack) -> PolicySet:
-    """Greedy policies of all column chains, final stage shared."""
-    policies = tuple(
+    return tuple(
         GreedyPolicy(tuple(chain) + (stack.final_model,))
         for chain in stack.column_models
     )
-    return PolicySet(policies)
-
-
-def set_valued_action(model: FittedQ, features: np.ndarray, cfg: EpsilonConfig):
-    """Admissible actions of a single model at one feature vector.
-
-    This is the single-stage decision rule: all actions within the tolerance
-    of the best predicted value, best first.
-    """
-    return admissible_actions(model.predict_all(features), cfg)
 
 
 def near_equiv_stack_to_dict(stack: NearEquivQStack) -> dict:
@@ -307,17 +281,10 @@ def near_equiv_stack_from_dict(payload: dict) -> NearEquivQStack:
     )
 
 
-def admissible_table(stack: NearEquivQStack) -> list[tuple[int, int, int, float]]:
-    """Audit rows ``(patient_id, rank, action_index, q_value)``."""
-    rows = []
-    for i, row in enumerate(stack.admissible_sets.rows):
-        for rank, (action, value) in enumerate(row, start=1):
-            rows.append((i, rank, action, value))
-    return rows
-
-
 def save_admissible_csv(stack: NearEquivQStack, path: str | Path) -> None:
+    """Audit rows ``patient_id,rank,action_index,q_value``, best rank first."""
     lines = ["patient_id,rank,action_index,q_value"]
-    for pid, rank, action, value in admissible_table(stack):
-        lines.append(f"{pid},{rank},{action},{value!r}")
+    for pid, row in enumerate(stack.admissible_sets.rows):
+        for rank, (action, value) in enumerate(row, start=1):
+            lines.append(f"{pid},{rank},{action},{value!r}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -55,9 +55,8 @@ class QStack:
 class GreedyPolicy:
     """Stagewise greedy rules over a sequence of fitted models, one per stage."""
 
-    def __init__(self, models: tuple[FittedQ, ...], stack: QStack | None = None):
+    def __init__(self, models: tuple[FittedQ, ...]):
         self.models = tuple(models)
-        self.stack = stack
 
     @property
     def horizon(self) -> int:
@@ -104,7 +103,7 @@ def stage_targets(dataset: OfflineDataset, t: int, future: np.ndarray) -> np.nda
 def pseudo_outcome_vector(dataset: OfflineDataset, t: int, next_model: FittedQ) -> np.ndarray:
     """Stage-t regression targets: reward plus best next-stage predicted value.
 
-    Returns a length-N vector aligned with ``dataset.patients``. Entries are
+    Returns a length-N vector indexed by patient. Entries are
     NaN for patients whose trajectory ended before stage t (absent from the
     stage-t fit). Patients ending exactly at stage t get their reward alone.
     """
@@ -154,13 +153,8 @@ def backward_fit(dataset: OfflineDataset, spec: DesignSpec) -> QStack:
     return QStack(models, t_final, dataset.action_spaces, provenance)
 
 
-def greedy_action(stack: QStack, t: int, features: np.ndarray) -> int:
-    """Argmax action of the stage-t model, lowest index on ties."""
-    return GreedyPolicy(stack.models, stack).decide(t, features)
-
-
 def greedy_policy(stack: QStack) -> GreedyPolicy:
-    return GreedyPolicy(stack.models, stack)
+    return GreedyPolicy(stack.models)
 
 
 # --- stack serialization ------------------------------------------------------

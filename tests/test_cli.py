@@ -1,7 +1,10 @@
+import hashlib
 import json
 
+import nearq.cli
 from nearq.cli import main
-from nearq.core import load_csv, validate
+from nearq.core import StageRecord, load_csv, validate
+from nearq.oracle import dp_oracle
 
 
 def _run(*args):
@@ -91,10 +94,18 @@ def test_cancer_run_artifacts_and_timings(tmp_path):
     assert "opt" in labels and "const-0.0" in labels and "eps0.1-rank1" in labels
 
 
-def test_oracle_command(tmp_path, capsys):
+def test_oracle_command(tmp_path, capsys, monkeypatch):
     assert _run("oracle") == 0
     assert "passed" in capsys.readouterr().out
-    assert _run("oracle", "--perturb", "1.0") == 1
+
+    def perturbed_oracle(dataset):
+        tables = dp_oracle(dataset)
+        tables.q0[0, 0] += 1.0
+        return tables
+
+    monkeypatch.setattr(nearq.cli, "dp_oracle", perturbed_oracle)
+    assert _run("oracle") == 1
+    assert "FAILED" in capsys.readouterr().err
 
 
 def test_config_file_with_cli_override(tmp_path):
@@ -140,3 +151,33 @@ def test_failed_run_prints_the_cause_chain(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "run failed: regression failed at stage 4"
     assert err[1] == "caused by: ValueError: injected solver failure"
+
+
+def test_runs_build_no_stage_records(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a run built a stage record")
+
+    monkeypatch.setattr(StageRecord, "__post_init__", refuse)
+    assert _run("itr", "--seed", "3", "--n-train", "60", "--n-test", "40", "--epsilon", "0.5",
+                "--grid-resolution", "5", "--out", str(tmp_path / "itr")) == 0
+    assert _run("cancer", "--seed", "11", "--n-train", "60", "--n-test", "20",
+                "--epsilon", "0.3", "--out", str(tmp_path / "cancer")) == 0
+
+
+# sha256 of the cohort files written by
+# `nearq itr --seed 5 --n-train 50 --n-test 30 --epsilon 0.3 --grid-resolution 5`.
+# The itr simulator uses no exp or BLAS, so these bytes are the same on every machine.
+ITR_COHORT_SHA256 = {
+    "train.csv": "5778a6919c6a6af0e543d434fd99a85c7be43edc3a046f70a564a4b1f90aa491",
+    "train.csv.meta.json": "74fe7b6d2bf1b0399526bceeec2c653292c31ebb280416712ff08e40f67b8921",
+    "test.csv": "fbab3105ed05e15f8166c211df20828bc7f3f6b8997e4829bdd9cbc6aba65ea3",
+    "test.csv.meta.json": "74fe7b6d2bf1b0399526bceeec2c653292c31ebb280416712ff08e40f67b8921",
+}
+
+
+def test_itr_cohort_bytes_match_recorded_digests(tmp_path):
+    out = tmp_path / "itr"
+    assert _run("itr", "--seed", "5", "--n-train", "50", "--n-test", "30", "--epsilon", "0.3",
+                "--grid-resolution", "5", "--out", str(out)) == 0
+    for name, digest in ITR_COHORT_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

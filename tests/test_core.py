@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearq.core import (
     ActionSpace,
@@ -15,6 +19,7 @@ from nearq.core import (
     save_csv,
     validate,
 )
+from nearq.envs import CancerParams, simulate_cancer_cohort
 from nearq.regression import DesignSpec, fit
 
 from conftest import make_dataset, two_actions
@@ -47,9 +52,47 @@ def test_validate_action_out_of_range():
 
 
 def test_validate_dimension_mismatch():
-    ds = make_dataset([[((0.0, 1.0), 0, 1.0)], [((1.0,), 1, 0.0)]], horizon=0)
-    report = validate(ds)
-    assert any("dimension mismatch" in e for e in report.errors)
+    with pytest.raises(DatasetError, match="patient 0 stage 0: dimension mismatch"):
+        make_dataset([[((0.0, 1.0), 0, 1.0)], [((1.0,), 1, 0.0)]], horizon=0)
+
+
+def test_record_constructor_rejects_trajectory_past_horizon():
+    with pytest.raises(DatasetError, match="patient 1 stage 1: past the horizon 0"):
+        make_dataset([[((0.0,), 0, 1.0)], [((1.0,), 1, 0.0), ((0.5,), 0, 1.0)]], horizon=0)
+
+
+def test_validate_reports_non_finite_values_naming_the_row(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text(
+        "patient_id,stage,cov_0,action_index,reward\n"
+        "0,0,1.0,0,2.0\n1,0,nan,1,0.0\n2,0,0.5,1,inf\n"
+    )
+    report = validate(load_csv(path))
+    assert report.errors == [
+        "patient 1 stage 0: non-finite covariate",
+        "patient 2 stage 0: non-finite reward",
+    ]
+
+
+def test_records_round_trip_through_the_patients_view():
+    params = CancerParams()
+    n_stages = params.n_stages
+    cohort = simulate_cancer_cohort(params, "uniform-random", 300, seed=41)
+    assert not cohort.alive[:, n_stages - 1].all()  # some trajectories end early
+    ds = cohort.dataset
+    rebuilt = OfflineDataset(ds.patients, ds.horizon, ds.action_spaces, ds.feature_dims)
+    assert rebuilt == ds
+    assert OfflineDataset(rebuilt.patients, ds.horizon, ds.action_spaces, ds.feature_dims) == rebuilt
+    # reference: the per-patient loop over the record view
+    for t in range(n_stages):
+        idx = [i for i, p in enumerate(ds.patients) if p.terminal_stage >= t]
+        records = [ds.patients[i].stages[t] for i in idx]
+        got = rebuilt.stage_rows(t)
+        assert got[0].tolist() == idx
+        assert got[1].tolist() == [list(rec.covariates) for rec in records]
+        assert got[2].tolist() == [rec.action_index for rec in records]
+        assert got[3].tolist() == [rec.reward for rec in records]
+        assert not any(arr.flags.writeable for arr in got)
 
 
 def test_validate_degenerate_action_support_still_fits():
@@ -149,10 +192,66 @@ def test_csv_round_trip_random_datasets(tmp_path):
         assert load_csv(path) == ds
 
 
+def test_csv_shuffled_rows_load_equal_to_sorted(tmp_path):
+    # more than ten patients, so text order of the ids would differ from numeric order
+    ds = simulate_cancer_cohort(CancerParams(), "uniform-random", 30, seed=5).dataset
+    path = tmp_path / "cohort.csv"
+    save_csv(ds, path)
+    header, *rows = path.read_text().splitlines()
+    np.random.default_rng(0).shuffle(rows)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert load_csv(path) == ds
+
+
+# -0.0 and subnormals included: array equality takes -0.0 == 0.0, the byte check does not
+CSV_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def cohorts(draw):
+    horizon = draw(st.integers(0, 2))
+    d = draw(st.integers(1, 3))
+    labels = draw(st.lists(CSV_FLOATS, min_size=2, max_size=4, unique=True))
+    stage = st.tuples(
+        st.lists(CSV_FLOATS, min_size=d, max_size=d),
+        st.integers(0, len(labels) - 1),
+        CSV_FLOATS,
+    )
+    trajectories = draw(
+        st.lists(st.lists(stage, min_size=1, max_size=horizon + 1), min_size=1, max_size=5)
+    )
+    return make_dataset(trajectories, horizon, n_features=d, action_space=ActionSpace(labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=cohorts())
+def test_csv_round_trip_property(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+        save_csv(ds, first)
+        loaded = load_csv(first)
+        assert loaded == ds
+        for name in ("features", "rewards"):
+            assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
+        save_csv(loaded, second)
+        for suffix in ("", ".meta.json"):
+            assert Path(f"{second}{suffix}").read_bytes() == Path(f"{first}{suffix}").read_bytes()
+
+
 def test_csv_missing_reward_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("patient_id,stage,cov_0,action_index\n0,0,1.0,0\n")
     with pytest.raises(SchemaError, match="reward"):
+        load_csv(path)
+
+
+def test_csv_missing_covariate_column(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("patient_id,stage,cov_0,cov_2,action_index,reward\n0,0,1.0,2.0,0,1.0\n")
+    with pytest.raises(SchemaError, match="missing column 'cov_1'"):
         load_csv(path)
 
 

@@ -67,8 +67,6 @@ def test_itr_determinism():
 def test_itr_config_guards():
     with pytest.raises(ValueError):
         ItrConfig(0, seed=1)
-    with pytest.raises(ValueError):
-        ItrConfig(10, seed=1, n_covariates=5)
 
 
 def test_true_blip_examples():

@@ -176,4 +176,4 @@ def test_rollouts_build_no_stage_records(monkeypatch):
     assert evaluate_policy(PARAMS, policy, 50, seed=13, label="opt").label == "opt"
     assert len(constant_dose_baselines(PARAMS, 50, seed=13)) == len(PARAMS.dose_grid)
     with pytest.raises(AssertionError, match="stage record"):
-        simulate_cancer_cohort(PARAMS, 0.4, 5, seed=13).dataset
+        simulate_cancer_cohort(PARAMS, 0.4, 5, seed=13).dataset.patients

@@ -16,7 +16,6 @@ from nearq.nearequiv import (
     pseudo_outcome_matrix,
     save_admissible_csv,
     select_and_pad,
-    set_valued_action,
 )
 from nearq.qlearn import backward_fit, greedy_policy, pseudo_outcome_vector
 from nearq.regression import DesignSpec, fit
@@ -296,9 +295,9 @@ def test_monotone_m_in_epsilon():
     assert all(m <= 11 for m in ms)
 
 
-def test_set_valued_action_wraps_admissible():
+def test_admissible_actions_of_one_model_prediction():
     model = TableQ(two_actions(), 1, {(0.0,): [1.0, 0.95]})
-    got = set_valued_action(model, np.array([0.0]), EpsilonConfig(0.1, ABSOLUTE))
+    got = admissible_actions(model.predict_all(np.array([0.0])), EpsilonConfig(0.1, ABSOLUTE))
     assert got == ((0, 1.0), (1, 0.95))
 
 
@@ -316,7 +315,7 @@ def test_single_stage_adaptation_degenerates_to_admissible_sets():
     for i, patient in enumerate(ds.patients):
         h = history_features(patient, 0)
         row = stack.admissible_sets.rows[i]
-        single = set_valued_action(stack.final_model, h, cfg)
+        single = admissible_actions(stack.final_model.predict_all(h), cfg)
         # batched and single-row prediction may differ in the last bit
         assert [a for a, _ in row] == [a for a, _ in single]
         assert np.allclose([v for _, v in row], [v for _, v in single], rtol=1e-12)

@@ -9,7 +9,6 @@ from nearq.qlearn import (
     StageFitError,
     backward_fit,
     fit_final_stage,
-    greedy_action,
     greedy_policy,
     pseudo_outcome_vector,
 )
@@ -170,7 +169,6 @@ def test_greedy_action_on_positive_blip_region():
     stack = backward_fit(ds, LINEAR)
     x = np.zeros(10)
     x[0], x[1] = 0.5, 0.3  # true effect 2*(x0+x1) = 1.6 > 0
-    assert greedy_action(stack, 0, x) == 1
     assert greedy_policy(stack).decide(0, x) == 1
 
 
