@@ -326,16 +326,15 @@ def simulate_cancer_cohort(
 
 def save_trajectories_csv(cohort: CancerCohort, path: str | Path) -> None:
     """Per-month state log: patient_id,stage,tumor,toxicity,dose,reward,alive."""
-    n, n_decisions = cohort.dose_index.shape
+    n_decisions = cohort.dose_index.shape[1]
     lines = ["patient_id,stage,tumor,toxicity,dose,reward,alive"]
-    grid = cohort.action_space.values
-    for i in range(n):
+    grid = [repr(v) for v in cohort.action_space.values]
+    for i, (tumor, tox, doses, rewards, alive) in enumerate(zip(
+        cohort.tumor.tolist(), cohort.toxicity.tolist(), cohort.dose_index.tolist(),
+        cohort.rewards.tolist(), cohort.alive.tolist(),
+    )):
         for t in range(n_decisions + 1):
-            k = cohort.dose_index[i, t] if t < n_decisions else -1
-            dose = repr(grid[k]) if k >= 0 else ""
-            reward = repr(float(cohort.rewards[i, t])) if t < n_decisions and cohort.alive[i, t] else ""
-            lines.append(
-                f"{i},{t},{cohort.tumor[i, t]!r},{cohort.toxicity[i, t]!r},"
-                f"{dose},{reward},{int(cohort.alive[i, t])}"
-            )
+            dose = grid[doses[t]] if t < n_decisions and doses[t] >= 0 else ""
+            reward = repr(rewards[t]) if t < n_decisions and alive[t] else ""
+            lines.append(f"{i},{t},{tumor[t]!r},{tox[t]!r},{dose},{reward},{int(alive[t])}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -216,7 +216,7 @@ def save_band_csv(band: BandCurve, path: str | Path) -> None:
 
 def save_blip_csv(grid: np.ndarray, path: str | Path) -> None:
     lines = ["x0,x1,blip"]
-    for x0, x1, blip in grid:
+    for x0, x1, blip in np.asarray(grid).tolist():
         lines.append(f"{x0!r},{x1!r},{blip!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 

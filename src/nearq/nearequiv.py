@@ -12,10 +12,12 @@ index ascending on ties); padding repeats the rank-1 value so all patients
 share a common width m = max over patients of the list length. The padded
 values seed m parallel backward recursions: column j propagates each patient's
 rank-j admissible value, and every column is fit with its own regression chain
-down to stage 0. The chains run through the classical backward loop
-(:func:`nearq.qlearn.fit_chains`) as m columns that share every factorization.
-Column 1 carries the per-patient maxima, so its chain reproduces classical
-backward Q-learning bit for bit.
+down to stage 0. :func:`fit_tolerances` fits the final stage once for any
+number of tolerances and runs every tolerance's chains as columns of one
+backward loop (:func:`nearq.qlearn.fit_chains`) that share every
+factorization. Column 0 carries the per-patient maxima and is shared by all
+tolerances: their rank-1 chains are the classical Q-learning models
+themselves.
 
 The tolerance is applied once, to the final-stage values feeding the fit one
 stage earlier. Selecting at every stage is out of scope: the number of chains
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import OfflineDataset
-from .qlearn import GreedyPolicy, StageFitError, fit_chains, fit_final_stage, stage_targets
+from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage, stage_targets
 from .regression import DesignSpec, FittedQ, max_over_actions
 
 RELATIVE = "relative"
@@ -61,26 +63,31 @@ class EpsilonConfig:
             raise ValueError(f"mode must be {RELATIVE!r} or {ABSOLUTE!r}, got {self.mode!r}")
 
 
+def _ranked(q: np.ndarray, cfg: EpsilonConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of the (n, K) value matrix: the actions best first (index ascending on
+    ties), their values, and how many leading entries the tolerance admits."""
+    if not np.all(np.isfinite(q)):
+        raise ValueError("q_values contain non-finite entries")
+    order = np.argsort(-q, axis=1, kind="stable")
+    values = np.take_along_axis(q, order, axis=1)
+    best = values[:, :1]
+    threshold = best - cfg.epsilon * (np.abs(best) if cfg.mode == RELATIVE else 1.0)
+    return order, values, (values >= threshold).sum(axis=1)
+
+
 def admissible_actions(q_values: np.ndarray, cfg: EpsilonConfig) -> tuple[tuple[int, float], ...]:
     """Actions within the tolerance of the best value, best first.
 
     Returns ``((action_index, q_value), ...)`` sorted by value descending and
     index ascending on ties, so the first entry is the argmax under the same
     tie-break used everywhere else. With epsilon 0 only values exactly equal
-    to the maximum survive.
+    to the maximum survive. This is one row of :func:`select_and_pad`.
     """
     q = np.asarray(q_values, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise ValueError("q_values must be a nonempty vector")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("q_values contain non-finite entries")
-    q_max = float(q.max())
-    if cfg.mode == RELATIVE:
-        threshold = q_max - cfg.epsilon * abs(q_max)
-    else:
-        threshold = q_max - cfg.epsilon
-    order = np.lexsort((np.arange(q.size), -q))
-    return tuple((int(k), float(q[k])) for k in order if q[k] >= threshold)
+    order, values, counts = _ranked(q[None, :], cfg)
+    return tuple(zip(order[0, : counts[0]].tolist(), values[0, : counts[0]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -96,10 +103,6 @@ class AdmissibleSet:
 
     def n_admissible(self, i: int) -> int:
         return len(self.rows[i])
-
-    @property
-    def m(self) -> int:
-        return max(len(row) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -119,28 +122,23 @@ def select_and_pad(
     patient's best value. Patients without a final-stage record contribute a
     single zero, so they never widen m.
     """
-    t_final = dataset.horizon
-    idx_final, feats_final, _, _ = dataset.stage_rows(t_final)
-    q_matrix = final_model.predict_all_matrix(feats_final) if idx_final.size else None
-    pos_of = {int(i): r for r, i in enumerate(idx_final)}
+    n = dataset.n_patients
+    idx_final, feats_final, _, _ = dataset.stage_rows(dataset.horizon)
+    order, values, counts = _ranked(final_model.predict_all_matrix(feats_final), cfg)
+    m = int(counts.max(initial=1))
 
-    rows = []
-    for i in range(dataset.n_patients):
-        if i in pos_of:
-            rows.append(admissible_actions(q_matrix[pos_of[i]], cfg))
-        else:
-            rows.append(((NO_ACTION, 0.0),))
-    admissible = AdmissibleSet(tuple(rows))
-    m = admissible.m
-    padded = np.empty((dataset.n_patients, m))
-    padding_counts = np.empty(dataset.n_patients, dtype=int)
-    for i, row in enumerate(rows):
-        values = [v for _, v in row]
-        padded[i] = values + [values[0]] * (m - len(values))
-        padding_counts[i] = m - len(values)
+    rows = [((NO_ACTION, 0.0),)] * n
+    for i, actions, vals, n_i in zip(
+        idx_final.tolist(), order.tolist(), values.tolist(), counts.tolist()
+    ):
+        rows[i] = tuple(zip(actions[:n_i], vals[:n_i]))
+    padded = np.zeros((n, m))
+    padded[idx_final] = np.where(np.arange(m) < counts[:, None], values[:, :m], values[:, :1])
+    padding_counts = np.full(n, m - 1)
+    padding_counts[idx_final] = m - counts
     padded.setflags(write=False)
     padding_counts.setflags(write=False)
-    return SelectionResult(admissible, m, padded, padding_counts)
+    return SelectionResult(AdmissibleSet(tuple(rows)), m, padded, padding_counts)
 
 
 def pseudo_outcome_matrix(
@@ -198,6 +196,45 @@ class NearEquivQStack:
             raise ValueError("need one model chain per admissible rank")
 
 
+def fit_tolerances(
+    dataset: OfflineDataset, spec: DesignSpec, cfgs: tuple[EpsilonConfig, ...]
+) -> tuple[QStack, tuple[NearEquivQStack, ...]]:
+    """Classical Q-learning and one near-equivalent fit per tolerance, fitted once.
+
+    The final stage is fitted once. One backward loop fits the columns
+    ``[classical maxima | each tolerance's padded ranks 2..m]``, so every
+    tolerance's rank-1 chain is the classical stack's models (the same
+    objects), and column j of every chain is bitwise equal to fitting it alone.
+    """
+    t_final = dataset.horizon
+    try:
+        final_model = fit_final_stage(dataset, spec)
+    except Exception as err:
+        raise StageFitError(t_final) from err
+    selections = [select_and_pad(final_model, dataset, cfg) for cfg in cfgs]
+    stages = ()
+    if t_final:
+        idx_final, feats_final, _, _ = dataset.stage_rows(t_final)
+        future = np.hstack(
+            [max_over_actions([final_model], feats_final)]
+            + [sel.padded[idx_final, 1:] for sel in selections]
+        )
+        stages = fit_chains(dataset, spec, future)
+    classical = QStack(
+        tuple(stage[0] for stage in stages) + (final_model,), t_final, dataset.action_spaces
+    )
+    stacks, first = [], 1  # first: the column of the next tolerance's rank-2 chain
+    for sel in selections:
+        columns = (0, *range(first, first + sel.m - 1))
+        first += sel.m - 1
+        chains = tuple(tuple(stage[j] for stage in stages) for j in columns)
+        stacks.append(NearEquivQStack(
+            final_model, chains, sel.m, sel.admissible, sel.padding_counts, t_final,
+            dataset.action_spaces,
+        ))
+    return classical, tuple(stacks)
+
+
 def backward_fit_near_equiv(
     dataset: OfflineDataset, spec: DesignSpec, cfg: EpsilonConfig
 ) -> NearEquivQStack:
@@ -206,24 +243,7 @@ def backward_fit_near_equiv(
     The tolerance is applied to the final-stage values only; each retained
     rank then propagates backward through its own regression chain.
     """
-    t_final = dataset.horizon
-    try:
-        final_model = fit_final_stage(dataset, spec)
-    except Exception as err:
-        raise StageFitError(t_final) from err
-    selection = select_and_pad(final_model, dataset, cfg)
-    idx_final = dataset.stage_rows(t_final)[0]
-    stages = fit_chains(dataset, spec, selection.padded[idx_final, :])
-    column_models = tuple(tuple(stage[j] for stage in stages) for j in range(selection.m))
-    return NearEquivQStack(
-        final_model=final_model,
-        column_models=column_models,
-        m=selection.m,
-        admissible_sets=selection.admissible,
-        padding_log=selection.padding_counts,
-        horizon=t_final,
-        action_spaces=dataset.action_spaces,
-    )
+    return fit_tolerances(dataset, spec, (cfg,))[1][0]
 
 
 def policy_set(stack: NearEquivQStack) -> tuple[GreedyPolicy, ...]:

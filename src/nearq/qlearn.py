@@ -11,8 +11,8 @@ value to add, so their pseudo-outcome is the observed reward alone.
 
 :func:`fit_chains` is the one backward loop: it carries m value columns from
 the final stage down to stage 0, fitting the m stage-t models together.
-Classical Q-learning is its single-column case; the near-equivalent fit feeds
-it the padded admissible values.
+Classical Q-learning is its column 0: :func:`backward_fit` is
+:func:`nearq.nearequiv.fit_tolerances` with no tolerance.
 """
 
 from __future__ import annotations
@@ -35,21 +35,23 @@ class StageFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class QStack:
-    """One fitted model per stage 0..T plus fit provenance.
-
-    ``provenance[t]`` records what the stage-t targets were ("reward" at the
-    final stage, otherwise "pseudo-outcome") and which stage's model supplied
-    the future values.
-    """
+    """One fitted model per stage 0..T."""
 
     models: tuple[FittedQ, ...]
     horizon: int
     action_spaces: tuple
-    provenance: tuple[dict, ...]
 
     def __post_init__(self):
         if len(self.models) != self.horizon + 1:
             raise ValueError("need exactly one model per stage 0..horizon")
+
+    @property
+    def provenance(self) -> tuple[dict, ...]:
+        """Per stage: the targets ("reward" or "pseudo-outcome") and the stage supplying them."""
+        return tuple(
+            {"stage": t, "targets": "pseudo-outcome", "source_stage": t + 1}
+            for t in range(self.horizon)
+        ) + ({"stage": self.horizon, "targets": "reward", "source_stage": None},)
 
 
 class GreedyPolicy:
@@ -137,20 +139,9 @@ def fit_chains(
 
 def backward_fit(dataset: OfflineDataset, spec: DesignSpec) -> QStack:
     """Fit all stage models backward from the final stage."""
-    t_final = dataset.horizon
-    try:
-        final_model = fit_final_stage(dataset, spec)
-    except Exception as err:
-        raise StageFitError(t_final) from err
-    stages = ()
-    if t_final:
-        future = max_over_actions([final_model], dataset.stage_rows(t_final)[1])
-        stages = fit_chains(dataset, spec, future)
-    models = tuple(stage[0] for stage in stages) + (final_model,)
-    provenance = tuple(
-        {"stage": t, "targets": "pseudo-outcome", "source_stage": t + 1} for t in range(t_final)
-    ) + ({"stage": t_final, "targets": "reward", "source_stage": None},)
-    return QStack(models, t_final, dataset.action_spaces, provenance)
+    from .nearequiv import fit_tolerances  # nearequiv builds on this module
+
+    return fit_tolerances(dataset, spec, ())[0]
 
 
 def greedy_policy(stack: QStack) -> GreedyPolicy:
@@ -175,9 +166,7 @@ def stack_from_dict(payload: dict) -> QStack:
     if payload.get("format_version") != 1:
         raise ValueError(f"unsupported stack format version {payload.get('format_version')!r}")
     models = tuple(model_from_dict(m) for m in payload["models"])
-    return QStack(
-        models=models,
-        horizon=int(payload["horizon"]),
-        action_spaces=tuple(m.action_space for m in models),
-        provenance=tuple(dict(p) for p in payload["provenance"]),
-    )
+    stack = QStack(models, int(payload["horizon"]), tuple(m.action_space for m in models))
+    if list(payload["provenance"]) != list(stack.provenance):
+        raise ValueError(f"stack provenance disagrees with its horizon {stack.horizon}")
+    return stack

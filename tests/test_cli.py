@@ -1,10 +1,18 @@
+import csv
 import hashlib
 import json
 
+import numpy as np
+
 import nearq.cli
+import nearq.evalkit
+import nearq.nearequiv
 from nearq.cli import main
 from nearq.core import StageRecord, load_csv, validate
+from nearq.envs import UNIFORM_RANDOM, CancerParams, ItrConfig, simulate_cancer_cohort, simulate_itr
+from nearq.evalkit import band_stats, blip_surface
 from nearq.oracle import dp_oracle
+from nearq.regression import load_model
 
 
 def _run(*args):
@@ -83,9 +91,8 @@ def test_cancer_run_artifacts_and_timings(tmp_path):
     meta = dict(
         line.split("=", 1) for line in (out / "run.meta").read_text().splitlines()
     )
-    assert "timing_fit_seconds_classical" in meta
-    assert "timing_fit_seconds_nearequiv_eps0.1" in meta
-    assert float(meta["timing_fit_ratio_eps0.1"]) > 0
+    assert float(meta["timing_fit_seconds"]) > 0
+    assert not [key for key in meta if key.startswith("timing_") and key != "timing_fit_seconds"]
     stack = json.loads((out / "qstack.json").read_text())
     assert stack["horizon"] == 5 and len(stack["models"]) == 6
     curves = (out / "curves_eps0.1.csv").read_text().splitlines()
@@ -181,3 +188,113 @@ def test_itr_cohort_bytes_match_recorded_digests(tmp_path):
                 "--grid-resolution", "5", "--out", str(out)) == 0
     for name, digest in ITR_COHORT_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def _numeric_columns(path):
+    """Every column but the policy label, each cell parsed with ``float()`` (None if empty)."""
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows, path
+    return {
+        name: [float(r[name]) if r[name] else None for r in rows]
+        for name in rows[0] if name != "policy_label"
+    }
+
+
+def _assert_cohort_csv(path, dataset):
+    cols = _numeric_columns(path)
+    assert cols["patient_id"] == dataset.patient.tolist()
+    assert cols["stage"] == dataset.stage.tolist()
+    for j in range(dataset.features.shape[1]):
+        assert cols[f"cov_{j}"] == dataset.features[:, j].tolist()
+    assert cols["action_index"] == dataset.actions.tolist()
+    assert cols["reward"] == dataset.rewards.tolist()
+
+
+def test_itr_csv_cells_are_floats_equal_to_the_source_arrays(tmp_path):
+    out = tmp_path / "itr"
+    assert _run("itr", "--seed", "4", "--n-train", "50", "--n-test", "30", "--epsilon", "0.3",
+                "--grid-resolution", "3", "--out", str(out)) == 0
+    train, test = simulate_itr(ItrConfig(50, 4)), simulate_itr(ItrConfig(30, 5))
+    _assert_cohort_csv(out / "train.csv", train)
+    _assert_cohort_csv(out / "test.csv", test)
+    model = load_model(out / "model.json")
+    grid = blip_surface(model, 3)
+    cols = _numeric_columns(out / "blip_surface.csv")
+    for j, name in enumerate(("x0", "x1", "blip")):
+        assert cols[name] == grid[:, j].tolist()
+    stats = band_stats(model, test, 0.3)
+    cols = _numeric_columns(out / "band_stats_eps0.3.csv")
+    assert {name: values[0] for name, values in cols.items()} == {
+        name: float(getattr(stats, name)) for name in cols
+    }
+
+
+def test_cancer_csv_cells_are_floats_equal_to_the_source_arrays(tmp_path):
+    out = tmp_path / "cancer"
+    assert _run("cancer", "--seed", "6", "--n-train", "40", "--n-test", "10", "--epsilon", "0.5",
+                "--out", str(out)) == 0
+    cohort = simulate_cancer_cohort(CancerParams(), UNIFORM_RANDOM, 40, 6, label="train")
+    _assert_cohort_csv(out / "train.csv", cohort.dataset)
+    cols = _numeric_columns(out / "trajectories.csv")
+    n, months = cohort.tumor.shape
+    assert cols["patient_id"] == np.repeat(np.arange(n), months).tolist()
+    assert cols["stage"] == np.tile(np.arange(months), n).tolist()
+    assert cols["tumor"] == cohort.tumor.ravel().tolist()
+    assert cols["toxicity"] == cohort.toxicity.ravel().tolist()
+    assert cols["alive"] == cohort.alive.ravel().astype(float).tolist()
+    grid = np.asarray(cohort.action_space.values)
+    doses = [grid[k] if k >= 0 else None for k in np.pad(cohort.dose_index, ((0, 0), (0, 1)),
+                                                          constant_values=-1).ravel()]
+    assert cols["dose"] == doses
+    scored = np.pad(cohort.alive[:, :-1], ((0, 0), (0, 1)))
+    rewards = np.pad(cohort.rewards, ((0, 0), (0, 1)))
+    assert cols["reward"] == [r if s else None for r, s in zip(rewards.ravel().tolist(), scored.ravel())]
+    for name in ("curves_eps0.5.csv", "band_eps0.5.csv", "admissible_eps0.5.csv"):
+        assert all(None not in values for values in _numeric_columns(out / name).values()), name
+
+
+def _counting(monkeypatch, module, name, counts):
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_cancer_run_fits_once_and_reuses_the_classical_rollout(tmp_path, monkeypatch):
+    counts = {}
+    _counting(monkeypatch, nearq.nearequiv, "fit_final_stage", counts)
+    _counting(monkeypatch, nearq.nearequiv, "fit_chains", counts)
+    _counting(monkeypatch, nearq.evalkit, "simulate_cancer_cohort", counts)
+    out = tmp_path / "cancer"
+    epsilons = ("0.1", "0.5", "0.9")
+    args = ["cancer", "--seed", "11", "--n-train", "60", "--n-test", "20", "--out", str(out)]
+    for eps in epsilons:
+        args += ["--epsilon", eps]
+    assert _run(*args) == 0
+    ms = [int(max(_numeric_columns(out / f"admissible_eps{eps}.csv")["rank"])) for eps in epsilons]
+    assert max(ms) > 1
+    assert counts["fit_final_stage"] == 1
+    assert counts["fit_chains"] == 1
+    n_doses = len(CancerParams().dose_grid)
+    assert counts["simulate_cancer_cohort"] == n_doses + 1 + sum(m - 1 for m in ms)
+    for eps in epsilons:
+        with (out / f"curves_eps{eps}.csv").open() as fh:
+            rows = [line.split(",", 1) for line in fh.read().splitlines()[1:]]
+        curve = {label: [] for label, _ in rows}
+        for label, rest in rows:
+            curve[label].append(rest)
+        assert curve[f"eps{eps}-rank1"] == curve["opt"]
+
+
+def test_cancer_without_epsilons_writes_the_same_classical_stack(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9, "n_train": 50, "n_test": 10, "epsilons": []}))
+    bare, with_eps = tmp_path / "bare", tmp_path / "eps"
+    assert _run("cancer", "--config", str(cfg), "--out", str(bare)) == 0
+    assert _run("cancer", "--config", str(cfg), "--epsilon", "0.3", "--out", str(with_eps)) == 0
+    assert not list(bare.glob("*eps*"))
+    assert (bare / "qstack.json").read_bytes() == (with_eps / "qstack.json").read_bytes()

@@ -12,6 +12,7 @@ from nearq.nearequiv import (
     EpsilonConfig,
     admissible_actions,
     backward_fit_near_equiv,
+    fit_tolerances,
     policy_set,
     pseudo_outcome_matrix,
     save_admissible_csv,
@@ -147,6 +148,30 @@ def test_select_and_pad_dead_patients_degenerate():
     assert sel.admissible.rows[1] == ((NO_ACTION, 0.0),)
     assert sel.m == 2  # driven by the alive patient, not the dead one
     assert np.allclose(sel.padded[1], [0.0, 0.0])
+
+
+def test_select_and_pad_rows_follow_the_one_row_rule_on_ties():
+    # tie-heavy rows with signed zeros: each selected row equals the reference
+    # rule (value descending, index ascending on ties) and admissible_actions
+    rng = np.random.default_rng(31)
+    rows = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], size=(40, 5)).tolist()
+    final, space = _stub_final(rows)
+    ds = make_dataset(
+        [[((float(i),), 0, 0.0)] for i in range(len(rows))], horizon=0, action_space=space
+    )
+    for cfg in (EpsilonConfig(0.0), EpsilonConfig(0.5), EpsilonConfig(0.6, ABSOLUTE)):
+        sel = select_and_pad(final, ds, cfg)
+        for i, q in enumerate(rows):
+            q_max = max(q)
+            threshold = q_max - cfg.epsilon * abs(q_max) if cfg.mode == RELATIVE else q_max - cfg.epsilon
+            order = sorted(range(len(q)), key=lambda k: (-q[k], k))
+            expect = tuple((k, q[k]) for k in order if q[k] >= threshold)
+            assert sel.admissible.rows[i] == expect
+            assert sel.admissible.rows[i] == admissible_actions(np.array(q), cfg)
+            n_i = len(expect)
+            assert sel.padded[i].tolist() == [v for _, v in expect] + [q_max] * (sel.m - n_i)
+            assert sel.padding_counts[i] == sel.m - n_i
+        assert sel.m == max(len(row) for row in sel.admissible.rows)
 
 
 def test_pseudo_outcome_matrix_single_column_reduces_to_vector():
@@ -407,3 +432,28 @@ def test_stage_models_share_one_inputs_buffer_per_action():
                 assert all(
                     chain[t].components[k][1] is comp[1] for chain in stack.column_models
                 )
+
+
+def test_tolerances_share_the_classical_models():
+    ds = _cancer_dataset(150, seed=12)
+    cfgs = (EpsilonConfig(0.1), EpsilonConfig(0.5), EpsilonConfig(0.9))
+    classical, stacks = fit_tolerances(ds, KERNEL, cfgs)
+    assert len(stacks) == len(cfgs) and max(s.m for s in stacks) > 1
+    for stack in stacks:
+        assert stack.final_model is classical.models[ds.horizon]
+        for t in range(ds.horizon):
+            assert stack.column_models[0][t] is classical.models[t]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.9])
+def test_joint_fit_chains_equal_a_single_tolerance_fit_bitwise(eps):
+    ds = _cancer_dataset(300, seed=17)
+    cfgs = tuple(EpsilonConfig(e) for e in (0.1, 0.3, 0.5, 0.9))
+    joint = fit_tolerances(ds, KERNEL, cfgs)[1][[c.epsilon for c in cfgs].index(eps)]
+    alone = backward_fit_near_equiv(ds, KERNEL, EpsilonConfig(eps))
+    assert joint.m == alone.m > 1
+    assert joint.admissible_sets == alone.admissible_sets
+    assert np.array_equal(joint.padding_log, alone.padding_log)
+    for joint_chain, alone_chain in zip(joint.column_models, alone.column_models, strict=True):
+        for a, b in zip(joint_chain, alone_chain, strict=True):
+            assert _bitwise_equal(_kernel_arrays(a), _kernel_arrays(b))

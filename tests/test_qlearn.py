@@ -188,6 +188,19 @@ def test_stack_serialization_round_trip():
         )
 
 
+def test_stack_provenance_must_match_its_horizon():
+    from nearq.qlearn import stack_from_dict, stack_to_dict
+
+    stack = backward_fit(_two_stage_fixture(), DesignSpec.per_action_kernel(ridge=1.0))
+    dropped = stack_to_dict(stack)
+    dropped["provenance"] = dropped["provenance"][1:]
+    altered = stack_to_dict(stack)
+    altered["provenance"][0] = {"stage": 0, "targets": "reward", "source_stage": None}
+    for payload in (dropped, altered):
+        with pytest.raises(ValueError, match="provenance"):
+            stack_from_dict(payload)
+
+
 def test_policy_stage_range_checked():
     model = InteractionLinearQ(two_actions(), np.zeros(4), 1)
     policy = GreedyPolicy((model,))
