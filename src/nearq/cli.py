@@ -154,7 +154,6 @@ def _meta_lines(cfg: RunConfig, extra: dict) -> str:
 
 
 def cmd_itr(cfg: RunConfig) -> int:
-    cfg.validate()
     if cfg.regression_mode != "interaction-linear":
         print("the itr experiment requires the interaction-linear backend", file=sys.stderr)
         return 2
@@ -185,7 +184,6 @@ def cmd_itr(cfg: RunConfig) -> int:
 
 
 def cmd_cancer(cfg: RunConfig) -> int:
-    cfg.validate()
     if cfg.dry_run:
         print("cancer config ok (dry run, nothing executed)")
         return 0
@@ -228,7 +226,6 @@ def cmd_cancer(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    cfg.validate()
     if cfg.dry_run:
         print("oracle config ok (dry run, nothing executed)")
         return 0
@@ -248,7 +245,7 @@ def _verify_outputs(paths: list[Path]) -> int:
         if not path.exists() or path.stat().st_size == 0:
             print(f"artifact missing or empty: {path}", file=sys.stderr)
             return 1
-        if path.name.endswith(".csv") and not path.name.endswith(".meta.json"):
+        if path.name.endswith(".csv"):
             header = path.read_text().splitlines()[0]
             if "," not in header:
                 print(f"artifact has no CSV header: {path}", file=sys.stderr)
@@ -318,6 +315,33 @@ _INT_KEYS = ("seed", "n_train", "n_test", "grid_resolution")
 _FLOAT_KEYS = ("ridge", "kernel_bandwidth")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_value(key: str, value):
+    """A config-file value as its ``RunConfig`` field; ValueError naming the key on a wrong JSON type."""
+    if key in _INT_KEYS:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        expected = "an integer"
+    elif key in _FLOAT_KEYS:
+        if _is_number(value):
+            return float(value)
+        expected = "a number"
+    elif key == "epsilons":
+        if isinstance(value, list) and all(_is_number(v) for v in value):
+            return tuple(float(v) for v in value)
+        expected = "a list of numbers"
+    elif key == "out":
+        if isinstance(value, str):
+            return Path(value)
+        expected = "a string"
+    else:
+        return value
+    raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(experiment=args.command)
     for key, value in _EXPERIMENT_DEFAULTS[args.command].items():
@@ -326,15 +350,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         for key, value in _load_config_file(args.config).items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == "epsilons":
-                value = tuple(float(v) for v in value)
-            elif key == "out":
-                value = Path(value)
-            elif key in _INT_KEYS:
-                value = int(value)
-            elif key in _FLOAT_KEYS:
-                value = float(value)
-            setattr(cfg, key, value)
+            setattr(cfg, key, _config_value(key, value))
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:

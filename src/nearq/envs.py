@@ -8,8 +8,7 @@ as independent per-patient streams.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -33,15 +32,10 @@ def stream(seed: int, label: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ItrConfig:
-    """Single-stage generator settings.
-
-    ``noise_sd`` exists as a test hook; the generated outcome has unit noise
-    by default.
-    """
+    """Single-stage generator settings."""
 
     n_patients: int
     seed: int
-    noise_sd: float = 1.0
 
     def __post_init__(self):
         if self.n_patients < 1:
@@ -57,28 +51,19 @@ def simulate_itr(cfg: ItrConfig) -> OfflineDataset:
 
     Covariates are iid uniform on [-1, 1], treatment is -1/+1 with equal
     probability, and the outcome is normal with mean
-    ``1 + 2*x0 + x1 + 0.5*x2 + (x0 + x1)*a`` and standard deviation
-    ``cfg.noise_sd``.
+    ``1 + 2*x0 + x1 + 0.5*x2 + (x0 + x1)*a`` and unit standard deviation.
     """
     rng = stream(cfg.seed, "itr")
     n = cfg.n_patients
     x = rng.uniform(-1.0, 1.0, size=(n, ITR_COVARIATES))
     action_idx = rng.integers(0, 2, size=n)
     labels = np.where(action_idx == 1, 1.0, -1.0)
-    noise = rng.standard_normal(n) * cfg.noise_sd
+    noise = rng.standard_normal(n)
     mean = 1.0 + 2.0 * x[:, 0] + x[:, 1] + 0.5 * x[:, 2] + (x[:, 0] + x[:, 1]) * labels
     y = mean + noise
     return OfflineDataset.from_rows(
         np.arange(n), np.zeros(n, dtype=int), x, action_idx, y, 0, (ITR_ACTIONS,), (ITR_COVARIATES,)
     )
-
-
-def true_blip(x: np.ndarray) -> float:
-    """Treatment effect 2*(x0 + x1); its sign is the best single-stage action."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ITR_COVARIATES,):
-        raise ValueError(f"expected a {ITR_COVARIATES}-entry covariate vector")
-    return 2.0 * float(x[0] + x[1])
 
 
 # --- tumor/toxicity model -----------------------------------------------------
@@ -96,7 +81,8 @@ class CancerParams:
 
     both clipped at zero. Tumor 0 is absorbing (remission). Death is drawn
     once per month at the post-update state with hazard
-    ``exp(hazard_intercept + hazard_tumor*tumor + hazard_toxicity*tox)``.
+    ``exp(hazard_intercept + hazard_tumor*tumor + hazard_toxicity*tox)``;
+    ``hazard_intercept=-math.inf`` makes the hazard zero, so nobody dies.
     """
 
     n_stages: int = 6
@@ -123,31 +109,10 @@ class CancerParams:
         return ActionSpace(self.dose_grid)
 
 
-@dataclass(frozen=True)
-class CancerState:
-    """Patient state: current burden plus the initial values the dynamics use."""
-
-    tumor: float
-    toxicity: float
-    alive: bool = True
-    cured: bool = False
-    tumor0: float = field(default=float("nan"))
-    tox0: float = field(default=float("nan"))
-
-    def __post_init__(self):
-        if math.isnan(self.tumor0):
-            object.__setattr__(self, "tumor0", float(self.tumor))
-        if math.isnan(self.tox0):
-            object.__setattr__(self, "tox0", float(self.toxicity))
-        if self.tumor < 0 or self.toxicity < 0:
-            raise ValueError("tumor and toxicity must be nonnegative")
-        object.__setattr__(self, "cured", self.tumor == 0.0)
-
-
 def _step_arrays(params: CancerParams, tumor, tox, tumor0, tox0, dose, death_u):
     """Vectorized monthly update and reward; returns (next_tumor, next_tox, died, reward).
 
-    A patient dies when its ``death_u`` draw is below its post-update death probability; None: no deaths.
+    A patient dies when its ``death_u`` draw is below its post-update death probability.
     """
     growing = tumor > 0.0
     d_tumor = (params.tumor_growth * np.maximum(tox, tox0)
@@ -158,7 +123,7 @@ def _step_arrays(params: CancerParams, tumor, tox, tumor0, tox0, dose, death_u):
     lam = np.exp(params.hazard_intercept
                  + params.hazard_tumor * next_tumor
                  + params.hazard_toxicity * next_tox)
-    died = np.zeros(lam.shape, dtype=bool) if death_u is None else death_u < 1.0 - np.exp(-lam)
+    died = death_u < 1.0 - np.exp(-lam)
     return next_tumor, next_tox, died, _reward_arrays(tumor, tox, next_tumor, next_tox, died)
 
 
@@ -168,43 +133,6 @@ def _reward_arrays(tumor, tox, next_tumor, next_tox, died):
     r_tox = np.where(next_tox - tox <= -0.5, 5.0, -5.0)
     r_tumor = np.where(next_tumor == 0.0, 15.0, np.where(next_tumor - tumor <= -0.5, 5.0, -5.0))
     return r_survival + r_tox + r_tumor
-
-
-def cancer_transition(
-    params: CancerParams,
-    state: CancerState,
-    dose: float,
-    rng: np.random.Generator | None,
-) -> tuple[CancerState, bool]:
-    """One monthly step from a single state.
-
-    ``rng`` draws the survival event at the post-update state; pass None to
-    disable the death draw (deterministic dynamics only).
-    """
-    if not state.alive:
-        raise ValueError("cannot step a dead patient")
-    if min(abs(dose - g) for g in params.dose_grid) > 1e-9:
-        raise ValueError(f"dose {dose!r} is not on the grid {params.dose_grid}")
-    next_tumor, next_tox, died, _ = _step_arrays(
-        params,
-        np.array([state.tumor]), np.array([state.toxicity]),
-        np.array([state.tumor0]), np.array([state.tox0]),
-        np.array([float(dose)]),
-        None if rng is None else np.array([rng.uniform()]),
-    )
-    nxt = CancerState(
-        tumor=float(next_tumor[0]),
-        toxicity=float(next_tox[0]),
-        alive=not died[0],
-        tumor0=state.tumor0,
-        tox0=state.tox0,
-    )
-    return nxt, bool(died[0])
-
-
-def cancer_reward(prev: CancerState, nxt: CancerState, died: bool) -> float:
-    """Sum of survival, toxicity-change and tumor-response components."""
-    return float(_reward_arrays(prev.tumor, prev.toxicity, nxt.tumor, nxt.toxicity, died))
 
 
 UNIFORM_RANDOM = "uniform-random"
@@ -263,7 +191,6 @@ def simulate_cancer_cohort(
     seed: int,
     *,
     label: str = "train",
-    disable_death: bool = False,
 ) -> CancerCohort:
     """Roll out n independent trajectories under a policy.
 
@@ -312,7 +239,7 @@ def simulate_cancer_cohort(
         dose_idx[live, t] = idx
         next_tumor, next_tox, died, rewards[live, t] = _step_arrays(
             params, tumor[live, t], tox[live, t], tumor0[live], tox0[live], dose_values[idx],
-            None if disable_death else death_u[live, t],
+            death_u[live, t],
         )
         tumor[live, t + 1] = next_tumor
         tox[live, t + 1] = next_tox

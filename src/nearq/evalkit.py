@@ -64,26 +64,17 @@ def evaluate_policy(
     n_test: int,
     seed: int,
     *,
-    shared_initial_states: bool = True,
-    disable_death: bool = False,
     label: str | None = None,
 ) -> EvalResult:
     """Simulate a fresh cohort under ``policy`` and aggregate it.
 
     The rollout builds state, dose and reward arrays only; no dataset or
-    per-stage record is made, since the aggregates read nothing else.
-
-    With ``shared_initial_states`` (the default) the simulation streams are
-    keyed by the seed alone, so every policy evaluated with the same seed gets
-    the same initial states and survival draws. Disable it to give each policy
-    label its own streams.
+    per-stage record is made, since the aggregates read nothing else. The
+    simulation streams are keyed by the seed alone, so every policy evaluated
+    with the same seed gets the same initial states and survival draws.
     """
     label = label if label is not None else _default_label(policy)
-    sim_label = "eval" if shared_initial_states else f"eval/{label}"
-    cohort = simulate_cancer_cohort(
-        params, policy, n_test, seed, label=sim_label, disable_death=disable_death
-    )
-    return _aggregate(label, cohort)
+    return _aggregate(label, simulate_cancer_cohort(params, policy, n_test, seed, label="eval"))
 
 
 def constant_dose_baselines(params: CancerParams, n_test: int, seed: int) -> list[EvalResult]:
@@ -120,28 +111,22 @@ def epsilon_band_curve(
     return BandCurve(tuple(range(horizon)), lo, hi, overlays)
 
 
-def blip_surface(
-    model: FittedQ, grid_resolution: int, fixed_covariates: np.ndarray | None = None
-) -> np.ndarray:
+def blip_surface(model: FittedQ, grid_resolution: int) -> np.ndarray:
     """(r*r, 3) rows (x0, x1, blip) over an even grid on [-1, 1] squared.
 
     The blip is the predicted value gap between the high and low action; the
-    remaining covariates are held fixed (zero by default).
+    remaining covariates are held at zero.
     """
     if not isinstance(model, InteractionLinearQ):
         raise ValueError("blip surface is defined for the interaction-linear backend")
     d = model.n_features
     if d < 2:
         raise ValueError("blip surface needs at least two covariates")
-    fixed = np.zeros(d - 2) if fixed_covariates is None else np.asarray(fixed_covariates, float)
-    if fixed.shape != (d - 2,):
-        raise ValueError(f"fixed covariates must have length {d - 2}")
     axis = np.linspace(-1.0, 1.0, grid_resolution)
     g0, g1 = np.meshgrid(axis, axis, indexing="ij")
-    x = np.empty((grid_resolution * grid_resolution, d))
+    x = np.zeros((grid_resolution * grid_resolution, d))
     x[:, 0] = g0.ravel()
     x[:, 1] = g1.ravel()
-    x[:, 2:] = fixed
     return np.column_stack([x[:, 0], x[:, 1], estimated_blips(model, x)])
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import OfflineDataset
-from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage, stage_targets
+from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage
 from .regression import DesignSpec, FittedQ, max_over_actions
 
 RELATIVE = "relative"
@@ -141,38 +141,6 @@ def select_and_pad(
     return SelectionResult(AdmissibleSet(tuple(rows)), m, padded, padding_counts)
 
 
-def pseudo_outcome_matrix(
-    dataset: OfflineDataset, t: int, source: np.ndarray | list
-) -> np.ndarray:
-    """(N, m) stage-t regression targets, one column per admissible rank.
-
-    At the stage just before the final one, ``source`` is the padded value
-    matrix: column j adds the patient's rank-j final-stage value to the stage
-    reward. At earlier stages ``source`` is the list of m next-stage column
-    models and column j adds the best value of model j at the next-stage
-    features. Rows are NaN for patients absent from stage t; patients whose
-    trajectory ends at stage t get their reward in every column.
-    """
-    t_final = dataset.horizon
-    if not 0 <= t < t_final:
-        raise ValueError(f"stage {t} has no future stage (horizon {t_final})")
-    n = dataset.n_patients
-    idx_next, feats_next, _, _ = dataset.stage_rows(t + 1)
-    if isinstance(source, np.ndarray):
-        if t != t_final - 1:
-            raise ValueError("padded value matrix applies only at the stage before the final one")
-        if source.ndim != 2 or source.shape[0] != n:
-            raise ValueError(f"padded matrix has shape {source.shape}, expected ({n}, m)")
-        future = source[idx_next, :]
-    else:
-        if t == t_final - 1:
-            raise ValueError("the stage before the final one takes the padded value matrix")
-        if not source:
-            raise ValueError("need at least one column model")
-        future = max_over_actions(source, feats_next)
-    return stage_targets(dataset, t, future)
-
-
 @dataclass(frozen=True)
 class NearEquivQStack:
     """Result of the tolerance-based backward fit.
@@ -255,49 +223,6 @@ def policy_set(stack: NearEquivQStack) -> tuple[GreedyPolicy, ...]:
     return tuple(
         GreedyPolicy(tuple(chain) + (stack.final_model,))
         for chain in stack.column_models
-    )
-
-
-def near_equiv_stack_to_dict(stack: NearEquivQStack) -> dict:
-    """Serialize the final model, the m x T model grid and the audit table."""
-    return {
-        "format_version": 1,
-        "horizon": stack.horizon,
-        "m": stack.m,
-        "final_model": stack.final_model.to_dict(),
-        "column_models": [[m.to_dict() for m in chain] for chain in stack.column_models],
-        "admissible": [
-            [[a, v] for a, v in row] for row in stack.admissible_sets.rows
-        ],
-        "padding_log": [int(c) for c in stack.padding_log],
-    }
-
-
-def near_equiv_stack_from_dict(payload: dict) -> NearEquivQStack:
-    from .regression import model_from_dict
-
-    if payload.get("format_version") != 1:
-        raise ValueError(f"unsupported stack format version {payload.get('format_version')!r}")
-    final = model_from_dict(payload["final_model"])
-    chains = tuple(
-        tuple(model_from_dict(m) for m in chain) for chain in payload["column_models"]
-    )
-    rows = tuple(
-        tuple((int(a), float(v)) for a, v in row) for row in payload["admissible"]
-    )
-    horizon = int(payload["horizon"])
-    spaces = tuple(
-        (chains[0][t] if chains and chains[0] else final).action_space
-        for t in range(horizon)
-    ) + (final.action_space,)
-    return NearEquivQStack(
-        final_model=final,
-        column_models=chains,
-        m=int(payload["m"]),
-        admissible_sets=AdmissibleSet(rows),
-        padding_log=np.asarray(payload["padding_log"], dtype=int),
-        horizon=horizon,
-        action_spaces=spaces,
     )
 
 

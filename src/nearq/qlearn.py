@@ -70,13 +70,11 @@ class GreedyPolicy:
             raise ValueError(f"stage {t} outside 0..{self.horizon}")
         return int(np.argmax(self.models[t].predict_all(features)))
 
-    def decide_batch(self, t: int, features: np.ndarray) -> np.ndarray:
+    def __call__(self, t: int, features: np.ndarray) -> np.ndarray:
+        """Greedy action indices at stage t for each row of ``features``."""
         if not 0 <= t <= self.horizon:
             raise ValueError(f"stage {t} outside 0..{self.horizon}")
         return np.argmax(self.models[t].predict_all_matrix(features), axis=1)
-
-    def __call__(self, t: int, features: np.ndarray) -> np.ndarray:
-        return self.decide_batch(t, features)
 
 
 def fit_final_stage(dataset: OfflineDataset, spec: DesignSpec) -> FittedQ:
@@ -100,19 +98,6 @@ def stage_targets(dataset: OfflineDataset, t: int, future: np.ndarray) -> np.nda
     out[idx_t, :] = rewards_t[:, None]
     out[dataset.stage_rows(t + 1)[0], :] += future
     return out
-
-
-def pseudo_outcome_vector(dataset: OfflineDataset, t: int, next_model: FittedQ) -> np.ndarray:
-    """Stage-t regression targets: reward plus best next-stage predicted value.
-
-    Returns a length-N vector indexed by patient. Entries are
-    NaN for patients whose trajectory ended before stage t (absent from the
-    stage-t fit). Patients ending exactly at stage t get their reward alone.
-    """
-    if not 0 <= t < dataset.horizon:
-        raise ValueError(f"stage {t} has no future stage (horizon {dataset.horizon})")
-    feats_next = dataset.stage_rows(t + 1)[1]
-    return stage_targets(dataset, t, max_over_actions([next_model], feats_next))[:, 0]
 
 
 def fit_chains(

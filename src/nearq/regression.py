@@ -66,8 +66,8 @@ class DesignSpec:
     def __post_init__(self):
         if self.mode not in (MODE_LINEAR, MODE_KERNEL):
             raise ValueError(f"unknown regression mode {self.mode!r}")
-        if self.kernel_bandwidth is not None and not self.kernel_bandwidth > 0:
-            raise ValueError("kernel_bandwidth must be positive")
+        if self.kernel_bandwidth is not None and not 0 < self.kernel_bandwidth < math.inf:
+            raise ValueError(f"kernel_bandwidth must be finite and positive, got {self.kernel_bandwidth}")
         if not 0 <= self.ridge < math.inf:
             raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nearq.core import ActionSpace, OfflineDataset, PatientTrajectory, StageRecord
-from nearq.regression import FittedQ
+from nearq.qlearn import stage_targets
+from nearq.regression import FittedQ, max_over_actions
 
 
 class TableQ(FittedQ):
@@ -22,6 +23,12 @@ class TableQ(FittedQ):
         x = self._check_features(features)
         k = self._check_action(action_index)
         return np.array([self._row(row)[k] for row in x])
+
+
+def classical_targets(dataset, t, next_model):
+    """Classical stage-t targets: the reward plus the best value of the stage-(t+1) model."""
+    feats_next = dataset.stage_rows(t + 1)[1]
+    return stage_targets(dataset, t, max_over_actions([next_model], feats_next))[:, 0]
 
 
 def two_actions() -> ActionSpace:

@@ -3,6 +3,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 import nearq.cli
 import nearq.evalkit
@@ -141,6 +142,37 @@ def test_nan_ridge_rejected_before_any_work(tmp_path, capsys):
     assert _run("cancer", "--ridge", "nan", "--out", str(out)) == 2
     assert not out.exists()
     assert "ridge" in capsys.readouterr().err
+
+
+def test_infinite_kernel_bandwidth_rejected_before_any_work(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert _run("cancer", "--kernel-bandwidth", "inf", "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "kernel_bandwidth" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"epsilons": 0.1},
+    {"epsilons": "0"},
+    {"epsilons": [0.1, True]},
+    {"seed": None},
+    {"seed": True},
+    {"n_train": 2.7},
+    {"grid_resolution": "9"},
+    {"ridge": False},
+    {"kernel_bandwidth": "2"},
+    {"out": 5},
+], ids=lambda payload: ",".join(f"{k}={json.dumps(v)}" for k, v in payload.items()))
+def test_config_values_of_the_wrong_type_rejected(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "never"
+    assert _run("cancer", "--config", str(cfg), "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    (key,) = payload
+    assert "invalid configuration" in err and repr(key) in err
 
 
 def test_failed_run_prints_the_cause_chain(tmp_path, capsys, monkeypatch):

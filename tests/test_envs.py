@@ -6,27 +6,45 @@ import pytest
 from nearq.core import validate
 from nearq.envs import (
     CancerParams,
-    CancerState,
     ItrConfig,
-    cancer_reward,
-    cancer_transition,
+    _reward_arrays,
+    _step_arrays,
     simulate_cancer_cohort,
     simulate_itr,
     stream,
-    true_blip,
 )
 
 PARAMS = CancerParams()
 
 
-class FixedUniform:
-    """RNG stub returning a preset uniform draw."""
+def _step(tumor, tox, dose, death_u=1.0):
+    """One month of ``_step_arrays`` for one patient at its initial state.
 
-    def __init__(self, value):
-        self.value = value
+    Returns (next_tumor, next_tox, died, reward); a ``death_u`` of 1.0 never dies.
+    """
+    rows = (np.array([float(v)]) for v in (tumor, tox, tumor, tox, dose, death_u))
+    return tuple(v[0] for v in _step_arrays(PARAMS, *rows))
 
-    def uniform(self):
-        return self.value
+
+def _reward(tumor, tox, next_tumor, next_tox, died):
+    rows = (np.array([v]) for v in (tumor, tox, next_tumor, next_tox, died))
+    return _reward_arrays(*rows)[0]
+
+
+def _reference_step(p, tumor, tox, tumor0, tox0, dose, death_u):
+    """One month written from the ``CancerParams`` formulas in Python floats."""
+    d_tumor = p.tumor_growth * max(tox, tox0) - p.tumor_dose * (dose - p.dose_offset) if tumor > 0 else 0.0
+    d_tox = p.tox_growth * max(tumor, tumor0) + p.tox_dose * (dose - p.dose_offset)
+    next_tumor = max(tumor + d_tumor, 0.0)
+    next_tox = max(tox + d_tox, 0.0)
+    hazard = math.exp(p.hazard_intercept + p.hazard_tumor * next_tumor + p.hazard_toxicity * next_tox)
+    died = death_u < 1.0 - math.exp(-hazard)
+    reward = (-60.0 if died else 0.0) + (5.0 if next_tox - tox <= -0.5 else -5.0)
+    if next_tumor == 0.0:
+        reward += 15.0
+    else:
+        reward += 5.0 if next_tumor - tumor <= -0.5 else -5.0
+    return next_tumor, next_tox, died, reward
 
 
 # --- single-stage generator ----------------------------------------------------
@@ -45,11 +63,18 @@ def test_itr_marginals_large_sample():
 
 
 def test_itr_noise_hook_recovers_mean_function():
-    ds = simulate_itr(ItrConfig(500, seed=4, noise_sd=0.0))
+    # redraw the generator's stream: the rewards are the mean function plus the unit normal draws
+    ds = simulate_itr(ItrConfig(500, seed=4))
+    rng = stream(4, "itr")
+    x = rng.uniform(-1.0, 1.0, size=(500, 10))
+    action_idx = rng.integers(0, 2, size=500)
+    noise = rng.standard_normal(500)
     _, feats, actions, rewards = ds.stage_rows(0)
+    assert np.array_equal(feats, x)
+    assert np.array_equal(actions, action_idx)
     labels = np.where(actions == 1, 1.0, -1.0)
     mean = 1 + 2 * feats[:, 0] + feats[:, 1] + 0.5 * feats[:, 2] + (feats[:, 0] + feats[:, 1]) * labels
-    assert np.allclose(rewards, mean)
+    assert np.allclose(rewards - mean, noise, rtol=0.0, atol=1e-12)
     # spot value: x0 = x1 = 1, treated, gives 1 + 2 + 1 + 2 = 6
     x = np.zeros(10)
     x[0] = x[1] = 1.0
@@ -69,79 +94,52 @@ def test_itr_config_guards():
         ItrConfig(0, seed=1)
 
 
-def test_true_blip_examples():
-    x = np.zeros(10)
-    x[0], x[1] = 0.5, -0.5
-    assert true_blip(x) == 0.0
-    x[0] = x[1] = 1.0
-    assert true_blip(x) == 4.0
-    x[0], x[1] = -0.8, 0.2
-    assert true_blip(x) < 0
-    with pytest.raises(ValueError):
-        true_blip(np.zeros(3))
-
-
 # --- tumor/toxicity transitions -------------------------------------------------
 
 
 def test_transition_remission_is_absorbing():
-    state = CancerState(tumor=0.0, toxicity=1.0)
     for dose in (0.0, 0.5, 1.0):
-        nxt, died = cancer_transition(PARAMS, state, dose, rng=None)
-        assert nxt.tumor == 0.0
-        assert nxt.cured
+        next_tumor, _, died, _ = _step(0.0, 1.0, dose)
+        assert next_tumor == 0.0
         assert not died
 
 
 def test_transition_death_probability_brackets():
     # from (tumor 0, toxicity 0.6) with dose 0 the next state is (0, 0):
     # hazard exp(-4) = 0.018316, so death probability 1 - exp(-exp(-4)) = 0.018149
-    state = CancerState(tumor=0.0, toxicity=0.6, tumor0=0.0, tox0=0.6)
     lam = math.exp(-4.0)
     p = 1.0 - math.exp(-lam)
     assert lam == pytest.approx(0.01832, abs=1e-4)
     assert p == pytest.approx(0.01815, abs=1e-4)
-    _, died_low = cancer_transition(PARAMS, state, 0.0, FixedUniform(p - 1e-6))
-    _, died_high = cancer_transition(PARAMS, state, 0.0, FixedUniform(p + 1e-6))
+    assert _step(0.0, 0.6, 0.0)[:2] == (0.0, 0.0)
+    died_low = _step(0.0, 0.6, 0.0, death_u=p - 1e-6)[2]
+    died_high = _step(0.0, 0.6, 0.0, death_u=p + 1e-6)[2]
     assert died_low and not died_high
 
 
 def test_transition_rejects_off_grid_dose():
-    state = CancerState(tumor=1.0, toxicity=1.0)
     with pytest.raises(ValueError, match="grid"):
-        cancer_transition(PARAMS, state, 0.25, rng=None)
-
-
-def test_transition_rejects_dead_patient():
-    state = CancerState(tumor=1.0, toxicity=1.0, alive=False)
-    with pytest.raises(ValueError):
-        cancer_transition(PARAMS, state, 0.5, rng=None)
+        simulate_cancer_cohort(PARAMS, 0.25, 10, seed=1)
 
 
 def test_transition_monotone_in_dose():
     doses = PARAMS.dose_grid
     for tumor in (0.5, 1.0, 2.0, 4.0):
         for tox in (0.0, 1.0, 3.0):
-            state = CancerState(tumor=tumor, toxicity=tox)
-            results = [cancer_transition(PARAMS, state, d, rng=None)[0] for d in doses]
-            tumors = [s.tumor for s in results]
-            toxes = [s.toxicity for s in results]
+            results = [_step(tumor, tox, d) for d in doses]
+            tumors = [r[0] for r in results]
+            toxes = [r[1] for r in results]
             assert all(a >= b - 1e-12 for a, b in zip(tumors, tumors[1:]))
             assert all(a <= b + 1e-12 for a, b in zip(toxes, toxes[1:]))
 
 
 def test_reward_components():
-    a = CancerState(tumor=1.0, toxicity=1.0)
     # died, toxicity up 0.3, tumor unchanged: -60 - 5 - 5
-    b = CancerState(tumor=1.0, toxicity=1.3, alive=False, tumor0=1.0, tox0=1.0)
-    assert cancer_reward(a, b, died=True) == -70.0
+    assert _reward(1.0, 1.0, 1.0, 1.3, True) == -70.0
     # alive, toxicity down 0.6, tumor cleared: 0 + 5 + 15
-    c = CancerState(tumor=0.0, toxicity=0.4, tumor0=1.0, tox0=1.0)
-    assert cancer_reward(a, c, died=False) == 20.0
+    assert _reward(1.0, 1.0, 0.0, 0.4, False) == 20.0
     # boundary: both changes exactly -0.5 with tumor still positive: 5 + 5
-    start = CancerState(tumor=1.5, toxicity=1.5)
-    d = CancerState(tumor=1.0, toxicity=1.0, tumor0=1.5, tox0=1.5)
-    assert cancer_reward(start, d, died=False) == 10.0
+    assert _reward(1.5, 1.5, 1.0, 1.0, False) == 10.0
 
 
 # --- cohort simulation ----------------------------------------------------------
@@ -217,21 +215,24 @@ def test_cohort_dataset_is_built_from_the_arrays_once():
 
 
 def test_cohort_matches_scalar_transition_and_reward():
-    # the scalar wrappers replay the vectorized rollout step by step, with the
-    # same survival draws, and land on the same states and rewards bit for bit
+    # a scalar reference replays the vectorized rollout step by step, with the
+    # same survival draws, and lands on the same states and rewards bit for bit
     cohort = simulate_cancer_cohort(PARAMS, "uniform-random", 60, seed=37)
-    death_u = stream(37, "train/death").uniform(size=(60, PARAMS.n_stages))
+    death_u = stream(37, "train/death").uniform(size=(60, PARAMS.n_stages)).tolist()
+    tumor, tox, alive = cohort.tumor.tolist(), cohort.toxicity.tolist(), cohort.alive.tolist()
     for i in range(60):
-        state = CancerState(tumor=cohort.tumor[i, 0], toxicity=cohort.toxicity[i, 0])
+        state = (tumor[i][0], tox[i][0])
         for t in range(PARAMS.n_stages):
-            if not cohort.alive[i, t]:
+            if not alive[i][t]:
                 break
             dose = cohort.action_space.label(cohort.dose_index[i, t])
-            nxt, died = cancer_transition(PARAMS, state, dose, FixedUniform(death_u[i, t]))
-            assert (nxt.tumor, nxt.toxicity) == (cohort.tumor[i, t + 1], cohort.toxicity[i, t + 1])
-            assert died == (not cohort.alive[i, t + 1])
-            assert cancer_reward(state, nxt, died) == cohort.rewards[i, t]
-            state = nxt
+            next_tumor, next_tox, died, reward = _reference_step(
+                PARAMS, *state, tumor[i][0], tox[i][0], dose, death_u[i][t]
+            )
+            assert (next_tumor, next_tox) == (tumor[i][t + 1], tox[i][t + 1])
+            assert died == (not alive[i][t + 1])
+            assert reward == cohort.rewards[i, t]
+            state = (next_tumor, next_tox)
 
 
 def test_cohort_state_invariants():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from nearq.regression import DesignSpec, InteractionLinearQ
 from conftest import two_actions
 
 PARAMS = CancerParams()
+NO_DEATH = CancerParams(hazard_intercept=-math.inf)  # zero hazard: every patient survives
 
 
 def _true_coef_model():
@@ -35,8 +38,9 @@ def test_evaluate_policy_deterministic():
 
 
 def test_extreme_doses_trade_tumor_against_toxicity():
-    high = simulate_cancer_cohort(PARAMS, 1.0, 400, seed=19, label="eval", disable_death=True)
-    low = simulate_cancer_cohort(PARAMS, 0.0, 400, seed=19, label="eval", disable_death=True)
+    high = simulate_cancer_cohort(NO_DEATH, 1.0, 400, seed=19, label="eval")
+    low = simulate_cancer_cohort(NO_DEATH, 0.0, 400, seed=19, label="eval")
+    assert high.alive.all() and low.alive.all()
     assert np.array_equal(high.tumor[:, 0], low.tumor[:, 0])  # shared initials
     assert high.tumor[:, 1].mean() < low.tumor[:, 1].mean()
     assert high.toxicity[:, 1].mean() > low.toxicity[:, 1].mean()
@@ -51,13 +55,12 @@ def test_constant_baselines_share_month_zero():
 
 
 def test_constant_dose_toxicity_ordering_at_late_months():
-    # with survival draws disabled, heavier constant dosing ends with strictly
-    # more accumulated toxicity
+    # with no deaths, heavier constant dosing ends with strictly more
+    # accumulated toxicity
     tox6 = []
     for dose in PARAMS.dose_grid:
-        cohort = simulate_cancer_cohort(
-            PARAMS, dose, 300, seed=19, label="eval", disable_death=True
-        )
+        cohort = simulate_cancer_cohort(NO_DEATH, dose, 300, seed=19, label="eval")
+        assert cohort.alive.all()
         tox6.append(cohort.toxicity[:, 6].mean())
     assert all(a < b for a, b in zip(tox6, tox6[1:]))
 
@@ -160,8 +163,6 @@ def test_shared_initial_states_flag():
     shared_a = evaluate_policy(PARAMS, 0.2, 80, seed=6, label="a")
     shared_b = evaluate_policy(PARAMS, 0.8, 80, seed=6, label="b")
     assert shared_a.mean_combined[0] == shared_b.mean_combined[0]
-    solo = evaluate_policy(PARAMS, 0.2, 80, seed=6, label="a", shared_initial_states=False)
-    assert solo.mean_combined[0] != shared_a.mean_combined[0]
 
 
 def test_rollouts_build_no_stage_records(monkeypatch):

@@ -14,14 +14,13 @@ from nearq.nearequiv import (
     backward_fit_near_equiv,
     fit_tolerances,
     policy_set,
-    pseudo_outcome_matrix,
     save_admissible_csv,
     select_and_pad,
 )
-from nearq.qlearn import backward_fit, greedy_policy, pseudo_outcome_vector
-from nearq.regression import DesignSpec, fit
+from nearq.qlearn import backward_fit, greedy_policy, stage_targets
+from nearq.regression import DesignSpec, fit, max_over_actions
 
-from conftest import TableQ, make_dataset, two_actions
+from conftest import TableQ, classical_targets, make_dataset, two_actions
 
 KERNEL = DesignSpec.per_action_kernel(kernel_bandwidth=2.0, ridge=0.1)
 
@@ -185,8 +184,8 @@ def test_pseudo_outcome_matrix_single_column_reduces_to_vector():
     final = TableQ(two_actions(), 1, {(1.0,): [2.0, -1.0]})
     sel = select_and_pad(final, ds, EpsilonConfig(0.0))
     assert sel.m == 1
-    matrix = pseudo_outcome_matrix(ds, 0, sel.padded)
-    vector = pseudo_outcome_vector(ds, 0, final)
+    matrix = stage_targets(ds, 0, sel.padded[ds.stage_rows(1)[0]])
+    vector = classical_targets(ds, 0, final)
     assert np.allclose(matrix[:, 0], vector)
 
 
@@ -199,7 +198,7 @@ def test_pseudo_outcome_matrix_zero_rewards_gives_value_matrix():
         horizon=1,
     )
     padded = np.array([[3.0, 2.0], [1.0, 0.5]])
-    matrix = pseudo_outcome_matrix(ds, 0, padded)
+    matrix = stage_targets(ds, 0, padded[ds.stage_rows(1)[0]])
     assert np.allclose(matrix, padded)
 
 
@@ -212,23 +211,8 @@ def test_pseudo_outcome_matrix_hand_fixture():
         horizon=1,
     )
     padded = np.array([[5.0, 4.0], [7.0, 7.0]])
-    matrix = pseudo_outcome_matrix(ds, 0, padded)
+    matrix = stage_targets(ds, 0, padded[ds.stage_rows(1)[0]])
     assert np.allclose(matrix, [[6.0, 5.0], [5.0, 5.0]])
-
-
-def test_pseudo_outcome_matrix_validation():
-    ds = make_dataset(
-        [[((0.0,), 0, 1.0), ((1.0,), 1, 4.0), ((0.0,), 0, 0.0)]], horizon=2
-    )
-    with pytest.raises(ValueError, match="expected"):
-        pseudo_outcome_matrix(ds, 1, np.zeros((5, 2)))
-    with pytest.raises(ValueError):
-        pseudo_outcome_matrix(ds, 0, np.zeros((1, 2)))  # matrix applies only at stage T-1
-    zero = TableQ(two_actions(), 1, {(0.0,): [0.0, 0.0], (1.0,): [0.0, 0.0]})
-    with pytest.raises(ValueError):
-        pseudo_outcome_matrix(ds, 1, [zero])  # stage T-1 takes the matrix, not models
-    with pytest.raises(ValueError):
-        pseudo_outcome_matrix(ds, 2, np.zeros((1, 2)))  # final stage has no targets
 
 
 def _cancer_dataset(n=120, seed=5):
@@ -258,14 +242,14 @@ def test_column_one_pseudo_outcomes_match_classical_every_stage():
     stack = backward_fit_near_equiv(ds, KERNEL, EpsilonConfig(0.3))
     t_last = ds.horizon - 1
     sel = select_and_pad(stack.final_model, ds, EpsilonConfig(0.3))
-    matrix = pseudo_outcome_matrix(ds, t_last, sel.padded)
-    vector = pseudo_outcome_vector(ds, t_last, classical.models[ds.horizon])
+    matrix = stage_targets(ds, t_last, sel.padded[ds.stage_rows(ds.horizon)[0]])
+    vector = classical_targets(ds, t_last, classical.models[ds.horizon])
     both = ~np.isnan(vector)
     assert np.array_equal(matrix[both, 0], vector[both])
     for t in range(t_last - 1, -1, -1):
         next_models = [stack.column_models[j][t + 1] for j in range(stack.m)]
-        matrix = pseudo_outcome_matrix(ds, t, next_models)
-        vector = pseudo_outcome_vector(ds, t, classical.models[t + 1])
+        matrix = stage_targets(ds, t, max_over_actions(next_models, ds.stage_rows(t + 1)[1]))
+        vector = classical_targets(ds, t, classical.models[t + 1])
         both = ~np.isnan(vector)
         assert np.array_equal(matrix[both, 0], vector[both])
 
@@ -300,7 +284,7 @@ def test_cancer_low_epsilon_rank_one_matches_classical_policy():
     probe = simulate_cancer_cohort(CancerParams(), "uniform-random", 60, 77)
     for t in range(6):
         feats = np.column_stack([probe.tumor[:, t], probe.toxicity[:, t]])
-        assert np.array_equal(rank1.decide_batch(t, feats), classical.decide_batch(t, feats))
+        assert np.array_equal(rank1(t, feats), classical(t, feats))
 
 
 def test_policy_set_shares_final_model_and_length():
@@ -349,28 +333,6 @@ def test_single_stage_adaptation_degenerates_to_admissible_sets():
         # near-equivalence: retained entries sit within the band of the best
         values = [v for _, v in row]
         assert all(values[0] - v <= cfg.epsilon + 1e-12 for v in values)
-
-
-def test_near_equiv_stack_serialization_round_trip():
-    from nearq.nearequiv import near_equiv_stack_from_dict, near_equiv_stack_to_dict
-
-    ds = _cancer_dataset(60, seed=8)
-    stack = backward_fit_near_equiv(ds, KERNEL, EpsilonConfig(0.3))
-    loaded = near_equiv_stack_from_dict(near_equiv_stack_to_dict(stack))
-    assert loaded.m == stack.m
-    assert loaded.admissible_sets == stack.admissible_sets
-    assert np.array_equal(loaded.padding_log, stack.padding_log)
-    probe = np.array([[1.0, 0.5], [0.2, 2.0]])
-    assert np.array_equal(
-        loaded.final_model.predict_all_matrix(probe),
-        stack.final_model.predict_all_matrix(probe),
-    )
-    for j in range(stack.m):
-        for t in range(stack.horizon):
-            assert np.array_equal(
-                loaded.column_models[j][t].predict_all_matrix(probe),
-                stack.column_models[j][t].predict_all_matrix(probe),
-            )
 
 
 def test_admissible_audit_csv(tmp_path):

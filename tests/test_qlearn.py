@@ -10,11 +10,10 @@ from nearq.qlearn import (
     backward_fit,
     fit_final_stage,
     greedy_policy,
-    pseudo_outcome_vector,
 )
 from nearq.regression import DesignSpec, InteractionLinearQ, fit
 
-from conftest import TableQ, make_dataset, two_actions
+from conftest import TableQ, classical_targets, make_dataset, two_actions
 
 LINEAR = DesignSpec.interaction_linear()
 
@@ -69,7 +68,7 @@ def _two_stage_fixture():
 def test_pseudo_outcome_arithmetic():
     ds = _two_stage_fixture()
     next_model = TableQ(two_actions(), 1, {(1.0,): [2.0, -1.0], (0.0,): [0.0, 0.5]})
-    out = pseudo_outcome_vector(ds, 0, next_model)
+    out = classical_targets(ds, 0, next_model)
     assert out[0] == pytest.approx(1.0 + 2.0)   # max(2, -1) = 2
     assert out[1] == pytest.approx(-60.0)       # trajectory ended at stage 0
     assert out[2] == pytest.approx(2.0 + 0.5)
@@ -79,7 +78,7 @@ def test_pseudo_outcome_absent_patients_are_nan():
     ds = _two_stage_fixture()
     zero = InteractionLinearQ(two_actions(), np.zeros(4), 1)
     # all patients have a stage-0 record, so no NaN at t=0
-    assert not np.isnan(pseudo_outcome_vector(ds, 0, zero)).any()
+    assert not np.isnan(classical_targets(ds, 0, zero)).any()
     # shift the fixture: make a 3-stage cohort where patient 1 is gone by t=1
     ds3 = make_dataset(
         [
@@ -88,23 +87,16 @@ def test_pseudo_outcome_absent_patients_are_nan():
         ],
         horizon=2,
     )
-    out = pseudo_outcome_vector(ds3, 1, zero)
+    out = classical_targets(ds3, 1, zero)
     assert np.isnan(out[1]) and not np.isnan(out[0])
 
 
 def test_pseudo_outcome_with_zero_model_equals_rewards():
     ds = _two_stage_fixture()
     zero = InteractionLinearQ(two_actions(), np.zeros(4), 1)
-    out = pseudo_outcome_vector(ds, 0, zero)
+    out = classical_targets(ds, 0, zero)
     rewards = np.array([p.stages[0].reward for p in ds.patients])
     assert np.allclose(out, rewards)
-
-
-def test_pseudo_outcome_rejects_final_stage():
-    ds = _two_stage_fixture()
-    zero = InteractionLinearQ(two_actions(), np.zeros(4), 1)
-    with pytest.raises(ValueError, match="no future stage"):
-        pseudo_outcome_vector(ds, 1, zero)
 
 
 def test_backward_fit_matches_dp_reference():
@@ -128,7 +120,7 @@ def test_backward_fit_composes_public_pieces():
     spec = DesignSpec.per_action_kernel(ridge=0.7)
     stack = backward_fit(ds, spec)
     final = fit_final_stage(ds, spec)
-    targets = pseudo_outcome_vector(ds, 0, final)
+    targets = classical_targets(ds, 0, final)
     idx, feats, actions, _ = ds.stage_rows(0)
     manual = fit(spec, feats, actions, targets[idx], ds.action_spaces[0])
     assert stack.models[0].to_dict() == manual.to_dict()

@@ -167,6 +167,8 @@ def test_design_spec_guards():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="ridge"):
             DesignSpec("per-action-kernel", ridge=bad)
+        with pytest.raises(ValueError, match="kernel_bandwidth"):
+            DesignSpec("per-action-kernel", kernel_bandwidth=bad)
 
 
 def test_fit_input_validation():
