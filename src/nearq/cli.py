@@ -9,24 +9,30 @@ Three commands:
 * ``oracle``: tabular consistency check of the backward fit against the
   counting reference.
 
-Every artifact is computed first and written only at the end, so a run that
-fails before writing leaves no output. Writing goes file by file into the
-output directory, which keeps files from earlier runs. ``run.meta`` records
-everything needed to repeat the run; timings live only there so repeated runs
-give bitwise-identical CSVs.
+``itr`` and ``cancer`` write into a fresh sibling of ``--out``
+(``<out>.partial-<pid>``), which replaces ``--out`` whole once every artifact
+is written and checked. A failed run therefore leaves ``--out`` as it was, and
+a successful one leaves no file of an earlier run. ``run.meta`` marks a nearq
+output directory: a run refuses, before any work, an ``--out`` that is a file
+or a non-empty directory without ``run.meta``. ``run.meta`` records everything
+needed to repeat the run; timings live only there so repeated runs give
+bitwise-identical CSVs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .core import load_csv, save_csv, validate
+from .core import _is_int, _is_number, _list_of, save_csv, validate
 from .envs import (
     RNG_FAMILY,
     UNIFORM_RANDOM,
@@ -82,16 +88,28 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be >= 1")
-        for eps in self.epsilons:
+        for i, eps in enumerate(self.epsilons):
             if not 0.0 <= eps < 1.0:
                 raise ValueError(f"epsilon must be in [0, 1), got {eps}")
+            if eps in self.epsilons[:i]:
+                raise ValueError(f"epsilon {eps} given twice")
         if self.mode not in (RELATIVE, ABSOLUTE):
             raise ValueError(f"mode must be {RELATIVE!r} or {ABSOLUTE!r}")
         if self.regression_mode not in ("interaction-linear", "per-action-kernel"):
             raise ValueError(f"unknown regression mode {self.regression_mode!r}")
+        if self.regression_mode == "interaction-linear" and self.kernel_bandwidth is not None:
+            raise ValueError("'kernel_bandwidth' applies only to the per-action-kernel backend")
+        if self.experiment == "itr" and self.regression_mode != "interaction-linear":
+            raise ValueError("the itr experiment requires the interaction-linear backend")
         if self.grid_resolution < 2:
             raise ValueError("grid resolution must be >= 2")
         self.design_spec()
+        if self.experiment != "oracle":
+            # resolved, so that `--out .` has a name and a parent to stage beside
+            out = self.out = self.out.resolve()
+            if out.exists() and not (out / "run.meta").is_file() and (not out.is_dir() or any(out.iterdir())):
+                raise ValueError(f"--out {out} is a file or a non-empty directory without run.meta; "
+                                 "a run replaces only an earlier run's output")
 
     def design_spec(self) -> DesignSpec:
         if self.regression_mode == "interaction-linear":
@@ -102,133 +120,115 @@ class RunConfig:
         )
 
 
-class _Artifacts:
-    """In-memory staging: nothing touches disk until flush()."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.files: dict[str, str] = {}
-
-    def add_text(self, name: str, text: str) -> None:
-        self.files[name] = text
-
-    def add_writer(self, name: str, write_fn) -> None:
-        # adapt path-based writers by letting them write to a temp file
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp_path = Path(tmp) / "artifact"
-            write_fn(tmp_path)
-            self.files[name] = tmp_path.read_text()
-            sidecar = Path(str(tmp_path) + ".meta.json")
-            if sidecar.exists():
-                self.files[name + ".meta.json"] = sidecar.read_text()
-
-    def flush(self) -> list[Path]:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name, text in sorted(self.files.items()):
-            path = self.out_dir / name
-            path.write_text(text)
-            written.append(path)
-        return written
-
-
-def _meta_lines(cfg: RunConfig, extra: dict) -> str:
-    pairs = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "n_train": cfg.n_train,
-        "n_test": cfg.n_test,
-        "epsilons": ",".join(repr(e) for e in cfg.epsilons),
-        "mode": cfg.mode,
-        "regression_mode": cfg.regression_mode,
-        "ridge": cfg.ridge,
-        "kernel_bandwidth": cfg.kernel_bandwidth,
-        "grid_resolution": cfg.grid_resolution,
-        "version": __version__,
-        "rng": f"{RNG_FAMILY} keyed by (seed, blake2s64(label))",
-    }
-    pairs.update(extra)
+def _meta_lines(cfg: RunConfig, fit_seconds: float) -> str:
+    pairs = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("out", "dry_run")}
+    pairs["epsilons"] = ",".join(repr(e) for e in cfg.epsilons)
+    pairs["version"] = __version__
+    pairs["rng"] = f"{RNG_FAMILY} keyed by (seed, blake2s64(label))"
+    pairs["timing_fit_seconds"] = fit_seconds
     return "\n".join(f"{k}={v}" for k, v in pairs.items()) + "\n"
 
 
 def cmd_itr(cfg: RunConfig) -> int:
-    if cfg.regression_mode != "interaction-linear":
-        print("the itr experiment requires the interaction-linear backend", file=sys.stderr)
-        return 2
-    if cfg.dry_run:
-        print("itr config ok (dry run, nothing executed)")
-        return 0
     spec = cfg.design_spec()
-    art = _Artifacts(cfg.out)
-
-    train = simulate_itr(ItrConfig(cfg.n_train, cfg.seed))
-    test = simulate_itr(ItrConfig(cfg.n_test, cfg.seed + 1))
-    t0 = time.perf_counter()
-    stack = backward_fit(train, spec)
-    fit_seconds = time.perf_counter() - t0
-    model = stack.models[0]
-
-    art.add_writer("train.csv", lambda p: save_csv(train, p))
-    art.add_writer("test.csv", lambda p: save_csv(test, p))
-    art.add_writer("model.json", lambda p: save_model(model, p))
-    art.add_writer("blip_surface.csv", lambda p: save_blip_csv(blip_surface(model, cfg.grid_resolution), p))
-    stats = [band_stats(model, test, eps) for eps in cfg.epsilons]
-    for eps, stat in zip(cfg.epsilons, stats):
-        art.add_writer(f"band_stats_eps{eps}.csv", lambda p, s=stat: save_band_stats_csv([s], p))
-    art.add_text("run.meta", _meta_lines(cfg, {"timing_fit_seconds": fit_seconds}))
-
-    written = art.flush()
-    return _verify_outputs(written)
+    with _staged(cfg.out) as stage:
+        train = simulate_itr(ItrConfig(cfg.n_train, cfg.seed))
+        test = simulate_itr(ItrConfig(cfg.n_test, cfg.seed + 1))
+        for name, cohort in (("train.csv", train), ("test.csv", test)):
+            _check_cohort(name, cohort)
+            save_csv(cohort, stage / name)
+        t0 = time.perf_counter()
+        stack = backward_fit(train, spec)
+        fit_seconds = time.perf_counter() - t0
+        model = stack.models[0]
+        save_model(model, stage / "model.json")
+        save_blip_csv(blip_surface(model, cfg.grid_resolution), stage / "blip_surface.csv")
+        for eps in cfg.epsilons:
+            save_band_stats_csv([band_stats(model, test, eps)], stage / f"band_stats_eps{eps}.csv")
+        (stage / "run.meta").write_text(_meta_lines(cfg, fit_seconds))
+    return 0
 
 
 def cmd_cancer(cfg: RunConfig) -> int:
-    if cfg.dry_run:
-        print("cancer config ok (dry run, nothing executed)")
-        return 0
     params = CancerParams()
     spec = cfg.design_spec()
-    art = _Artifacts(cfg.out)
+    with _staged(cfg.out) as stage:
+        cohort = simulate_cancer_cohort(params, UNIFORM_RANDOM, cfg.n_train, cfg.seed, label="train")
+        train = cohort.dataset
+        _check_cohort("train.csv", train)
+        save_csv(train, stage / "train.csv")
+        save_trajectories_csv(cohort, stage / "trajectories.csv")
 
-    cohort = simulate_cancer_cohort(params, UNIFORM_RANDOM, cfg.n_train, cfg.seed, label="train")
-    train = cohort.dataset
+        t0 = time.perf_counter()
+        stack, ne_stacks = fit_tolerances(
+            train, spec, tuple(EpsilonConfig(eps, cfg.mode) for eps in cfg.epsilons)
+        )
+        fit_seconds = time.perf_counter() - t0
+        (stage / "qstack.json").write_text(json.dumps(stack_to_dict(stack)))
 
-    t0 = time.perf_counter()
-    stack, ne_stacks = fit_tolerances(
-        train, spec, tuple(EpsilonConfig(eps, cfg.mode) for eps in cfg.epsilons)
-    )
-    fit_seconds = time.perf_counter() - t0
+        eval_seed = cfg.seed + 1
+        baselines = constant_dose_baselines(params, cfg.n_test, eval_seed)
+        opt_result = evaluate_policy(params, greedy_policy(stack), cfg.n_test, eval_seed, label="opt")
+        for eps, ne_stack in zip(cfg.epsilons, ne_stacks):
+            # the rank-1 chain is the classical one, so its rollout is opt's
+            ne_results = [replace(opt_result, label=f"eps{eps}-rank1")] + [
+                evaluate_policy(params, pol, cfg.n_test, eval_seed, label=f"eps{eps}-rank{j}")
+                for j, pol in enumerate(policy_set(ne_stack)[1:], start=2)
+            ]
+            band = epsilon_band_curve(opt_result, ne_results, eps)
+            save_results_csv(baselines + [opt_result] + ne_results, stage / f"curves_eps{eps}.csv")
+            save_band_csv(band, stage / f"band_eps{eps}.csv")
+            save_admissible_csv(ne_stack, stage / f"admissible_eps{eps}.csv")
+        (stage / "run.meta").write_text(_meta_lines(cfg, fit_seconds))
+    return 0
 
-    eval_seed = cfg.seed + 1
-    baselines = constant_dose_baselines(params, cfg.n_test, eval_seed)
-    opt_result = evaluate_policy(params, greedy_policy(stack), cfg.n_test, eval_seed, label="opt")
 
-    art.add_writer("train.csv", lambda p: save_csv(train, p))
-    art.add_writer("trajectories.csv", lambda p: save_trajectories_csv(cohort, p))
-    art.add_text("qstack.json", json.dumps(stack_to_dict(stack)))
+def _check_cohort(name: str, dataset) -> None:
+    report = validate(dataset)
+    if not report.ok:
+        raise ValueError(f"cohort failed validation: {name}: {report.errors}")
 
-    for eps, ne_stack in zip(cfg.epsilons, ne_stacks):
-        # the rank-1 chain is the classical one, so its rollout is opt's
-        ne_results = [replace(opt_result, label=f"eps{eps}-rank1")] + [
-            evaluate_policy(params, pol, cfg.n_test, eval_seed, label=f"eps{eps}-rank{j}")
-            for j, pol in enumerate(policy_set(ne_stack)[1:], start=2)
-        ]
-        band = epsilon_band_curve(opt_result, ne_results, eps)
-        results = baselines + [opt_result] + ne_results
-        art.add_writer(f"curves_eps{eps}.csv", lambda p, r=results: save_results_csv(r, p))
-        art.add_writer(f"band_eps{eps}.csv", lambda p, b=band: save_band_csv(b, p))
-        art.add_writer(f"admissible_eps{eps}.csv", lambda p, s=ne_stack: save_admissible_csv(s, p))
 
-    art.add_text("run.meta", _meta_lines(cfg, {"timing_fit_seconds": fit_seconds}))
-    written = art.flush()
-    return _verify_outputs(written)
+@contextmanager
+def _staged(out: Path):
+    """Yield an empty sibling of ``out`` to write a run into; it replaces ``out`` if the block succeeds.
+
+    Before the swap every staged file must be nonempty and every CSV must
+    open with a header row. An existing ``out`` is moved aside, the staged
+    directory renamed in, and the old one deleted. Any exception removes the
+    staged directory and leaves ``out`` as it was.
+    """
+    stage = out.with_name(f"{out.name}.partial-{os.getpid()}")
+    old = out.with_name(f"{out.name}.old-{os.getpid()}")
+    stage.mkdir(parents=True)
+    try:
+        yield stage
+        for path in stage.iterdir():
+            if path.stat().st_size == 0:
+                raise ValueError(f"artifact is empty: {path.name}")
+            if path.suffix == ".csv":
+                with path.open() as fh:
+                    if "," not in fh.readline():
+                        raise ValueError(f"artifact has no CSV header: {path.name}")
+        moved = out.exists()
+        if moved:
+            out.rename(old)
+        try:
+            stage.rename(out)
+        except BaseException:
+            if moved:
+                old.rename(out)
+            raise
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    if moved:
+        shutil.rmtree(old, ignore_errors=True)
+    for path in sorted(out.iterdir()):
+        print(f"wrote {path}")
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    if cfg.dry_run:
-        print("oracle config ok (dry run, nothing executed)")
-        return 0
     dataset = build_fixture_dataset()
     stack = backward_fit(dataset, DesignSpec.interaction_linear())
     worst = max_discrepancy(stack, dp_oracle(dataset))
@@ -238,33 +238,6 @@ def cmd_oracle(cfg: RunConfig) -> int:
         return 1
     print("oracle check passed")
     return 0
-
-
-def _verify_outputs(paths: list[Path]) -> int:
-    for path in paths:
-        if not path.exists() or path.stat().st_size == 0:
-            print(f"artifact missing or empty: {path}", file=sys.stderr)
-            return 1
-        if path.name.endswith(".csv"):
-            header = path.read_text().splitlines()[0]
-            if "," not in header:
-                print(f"artifact has no CSV header: {path}", file=sys.stderr)
-                return 1
-        if path.name in ("train.csv", "test.csv"):
-            report = validate(load_csv(path))
-            if not report.ok:
-                print(f"cohort failed validation: {path}: {report.errors}", file=sys.stderr)
-                return 1
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
-
-
-def _load_config_file(path: Path) -> dict:
-    payload = json.loads(path.read_text())
-    if not isinstance(payload, dict):
-        raise ValueError("config file must hold a JSON object")
-    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,14 +288,10 @@ _INT_KEYS = ("seed", "n_train", "n_test", "grid_resolution")
 _FLOAT_KEYS = ("ridge", "kernel_bandwidth")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _config_value(key: str, value):
     """A config-file value as its ``RunConfig`` field; ValueError naming the key on a wrong JSON type."""
     if key in _INT_KEYS:
-        if isinstance(value, int) and not isinstance(value, bool):
+        if _is_int(value):
             return value
         expected = "an integer"
     elif key in _FLOAT_KEYS:
@@ -330,7 +299,7 @@ def _config_value(key: str, value):
             return float(value)
         expected = "a number"
     elif key == "epsilons":
-        if isinstance(value, list) and all(_is_number(v) for v in value):
+        if _list_of(_is_number)(value):
             return tuple(float(v) for v in value)
         expected = "a list of numbers"
     elif key == "out":
@@ -343,20 +312,23 @@ def _config_value(key: str, value):
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(experiment=args.command)
-    for key, value in _EXPERIMENT_DEFAULTS[args.command].items():
-        setattr(cfg, key, value)
-    if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
+    given = {}
+    if args.config:
+        payload = json.loads(args.config.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("config file must hold a JSON object")
+        for key, value in payload.items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _config_value(key, value))
+            given[key] = _config_value(key, value)
     for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
-            setattr(cfg, key, tuple(value) if key == "epsilons" else value)
-    cfg.dry_run = bool(getattr(args, "dry_run", False))
-    return cfg
+            given[key] = tuple(value) if key == "epsilons" else value
+    settings = {**_EXPERIMENT_DEFAULTS[args.command], **given}
+    if settings.get("regression_mode") == "interaction-linear" and "kernel_bandwidth" not in given:
+        settings.pop("kernel_bandwidth", None)  # a default of the kernel backend only
+    return RunConfig(args.command, dry_run=args.dry_run, **settings)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -367,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
         return 2
+    if cfg.dry_run:
+        print(f"{args.command} config ok (dry run, nothing executed)")
+        return 0
     try:
         if args.command == "itr":
             return cmd_itr(cfg)

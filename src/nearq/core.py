@@ -277,6 +277,25 @@ def history_features(trajectory: PatientTrajectory, t: int) -> np.ndarray:
 _SIDECAR_SUFFIX = ".meta.json"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(fits):
+    return lambda value: isinstance(value, list) and all(map(fits, value))
+
+
+_SIDECAR_KEYS = (
+    ("horizon", "an integer", _is_int),
+    ("feature_dims", "a list of integers", _list_of(_is_int)),
+    ("action_values", "a list of lists of numbers", _list_of(_list_of(_is_number))),
+)
+
+
 def save_csv(dataset: OfflineDataset, path: str | Path) -> None:
     """Write the cohort CSV plus its sidecar metadata file.
 
@@ -366,11 +385,15 @@ def load_csv(path: str | Path) -> OfflineDataset:
             meta = json.loads(sidecar_path.read_text())
         except json.JSONDecodeError as err:
             raise SchemaError(f"sidecar {sidecar_path}: malformed JSON ({err})") from err
-        for key in ("horizon", "feature_dims", "action_values"):
+        for key, expected, fits in _SIDECAR_KEYS:
             if not isinstance(meta, dict) or key not in meta:
                 raise SchemaError(f"sidecar {sidecar_path}: missing key {key!r}")
-        horizon = int(meta["horizon"])
-        feature_dims = tuple(int(x) for x in meta["feature_dims"])
+            if not fits(meta[key]):
+                raise SchemaError(
+                    f"sidecar {sidecar_path}: key {key!r} must be {expected}, got {json.dumps(meta[key])}"
+                )
+        horizon = meta["horizon"]
+        feature_dims = tuple(meta["feature_dims"])
         if any(dim != d for dim in feature_dims):
             raise SchemaError(
                 f"sidecar feature_dims {feature_dims} disagree with {d} cov_* columns"

@@ -250,6 +250,8 @@ def test_itr_csv_cells_are_floats_equal_to_the_source_arrays(tmp_path):
     train, test = simulate_itr(ItrConfig(50, 4)), simulate_itr(ItrConfig(30, 5))
     _assert_cohort_csv(out / "train.csv", train)
     _assert_cohort_csv(out / "test.csv", test)
+    assert load_csv(out / "train.csv") == train
+    assert load_csv(out / "test.csv") == test
     model = load_model(out / "model.json")
     grid = blip_surface(model, 3)
     cols = _numeric_columns(out / "blip_surface.csv")
@@ -268,6 +270,7 @@ def test_cancer_csv_cells_are_floats_equal_to_the_source_arrays(tmp_path):
                 "--out", str(out)) == 0
     cohort = simulate_cancer_cohort(CancerParams(), UNIFORM_RANDOM, 40, 6, label="train")
     _assert_cohort_csv(out / "train.csv", cohort.dataset)
+    assert load_csv(out / "train.csv") == cohort.dataset
     cols = _numeric_columns(out / "trajectories.csv")
     n, months = cohort.tumor.shape
     assert cols["patient_id"] == np.repeat(np.arange(n), months).tolist()
@@ -330,3 +333,158 @@ def test_cancer_without_epsilons_writes_the_same_classical_stack(tmp_path):
     assert _run("cancer", "--config", str(cfg), "--epsilon", "0.3", "--out", str(with_eps)) == 0
     assert not list(bare.glob("*eps*"))
     assert (bare / "qstack.json").read_bytes() == (with_eps / "qstack.json").read_bytes()
+
+
+ITR_SMALL = ("itr", "--n-train", "40", "--n-test", "20", "--grid-resolution", "3")
+CANCER_SMALL = ("cancer", "--n-train", "40", "--n-test", "10")
+
+
+def _snapshot(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_reused_out_holds_only_the_second_runs_files(tmp_path):
+    out = tmp_path / "run"
+    assert _run(*CANCER_SMALL, "--seed", "3", "--epsilon", "0.1", "--out", str(out)) == 0
+    assert _run(*CANCER_SMALL, "--seed", "4", "--epsilon", "0.3", "--out", str(out)) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted([
+        "train.csv", "train.csv.meta.json", "trajectories.csv", "qstack.json", "run.meta",
+        "curves_eps0.3.csv", "band_eps0.3.csv", "admissible_eps0.3.csv",
+    ])
+    assert "seed=4" in (out / "run.meta").read_text().splitlines()
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("failing, message", [
+    ("blip-writer", "injected write failure"),
+    ("run-meta", "injected write failure"),
+    ("headerless-csv", "artifact has no CSV header: blip_surface.csv"),
+    ("empty-file", "artifact is empty: blip_surface.csv"),
+], ids=["blip-writer", "run-meta", "headerless-csv", "empty-file"])
+def test_failed_write_leaves_the_previous_out_untouched(tmp_path, monkeypatch, capsys, failing, message):
+    out = tmp_path / "run"
+    assert _run(*ITR_SMALL, "--seed", "3", "--epsilon", "0.3", "--out", str(out)) == 0
+    before = _snapshot(out)
+    write_text = type(out).write_text
+
+    def failing_writer(grid, path):
+        if failing == "blip-writer":
+            raise OSError("injected write failure")
+        path.write_text("" if failing == "empty-file" else "0.5\n")
+
+    def failing_meta(self, text):
+        if self.name == "run.meta":
+            raise OSError("injected write failure")
+        return write_text(self, text)
+
+    # either way the cohorts and the model are written by then
+    if failing == "run-meta":
+        monkeypatch.setattr(type(out), "write_text", failing_meta)
+    else:
+        monkeypatch.setattr(nearq.cli, "save_blip_csv", failing_writer)
+    assert _run(*ITR_SMALL, "--seed", "5", "--epsilon", "0.5", "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert _snapshot(out) == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_failed_swap_puts_the_previous_out_back(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert _run(*ITR_SMALL, "--seed", "3", "--epsilon", "0.3", "--out", str(out)) == 0
+    before = _snapshot(out)
+    rename = type(out).rename
+
+    def failing_rename(self, target):
+        if ".partial-" in self.name:
+            raise OSError("injected rename failure")
+        return rename(self, target)
+
+    monkeypatch.setattr(type(out), "rename", failing_rename)
+    assert _run(*ITR_SMALL, "--seed", "5", "--epsilon", "0.3", "--out", str(out)) == 1
+    assert _snapshot(out) == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+@pytest.mark.parametrize("kind", ["file", "foreign-dir"])
+def test_unsafe_out_refused_before_any_work(tmp_path, capsys, kind, dry_run):
+    out = tmp_path / "target"
+    if kind == "file":
+        out.write_text("not a run\n")
+    else:
+        out.mkdir()
+        (out / "notes.txt").write_text("not a run\n")
+    listing = sorted(tmp_path.rglob("*"))
+    assert _run(*CANCER_SMALL, "--epsilon", "0.1", *dry_run, "--out", str(out)) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == listing
+    assert (out if kind == "file" else out / "notes.txt").read_text() == "not a run\n"
+
+
+def test_out_dot_is_resolved_and_refused_when_foreign(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "notes.txt").write_text("not a run\n")
+    assert _run(*ITR_SMALL, "--epsilon", "0.3", "--out", ".") == 2
+    assert [path.name for path in tmp_path.iterdir()] == ["notes.txt"]
+
+
+def test_out_dot_of_an_earlier_run_is_replaced(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert _run(*ITR_SMALL, "--epsilon", "0.1", "--out", str(out)) == 0
+    monkeypatch.chdir(out)
+    assert _run(*ITR_SMALL, "--epsilon", "0.3", "--out", ".") == 0
+    assert sorted(path.name for path in out.iterdir() if "eps" in path.name) == ["band_stats_eps0.3.csv"]
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_runs_neither_reparse_nor_use_temporary_directories(tmp_path, monkeypatch):
+    import tempfile
+
+    import nearq.core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run re-read an artifact or made a temporary directory")
+
+    monkeypatch.setattr(nearq.core, "load_csv", refuse)
+    monkeypatch.setattr(nearq.cli, "load_csv", refuse, raising=False)
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", refuse)
+    assert _run(*ITR_SMALL, "--epsilon", "0.3", "--out", str(tmp_path / "itr")) == 0
+    assert _run(*CANCER_SMALL, "--epsilon", "0.3", "--out", str(tmp_path / "cancer")) == 0
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("itr", "--kernel-bandwidth", "7"), "'kernel_bandwidth'"),
+    (("cancer", "--regression", "interaction-linear", "--config", "{cfg}"), "'kernel_bandwidth'"),
+    (("itr", "--regression", "per-action-kernel"), "interaction-linear backend"),
+], ids=["itr-bandwidth-flag", "cancer-linear-bandwidth-config", "itr-kernel-backend"])
+def test_backend_options_must_match_the_backend(tmp_path, capsys, argv, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel_bandwidth": 2.0}))
+    out = tmp_path / "never"
+    assert _run(*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and named in err
+
+
+def test_cancer_linear_backend_records_no_bandwidth(tmp_path):
+    out = tmp_path / "run"
+    assert _run(*CANCER_SMALL, "--regression", "interaction-linear", "--epsilon", "0.1",
+                "--out", str(out)) == 0
+    meta = dict(line.split("=", 1) for line in (out / "run.meta").read_text().splitlines())
+    assert meta["kernel_bandwidth"] == "None"
+
+
+@pytest.mark.parametrize("how", ["flags", "config"])
+def test_duplicate_epsilon_rejected(tmp_path, capsys, how):
+    out = tmp_path / "never"
+    if how == "flags":
+        argv = ["--epsilon", "0.5", "--epsilon", "0.50"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilons": [0.1, 0.5, 0.5]}))
+        argv = ["--config", str(cfg)]
+    assert _run(*CANCER_SMALL, *argv, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "0.5" in err

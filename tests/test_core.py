@@ -319,3 +319,25 @@ def test_csv_sidecar_missing_key_is_schema_error(tmp_path, key):
     with pytest.raises(SchemaError, match=f"missing key '{key}'") as err:
         load_csv(path)
     assert "bad.csv.meta.json" in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizon", None),
+    ("horizon", "x"),
+    ("horizon", 0.5),
+    ("horizon", True),
+    ("feature_dims", 10),
+    ("feature_dims", [1.0]),
+    ("action_values", 3),
+    ("action_values", [3]),
+    ("action_values", [["-1", 1.0]]),
+], ids=lambda v: json.dumps(v))
+def test_csv_sidecar_value_of_the_wrong_type_is_schema_error(tmp_path, key, value):
+    path = tmp_path / "bad.csv"
+    path.write_text("patient_id,stage,cov_0,action_index,reward\n0,0,1.0,0,2.0\n")
+    meta = {"format_version": 1, "horizon": 0, "feature_dims": [1], "action_values": [[-1.0, 1.0]]}
+    meta[key] = value
+    (tmp_path / "bad.csv.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(SchemaError, match=f"key '{key}' must be") as err:
+        load_csv(path)
+    assert "bad.csv.meta.json" in str(err.value)
