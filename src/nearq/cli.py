@@ -47,7 +47,7 @@ from .evalkit import (
     blip_surface,
     constant_dose_baselines,
     epsilon_band_curve,
-    evaluate_policy,
+    evaluate_policies,
     save_band_csv,
     save_band_stats_csv,
     save_blip_csv,
@@ -168,12 +168,17 @@ def cmd_cancer(cfg: RunConfig) -> int:
 
         eval_seed = cfg.seed + 1
         baselines = constant_dose_baselines(params, cfg.n_test, eval_seed)
-        opt_result = evaluate_policy(params, greedy_policy(stack), cfg.n_test, eval_seed, label="opt")
+        # one lockstep rollout for every learned policy; the rank-1 chains are the
+        # classical ones, so their curve is opt's
+        named = {"opt": greedy_policy(stack)}
         for eps, ne_stack in zip(cfg.epsilons, ne_stacks):
-            # the rank-1 chain is the classical one, so its rollout is opt's
+            for j, policy in enumerate(policy_set(ne_stack)[1:], start=2):
+                named[f"eps{eps}-rank{j}"] = policy
+        learned = dict(zip(named, evaluate_policies(params, named.values(), cfg.n_test, eval_seed, named)))
+        opt_result = learned["opt"]
+        for eps, ne_stack in zip(cfg.epsilons, ne_stacks):
             ne_results = [replace(opt_result, label=f"eps{eps}-rank1")] + [
-                evaluate_policy(params, pol, cfg.n_test, eval_seed, label=f"eps{eps}-rank{j}")
-                for j, pol in enumerate(policy_set(ne_stack)[1:], start=2)
+                learned[f"eps{eps}-rank{j}"] for j in range(2, ne_stack.m + 1)
             ]
             band = epsilon_band_curve(opt_result, ne_results, eps)
             save_results_csv(baselines + [opt_result] + ne_results, stage / f"curves_eps{eps}.csv")

@@ -172,9 +172,7 @@ class CancerCohort:
 
 def _resolve_policy(params: CancerParams, policy, dose_rng: np.random.Generator | None):
     space = params.action_space
-    if policy == UNIFORM_RANDOM:
-        if dose_rng is None:
-            raise ValueError("uniform-random policy needs a dose stream")
+    if isinstance(policy, str) and policy == UNIFORM_RANDOM:
         return lambda t, feats: dose_rng.integers(0, space.size, size=feats.shape[0])
     if isinstance(policy, (int, float)) and not isinstance(policy, bool):
         k = space.index_of(float(policy))
@@ -192,63 +190,136 @@ def simulate_cancer_cohort(
     *,
     label: str = "train",
 ) -> CancerCohort:
-    """Roll out n independent trajectories under a policy.
+    """Roll out n independent trajectories under one policy.
 
     ``policy`` is the string "uniform-random", a dose value from the grid
     (constant regime), or a callable ``(t, features_matrix) -> action indices``.
-    Initial tumor and toxicity are iid uniform on
-    ``[params.init_low, params.init_high]``. All draws come from streams keyed
-    by ``(seed, label/purpose)``, so two calls with the same arguments produce
+    This is the one-policy case of :func:`simulate_cancer_cohorts`: initial
+    tumor and toxicity are iid uniform on ``[params.init_low,
+    params.init_high]``, and all draws come from streams keyed by
+    ``(seed, label/purpose)``, so two calls with the same arguments produce
     identical cohorts, and calls sharing ``(seed, label)`` share initial states
     and death draws regardless of the policy.
     """
+    (cohort,) = simulate_cancer_cohorts(params, [policy], n, seed, label=label)
+    return cohort
+
+
+def simulate_cancer_cohorts(
+    params: CancerParams,
+    policies,
+    n: int,
+    seed: int,
+    *,
+    label: str = "train",
+    names=None,
+    share=None,
+):
+    """Roll out every policy on one cohort in lockstep; returns an iterator over their cohorts.
+
+    All policies see the same initial states and death draws (common random
+    numbers), so a (policy, patient) pair's trajectory is fixed by its patient
+    and dose history. Pairs with the same patient and dose history form one
+    decision-path class: each stage refines the classes once, by (class,
+    action), and steps each new class once. A policy decides at stage t on the
+    states of the live classes its patients are in, in patient order, so a
+    policy's cohort is bitwise the one it would get alone.
+
+    ``share(t, states, visits)`` may decide for several policies at once: it
+    gets the (n_classes, 2) class states and, per policy, the row indices of
+    its live patients' classes (``None`` when none is alive), and returns a
+    dict from policy position to action indices; every other policy is called
+    on ``states[rows]``. ``names`` label the policies in error messages. At
+    most one policy may be "uniform-random", since it reads the one dose
+    stream. Every stage runs before this returns; each policy's cohort is
+    built from the class history when the iterator reaches it, so only one is
+    held at a time.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    policies = list(policies)
+    names = list(names) if names is not None else [f"#{j}" for j in range(len(policies))]
+    uniform = [isinstance(p, str) and p == UNIFORM_RANDOM for p in policies]
+    if sum(uniform) > 1:
+        raise ValueError(f"at most one {UNIFORM_RANDOM!r} policy per rollout: they would share one dose stream")
     n_stages = params.n_stages
     space = params.action_space
+    n_actions = space.size
 
     init = stream(seed, f"{label}/init").uniform(params.init_low, params.init_high, size=(n, 2))
     death_u = stream(seed, f"{label}/death").uniform(size=(n, n_stages))
-    dose_rng = stream(seed, f"{label}/dose") if policy == UNIFORM_RANDOM else None
-    decide = _resolve_policy(params, policy, dose_rng)
-
-    tumor = np.empty((n, n_stages + 1))
-    tox = np.empty((n, n_stages + 1))
-    alive = np.zeros((n, n_stages + 1), dtype=bool)
-    dose_idx = np.full((n, n_stages), -1, dtype=int)
-    rewards = np.zeros((n, n_stages))
-
-    tumor[:, 0] = init[:, 0]
-    tox[:, 0] = init[:, 1]
-    alive[:, 0] = True
-    tumor0 = init[:, 0].copy()
-    tox0 = init[:, 1].copy()
+    dose_rng = stream(seed, f"{label}/dose") if any(uniform) else None
+    deciders = [_resolve_policy(params, p, dose_rng) for p in policies]
     dose_values = np.asarray(space.values)
 
+    # per stage: class states, alive flags, parent classes, dose index (-1: dead) and reward
+    states, alive, patient = [init], [np.ones(n, dtype=bool)], np.arange(n)
+    parents, doses, rewards = [], [], []
+    cls = np.broadcast_to(np.arange(n, dtype=np.int32), (len(policies), n))
     for t in range(n_stages):
-        live = alive[:, t]
-        # default: carry the previous state forward for the dead
-        tumor[:, t + 1] = tumor[:, t]
-        tox[:, t + 1] = tox[:, t]
-        if not live.any():
-            continue
-        feats = np.column_stack([tumor[live, t], tox[live, t]])
-        idx = np.asarray(decide(t, feats), dtype=int)
-        if idx.shape != (int(live.sum()),) or idx.min() < 0 or idx.max() >= space.size:
-            raise ValueError("policy returned invalid action indices")
-        dose_idx[live, t] = idx
-        next_tumor, next_tox, died, rewards[live, t] = _step_arrays(
-            params, tumor[live, t], tox[live, t], tumor0[live], tox0[live], dose_values[idx],
-            death_u[live, t],
+        live = alive[t][cls]
+        visits = [row[ok] if ok.any() else None for row, ok in zip(cls, live)]
+        shared = share(t, states[t], visits) if share is not None else {}
+        # the key's action n_actions marks a dead class, carried forward unchanged
+        key_type = np.int32 if len(states[t]) * (n_actions + 1) < 2**31 else np.int64
+        keys = np.full(cls.shape, n_actions, dtype=key_type)
+        for j, rows in enumerate(visits):
+            if rows is None:
+                continue
+            idx = shared[j] if j in shared else np.asarray(deciders[j](t, states[t][rows]), dtype=int)
+            if idx.shape != rows.shape or idx.min() < 0 or idx.max() >= n_actions:
+                raise ValueError(f"policy {names[j]!r} returned invalid action indices at stage {t}")
+            keys[j, live[j]] = idx
+        keys += cls.astype(key_type) * (n_actions + 1)
+        del live, visits, shared
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        del keys
+        cls = inverse.reshape(cls.shape).astype(np.int32)
+        del inverse
+        parent, action = np.divmod(uniq, n_actions + 1)
+        parent = parent.astype(np.int32)
+        dosed = action < n_actions
+        src = parent[dosed]
+        who = patient[src]
+        next_states = states[t][parent]
+        next_alive = np.zeros(parent.size, dtype=bool)
+        reward = np.zeros(parent.size)
+        next_tumor, next_tox, died, reward[dosed] = _step_arrays(
+            params, states[t][src, 0], states[t][src, 1], init[who, 0], init[who, 1],
+            dose_values[action[dosed]], death_u[who, t],
         )
-        tumor[live, t + 1] = next_tumor
-        tox[live, t + 1] = next_tox
-        alive[:, t + 1] = live
-        alive[live, t + 1] = ~died
+        next_states[dosed, 0] = next_tumor
+        next_states[dosed, 1] = next_tox
+        next_alive[dosed] = ~died
+        states.append(next_states)
+        alive.append(next_alive)
+        parents.append(parent)
+        doses.append(np.where(dosed, action, -1))
+        rewards.append(reward)
+        patient = patient[parent]
 
-    for arr in (tumor, tox, alive, dose_idx, rewards):
+    return (_walk_back(final, states, alive, parents, doses, rewards, space) for final in cls)
+
+
+def _walk_back(cls, states, alive, parents, doses, rewards, space) -> CancerCohort:
+    """One policy's cohort from its final class ids, following parent classes back to month 0."""
+    n, n_stages = cls.size, len(parents)
+    tumor = np.empty((n, n_stages + 1))
+    tox = np.empty((n, n_stages + 1))
+    alive_path = np.empty((n, n_stages + 1), dtype=bool)
+    dose_idx = np.empty((n, n_stages), dtype=int)
+    reward_path = np.empty((n, n_stages))
+    for t in range(n_stages, -1, -1):
+        tumor[:, t] = states[t][cls, 0]
+        tox[:, t] = states[t][cls, 1]
+        alive_path[:, t] = alive[t][cls]
+        if t:
+            dose_idx[:, t - 1] = doses[t - 1][cls]
+            reward_path[:, t - 1] = rewards[t - 1][cls]
+            cls = parents[t - 1][cls]
+    for arr in (tumor, tox, alive_path, dose_idx, reward_path):
         arr.setflags(write=False)
-    return CancerCohort(tumor, tox, alive, dose_idx, rewards, space)
+    return CancerCohort(tumor, tox, alive_path, dose_idx, reward_path, space)
 
 
 def save_trajectories_csv(cohort: CancerCohort, path: str | Path) -> None:

@@ -19,9 +19,17 @@ is reported as :class:`RankDeficientError`.
 :func:`fit_columns` fits target columns that share rows, features and actions:
 each normal-equation matrix is factorized once and solved per column
 (Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share each
-action's inputs, so :func:`max_over_actions` builds each kernel matrix once.
+action's inputs, so :func:`max_over_actions` and :func:`argmax_over_actions`
+build each kernel matrix once per action.
 Solves and matrix-vector products stay per column, so column j is bitwise
 equal to a single-column fit on it.
+
+Kernel predictions are row independent by construction: squared distances
+are summed elementwise and each prediction is one dot product of its kernel
+row with the weights, so a row's value never depends on which other rows share
+the call or on the row blocks the kernel matrix is built in. Batched BLAS
+products (gemm, gemv) do not promise this; on OpenBLAS they differ in the last
+bits with the batch's size and the row's position.
 """
 
 from __future__ import annotations
@@ -96,9 +104,34 @@ def _solve(factor, rhs: np.ndarray) -> np.ndarray:
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-bandwidth * sq)
+    # squared distances summed coordinate by coordinate, elementwise: unlike a
+    # BLAS product, row i depends on a[i] alone, whatever other rows share the call
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    for c in range(1, a.shape[1]):
+        diff = np.subtract.outer(a[:, c], b[:, c])
+        diff *= diff
+        sq += diff
+    sq *= -bandwidth
+    return np.exp(sq, out=sq)
+
+
+_ROW_BLOCK = 256  # kernel rows built at a time: a block stays in cache for every model's product
+
+
+def _kernel_predictions(x: np.ndarray, inputs: np.ndarray, bandwidth: float, comps) -> np.ndarray:
+    """(len(comps), n) predictions at the rows of ``x`` of kernel components sharing ``inputs``.
+
+    The kernel matrix is built once, block by block. Each prediction is one dot
+    product of its kernel row with the weights (``np.vecdot``, not a gemv, whose
+    blocking makes a row depend on the batch), so it depends on that row alone.
+    """
+    out = np.empty((len(comps), x.shape[0]))
+    for lo in range(0, x.shape[0], _ROW_BLOCK):
+        kernel = _rbf(x[lo : lo + _ROW_BLOCK], inputs, bandwidth)
+        for row, (_, _, weights, mean) in zip(out, comps):
+            row[lo : lo + _ROW_BLOCK] = np.vecdot(kernel, weights) + mean
+    return out
 
 
 class FittedQ:
@@ -222,8 +255,7 @@ class PerActionKernelQ(FittedQ):
         comp = self.components[self._check_action(action_index)]
         if comp[0] == "constant":
             return np.full(x.shape[0], comp[1], dtype=float)
-        _, inputs, weights, mean = comp
-        return _rbf(x, inputs, self.bandwidth) @ weights + mean
+        return _kernel_predictions(x, comp[1], self.bandwidth, [comp])[0]
 
     def to_dict(self):
         comps = []
@@ -348,30 +380,56 @@ def _fit_per_action_kernel(spec, x, a, columns, action_space) -> tuple[PerAction
     )
 
 
-def max_over_actions(models, features: np.ndarray) -> np.ndarray:
-    """(n, m) matrix whose column j is the best predicted value of ``models[j]``.
+def _action_values(models, features: np.ndarray):
+    """Yield ``(k, j, values)``: ``models[j]``'s predictions for action k, in action order.
 
-    Equals stacking ``models[j].predict_all_matrix(features).max(axis=1)`` bit
-    for bit. Kernel models that share an action's training inputs (the models
-    of one ``fit_columns`` call) share that action's kernel matrix, which is
-    built once per action and dropped before the next.
+    Kernel models that share an action's training inputs and bandwidth (the
+    models of one ``fit_columns`` call) share that action's kernel matrix,
+    built once per action. Each value equals
+    ``models[j].predict_matrix(features, k)`` bit for bit.
     """
     for model in models:
         model._check_features(features)
     x = np.asarray(features, dtype=float)
-    out = np.full((x.shape[0], len(models)), -np.inf)
     for k in range(models[0].action_space.size):
-        inputs = kernel = bandwidth = None
+        groups: dict = {}  # (id(inputs), bandwidth) -> positions of the kernel models using them
         for j, model in enumerate(models):
             comp = model.components[k] if isinstance(model, PerActionKernelQ) else None
             if comp is not None and comp[0] == "kernel":
-                if comp[1] is not inputs or model.bandwidth != bandwidth:
-                    inputs, bandwidth = comp[1], model.bandwidth
-                    kernel = _rbf(x, inputs, bandwidth)
-                values = kernel @ comp[2] + comp[3]
+                groups.setdefault((id(comp[1]), model.bandwidth), []).append(j)
             else:
-                values = model.predict_matrix(x, k)
-            np.maximum(out[:, j], values, out=out[:, j])
+                yield k, j, model.predict_matrix(x, k)
+        for (_, bandwidth), members in groups.items():
+            comps = [models[j].components[k] for j in members]
+            for j, values in zip(members, _kernel_predictions(x, comps[0][1], bandwidth, comps)):
+                yield k, j, values
+
+
+def max_over_actions(models, features: np.ndarray) -> np.ndarray:
+    """(n, m) matrix whose column j is the best predicted value of ``models[j]``.
+
+    Equals stacking ``models[j].predict_all_matrix(features).max(axis=1)`` bit
+    for bit, with one kernel matrix per shared action input.
+    """
+    out = np.full((np.shape(features)[0], len(models)), -np.inf)
+    for _, j, values in _action_values(models, features):
+        np.maximum(out[:, j], values, out=out[:, j])
+    return out
+
+
+def argmax_over_actions(models, features: np.ndarray) -> np.ndarray:
+    """(m, n) matrix whose row j is the greedy action index of ``models[j]`` at each feature row.
+
+    Equals ``np.argmax(models[j].predict_all_matrix(features), axis=1)`` for
+    finite values (lowest index on exact ties), with one kernel matrix per
+    shared action input.
+    """
+    best = np.full((len(models), np.shape(features)[0]), -np.inf)
+    out = np.zeros(best.shape, dtype=int)
+    for k, j, values in _action_values(models, features):
+        better = values > best[j]
+        best[j, better] = values[better]
+        out[j, better] = k
     return out
 
 

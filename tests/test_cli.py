@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import nearq.cli
-import nearq.evalkit
 import nearq.nearequiv
+import nearq.regression
 from nearq.cli import main
 from nearq.core import StageRecord, load_csv, validate
 from nearq.envs import UNIFORM_RANDOM, CancerParams, ItrConfig, simulate_cancer_cohort, simulate_itr
 from nearq.evalkit import band_stats, blip_surface
 from nearq.oracle import dp_oracle
+from nearq.qlearn import stack_from_dict
 from nearq.regression import load_model
 
 
@@ -303,7 +304,18 @@ def test_cancer_run_fits_once_and_reuses_the_classical_rollout(tmp_path, monkeyp
     counts = {}
     _counting(monkeypatch, nearq.nearequiv, "fit_final_stage", counts)
     _counting(monkeypatch, nearq.nearequiv, "fit_chains", counts)
-    _counting(monkeypatch, nearq.evalkit, "simulate_cancer_cohort", counts)
+    _counting(monkeypatch, nearq.regression, "_rbf", counts)
+    evaluate = nearq.cli.evaluate_policies
+
+    def counted_evaluate(*args):
+        # kernel matrices built while the CLI's evaluate_policies call runs
+        before = counts.get("_rbf", 0)
+        results = evaluate(*args)
+        counts["evaluate_policies"] = counts.get("evaluate_policies", 0) + 1
+        counts["eval_kernels"] = counts.get("eval_kernels", 0) + counts.get("_rbf", 0) - before
+        return results
+
+    monkeypatch.setattr(nearq.cli, "evaluate_policies", counted_evaluate)
     out = tmp_path / "cancer"
     epsilons = ("0.1", "0.5", "0.9")
     args = ["cancer", "--seed", "11", "--n-train", "60", "--n-test", "20", "--out", str(out)]
@@ -314,8 +326,13 @@ def test_cancer_run_fits_once_and_reuses_the_classical_rollout(tmp_path, monkeyp
     assert max(ms) > 1
     assert counts["fit_final_stage"] == 1
     assert counts["fit_chains"] == 1
-    n_doses = len(CancerParams().dose_grid)
-    assert counts["simulate_cancer_cohort"] == n_doses + 1 + sum(m - 1 for m in ms)
+    assert counts["evaluate_policies"] == 1
+    # one kernel matrix per (stage, action) with a kernel component, shared by
+    # all 1 + sum(m - 1) learned policies
+    stack = stack_from_dict(json.loads((out / "qstack.json").read_text()))
+    kernel_actions = sum(comp[0] == "kernel" for model in stack.models for comp in model.components)
+    assert 0 < kernel_actions <= len(stack.models) * len(CancerParams().dose_grid)
+    assert counts["eval_kernels"] == kernel_actions
     for eps in epsilons:
         with (out / f"curves_eps{eps}.csv").open() as fh:
             rows = [line.split(",", 1) for line in fh.read().splitlines()[1:]]

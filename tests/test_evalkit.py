@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import nearq.envs
 from nearq.core import StageRecord
-from nearq.envs import CancerParams, ItrConfig, simulate_cancer_cohort, simulate_itr
+from nearq.envs import CancerParams, ItrConfig, simulate_cancer_cohort, simulate_cancer_cohorts, simulate_itr
 from nearq.evalkit import (
     EvalResult,
+    _greedy_kernel_share,
     band_stats,
     blip_surface,
     constant_dose_baselines,
     epsilon_band_curve,
     estimated_blips,
+    evaluate_policies,
     evaluate_policy,
 )
+from nearq.nearequiv import EpsilonConfig, fit_tolerances, policy_set
 from nearq.qlearn import backward_fit, greedy_policy
 from nearq.regression import DesignSpec, InteractionLinearQ
 
@@ -178,3 +182,63 @@ def test_rollouts_build_no_stage_records(monkeypatch):
     assert len(constant_dose_baselines(PARAMS, 50, seed=13)) == len(PARAMS.dose_grid)
     with pytest.raises(AssertionError, match="stage record"):
         simulate_cancer_cohort(PARAMS, 0.4, 5, seed=13).dataset.patients
+
+
+# --- lockstep evaluation ---------------------------------------------------------
+
+CANCER_SPEC = DesignSpec.per_action_kernel(kernel_bandwidth=2.0, ridge=0.1)
+
+
+def _fitted_family(n_train, seed):
+    """opt plus every rank at tolerances 0.1 and 0.9, all from one fit, as ``nearq cancer`` builds them."""
+    train = simulate_cancer_cohort(PARAMS, "uniform-random", n_train, seed, label="train").dataset
+    stack, ne_stacks = fit_tolerances(train, CANCER_SPEC, (EpsilonConfig(0.1), EpsilonConfig(0.9)))
+    policies, labels = [greedy_policy(stack)], ["opt"]
+    for eps, ne_stack in zip((0.1, 0.9), ne_stacks):
+        for j, policy in enumerate(policy_set(ne_stack), start=1):
+            policies.append(policy)
+            labels.append(f"eps{eps}-rank{j}")
+    return policies, labels
+
+
+@pytest.mark.parametrize("n_train,n_test", [(60, 40), (300, 400)])
+@pytest.mark.parametrize("seed", [2, 8])
+def test_lockstep_evaluation_equals_one_policy_rollouts(n_train, n_test, seed):
+    policies, labels = _fitted_family(n_train, seed)
+    together = evaluate_policies(PARAMS, policies, n_test, seed + 1, labels)
+    assert [r.label for r in together] == labels
+    assert len({r.mean_combined for r in together}) > 1  # the family's decisions differ somewhere
+    cohorts = simulate_cancer_cohorts(PARAMS, policies, n_test, seed + 1, label="eval",
+                                      share=_greedy_kernel_share(policies))
+    for policy, label, result, cohort in zip(policies, labels, together, cohorts):
+        assert result == evaluate_policy(PARAMS, policy, n_test, seed + 1, label=label)
+        # the policy's own __call__ on its own rows: how every rollout decided before lockstep
+        alone = simulate_cancer_cohort(PARAMS, lambda t, f, p=policy: p(t, f), n_test, seed + 1, label="eval")
+        for name in ("tumor", "toxicity", "alive", "dose_index", "rewards"):
+            assert np.array_equal(getattr(cohort, name), getattr(alone, name)), (label, name)
+
+
+@pytest.mark.parametrize("policies,labels,match", [
+    ([0.2, 0.4], ["a"], "1 labels for 2 policies"),
+    ([0.2, 0.4, 0.6, 0.8], ["a", "b", "a", "b"], "duplicate policy labels: 'a', 'b'"),
+    (["uniform-random", 0.4, "uniform-random"], ["u1", "c", "u2"], "one dose stream"),
+], ids=["label-count", "duplicate-labels", "two-uniform-random"])
+def test_evaluate_policies_rejects_before_any_rollout(monkeypatch, policies, labels, match):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rollout started")
+
+    monkeypatch.setattr(nearq.envs, "stream", refuse)
+    monkeypatch.setattr(nearq.envs, "_step_arrays", refuse)
+    with pytest.raises(ValueError, match=match):
+        evaluate_policies(PARAMS, policies, 30, 1, labels)
+
+
+def test_invalid_actions_name_the_policy_and_stage():
+    def late(t, feats):
+        return np.full(feats.shape[0], 99 if t == 2 else 0)
+
+    with pytest.raises(ValueError, match=r"policy 'late' returned invalid action indices at stage 2"):
+        evaluate_policies(NO_DEATH, [0.5, late], 30, 1, ["const-0.5", "late"])
+    short = lambda t, feats: np.zeros(feats.shape[0] - 1, dtype=int)
+    with pytest.raises(ValueError, match=r"policy 'short' returned invalid action indices at stage 0"):
+        evaluate_policy(PARAMS, short, 30, 1, label="short")

@@ -5,9 +5,13 @@ from nearq.core import ActionSpace
 from nearq.regression import (
     DesignSpec,
     InteractionLinearQ,
+    PerActionKernelQ,
     RankDeficientError,
     fit,
     fit_columns,
+    _kernel_predictions,
+    _rbf,
+    argmax_over_actions,
     load_model,
     max_over_actions,
     model_from_dict,
@@ -256,3 +260,40 @@ def test_max_over_actions_matches_predict_all_max_bitwise(mode):
     assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="feature matrix"):
         max_over_actions(models, probe[:, :1])
+
+
+@pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
+def test_argmax_over_actions_matches_greedy_argmax(mode):
+    x, a, y, space = _three_action_columns()
+    models = fit_columns(DesignSpec(mode, ridge=0.2), x, a, y, space)
+    # separately fitted models: the same inputs in another array, and other inputs
+    models = models + (fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 0], space),
+                       fit(DesignSpec(mode, ridge=0.7), x[::2], a[::2], y[::2, 1], space))
+    probe = np.random.default_rng(9).normal(size=(15, 2))
+    got = argmax_over_actions(models, probe)
+    want = np.stack([np.argmax(model.predict_all_matrix(probe), axis=1) for model in models])
+    assert np.array_equal(got, want)
+    # exact ties go to the lowest index, as in np.argmax
+    tied = PerActionKernelQ(space, 2, 1.0, (("constant", 1.0),) * space.size)
+    assert argmax_over_actions([tied], probe).tolist() == [[0] * 15]
+
+
+@pytest.mark.parametrize("n_rows,n_inputs", [(1, 1), (2, 7), (13, 5), (64, 45), (333, 270),
+                                             (2800, 45), (4097, 129), (10000, 300)])
+def test_kernel_rows_do_not_depend_on_the_batch(n_rows, n_inputs):
+    # lockstep evaluation predicts over the states of many policies at once;
+    # each policy's rows must equal a call on its own rows bit for bit (a BLAS
+    # gemm or gemv does not promise this), whatever row block they fall in
+    rng = np.random.default_rng(n_rows * 7919 + n_inputs)
+    x = rng.uniform(0.0, 4.0, size=(n_rows, 2))
+    inputs = rng.uniform(0.0, 4.0, size=(n_inputs, 2))
+    comps = [("kernel", inputs, rng.normal(size=n_inputs), mean) for mean in (0.5, -3.0)]
+    kernel = _rbf(x, inputs, 2.0)
+    values = _kernel_predictions(x, inputs, 2.0, comps)
+    subsets = [np.arange(n_rows)[::-1], np.arange(0, n_rows, 3), np.array([n_rows - 1]),
+               np.sort(rng.choice(n_rows, size=max(1, n_rows // 2), replace=False))]
+    for rows in subsets:
+        assert np.array_equal(kernel[rows], _rbf(x[rows], inputs, 2.0))
+        assert np.array_equal(values[:, rows], _kernel_predictions(x[rows], inputs, 2.0, comps))
+    # a block of the batch is the matching rows of the whole kernel matrix
+    assert np.array_equal(values[1], np.vecdot(kernel, comps[1][2]) + comps[1][3])
