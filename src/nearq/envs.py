@@ -3,6 +3,9 @@
 Randomness is counter-based (Philox) and keyed by ``(seed, label)`` so every
 draw stream can be reproduced in isolation; rows of the pre-drawn matrices act
 as independent per-patient streams.
+
+The tumor/toxicity rollout steps many policies in lockstep and decides every
+greedy policy, of any regression backend, in one batched argmax per stage.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import ActionSpace, OfflineDataset
+from .qlearn import GreedyPolicy
+from .regression import argmax_over_actions
 
 RNG_FAMILY = "philox4x64"
 _MASK64 = (1 << 64) - 1
@@ -213,7 +218,6 @@ def simulate_cancer_cohorts(
     *,
     label: str = "train",
     names=None,
-    share=None,
 ):
     """Roll out every policy on one cohort in lockstep; returns an iterator over their cohorts.
 
@@ -225,15 +229,16 @@ def simulate_cancer_cohorts(
     states of the live classes its patients are in, in patient order, so a
     policy's cohort is bitwise the one it would get alone.
 
-    ``share(t, states, visits)`` may decide for several policies at once: it
-    gets the (n_classes, 2) class states and, per policy, the row indices of
-    its live patients' classes (``None`` when none is alive), and returns a
-    dict from policy position to action indices; every other policy is called
-    on ``states[rows]``. ``names`` label the policies in error messages. At
-    most one policy may be "uniform-random", since it reads the one dose
-    stream. Every stage runs before this returns; each policy's cohort is
-    built from the class history when the iterator reaches it, so only one is
-    held at a time.
+    The :class:`~nearq.qlearn.GreedyPolicy` policies decide together: one
+    :func:`~nearq.regression.argmax_over_actions` call per stage over the class
+    states any of them visits, so models from one fit build one kernel matrix
+    per action, and each policy reads its own rows (kernel predictions are row
+    independent by construction; tests pin the interaction-linear ones). Every
+    other policy is called on its own class states. ``names`` label the
+    policies in error messages. At most one policy may be "uniform-random",
+    since it reads the one dose stream. Every stage runs before this returns;
+    each policy's cohort is built from the class history when the iterator
+    reaches it, so only one is held at a time.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -243,6 +248,11 @@ def simulate_cancer_cohorts(
     if sum(uniform) > 1:
         raise ValueError(f"at most one {UNIFORM_RANDOM!r} policy per rollout: they would share one dose stream")
     n_stages = params.n_stages
+    greedy = [j for j, p in enumerate(policies) if isinstance(p, GreedyPolicy)]
+    for j in greedy:
+        if policies[j].horizon < n_stages - 1:
+            raise ValueError(f"policy {names[j]!r} has no model for stage {policies[j].horizon + 1}"
+                             f" of a {n_stages}-stage rollout")
     space = params.action_space
     n_actions = space.size
 
@@ -259,19 +269,29 @@ def simulate_cancer_cohorts(
     for t in range(n_stages):
         live = alive[t][cls]
         visits = [row[ok] if ok.any() else None for row, ok in zip(cls, live)]
-        shared = share(t, states[t], visits) if share is not None else {}
+        deciding, decided = [j for j in greedy if visits[j] is not None], {}
+        if deciding:
+            seen = np.zeros(len(states[t]), dtype=bool)
+            for j in deciding:
+                seen[visits[j]] = True
+            union = np.flatnonzero(seen)
+            position = np.empty(len(states[t]), dtype=np.intp)
+            position[union] = np.arange(union.size)
+            actions = argmax_over_actions([policies[j].models[t] for j in deciding], states[t][union])
+            decided = {j: actions[c, position[visits[j]]] for c, j in enumerate(deciding)}
+            del seen, union, position, actions
         # the key's action n_actions marks a dead class, carried forward unchanged
         key_type = np.int32 if len(states[t]) * (n_actions + 1) < 2**31 else np.int64
         keys = np.full(cls.shape, n_actions, dtype=key_type)
         for j, rows in enumerate(visits):
             if rows is None:
                 continue
-            idx = shared[j] if j in shared else np.asarray(deciders[j](t, states[t][rows]), dtype=int)
+            idx = decided[j] if j in decided else np.asarray(deciders[j](t, states[t][rows]), dtype=int)
             if idx.shape != rows.shape or idx.min() < 0 or idx.max() >= n_actions:
                 raise ValueError(f"policy {names[j]!r} returned invalid action indices at stage {t}")
             keys[j, live[j]] = idx
         keys += cls.astype(key_type) * (n_actions + 1)
-        del live, visits, shared
+        del live, visits, decided
         uniq, inverse = np.unique(keys, return_inverse=True)
         del keys
         cls = inverse.reshape(cls.shape).astype(np.int32)

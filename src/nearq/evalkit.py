@@ -8,10 +8,9 @@ make the same decisions produce the same trajectories.
 Identical decisions also share computation. :func:`evaluate_policies` rolls
 out a run's policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
 each state that several policies reach along the same patient and dose history
-is stepped once, and the greedy kernel policies decide at stage t from one
-kernel matrix per action over the states any of them visits. A row of that
-matrix, and of its product with the weights, does not depend on the other rows,
-so every policy's result equals its one-policy rollout bit for bit.
+is stepped once, and the rollout decides the greedy policies at each stage in
+one batch, with one kernel matrix per action for models from one fit. Every
+policy's result equals its one-policy rollout bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ import numpy as np
 
 from .core import OfflineDataset
 from .envs import CancerCohort, CancerParams, simulate_cancer_cohorts
-from .qlearn import GreedyPolicy
-from .regression import FittedQ, InteractionLinearQ, PerActionKernelQ, argmax_over_actions
+from .regression import FittedQ, InteractionLinearQ
 
 
 @dataclass(frozen=True)
@@ -97,41 +95,9 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     repeated = sorted({label for i, label in enumerate(labels) if label in labels[:i]})
     if repeated:
         raise ValueError(f"duplicate policy labels: {', '.join(map(repr, repeated))}")
-    cohorts = simulate_cancer_cohorts(
-        params, policies, n_test, seed, label="eval", names=labels, share=_greedy_kernel_share(policies)
-    )
+    cohorts = simulate_cancer_cohorts(params, policies, n_test, seed, label="eval", names=labels)
     # each cohort is built, aggregated and dropped before the next one is built
     return [_aggregate(label, next(cohorts)) for label in labels]
-
-
-def _greedy_kernel_share(policies):
-    """Rollout hook: the greedy policies whose stage-t model is a kernel model decide together.
-
-    Their distinct stage-t models are evaluated by one :func:`argmax_over_actions`
-    call over the class states any of them visits, so models from one fit
-    build one kernel matrix per action; each policy reads its own rows.
-    """
-    def share(t, states, visits):
-        members = [
-            j for j, (policy, rows) in enumerate(zip(policies, visits))
-            if rows is not None and isinstance(policy, GreedyPolicy) and t <= policy.horizon
-            and isinstance(policy.models[t], PerActionKernelQ)
-        ]
-        if not members:
-            return {}
-        chosen = [policies[j].models[t] for j in members]
-        models = list({id(model): model for model in chosen}.values())
-        column = {id(model): c for c, model in enumerate(models)}
-        seen = np.zeros(states.shape[0], dtype=bool)
-        for j in members:
-            seen[visits[j]] = True
-        rows = np.flatnonzero(seen)
-        position = np.empty(states.shape[0], dtype=np.intp)
-        position[rows] = np.arange(rows.size)
-        actions = argmax_over_actions(models, states[rows])
-        return {j: actions[column[id(model)], position[visits[j]]] for j, model in zip(members, chosen)}
-
-    return share
 
 
 def constant_dose_baselines(params: CancerParams, n_test: int, seed: int) -> list[EvalResult]:

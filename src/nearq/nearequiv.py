@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import OfflineDataset
 from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage
-from .regression import DesignSpec, FittedQ, max_over_actions
+from .regression import DesignSpec, FittedQ
 
 RELATIVE = "relative"
 ABSOLUTE = "absolute"
@@ -122,9 +122,13 @@ def select_and_pad(
     patient's best value. Patients without a final-stage record contribute a
     single zero, so they never widen m.
     """
-    n = dataset.n_patients
     idx_final, feats_final, _, _ = dataset.stage_rows(dataset.horizon)
-    order, values, counts = _ranked(final_model.predict_all_matrix(feats_final), cfg)
+    return _select(dataset.n_patients, idx_final, final_model.predict_all_matrix(feats_final), cfg)
+
+
+def _select(n: int, idx_final: np.ndarray, q_final: np.ndarray, cfg: EpsilonConfig) -> SelectionResult:
+    """:func:`select_and_pad` on the final-stage value matrix of the patients ``idx_final``."""
+    order, values, counts = _ranked(q_final, cfg)
     m = int(counts.max(initial=1))
 
     rows = [((NO_ACTION, 0.0),)] * n
@@ -153,15 +157,15 @@ class NearEquivQStack:
 
     final_model: FittedQ
     column_models: tuple[tuple[FittedQ, ...], ...]  # m chains, each of length T
-    m: int
     admissible_sets: AdmissibleSet
     padding_log: np.ndarray
     horizon: int
     action_spaces: tuple
 
-    def __post_init__(self):
-        if len(self.column_models) != self.m:
-            raise ValueError("need one model chain per admissible rank")
+    @property
+    def m(self) -> int:
+        """Number of admissible ranks: one model chain each."""
+        return len(self.column_models)
 
 
 def fit_tolerances(
@@ -169,9 +173,9 @@ def fit_tolerances(
 ) -> tuple[QStack, tuple[NearEquivQStack, ...]]:
     """Classical Q-learning and one near-equivalent fit per tolerance, fitted once.
 
-    The final stage is fitted once. One backward loop fits the columns
-    ``[classical maxima | each tolerance's padded ranks 2..m]``, so every
-    tolerance's rank-1 chain is the classical stack's models (the same
+    The final stage is fitted and predicted once. One backward loop fits the
+    columns ``[classical maxima | each tolerance's padded ranks 2..m]``, so
+    every tolerance's rank-1 chain is the classical stack's models (the same
     objects), and column j of every chain is bitwise equal to fitting it alone.
     """
     t_final = dataset.horizon
@@ -179,13 +183,13 @@ def fit_tolerances(
         final_model = fit_final_stage(dataset, spec)
     except Exception as err:
         raise StageFitError(t_final) from err
-    selections = [select_and_pad(final_model, dataset, cfg) for cfg in cfgs]
+    idx_final, feats_final, _, _ = dataset.stage_rows(t_final)
+    q_final = final_model.predict_all_matrix(feats_final)
+    selections = [_select(dataset.n_patients, idx_final, q_final, cfg) for cfg in cfgs]
     stages = ()
     if t_final:
-        idx_final, feats_final, _, _ = dataset.stage_rows(t_final)
         future = np.hstack(
-            [max_over_actions([final_model], feats_final)]
-            + [sel.padded[idx_final, 1:] for sel in selections]
+            [q_final.max(axis=1, keepdims=True)] + [sel.padded[idx_final, 1:] for sel in selections]
         )
         stages = fit_chains(dataset, spec, future)
     classical = QStack(
@@ -197,8 +201,7 @@ def fit_tolerances(
         first += sel.m - 1
         chains = tuple(tuple(stage[j] for stage in stages) for j in columns)
         stacks.append(NearEquivQStack(
-            final_model, chains, sel.m, sel.admissible, sel.padding_counts, t_final,
-            dataset.action_spaces,
+            final_model, chains, sel.admissible, sel.padding_counts, t_final, dataset.action_spaces
         ))
     return classical, tuple(stacks)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DatasetError, OfflineDataset
-from .regression import DesignSpec, FittedQ, fit, fit_columns, max_over_actions
+from .regression import DesignSpec, FittedQ, argmax_over_actions, fit, fit_columns, max_over_actions
 
 
 class StageFitError(RuntimeError):
@@ -65,16 +65,14 @@ class GreedyPolicy:
         return len(self.models) - 1
 
     def decide(self, t: int, features: np.ndarray) -> int:
-        """Greedy action index at stage t; lowest index wins exact ties."""
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"stage {t} outside 0..{self.horizon}")
-        return int(np.argmax(self.models[t].predict_all(features)))
+        """Greedy action index at stage t for one feature vector."""
+        return int(self(t, np.asarray(features, dtype=float)[None, :])[0])
 
     def __call__(self, t: int, features: np.ndarray) -> np.ndarray:
-        """Greedy action indices at stage t for each row of ``features``."""
+        """Greedy action indices at stage t for each row of ``features``; lowest index wins exact ties."""
         if not 0 <= t <= self.horizon:
             raise ValueError(f"stage {t} outside 0..{self.horizon}")
-        return np.argmax(self.models[t].predict_all_matrix(features), axis=1)
+        return argmax_over_actions([self.models[t]], features)[0]
 
 
 def fit_final_stage(dataset: OfflineDataset, spec: DesignSpec) -> FittedQ:

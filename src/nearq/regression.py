@@ -172,13 +172,6 @@ class FittedQ:
             raise ValueError("predict expects a single feature vector")
         return float(self.predict_matrix(features[None, :], action_index)[0])
 
-    def predict_all(self, features: np.ndarray) -> np.ndarray:
-        """Value vector over the whole action space at one feature vector."""
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 1:
-            raise ValueError("predict_all expects a single feature vector")
-        return self.predict_all_matrix(features[None, :])[0]
-
     def predict_all_matrix(self, features: np.ndarray) -> np.ndarray:
         """(n, K) value matrix over the whole action space."""
         cols = [self.predict_matrix(features, k) for k in range(self.action_space.size)]
@@ -422,15 +415,17 @@ def argmax_over_actions(models, features: np.ndarray) -> np.ndarray:
 
     Equals ``np.argmax(models[j].predict_all_matrix(features), axis=1)`` for
     finite values (lowest index on exact ties), with one kernel matrix per
-    shared action input.
+    shared action input. A model listed more than once is evaluated once.
     """
-    best = np.full((len(models), np.shape(features)[0]), -np.inf)
+    distinct = list({id(model): model for model in models}.values())
+    column = {id(model): c for c, model in enumerate(distinct)}
+    best = np.full((len(distinct), np.shape(features)[0]), -np.inf)
     out = np.zeros(best.shape, dtype=int)
-    for k, j, values in _action_values(models, features):
+    for k, j, values in _action_values(distinct, features):
         better = values > best[j]
         best[j, better] = values[better]
         out[j, better] = k
-    return out
+    return out[[column[id(model)] for model in models]]
 
 
 # --- model serialization ------------------------------------------------------

@@ -8,7 +8,6 @@ from nearq.core import StageRecord
 from nearq.envs import CancerParams, ItrConfig, simulate_cancer_cohort, simulate_cancer_cohorts, simulate_itr
 from nearq.evalkit import (
     EvalResult,
-    _greedy_kernel_share,
     band_stats,
     blip_surface,
     constant_dose_baselines,
@@ -18,7 +17,7 @@ from nearq.evalkit import (
     evaluate_policy,
 )
 from nearq.nearequiv import EpsilonConfig, fit_tolerances, policy_set
-from nearq.qlearn import backward_fit, greedy_policy
+from nearq.qlearn import GreedyPolicy, backward_fit, greedy_policy
 from nearq.regression import DesignSpec, InteractionLinearQ
 
 from conftest import two_actions
@@ -187,12 +186,13 @@ def test_rollouts_build_no_stage_records(monkeypatch):
 # --- lockstep evaluation ---------------------------------------------------------
 
 CANCER_SPEC = DesignSpec.per_action_kernel(kernel_bandwidth=2.0, ridge=0.1)
+LINEAR_SPEC = DesignSpec.interaction_linear(ridge=0.1)
 
 
-def _fitted_family(n_train, seed):
+def _fitted_family(n_train, seed, spec):
     """opt plus every rank at tolerances 0.1 and 0.9, all from one fit, as ``nearq cancer`` builds them."""
     train = simulate_cancer_cohort(PARAMS, "uniform-random", n_train, seed, label="train").dataset
-    stack, ne_stacks = fit_tolerances(train, CANCER_SPEC, (EpsilonConfig(0.1), EpsilonConfig(0.9)))
+    stack, ne_stacks = fit_tolerances(train, spec, (EpsilonConfig(0.1), EpsilonConfig(0.9)))
     policies, labels = [greedy_policy(stack)], ["opt"]
     for eps, ne_stack in zip((0.1, 0.9), ne_stacks):
         for j, policy in enumerate(policy_set(ne_stack), start=1):
@@ -204,18 +204,21 @@ def _fitted_family(n_train, seed):
 @pytest.mark.parametrize("n_train,n_test", [(60, 40), (300, 400)])
 @pytest.mark.parametrize("seed", [2, 8])
 def test_lockstep_evaluation_equals_one_policy_rollouts(n_train, n_test, seed):
-    policies, labels = _fitted_family(n_train, seed)
-    together = evaluate_policies(PARAMS, policies, n_test, seed + 1, labels)
-    assert [r.label for r in together] == labels
-    assert len({r.mean_combined for r in together}) > 1  # the family's decisions differ somewhere
-    cohorts = simulate_cancer_cohorts(PARAMS, policies, n_test, seed + 1, label="eval",
-                                      share=_greedy_kernel_share(policies))
-    for policy, label, result, cohort in zip(policies, labels, together, cohorts):
-        assert result == evaluate_policy(PARAMS, policy, n_test, seed + 1, label=label)
-        # the policy's own __call__ on its own rows: how every rollout decided before lockstep
-        alone = simulate_cancer_cohort(PARAMS, lambda t, f, p=policy: p(t, f), n_test, seed + 1, label="eval")
-        for name in ("tumor", "toxicity", "alive", "dose_index", "rewards"):
-            assert np.array_equal(getattr(cohort, name), getattr(alone, name)), (label, name)
+    for spec in (CANCER_SPEC, LINEAR_SPEC):
+        policies, labels = _fitted_family(n_train, seed, spec)
+        together = evaluate_policies(PARAMS, policies, n_test, seed + 1, labels)
+        assert [r.label for r in together] == labels
+        assert len({r.mean_combined for r in together}) > 1  # the family's decisions differ somewhere
+        cohorts = simulate_cancer_cohorts(PARAMS, policies, n_test, seed + 1, label="eval")
+        for policy, label, result, cohort in zip(policies, labels, together, cohorts):
+            assert result == evaluate_policy(PARAMS, policy, n_test, seed + 1, label=label)
+            # the policy's models on its own rows alone, without the batched argmax the rollout uses
+            alone = simulate_cancer_cohort(
+                PARAMS, lambda t, f, p=policy: np.argmax(p.models[t].predict_all_matrix(f), axis=1),
+                n_test, seed + 1, label="eval",
+            )
+            for name in ("tumor", "toxicity", "alive", "dose_index", "rewards"):
+                assert np.array_equal(getattr(cohort, name), getattr(alone, name)), (spec.mode, label, name)
 
 
 @pytest.mark.parametrize("policies,labels,match", [
@@ -242,3 +245,15 @@ def test_invalid_actions_name_the_policy_and_stage():
     short = lambda t, feats: np.zeros(feats.shape[0] - 1, dtype=int)
     with pytest.raises(ValueError, match=r"policy 'short' returned invalid action indices at stage 0"):
         evaluate_policy(PARAMS, short, 30, 1, label="short")
+
+
+def test_greedy_policy_without_a_stage_model_is_named_before_any_kernel_work(monkeypatch):
+    policies, labels = _fitted_family(60, 2, CANCER_SPEC)
+    truncated = GreedyPolicy(policies[1].models[:3])  # stages 0..2 of a 6-stage rollout
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a greedy decision started")
+
+    monkeypatch.setattr(nearq.envs, "argmax_over_actions", refuse)
+    with pytest.raises(ValueError, match=r"policy 'eps0.1-short' has no model for stage 3"):
+        evaluate_policies(PARAMS, [policies[0], truncated], 30, 1, ["opt", "eps0.1-short"])

@@ -18,7 +18,7 @@ from nearq.nearequiv import (
     select_and_pad,
 )
 from nearq.qlearn import backward_fit, greedy_policy, stage_targets
-from nearq.regression import DesignSpec, fit, max_over_actions
+from nearq.regression import DesignSpec, FittedQ, fit, max_over_actions
 
 from conftest import TableQ, classical_targets, make_dataset, two_actions
 
@@ -306,7 +306,7 @@ def test_monotone_m_in_epsilon():
 
 def test_admissible_actions_of_one_model_prediction():
     model = TableQ(two_actions(), 1, {(0.0,): [1.0, 0.95]})
-    got = admissible_actions(model.predict_all(np.array([0.0])), EpsilonConfig(0.1, ABSOLUTE))
+    got = admissible_actions(model.predict_all_matrix(np.array([[0.0]]))[0], EpsilonConfig(0.1, ABSOLUTE))
     assert got == ((0, 1.0), (1, 0.95))
 
 
@@ -324,7 +324,7 @@ def test_single_stage_adaptation_degenerates_to_admissible_sets():
     for i, patient in enumerate(ds.patients):
         h = history_features(patient, 0)
         row = stack.admissible_sets.rows[i]
-        single = admissible_actions(stack.final_model.predict_all(h), cfg)
+        single = admissible_actions(stack.final_model.predict_all_matrix(h[None, :])[0], cfg)
         # batched and single-row prediction may differ in the last bit
         assert [a for a, _ in row] == [a for a, _ in single]
         assert np.allclose([v for _, v in row], [v for _, v in single], rtol=1e-12)
@@ -405,6 +405,26 @@ def test_tolerances_share_the_classical_models():
         assert stack.final_model is classical.models[ds.horizon]
         for t in range(ds.horizon):
             assert stack.column_models[0][t] is classical.models[t]
+
+
+def test_fit_tolerances_predicts_the_final_stage_once(monkeypatch):
+    ds = _cancer_dataset(150, seed=12)
+    cfgs = tuple(EpsilonConfig(e) for e in (0.1, 0.3, 0.5, 0.9))
+    calls = []
+    predict_all_matrix = FittedQ.predict_all_matrix
+
+    def counted(self, features):
+        calls.append(self)
+        return predict_all_matrix(self, features)
+
+    monkeypatch.setattr(FittedQ, "predict_all_matrix", counted)
+    classical, stacks = fit_tolerances(ds, KERNEL, cfgs)
+    assert calls == [classical.models[ds.horizon]]
+    # every tolerance ranked that one matrix as select_and_pad ranks its own
+    for cfg, stack in zip(cfgs, stacks):
+        sel = select_and_pad(stack.final_model, ds, cfg)
+        assert (sel.m, sel.admissible) == (stack.m, stack.admissible_sets)
+        assert np.array_equal(sel.padding_counts, stack.padding_log)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.9])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nearq.regression
 from nearq.core import ActionSpace
 from nearq.regression import (
     DesignSpec,
@@ -89,7 +90,7 @@ def test_predict_all_matches_predict():
     a = rng.integers(0, 11, size=40)
     y = rng.normal(size=40)
     model = fit(DesignSpec.per_action_kernel(), x, a, y, space)
-    q = model.predict_all(x[0])
+    q = model.predict_all_matrix(x[:1])[0]
     assert q.shape == (11,)
     for k in range(11):
         assert q[k] == model.predict(x[0], k)
@@ -276,6 +277,42 @@ def test_argmax_over_actions_matches_greedy_argmax(mode):
     # exact ties go to the lowest index, as in np.argmax
     tied = PerActionKernelQ(space, 2, 1.0, (("constant", 1.0),) * space.size)
     assert argmax_over_actions([tied], probe).tolist() == [[0] * 15]
+
+
+@pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
+def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
+    x, a, y, space = _three_action_columns()
+    model = fit(DesignSpec(mode, ridge=0.2), x, a, y[:, 0], space)
+    other = fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 1], space)
+    probe = np.random.default_rng(9).normal(size=(15, 2))
+    want = np.stack([argmax_over_actions([m], probe)[0] for m in (model, model, other)])
+    counts = {"_rbf": 0, "components": 0, "linear": 0}
+    rbf, kernel_predictions = nearq.regression._rbf, nearq.regression._kernel_predictions
+    linear = InteractionLinearQ.predict_matrix
+
+    def counted_rbf(*args):
+        counts["_rbf"] += 1
+        return rbf(*args)
+
+    def counted_kernel_predictions(x, inputs, bandwidth, comps):
+        counts["components"] += len(comps)
+        return kernel_predictions(x, inputs, bandwidth, comps)
+
+    def counted_linear(self, *args):
+        counts["linear"] += 1
+        return linear(self, *args)
+
+    monkeypatch.setattr(nearq.regression, "_rbf", counted_rbf)
+    monkeypatch.setattr(nearq.regression, "_kernel_predictions", counted_kernel_predictions)
+    monkeypatch.setattr(InteractionLinearQ, "predict_matrix", counted_linear)
+    got = argmax_over_actions([model, model, other], probe)
+    assert np.array_equal(got, want)
+    # rows 0 and 1 come from one computation: work is that of the two distinct models
+    if mode == "per-action-kernel":
+        kernel_actions = sum(comp[0] == "kernel" for m in (model, other) for comp in m.components)
+        assert counts["_rbf"] == counts["components"] == kernel_actions
+    else:
+        assert counts["linear"] == 2 * space.size
 
 
 @pytest.mark.parametrize("n_rows,n_inputs", [(1, 1), (2, 7), (13, 5), (64, 45), (333, 270),
