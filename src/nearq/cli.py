@@ -2,21 +2,26 @@
 
 Three commands:
 
-* ``itr``: single-stage experiment (train/test cohorts, fitted model, blip
-  surface, band statistics per epsilon).
+* ``itr``: single-stage experiment (train/test cohorts, fitted
+  interaction-linear model, blip surface, and per epsilon the statistics of
+  the band |blip| <= epsilon, the absolute criterion).
 * ``cancer``: multi-stage experiment (training cohort, classical stack,
-  near-equivalent audit tables, evaluation curves, tolerance bands, timings).
+  near-equivalent audit tables, evaluation curves, tolerance bands, timings)
+  under the relative or absolute worst-value tolerance.
 * ``oracle``: tabular consistency check of the backward fit against the
-  counting reference.
+  counting reference. It takes no options.
+
+``OPTIONS``, the one table of options, drives the parser, the ``--config`` keys
+and their checks, and ``run.meta``: an option a command does not read exits 2.
 
 ``itr`` and ``cancer`` write into a fresh sibling of ``--out``
 (``<out>.partial-<pid>``), which replaces ``--out`` whole once every artifact
 is written and checked. A failed run therefore leaves ``--out`` as it was, and
 a successful one leaves no file of an earlier run. ``run.meta`` marks a nearq
 output directory: a run refuses, before any work, an ``--out`` that is a file
-or a non-empty directory without ``run.meta``. ``run.meta`` records everything
-needed to repeat the run; timings live only there so repeated runs give
-bitwise-identical CSVs.
+or a non-empty directory without ``run.meta``. ``run.meta`` holds ``key=<JSON>``
+lines: every option the run read, as ``--config`` takes it, so they repeat the
+run; timings live only there so repeated runs give bitwise-identical CSVs.
 """
 
 from __future__ import annotations
@@ -28,8 +33,10 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .core import _is_int, _is_number, _list_of, save_csv, validate
@@ -63,70 +70,58 @@ from .nearequiv import (
 )
 from .oracle import build_fixture_dataset, dp_oracle, max_discrepancy
 from .qlearn import backward_fit, greedy_policy, stack_to_dict
-from .regression import DesignSpec, save_model
+from .regression import MODE_KERNEL, MODE_LINEAR, DesignSpec, save_model
 
 DEFAULT_EPSILONS = (0.1, 0.3, 0.5, 0.9)
 
 
 @dataclass
 class RunConfig:
+    """One ``itr`` or ``cancer`` run: a field per ``--config`` key. A field that is not an
+    option of the command keeps its default, the constant that command uses."""
+
     experiment: str
-    seed: int = 7
-    n_train: int = 500
-    n_test: int = 1000
-    epsilons: tuple[float, ...] = DEFAULT_EPSILONS
-    mode: str = RELATIVE
-    regression_mode: str = "per-action-kernel"
-    ridge: float | None = None
+    seed: int
+    n_train: int
+    n_test: int
+    epsilons: tuple[float, ...]
+    ridge: float
+    out: Path
+    mode: str = ABSOLUTE
+    regression_mode: str = MODE_LINEAR
     kernel_bandwidth: float | None = None
-    grid_resolution: int = 61
-    out: Path = field(default_factory=lambda: Path("out"))
-    dry_run: bool = False
+    grid_resolution: int | None = None
 
     def validate(self) -> None:
-        if self.experiment not in ("itr", "cancer", "oracle"):
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be >= 1")
-        for i, eps in enumerate(self.epsilons):
-            if not 0.0 <= eps < 1.0:
-                raise ValueError(f"epsilon must be in [0, 1), got {eps}")
-            if eps in self.epsilons[:i]:
-                raise ValueError(f"epsilon {eps} given twice")
-        if self.mode not in (RELATIVE, ABSOLUTE):
-            raise ValueError(f"mode must be {RELATIVE!r} or {ABSOLUTE!r}")
-        if self.regression_mode not in ("interaction-linear", "per-action-kernel"):
-            raise ValueError(f"unknown regression mode {self.regression_mode!r}")
-        if self.regression_mode == "interaction-linear" and self.kernel_bandwidth is not None:
-            raise ValueError("'kernel_bandwidth' applies only to the per-action-kernel backend")
-        if self.experiment == "itr" and self.regression_mode != "interaction-linear":
-            raise ValueError("the itr experiment requires the interaction-linear backend")
-        if self.grid_resolution < 2:
-            raise ValueError("grid resolution must be >= 2")
+        """Raise ValueError on a tolerance, a backend setting or an ``--out`` the run cannot use."""
+        try:
+            self.tolerances()
+        except ValueError as err:
+            raise ValueError(f"epsilons: {err}") from None
         self.design_spec()
-        if self.experiment != "oracle":
-            # resolved, so that `--out .` has a name and a parent to stage beside
-            out = self.out = self.out.resolve()
-            if out.exists() and not (out / "run.meta").is_file() and (not out.is_dir() or any(out.iterdir())):
-                raise ValueError(f"--out {out} is a file or a non-empty directory without run.meta; "
-                                 "a run replaces only an earlier run's output")
+        # resolved, so that `--out .` has a name and a parent to stage beside
+        out = self.out = self.out.resolve()
+        if out.exists() and not (out / "run.meta").is_file() and (not out.is_dir() or any(out.iterdir())):
+            raise ValueError(f"--out {out} is a file or a non-empty directory without run.meta; "
+                             "a run replaces only an earlier run's output")
+
+    def tolerances(self) -> tuple[EpsilonConfig, ...]:
+        return tuple(EpsilonConfig(eps, self.mode) for eps in self.epsilons)
 
     def design_spec(self) -> DesignSpec:
-        if self.regression_mode == "interaction-linear":
-            return DesignSpec.interaction_linear(ridge=self.ridge if self.ridge is not None else 0.0)
-        return DesignSpec.per_action_kernel(
-            kernel_bandwidth=self.kernel_bandwidth,
-            ridge=self.ridge if self.ridge is not None else 1.0,
-        )
+        return DesignSpec(self.regression_mode, self.kernel_bandwidth, self.ridge)
 
 
 def _meta_lines(cfg: RunConfig, fit_seconds: float) -> str:
-    pairs = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("out", "dry_run")}
-    pairs["epsilons"] = ",".join(repr(e) for e in cfg.epsilons)
+    """``key=<JSON>`` lines: every option the run read (a bandwidth only if it has one), then the records."""
+    pairs = {"experiment": cfg.experiment}
+    for option in _options(cfg.experiment):
+        if option.in_file and getattr(cfg, option.dest) is not None:
+            pairs[option.dest] = getattr(cfg, option.dest)
     pairs["version"] = __version__
     pairs["rng"] = f"{RNG_FAMILY} keyed by (seed, blake2s64(label))"
     pairs["timing_fit_seconds"] = fit_seconds
-    return "\n".join(f"{k}={v}" for k, v in pairs.items()) + "\n"
+    return "".join(f"{k}={json.dumps(v, default=str)}\n" for k, v in pairs.items())
 
 
 def cmd_itr(cfg: RunConfig) -> int:
@@ -160,9 +155,7 @@ def cmd_cancer(cfg: RunConfig) -> int:
         save_trajectories_csv(cohort, stage / "trajectories.csv")
 
         t0 = time.perf_counter()
-        stack, ne_stacks = fit_tolerances(
-            train, spec, tuple(EpsilonConfig(eps, cfg.mode) for eps in cfg.epsilons)
-        )
+        stack, ne_stacks = fit_tolerances(train, spec, cfg.tolerances())
         fit_seconds = time.perf_counter() - t0
         (stage / "qstack.json").write_text(json.dumps(stack_to_dict(stack)))
 
@@ -233,7 +226,7 @@ def _staged(out: Path):
         print(f"wrote {path}")
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle() -> int:
     dataset = build_fixture_dataset()
     stack = backward_fit(dataset, DesignSpec.interaction_linear())
     worst = max_discrepancy(stack, dp_oracle(dataset))
@@ -245,114 +238,121 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """The values an option takes: the check and conversion of a ``--config`` value, and argparse's keywords."""
+
+    expected: str
+    fits: Callable[[object], bool]
+    convert: Callable
+    parse: dict
+
+
+def _distinct_numbers(value) -> bool:
+    return _list_of(_is_number)(value) and len(value) > 0 and len(set(value)) == len(value)
+
+
+_INT = _Kind("an integer", _is_int, int, {"type": int})
+_NUMBER = _Kind("a number", _is_number, float, {"type": float})
+_NUMBERS = _Kind("a nonempty list of distinct numbers", _distinct_numbers, lambda v: tuple(map(float, v)),
+                 {"type": float, "action": "append"})
+_PATH = _Kind("a string", lambda v: isinstance(v, (str, Path)), Path, {"type": Path})
+_SWITCH = _Kind("a boolean", lambda v: isinstance(v, bool), bool, {"action": "store_true"})
+
+
+def _count(low: int) -> _Kind:
+    return _Kind(f"an integer >= {low}", lambda v: _is_int(v) and v >= low, int, {"type": int})
+
+
+def _one_of(*values: str) -> _Kind:
+    return _Kind(f"one of {', '.join(map(repr, values))}", values.__contains__, str, {"choices": values})
+
+
+@dataclass(frozen=True)
+class Option:
+    """One flag: its ``RunConfig`` field, its kind, and the commands that read it with their defaults."""
+
+    flag: str
+    dest: str
+    kind: _Kind
+    defaults: dict[str, object]
+    in_file: bool = True  # also a --config key
+
+
+OPTIONS = (
+    Option("--seed", "seed", _INT, {"itr": 7, "cancer": 7}),
+    Option("--n-train", "n_train", _count(1), {"itr": 1000, "cancer": 500}),
+    Option("--n-test", "n_test", _count(1), {"itr": 2000, "cancer": 1000}),
+    Option("--epsilon", "epsilons", _NUMBERS, {"itr": DEFAULT_EPSILONS, "cancer": DEFAULT_EPSILONS}),
+    Option("--mode", "mode", _one_of(RELATIVE, ABSOLUTE), {"cancer": RELATIVE}),
+    Option("--regression", "regression_mode", _one_of(MODE_LINEAR, MODE_KERNEL), {"cancer": MODE_KERNEL}),
+    Option("--ridge", "ridge", _NUMBER, {"itr": 0.0, "cancer": 0.1}),
+    # calibrated so the learned policy reliably dominates the constant regimes
+    # at cancer's training size; a default of the kernel backend only
+    Option("--kernel-bandwidth", "kernel_bandwidth", _NUMBER, {"cancer": 2.0}),
+    Option("--grid-resolution", "grid_resolution", _count(2), {"itr": 61}),
+    Option("--out", "out", _PATH, {"itr": Path("out"), "cancer": Path("out")}),
+    Option("--config", "config", _PATH, {"itr": None, "cancer": None}, in_file=False),
+    Option("--dry-run", "dry_run", _SWITCH, {"itr": False, "cancer": False}, in_file=False),
+)
+
+
+def _options(command: str) -> list[Option]:
+    return [option for option in OPTIONS if command in option.defaults]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearq", description="offline Q-learning experiment harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("itr", "cancer", "oracle"):
-        p = sub.add_parser(name)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--n-train", type=int, dest="n_train")
-        p.add_argument("--n-test", type=int, dest="n_test")
-        p.add_argument("--epsilon", type=float, action="append", dest="epsilons")
-        p.add_argument("--mode", choices=(RELATIVE, ABSOLUTE))
-        p.add_argument("--regression", choices=("interaction-linear", "per-action-kernel"),
-                       dest="regression_mode")
-        p.add_argument("--ridge", type=float)
-        p.add_argument("--kernel-bandwidth", type=float, dest="kernel_bandwidth")
-        p.add_argument("--grid-resolution", type=int, dest="grid_resolution")
-        p.add_argument("--out", type=Path)
-        p.add_argument("--config", type=Path)
-        p.add_argument("--dry-run", action="store_true", dest="dry_run")
+    for command in ("itr", "cancer", "oracle"):
+        p = sub.add_parser(command)
+        for option in _options(command):
+            p.add_argument(option.flag, dest=option.dest, **option.kind.parse)
     return parser
 
 
-_EXPERIMENT_DEFAULTS = {
-    "itr": dict(n_train=1000, n_test=2000, mode=ABSOLUTE, regression_mode="interaction-linear"),
-    "cancer": dict(
-        n_train=500,
-        n_test=1000,
-        mode=RELATIVE,
-        regression_mode="per-action-kernel",
-        # calibrated so the learned policy reliably dominates the constant
-        # regimes at this training size
-        kernel_bandwidth=2.0,
-        ridge=0.1,
-    ),
-    "oracle": dict(),
-}
-
-_CONFIG_KEYS = (
-    "seed", "n_train", "n_test", "epsilons", "mode", "regression_mode",
-    "ridge", "kernel_bandwidth", "grid_resolution", "out",
-)
-
-
-_INT_KEYS = ("seed", "n_train", "n_test", "grid_resolution")
-_FLOAT_KEYS = ("ridge", "kernel_bandwidth")
-
-
-def _config_value(key: str, value):
-    """A config-file value as its ``RunConfig`` field; ValueError naming the key on a wrong JSON type."""
-    if key in _INT_KEYS:
-        if _is_int(value):
-            return value
-        expected = "an integer"
-    elif key in _FLOAT_KEYS:
-        if _is_number(value):
-            return float(value)
-        expected = "a number"
-    elif key == "epsilons":
-        if _list_of(_is_number)(value):
-            return tuple(float(v) for v in value)
-        expected = "a list of numbers"
-    elif key == "out":
-        if isinstance(value, str):
-            return Path(value)
-        expected = "a string"
-    else:
-        return value
-    raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = {}
-    if args.config:
-        payload = json.loads(args.config.read_text())
-        if not isinstance(payload, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, value in payload.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            given[key] = _config_value(key, value)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            given[key] = tuple(value) if key == "epsilons" else value
-    settings = {**_EXPERIMENT_DEFAULTS[args.command], **given}
-    if settings.get("regression_mode") == "interaction-linear" and "kernel_bandwidth" not in given:
-        settings.pop("kernel_bandwidth", None)  # a default of the kernel backend only
-    return RunConfig(args.command, dry_run=args.dry_run, **settings)
+    """An ``itr`` or ``cancer`` run's settings: its defaults, then the ``--config`` file, then the flags.
+
+    Raises ValueError naming the key on an unknown key or a value of the wrong kind.
+    """
+    options = {o.dest: o for o in _options(args.command) if o.in_file}
+    given = json.loads(args.config.read_text()) if args.config else {}
+    if not isinstance(given, dict):
+        raise ValueError("config file must hold a JSON object")
+    for key in given.keys() - options.keys():
+        raise ValueError(f"unknown config key {key!r}")
+    flags = {dest: getattr(args, dest) for dest in options if getattr(args, dest) is not None}
+    for key, value in [*given.items(), *flags.items()]:
+        kind = options[key].kind
+        if not kind.fits(value):
+            raise ValueError(f"{key!r} must be {kind.expected}, got {json.dumps(value, default=str)}")
+    given |= flags
+    settings = {dest: option.defaults[args.command] for dest, option in options.items()}
+    settings |= {key: options[key].kind.convert(value) for key, value in given.items()}
+    if settings.get("regression_mode") == MODE_LINEAR and "kernel_bandwidth" not in given:
+        settings["kernel_bandwidth"] = None  # the default bandwidth is the kernel backend's
+    return RunConfig(args.command, **settings)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = cmd_oracle  # which reads no options
+    if args.command != "oracle":
+        try:
+            cfg = config_from_args(args)
+            cfg.validate()
+        except (ValueError, OSError) as err:
+            print(f"invalid configuration: {err}", file=sys.stderr)
+            return 2
+        if args.dry_run:
+            print(f"{args.command} config ok (dry run, nothing executed)")
+            return 0
+        command = partial(cmd_itr if args.command == "itr" else cmd_cancer, cfg)
     try:
-        cfg = config_from_args(args)
-        cfg.validate()
-    except (ValueError, OSError) as err:
-        print(f"invalid configuration: {err}", file=sys.stderr)
-        return 2
-    if cfg.dry_run:
-        print(f"{args.command} config ok (dry run, nothing executed)")
-        return 0
-    try:
-        if args.command == "itr":
-            return cmd_itr(cfg)
-        if args.command == "cancer":
-            return cmd_cancer(cfg)
-        return cmd_oracle(cfg)
+        return command()
     except Exception as err:
         print(f"run failed: {err}", file=sys.stderr)
         for cause in _causes(err):

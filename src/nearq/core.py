@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -45,6 +46,8 @@ class ActionSpace:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("action space must be nonempty")
+        if not np.isfinite(values).all():
+            raise ValueError(f"action labels must be finite, got {values}")
         if len(set(values)) != len(values):
             raise ValueError("action labels must be distinct")
         object.__setattr__(self, "values", values)
@@ -282,7 +285,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int that converts to one (JSON integers have no size limit)."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 def _list_of(fits):
@@ -398,7 +402,10 @@ def load_csv(path: str | Path) -> OfflineDataset:
             raise SchemaError(
                 f"sidecar feature_dims {feature_dims} disagree with {d} cov_* columns"
             )
-        action_spaces = tuple(ActionSpace(tuple(v)) for v in meta["action_values"])
+        try:
+            action_spaces = tuple(ActionSpace(tuple(v)) for v in meta["action_values"])
+        except ValueError as err:
+            raise SchemaError(f"sidecar {sidecar_path}: key 'action_values': {err}") from err
     else:
         horizon = int(stage.max())
         feature_dims = (d,) * (horizon + 1)

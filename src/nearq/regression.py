@@ -76,6 +76,8 @@ class DesignSpec:
             raise ValueError(f"unknown regression mode {self.mode!r}")
         if self.kernel_bandwidth is not None and not 0 < self.kernel_bandwidth < math.inf:
             raise ValueError(f"kernel_bandwidth must be finite and positive, got {self.kernel_bandwidth}")
+        if self.kernel_bandwidth is not None and self.mode == MODE_LINEAR:
+            raise ValueError(f"kernel_bandwidth applies only to the {MODE_KERNEL} backend")
         if not 0 <= self.ridge < math.inf:
             raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
 

@@ -1,9 +1,16 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nearq.cli
 import nearq.nearequiv
@@ -38,7 +45,7 @@ def test_itr_run_produces_schema_valid_artifacts(tmp_path):
         line.split("=", 1) for line in (out / "run.meta").read_text().splitlines()
     )
     assert meta["seed"] == "3"
-    assert meta["experiment"] == "itr"
+    assert meta["experiment"] == '"itr"'
     assert "timing_fit_seconds" in meta
     blip = (out / "blip_surface.csv").read_text().splitlines()
     assert blip[0] == "x0,x1,blip"
@@ -162,14 +169,18 @@ def test_infinite_kernel_bandwidth_rejected_before_any_work(tmp_path, capsys):
     {"n_train": 2.7},
     {"grid_resolution": "9"},
     {"ridge": False},
+    {"ridge": 10**400},
     {"kernel_bandwidth": "2"},
+    {"mode": 1},
+    {"regression_mode": "ridge"},
     {"out": 5},
-], ids=lambda payload: ",".join(f"{k}={json.dumps(v)}" for k, v in payload.items()))
+], ids=lambda payload: ",".join(f"{k}={json.dumps(v)}"[:40] for k, v in payload.items()))
 def test_config_values_of_the_wrong_type_rejected(tmp_path, capsys, payload):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))
     out = tmp_path / "never"
-    assert _run("cancer", "--config", str(cfg), "--out", str(out)) == 2
+    command = "itr" if "grid_resolution" in payload else "cancer"
+    assert _run(command, "--config", str(cfg), "--out", str(out)) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     (key,) = payload
@@ -342,14 +353,25 @@ def test_cancer_run_fits_once_and_reuses_the_classical_rollout(tmp_path, monkeyp
         assert curve[f"eps{eps}-rank1"] == curve["opt"]
 
 
-def test_cancer_without_epsilons_writes_the_same_classical_stack(tmp_path):
+def test_cancer_classical_stack_does_not_depend_on_the_tolerances(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 9, "n_train": 50, "n_test": 10, "epsilons": []}))
-    bare, with_eps = tmp_path / "bare", tmp_path / "eps"
-    assert _run("cancer", "--config", str(cfg), "--out", str(bare)) == 0
-    assert _run("cancer", "--config", str(cfg), "--epsilon", "0.3", "--out", str(with_eps)) == 0
-    assert not list(bare.glob("*eps*"))
-    assert (bare / "qstack.json").read_bytes() == (with_eps / "qstack.json").read_bytes()
+    cfg.write_text(json.dumps({"seed": 9, "n_train": 50, "n_test": 10, "epsilons": [0.1]}))
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert _run("cancer", "--config", str(cfg), "--out", str(one)) == 0
+    assert _run("cancer", "--config", str(cfg), "--epsilon", "0.3", "--epsilon", "0.9", "--out", str(two)) == 0
+    assert sorted(path.name for path in two.glob("curves_*")) == ["curves_eps0.3.csv", "curves_eps0.9.csv"]
+    assert (one / "qstack.json").read_bytes() == (two / "qstack.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["itr", "cancer"])
+def test_empty_epsilon_list_rejected_before_any_work(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilons": []}))
+    out = tmp_path / "never"
+    assert _run(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "epsilons" in err
 
 
 ITR_SMALL = ("itr", "--n-train", "40", "--n-test", "20", "--grid-resolution", "3")
@@ -469,19 +491,28 @@ def test_runs_neither_reparse_nor_use_temporary_directories(tmp_path, monkeypatc
     assert _run(*CANCER_SMALL, "--epsilon", "0.3", "--out", str(tmp_path / "cancer")) == 0
 
 
+def _exit_code(*args):
+    """``main``'s return value, or the status of the SystemExit argparse raises on a bad command line."""
+    try:
+        return _run(*args)
+    except SystemExit as err:
+        return err.code
+
+
+# itr has no backend options, so argparse refuses them; cancer's linear backend has no bandwidth
 @pytest.mark.parametrize("argv, named", [
-    (("itr", "--kernel-bandwidth", "7"), "'kernel_bandwidth'"),
-    (("cancer", "--regression", "interaction-linear", "--config", "{cfg}"), "'kernel_bandwidth'"),
-    (("itr", "--regression", "per-action-kernel"), "interaction-linear backend"),
+    (("itr", "--kernel-bandwidth", "7"), "unrecognized arguments: --kernel-bandwidth"),
+    (("cancer", "--regression", "interaction-linear", "--config", "{cfg}"),
+     "invalid configuration: kernel_bandwidth applies only"),
+    (("itr", "--regression", "per-action-kernel"), "unrecognized arguments: --regression"),
 ], ids=["itr-bandwidth-flag", "cancer-linear-bandwidth-config", "itr-kernel-backend"])
 def test_backend_options_must_match_the_backend(tmp_path, capsys, argv, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kernel_bandwidth": 2.0}))
     out = tmp_path / "never"
-    assert _run(*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)) == 2
+    assert _exit_code(*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)) == 2
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert "invalid configuration" in err and named in err
+    assert named in capsys.readouterr().err
 
 
 def test_cancer_linear_backend_records_no_bandwidth(tmp_path):
@@ -489,7 +520,8 @@ def test_cancer_linear_backend_records_no_bandwidth(tmp_path):
     assert _run(*CANCER_SMALL, "--regression", "interaction-linear", "--epsilon", "0.1",
                 "--out", str(out)) == 0
     meta = dict(line.split("=", 1) for line in (out / "run.meta").read_text().splitlines())
-    assert meta["kernel_bandwidth"] == "None"
+    assert "kernel_bandwidth" not in meta
+    assert meta["regression_mode"] == '"interaction-linear"'
 
 
 @pytest.mark.parametrize("how", ["flags", "config"])
@@ -505,3 +537,121 @@ def test_duplicate_epsilon_rejected(tmp_path, capsys, how):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "0.5" in err
+
+
+ITR_KEYS = {"seed", "n_train", "n_test", "epsilons", "ridge", "grid_resolution", "out"}
+CANCER_KEYS = {"seed", "n_train", "n_test", "epsilons", "mode", "regression_mode", "ridge",
+               "kernel_bandwidth", "out"}
+COMMAND_KEYS = {"itr": ITR_KEYS, "cancer": CANCER_KEYS, "oracle": set()}
+# a value of the right type for each key, in range for the command that reads it
+VALID = {"seed": 1, "n_train": 5, "n_test": 5, "epsilons": [0.2], "mode": "absolute",
+         "regression_mode": "per-action-kernel", "ridge": 0.5, "kernel_bandwidth": 1.5,
+         "grid_resolution": 3, "out": "elsewhere"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("itr", {"--seed", "--n-train", "--n-test", "--epsilon", "--ridge", "--grid-resolution",
+             "--out", "--config", "--dry-run"}),
+    ("cancer", {"--seed", "--n-train", "--n-test", "--epsilon", "--mode", "--regression", "--ridge",
+                "--kernel-bandwidth", "--out", "--config", "--dry-run"}),
+    ("oracle", set()),
+])
+def test_each_command_takes_exactly_the_options_it_reads(tmp_path, capsys, command, flags):
+    assert _exit_code(command, "--help") == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"} == flags
+    if command == "oracle":
+        return
+    for key, value in VALID.items():
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = _run(command, "--config", str(cfg), "--dry-run", "--out", str(tmp_path / "never"))
+        err = capsys.readouterr().err
+        if key in COMMAND_KEYS[command]:
+            assert code == 0, err
+        else:
+            assert code == 2 and f"unknown config key {key!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--seed", "1"),
+    ("itr", "--mode", "relative"),
+    ("itr", "--regression", "interaction-linear"),
+    ("cancer", "--grid-resolution", "5"),
+    ("itr", "--config", '{"mode": "absolute"}'),
+    ("cancer", "--config", '{"grid_resolution": 61}'),
+], ids=["oracle-seed", "itr-mode", "itr-regression", "cancer-grid-resolution",
+        "itr-config-mode", "cancer-config-grid-resolution"])
+def test_an_option_the_command_does_not_read_is_refused_before_any_work(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    if argv[1] == "--config":
+        cfg.write_text(argv[2])
+        argv = (argv[0], "--config", str(cfg))
+    out = tmp_path / "never"
+    assert _exit_code(*argv, *(("--out", str(out)) if argv[0] != "oracle" else ())) == 2
+    assert list(tmp_path.iterdir()) == ([cfg] if cfg.exists() else [])
+    assert capsys.readouterr().out == ""
+
+
+def _meta(out):
+    return {key: json.loads(value)
+            for key, value in (line.split("=", 1) for line in (out / "run.meta").read_text().splitlines())}
+
+
+META_RECORDS = ("experiment", "version", "rng", "timing_fit_seconds")
+
+
+@pytest.mark.parametrize("argv", [
+    (*ITR_SMALL, "--seed", "6", "--epsilon", "0.2", "--epsilon", "0.7", "--ridge", "0.5"),
+    (*CANCER_SMALL, "--seed", "6", "--epsilon", "0.2", "--mode", "absolute", "--kernel-bandwidth", "1.5"),
+], ids=["itr", "cancer"])
+def test_run_meta_repeats_the_run(tmp_path, argv):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert _run(*argv, "--out", str(first)) == 0
+    meta = _meta(first)
+    assert list(meta)[0] == "experiment" and meta["experiment"] == argv[0]
+    options = {key: value for key, value in meta.items() if key not in META_RECORDS}
+    assert set(options) == COMMAND_KEYS[argv[0]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(options))
+    assert _run(argv[0], "--config", str(cfg), "--out", str(second)) == 0
+    first_files, second_files = _snapshot(first), _snapshot(second)
+    del first_files["run.meta"], second_files["run.meta"]
+    assert second_files == first_files
+    rerun = _meta(second)
+    for volatile in ("out", "timing_fit_seconds"):
+        del meta[volatile], rerun[volatile]
+    assert rerun == meta
+
+
+CONFIG_KEYS = sorted(ITR_KEYS | CANCER_KEYS) + ["volume", "config", "dry_run", "Seed"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+# values near the valid ones, so that draws also reach the range and domain checks
+NEAR_VALID = st.sampled_from([
+    0, 1, 2, 3, -1, 0.5, 1.5, 0.0, [], [0.1], [0.1, 0.1], [0.3, 1.0], [-0.2], "relative", "absolute",
+    "interaction-linear", "per-action-kernel", "out", "",
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["itr", "cancer"]),
+       payload=st.dictionaries(st.sampled_from(CONFIG_KEYS), NEAR_VALID | JSON_VALUES, max_size=4))
+@example(command="cancer", payload={"ridge": 10**400})
+@example(command="itr", payload={"epsilons": [-(10**400)]})
+@example(command="cancer", payload={"regression_mode": "interaction-linear", "kernel_bandwidth": 1})
+def test_config_file_property(command, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--dry-run", "--out", str(out)])
+        assert not out.exists()
+    if code == 0:
+        assert set(payload) <= COMMAND_KEYS[command]
+    else:
+        assert code == 2
+        assert any(re.search(rf"\b{re.escape(key)}\b", err.getvalue()) for key in payload), err.getvalue()

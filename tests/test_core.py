@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -214,7 +215,7 @@ CSV_FLOATS = st.one_of(
 def cohorts(draw):
     horizon = draw(st.integers(0, 2))
     d = draw(st.integers(1, 3))
-    labels = draw(st.lists(CSV_FLOATS, min_size=2, max_size=4, unique=True))
+    labels = draw(st.lists(CSV_FLOATS.filter(math.isfinite), min_size=2, max_size=4, unique=True))
     stage = st.tuples(
         st.lists(CSV_FLOATS, min_size=d, max_size=d),
         st.integers(0, len(labels) - 1),
@@ -339,5 +340,24 @@ def test_csv_sidecar_value_of_the_wrong_type_is_schema_error(tmp_path, key, valu
     meta[key] = value
     (tmp_path / "bad.csv.meta.json").write_text(json.dumps(meta))
     with pytest.raises(SchemaError, match=f"key '{key}' must be") as err:
+        load_csv(path)
+    assert "bad.csv.meta.json" in str(err.value)
+
+
+@pytest.mark.parametrize("labels, problem", [
+    ("[[NaN, 1.0]]", "finite"),
+    ("[[-1.0, Infinity]]", "finite"),
+    ("[[-Infinity, 1.0]]", "finite"),
+    ("[[1.0, 1.0]]", "distinct"),
+    ("[[]]", "nonempty"),
+], ids=["nan", "infinity", "minus-infinity", "duplicate", "empty"])
+def test_csv_sidecar_bad_action_labels_are_schema_error(tmp_path, labels, problem):
+    # Python's json reads NaN and Infinity, so the labels pass the type check
+    path = tmp_path / "bad.csv"
+    path.write_text("patient_id,stage,cov_0,action_index,reward\n0,0,1.0,0,2.0\n")
+    (tmp_path / "bad.csv.meta.json").write_text(
+        f'{{"format_version": 1, "horizon": 0, "feature_dims": [1], "action_values": {labels}}}'
+    )
+    with pytest.raises(SchemaError, match=f"key 'action_values': .*{problem}") as err:
         load_csv(path)
     assert "bad.csv.meta.json" in str(err.value)

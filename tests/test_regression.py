@@ -169,6 +169,8 @@ def test_design_spec_guards():
         DesignSpec("per-action-kernel", kernel_bandwidth=0.0)
     with pytest.raises(ValueError):
         DesignSpec("interaction-linear", ridge=-1.0)
+    with pytest.raises(ValueError, match="kernel_bandwidth applies only"):
+        DesignSpec("interaction-linear", kernel_bandwidth=2.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="ridge"):
             DesignSpec("per-action-kernel", ridge=bad)
