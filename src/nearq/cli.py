@@ -41,6 +41,7 @@ from typing import Callable
 from . import __version__
 from .core import _is_int, _is_number, _list_of, save_csv, validate
 from .envs import (
+    ITR_COVARIATES,
     RNG_FAMILY,
     UNIFORM_RANDOM,
     CancerParams,
@@ -99,6 +100,10 @@ class RunConfig:
         except ValueError as err:
             raise ValueError(f"epsilons: {err}") from None
         self.design_spec()
+        width = 2 * ITR_COVARIATES + 2  # [1, x, a, a*x]
+        if self.experiment == "itr" and self.ridge == 0 and self.n_train < width:
+            raise ValueError(f"n_train (--n-train) must be at least {width} at ridge 0: "
+                             f"the interaction-linear design has {width} columns")
         # resolved, so that `--out .` has a name and a parent to stage beside
         out = self.out = self.out.resolve()
         if out.exists() and not (out / "run.meta").is_file() and (not out.is_dir() or any(out.iterdir())):
@@ -252,11 +257,14 @@ def _distinct_numbers(value) -> bool:
     return _list_of(_is_number)(value) and len(value) > 0 and len(set(value)) == len(value)
 
 
-_INT = _Kind("an integer", _is_int, int, {"type": int})
 _NUMBER = _Kind("a number", _is_number, float, {"type": float})
 _NUMBERS = _Kind("a nonempty list of distinct numbers", _distinct_numbers, lambda v: tuple(map(float, v)),
                  {"type": float, "action": "append"})
-_PATH = _Kind("a string", lambda v: isinstance(v, (str, Path)), Path, {"type": Path})
+_PATH = _Kind("a string without NUL characters", lambda v: isinstance(v, (str, Path)) and "\0" not in str(v), Path,
+              {"type": Path})
+# the test cohort is keyed by seed + 1, and a stream key holds 64 bits
+_SEED = _Kind("an integer in [0, 2**64 - 2]", lambda v: _is_int(v) and 0 <= v < (1 << 64) - 1, int,
+              {"type": int})
 _SWITCH = _Kind("a boolean", lambda v: isinstance(v, bool), bool, {"action": "store_true"})
 
 
@@ -280,7 +288,7 @@ class Option:
 
 
 OPTIONS = (
-    Option("--seed", "seed", _INT, {"itr": 7, "cancer": 7}),
+    Option("--seed", "seed", _SEED, {"itr": 7, "cancer": 7}),
     Option("--n-train", "n_train", _count(1), {"itr": 1000, "cancer": 500}),
     Option("--n-test", "n_test", _count(1), {"itr": 2000, "cancer": 1000}),
     Option("--epsilon", "epsilons", _NUMBERS, {"itr": DEFAULT_EPSILONS, "cancer": DEFAULT_EPSILONS}),
@@ -319,7 +327,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     Raises ValueError naming the key on an unknown key or a value of the wrong kind.
     """
     options = {o.dest: o for o in _options(args.command) if o.in_file}
-    given = json.loads(args.config.read_text()) if args.config else {}
+    try:
+        given = json.loads(args.config.read_text()) if args.config else {}
+    except (OSError, ValueError) as err:
+        raise ValueError(f"--config {str(args.config)!r}: {err}") from None
     if not isinstance(given, dict):
         raise ValueError("config file must hold a JSON object")
     for key in given.keys() - options.keys():

@@ -22,13 +22,14 @@ from .qlearn import GreedyPolicy
 from .regression import argmax_over_actions
 
 RNG_FAMILY = "philox4x64"
-_MASK64 = (1 << 64) - 1
 
 
 def stream(seed: int, label: str) -> np.random.Generator:
-    """Independent generator keyed by the run seed and a purpose label."""
+    """Independent generator keyed by the run seed, in [0, 2**64), and a purpose label."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
     tag = int.from_bytes(hashlib.blake2s(label.encode("utf-8"), digest_size=8).digest(), "little")
-    key = np.array([seed & _MASK64, tag], dtype=np.uint64)
+    key = np.array([seed, tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -17,11 +17,11 @@ identical parameters. Rank deficiency surfaces as a factorization failure and
 is reported as :class:`RankDeficientError`.
 
 :func:`fit_columns` fits target columns that share rows, features and actions:
-each normal-equation matrix is factorized once and solved per column
-(Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share each
-action's inputs, so :func:`max_over_actions` and :func:`argmax_over_actions`
-build each kernel matrix once per action.
-Solves and matrix-vector products stay per column, so column j is bitwise
+each normal-equation matrix is factorized once and all its columns are solved
+together (Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share
+each action's inputs, so :func:`max_over_actions` and :func:`argmax_over_actions`
+build each kernel matrix once per action. Every entry of a solve is one dot
+product of a contiguous row with one column's values, so column j is bitwise
 equal to a single-column fit on it.
 
 Kernel predictions are row independent by construction: squared distances
@@ -42,7 +42,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .core import ActionSpace
 
@@ -90,19 +89,21 @@ class DesignSpec:
         return DesignSpec(MODE_KERNEL, kernel_bandwidth=kernel_bandwidth, ridge=ridge)
 
 
-def _factor_spd(gram: np.ndarray, context: str):
+def _factor_spd(gram: np.ndarray, context: str) -> np.ndarray:
     try:
-        return scipy.linalg.cho_factor(gram, lower=True)
-    except scipy.linalg.LinAlgError as err:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as err:
         raise RankDeficientError(
             f"rank-deficient design in {context}; refit with ridge > 0"
         ) from err
 
 
-def _solve(factor, rhs: np.ndarray) -> np.ndarray:
-    # fit_columns checked features and targets finite, and cho_factor the gram
-    # matrix, so the per-column solve skips scipy's repeated finiteness scan
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+def _solve_columns(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row j solves ``low @ low.T @ w = rhs[j]`` through the factor's inverse. Each entry is one
+    dot product of two contiguous rows (``np.vecdot``), so row j depends on ``rhs[j]`` alone."""
+    inv = np.linalg.inv(low)
+    z = np.vecdot(np.ascontiguousarray(rhs)[:, None, :], inv)
+    return np.vecdot(z[:, None, :], np.ascontiguousarray(inv.T))
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -321,13 +322,13 @@ def fit_columns(
     if not np.isfinite(y).all():
         raise ValueError("targets contain non-finite values")
 
-    columns = [np.ascontiguousarray(y[:, j]) for j in range(y.shape[1])]
+    cols = np.ascontiguousarray(y.T)  # row j is target column j
     if spec.mode == MODE_LINEAR:
-        return _fit_interaction_linear(spec, x, a, columns, action_space)
-    return _fit_per_action_kernel(spec, x, a, columns, action_space)
+        return _fit_interaction_linear(spec, x, a, cols, action_space)
+    return _fit_per_action_kernel(spec, x, a, cols, action_space)
 
 
-def _fit_interaction_linear(spec, x, a, columns, action_space) -> tuple[InteractionLinearQ, ...]:
+def _fit_interaction_linear(spec, x, a, cols, action_space) -> tuple[InteractionLinearQ, ...]:
     labels = np.asarray(action_space.values)[a]
     design = np.hstack(
         [np.ones((x.shape[0], 1)), x, labels[:, None], x * labels[:, None]]
@@ -335,24 +336,22 @@ def _fit_interaction_linear(spec, x, a, columns, action_space) -> tuple[Interact
     gram = design.T @ design
     if spec.ridge > 0:
         gram = gram + spec.ridge * np.eye(gram.shape[0])
-    factor = _factor_spd(gram, "interaction-linear fit")
-    return tuple(
-        InteractionLinearQ(action_space, _solve(factor, design.T @ y), x.shape[1])
-        for y in columns
-    )
+    low = _factor_spd(gram, "interaction-linear fit")
+    rhs = np.vecdot(cols[:, None, :], np.ascontiguousarray(design.T))
+    return tuple(InteractionLinearQ(action_space, coef, x.shape[1]) for coef in _solve_columns(low, rhs))
 
 
-def _fit_per_action_kernel(spec, x, a, columns, action_space) -> tuple[PerActionKernelQ, ...]:
+def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKernelQ, ...]:
     bandwidth = spec.kernel_bandwidth
     if bandwidth is None:
         bandwidth = 1.0 / (x.shape[1] + 1)
-    components = [[] for _ in columns]
+    components = [[] for _ in cols]
     fallback = []
     for k in range(action_space.size):
         mask = a == k
         if not mask.any():
             # no data for this action anywhere: predict the global target mean
-            for comps, y in zip(components, columns):
+            for comps, y in zip(components, cols):
                 comps.append(("constant", float(y.mean())))
             fallback.append(k)
             continue
@@ -360,14 +359,13 @@ def _fit_per_action_kernel(spec, x, a, columns, action_space) -> tuple[PerAction
         gram = _rbf(xa, xa, bandwidth)
         if spec.ridge > 0:
             gram = gram + spec.ridge * np.eye(gram.shape[0])
-        factor = _factor_spd(gram, f"kernel fit for action {k}")
+        low = _factor_spd(gram, f"kernel fit for action {k}")
         xa.setflags(write=False)
-        for comps, y in zip(components, columns):
-            ya = y[mask]
-            mean = float(ya.mean())
-            weights = _solve(factor, ya - mean)
-            weights.setflags(write=False)
-            comps.append(("kernel", xa, weights, mean))
+        means = [float(y[mask].mean()) for y in cols]  # each over one contiguous column
+        weights = _solve_columns(low, cols[:, mask] - np.array(means)[:, None])
+        weights.setflags(write=False)
+        for comps, w, mean in zip(components, weights, means):
+            comps.append(("kernel", xa, w, mean))
     meta = {"mean_fallback_actions": tuple(fallback)} if fallback else {}
     return tuple(
         PerActionKernelQ(action_space, x.shape[1], bandwidth, tuple(comps), meta)

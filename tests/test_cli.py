@@ -544,7 +544,7 @@ CANCER_KEYS = {"seed", "n_train", "n_test", "epsilons", "mode", "regression_mode
                "kernel_bandwidth", "out"}
 COMMAND_KEYS = {"itr": ITR_KEYS, "cancer": CANCER_KEYS, "oracle": set()}
 # a value of the right type for each key, in range for the command that reads it
-VALID = {"seed": 1, "n_train": 5, "n_test": 5, "epsilons": [0.2], "mode": "absolute",
+VALID = {"seed": 1, "n_train": 22, "n_test": 5, "epsilons": [0.2], "mode": "absolute",
          "regression_mode": "per-action-kernel", "ridge": 0.5, "kernel_bandwidth": 1.5,
          "grid_resolution": 3, "out": "elsewhere"}
 
@@ -655,3 +655,55 @@ def test_config_file_property(command, payload):
     else:
         assert code == 2
         assert any(re.search(rf"\b{re.escape(key)}\b", err.getvalue()) for key in payload), err.getvalue()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64])
+def test_seed_outside_the_stream_key_range_refused_before_any_work(tmp_path, capsys, how, seed):
+    # the test cohort is keyed by seed + 1, so the largest seed is 2**64 - 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    given = ("--seed", str(seed)) if how == "flag" else ("--config", str(cfg))
+    out = tmp_path / "never"
+    assert _run(*ITR_SMALL, *given, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "'seed'" in err
+
+
+def test_largest_seed_runs(tmp_path):
+    out = tmp_path / "run"
+    assert _run(*ITR_SMALL, "--seed", str(2**64 - 2), "--epsilon", "0.5", "--out", str(out)) == 0
+    assert _meta(out)["seed"] == 2**64 - 2
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_itr_cohort_narrower_than_the_design_refused_before_any_work(tmp_path, capsys, monkeypatch, how):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cohort was simulated")
+
+    monkeypatch.setattr(nearq.cli, "simulate_itr", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_train": 21}))
+    given = ("--n-train", "21") if how == "flag" else ("--config", str(cfg))
+    out = tmp_path / "never"
+    assert _run("itr", *given, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "n_train" in err and "--n-train" in err and "22" in err
+    # a ridge makes the narrow design solvable, and 22 rows fill it
+    assert _run("itr", *given, "--ridge", "0.1", "--dry-run", "--out", str(out)) == 0
+    assert _run("itr", "--n-train", "22", "--dry-run", "--out", str(out)) == 0
+
+
+def test_nul_in_out_from_config_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": "a\u0000b"}))
+    assert _run("itr", "--config", str(cfg), "--dry-run") == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration: 'out' must be a string without NUL characters" in err
+
+
+def test_nul_in_config_path_names_the_option(capsys):
+    assert _run("itr", "--config", "a\x00b", "--dry-run") == 2
+    assert "invalid configuration: --config 'a\\x00b'" in capsys.readouterr().err

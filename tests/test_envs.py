@@ -254,3 +254,14 @@ def test_policy_callable_contract_checked():
         simulate_cancer_cohort(PARAMS, "telepathy", 10, seed=1)
     with pytest.raises(ValueError):
         simulate_cancer_cohort(PARAMS, 0.25, 10, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 7])
+def test_stream_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="outside"):
+        stream(seed, "itr")
+
+
+def test_stream_keys_every_64_bit_seed_apart():
+    draws = {seed: stream(seed, "itr").uniform() for seed in (0, 1, (1 << 64) - 1)}
+    assert len(set(draws.values())) == 3

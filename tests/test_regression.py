@@ -10,8 +10,10 @@ from nearq.regression import (
     RankDeficientError,
     fit,
     fit_columns,
+    _factor_spd,
     _kernel_predictions,
     _rbf,
+    _solve_columns,
     argmax_over_actions,
     load_model,
     max_over_actions,
@@ -62,6 +64,25 @@ def test_single_row_without_ridge_is_rank_deficient():
     x = np.zeros((1, 10))
     with pytest.raises(RankDeficientError, match="ridge"):
         fit(DesignSpec.interaction_linear(), x, np.array([1]), np.array([1.0]), two_actions())
+
+
+def test_repeated_kernel_inputs_without_ridge_are_rank_deficient():
+    x = np.array([[0.0], [1.0], [1.0]])  # rows 1 and 2 give equal kernel rows
+    with pytest.raises(RankDeficientError, match="action 1"):
+        fit(DesignSpec.per_action_kernel(ridge=0.0), x, np.array([0, 1, 1]), np.ones(3), two_actions())
+
+
+def test_solve_columns_is_accurate_on_an_ill_conditioned_kernel_gram():
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, size=(200, 2))
+    gram = _rbf(x, x, 0.5) + 1e-10 * np.eye(200)
+    assert np.linalg.cond(gram) > 1e11
+    y = rng.normal(size=(200, 5))
+    w = _solve_columns(_factor_spd(gram, "test"), y.T)
+    assert w.shape == (5, 200)
+    for j in range(5):
+        residual = np.abs(gram @ w[j] - y[:, j]).max()
+        assert residual <= 1e-12 * np.abs(gram).max() * np.abs(w[j]).max(), j
 
 
 def test_kernel_interpolates_at_training_points():
