@@ -1,101 +1,3 @@
 """Offline backward Q-learning with tolerance-based near-equivalent policy sets."""
 
 __version__ = "0.1.0"
-
-from .core import (
-    ActionSpace,
-    DatasetError,
-    OfflineDataset,
-    PatientTrajectory,
-    SchemaError,
-    StageRecord,
-    ValidationReport,
-    history_features,
-    load_csv,
-    save_csv,
-    validate,
-)
-from .envs import (
-    CancerParams,
-    ItrConfig,
-    simulate_cancer_cohort,
-    simulate_itr,
-)
-from .evalkit import (
-    BandStats,
-    EvalResult,
-    band_stats,
-    blip_surface,
-    constant_dose_baselines,
-    epsilon_band_curve,
-    evaluate_policy,
-)
-from .nearequiv import (
-    AdmissibleSet,
-    EpsilonConfig,
-    NearEquivQStack,
-    admissible_actions,
-    backward_fit_near_equiv,
-    policy_set,
-    select_and_pad,
-)
-from .qlearn import (
-    GreedyPolicy,
-    QStack,
-    backward_fit,
-    fit_final_stage,
-    greedy_policy,
-)
-from .regression import (
-    DesignSpec,
-    FittedQ,
-    RankDeficientError,
-    fit,
-    fit_columns,
-    load_model,
-    save_model,
-)
-
-__all__ = [
-    "ActionSpace",
-    "AdmissibleSet",
-    "BandStats",
-    "CancerParams",
-    "DatasetError",
-    "DesignSpec",
-    "EpsilonConfig",
-    "EvalResult",
-    "FittedQ",
-    "GreedyPolicy",
-    "ItrConfig",
-    "NearEquivQStack",
-    "OfflineDataset",
-    "PatientTrajectory",
-    "QStack",
-    "RankDeficientError",
-    "SchemaError",
-    "StageRecord",
-    "ValidationReport",
-    "admissible_actions",
-    "backward_fit",
-    "backward_fit_near_equiv",
-    "band_stats",
-    "blip_surface",
-    "constant_dose_baselines",
-    "epsilon_band_curve",
-    "evaluate_policy",
-    "fit",
-    "fit_columns",
-    "fit_final_stage",
-    "greedy_policy",
-    "history_features",
-    "load_csv",
-    "load_model",
-    "policy_set",
-    "save_csv",
-    "save_model",
-    "select_and_pad",
-    "simulate_cancer_cohort",
-    "simulate_itr",
-    "validate",
-]

@@ -105,8 +105,12 @@ class RunConfig:
             raise ValueError(f"n_train (--n-train) must be at least {width} at ridge 0: "
                              f"the interaction-linear design has {width} columns")
         # resolved, so that `--out .` has a name and a parent to stage beside
-        out = self.out = self.out.resolve()
-        if out.exists() and not (out / "run.meta").is_file() and (not out.is_dir() or any(out.iterdir())):
+        try:
+            out = self.out = self.out.resolve()
+            unsafe = out.exists() and not (out / "run.meta").is_file() and (not out.is_dir() or any(out.iterdir()))
+        except OSError as err:
+            raise ValueError(f"--out: {err}") from None
+        if unsafe:
             raise ValueError(f"--out {out} is a file or a non-empty directory without run.meta; "
                              "a run replaces only an earlier run's output")
 

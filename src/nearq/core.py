@@ -275,9 +275,11 @@ def history_features(trajectory: PatientTrajectory, t: int) -> np.ndarray:
 # One row per patient-stage: patient_id,stage,cov_0..cov_{d-1},action_index,reward
 # A sidecar JSON (<path>.meta.json) carries horizon, feature dims and action
 # labels; without it the horizon is inferred as the maximum stage and actions
-# as integer codes 0..max_index.
+# as integer codes 0..max_index, at most MAX_ACTION_CODES of them.
 
 _SIDECAR_SUFFIX = ".meta.json"
+
+MAX_ACTION_CODES = 1024  # a file that needs more codes declares its action labels in the sidecar
 
 
 def _is_int(value) -> bool:
@@ -294,7 +296,7 @@ def _list_of(fits):
 
 
 _SIDECAR_KEYS = (
-    ("horizon", "an integer", _is_int),
+    ("horizon", "a nonnegative integer", lambda value: _is_int(value) and value >= 0),
     ("feature_dims", "a list of integers", _list_of(_is_int)),
     ("action_values", "a list of lists of numbers", _list_of(_list_of(_is_number))),
 )
@@ -324,6 +326,17 @@ def save_csv(dataset: OfflineDataset, path: str | Path) -> None:
     Path(str(path) + _SIDECAR_SUFFIX).write_text(json.dumps(sidecar, indent=1))
 
 
+def _csv_rows(fh):
+    """The rows of the open CSV ``fh``; bytes that are not UTF-8 and csv errors raise SchemaError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{fh.name} is not UTF-8 text ({err})") from err
+    except csv.Error as err:  # such as a field past the csv module's size limit
+        raise SchemaError(str(err), row=reader.line_num) from err
+
+
 def load_csv(path: str | Path) -> OfflineDataset:
     """Read a cohort CSV (and sidecar metadata when present).
 
@@ -333,12 +346,12 @@ def load_csv(path: str | Path) -> OfflineDataset:
     DatasetError when trajectories disagree with the declared horizon.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise SchemaError("empty file, header row required") from None
+            raise SchemaError("empty file, header row required", row=1) from None
         d = sum(h.startswith("cov_") for h in header)
         if not d:
             raise SchemaError("no cov_* columns present", row=1)
@@ -358,12 +371,14 @@ def load_csv(path: str | Path) -> OfflineDataset:
                 rewards.append(float(row[i_reward]))
             except ValueError as err:
                 raise SchemaError(str(err), row=rownum) from err
-            if stages[-1] < 0:
-                raise SchemaError(f"negative stage {stages[-1]}", row=rownum)
+            if not 0 <= stages[-1] < 2**63:
+                raise SchemaError(f"stage {stages[-1]} outside 0..2**63 - 1", row=rownum)
+            if not -(2**63) <= actions[-1] < 2**63:
+                raise SchemaError(f"action index {actions[-1]} outside the 64-bit integer range", row=rownum)
             ids.append(row[i_pid])
 
     if not ids:
-        raise SchemaError("file contains no data rows")
+        raise SchemaError("file contains no data rows", row=2)
     names = sorted(set(ids))
     if all(name.isdecimal() for name in names):
         names.sort(key=int)
@@ -381,13 +396,13 @@ def load_csv(path: str | Path) -> OfflineDataset:
             raise SchemaError(
                 f"duplicate stage {stage[r]} for patient {names[patient[r]]}", row=int(order[r]) + 2
             )
-        raise DatasetError(f"patient {names[patient[r]]}: stages are not contiguous from 0")
+        raise DatasetError(f"patient {names[patient[r]]}: stages are not contiguous, stage {expected[r]} missing")
 
     sidecar_path = Path(str(path) + _SIDECAR_SUFFIX)
     if sidecar_path.exists():
         try:
-            meta = json.loads(sidecar_path.read_text())
-        except json.JSONDecodeError as err:
+            meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise SchemaError(f"sidecar {sidecar_path}: malformed JSON ({err})") from err
         for key, expected, fits in _SIDECAR_KEYS:
             if not isinstance(meta, dict) or key not in meta:
@@ -397,10 +412,13 @@ def load_csv(path: str | Path) -> OfflineDataset:
                     f"sidecar {sidecar_path}: key {key!r} must be {expected}, got {json.dumps(meta[key])}"
                 )
         horizon = meta["horizon"]
+        for key in ("feature_dims", "action_values"):
+            if len(meta[key]) != horizon + 1:
+                raise SchemaError(f"sidecar {sidecar_path}: key {key!r} needs one entry per stage 0..{horizon}")
         feature_dims = tuple(meta["feature_dims"])
         if any(dim != d for dim in feature_dims):
             raise SchemaError(
-                f"sidecar feature_dims {feature_dims} disagree with {d} cov_* columns"
+                f"sidecar {sidecar_path}: key 'feature_dims' {list(feature_dims)} disagrees with {d} cov_* columns"
             )
         try:
             action_spaces = tuple(ActionSpace(tuple(v)) for v in meta["action_values"])
@@ -409,8 +427,12 @@ def load_csv(path: str | Path) -> OfflineDataset:
     else:
         horizon = int(stage.max())
         feature_dims = (d,) * (horizon + 1)
-        k = 1 + max(actions)
-        action_spaces = (ActionSpace(tuple(float(i) for i in range(k))),) * (horizon + 1)
+        codes = np.array(actions)
+        bad = np.flatnonzero((codes < 0) | (codes >= MAX_ACTION_CODES))
+        if bad.size:
+            raise SchemaError(f"action index {codes[bad[0]]} outside the codes 0..{MAX_ACTION_CODES - 1}"
+                              " of a file without a sidecar", row=int(bad[0]) + 2)
+        action_spaces = (ActionSpace(tuple(float(i) for i in range(1 + codes.max()))),) * (horizon + 1)
 
     late = np.flatnonzero(stage > horizon)
     if late.size:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ActionSpace, OfflineDataset
 from .qlearn import GreedyPolicy
-from .regression import argmax_over_actions
+from .regression import best_over_actions
 
 RNG_FAMILY = "philox4x64"
 
@@ -231,15 +231,16 @@ def simulate_cancer_cohorts(
     policy's cohort is bitwise the one it would get alone.
 
     The :class:`~nearq.qlearn.GreedyPolicy` policies decide together: one
-    :func:`~nearq.regression.argmax_over_actions` call per stage over the class
-    states any of them visits, so models from one fit build one kernel matrix
-    per action, and each policy reads its own rows (kernel predictions are row
-    independent by construction; tests pin the interaction-linear ones). Every
-    other policy is called on its own class states. ``names`` label the
-    policies in error messages. At most one policy may be "uniform-random",
-    since it reads the one dose stream. Every stage runs before this returns;
-    each policy's cohort is built from the class history when the iterator
-    reaches it, so only one is held at a time.
+    :func:`~nearq.regression.best_over_actions` call per stage over every live
+    class's state, so models from one fit build one kernel matrix per action,
+    and each policy reads its own rows (kernel predictions are row independent
+    by construction; tests pin the interaction-linear ones); states that only
+    other policies reach are evaluated too. Every other policy is called on its
+    own class states. ``names`` label the policies in error messages. At most
+    one policy may be "uniform-random", since it reads the one dose stream.
+    Every stage runs before this returns; each policy's cohort is built from
+    the class history when the iterator reaches it, so only one is held at a
+    time.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -272,15 +273,11 @@ def simulate_cancer_cohorts(
         visits = [row[ok] if ok.any() else None for row, ok in zip(cls, live)]
         deciding, decided = [j for j in greedy if visits[j] is not None], {}
         if deciding:
-            seen = np.zeros(len(states[t]), dtype=bool)
-            for j in deciding:
-                seen[visits[j]] = True
-            union = np.flatnonzero(seen)
-            position = np.empty(len(states[t]), dtype=np.intp)
-            position[union] = np.arange(union.size)
-            actions = argmax_over_actions([policies[j].models[t] for j in deciding], states[t][union])
+            _, actions = best_over_actions([policies[j].models[t] for j in deciding],
+                                           states[t][np.flatnonzero(alive[t])])
+            position = np.cumsum(alive[t]) - 1  # a live class's row among the live classes
             decided = {j: actions[c, position[visits[j]]] for c, j in enumerate(deciding)}
-            del seen, union, position, actions
+            del actions, position
         # the key's action n_actions marks a dead class, carried forward unchanged
         key_type = np.int32 if len(states[t]) * (n_actions + 1) < 2**31 else np.int64
         keys = np.full(cls.shape, n_actions, dtype=key_type)

@@ -57,24 +57,15 @@ def _aggregate(label: str, cohort: CancerCohort) -> EvalResult:
     )
 
 
-def _default_label(policy) -> str:
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
-        return f"const-{float(policy):.1f}"
-    if isinstance(policy, str):
-        return policy
-    return "policy"
-
-
 def evaluate_policy(
     params: CancerParams,
     policy,
     n_test: int,
     seed: int,
     *,
-    label: str | None = None,
+    label: str,
 ) -> EvalResult:
     """Simulate a fresh cohort under ``policy`` and aggregate it: the one-policy :func:`evaluate_policies`."""
-    label = label if label is not None else _default_label(policy)
     return evaluate_policies(params, [policy], n_test, seed, [label])[0]
 
 

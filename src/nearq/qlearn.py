@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DatasetError, OfflineDataset
-from .regression import DesignSpec, FittedQ, argmax_over_actions, fit, fit_columns, max_over_actions
+from .regression import DesignSpec, FittedQ, best_over_actions, fit, fit_columns
 
 
 class StageFitError(RuntimeError):
@@ -72,7 +72,7 @@ class GreedyPolicy:
         """Greedy action indices at stage t for each row of ``features``; lowest index wins exact ties."""
         if not 0 <= t <= self.horizon:
             raise ValueError(f"stage {t} outside 0..{self.horizon}")
-        return argmax_over_actions([self.models[t]], features)[0]
+        return best_over_actions([self.models[t]], features)[1][0]
 
 
 def fit_final_stage(dataset: OfflineDataset, spec: DesignSpec) -> FittedQ:
@@ -116,7 +116,7 @@ def fit_chains(
         except Exception as err:
             raise StageFitError(t) from err
         if t:
-            future = max_over_actions(stages[t], feats)
+            future = best_over_actions(stages[t], feats)[0].T
     return tuple(stages)
 
 

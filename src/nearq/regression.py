@@ -19,10 +19,10 @@ is reported as :class:`RankDeficientError`.
 :func:`fit_columns` fits target columns that share rows, features and actions:
 each normal-equation matrix is factorized once and all its columns are solved
 together (Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share
-each action's inputs, so :func:`max_over_actions` and :func:`argmax_over_actions`
-build each kernel matrix once per action. Every entry of a solve is one dot
-product of a contiguous row with one column's values, so column j is bitwise
-equal to a single-column fit on it.
+each action's inputs, so :func:`best_over_actions` builds each kernel matrix
+once per action. Every entry of a solve is one dot product of a contiguous row
+with one column's values, so column j is bitwise equal to a single-column fit
+on it.
 
 Kernel predictions are row independent by construction: squared distances
 are summed elementwise and each prediction is one dot product of its kernel
@@ -373,59 +373,42 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
     )
 
 
-def _action_values(models, features: np.ndarray):
-    """Yield ``(k, j, values)``: ``models[j]``'s predictions for action k, in action order.
+def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, actions), both (m, n): row j is the best predicted value of ``models[j]`` at each
+    feature row and its greedy action index.
 
-    Kernel models that share an action's training inputs and bandwidth (the
-    models of one ``fit_columns`` call) share that action's kernel matrix,
-    built once per action. Each value equals
-    ``models[j].predict_matrix(features, k)`` bit for bit.
+    Equal bit for bit to ``models[j].predict_all_matrix(features).max(axis=1)`` and, for finite
+    values, to its ``np.argmax`` (lowest index on exact ties). A model listed more than once is
+    evaluated once, and kernel models that share an action's training inputs and bandwidth (the
+    models of one ``fit_columns`` call) share that action's kernel matrix, built once per action.
     """
-    for model in models:
+    distinct = list({id(model): model for model in models}.values())
+    for model in distinct:
         model._check_features(features)
     x = np.asarray(features, dtype=float)
-    for k in range(models[0].action_space.size):
-        groups: dict = {}  # (id(inputs), bandwidth) -> positions of the kernel models using them
-        for j, model in enumerate(models):
+    values = np.full((len(distinct), x.shape[0]), -np.inf)
+    actions = np.zeros(values.shape, dtype=int)
+
+    def keep(j, k, predicted):
+        best = values[j]
+        actions[j][predicted > best] = k
+        np.maximum(best, predicted, out=best)
+
+    for k in range(distinct[0].action_space.size):
+        groups: dict = {}  # (id(inputs), bandwidth) -> rows of the kernel models using them
+        for j, model in enumerate(distinct):
             comp = model.components[k] if isinstance(model, PerActionKernelQ) else None
             if comp is not None and comp[0] == "kernel":
                 groups.setdefault((id(comp[1]), model.bandwidth), []).append(j)
             else:
-                yield k, j, model.predict_matrix(x, k)
+                keep(j, k, model.predict_matrix(x, k))
         for (_, bandwidth), members in groups.items():
-            comps = [models[j].components[k] for j in members]
-            for j, values in zip(members, _kernel_predictions(x, comps[0][1], bandwidth, comps)):
-                yield k, j, values
-
-
-def max_over_actions(models, features: np.ndarray) -> np.ndarray:
-    """(n, m) matrix whose column j is the best predicted value of ``models[j]``.
-
-    Equals stacking ``models[j].predict_all_matrix(features).max(axis=1)`` bit
-    for bit, with one kernel matrix per shared action input.
-    """
-    out = np.full((np.shape(features)[0], len(models)), -np.inf)
-    for _, j, values in _action_values(models, features):
-        np.maximum(out[:, j], values, out=out[:, j])
-    return out
-
-
-def argmax_over_actions(models, features: np.ndarray) -> np.ndarray:
-    """(m, n) matrix whose row j is the greedy action index of ``models[j]`` at each feature row.
-
-    Equals ``np.argmax(models[j].predict_all_matrix(features), axis=1)`` for
-    finite values (lowest index on exact ties), with one kernel matrix per
-    shared action input. A model listed more than once is evaluated once.
-    """
-    distinct = list({id(model): model for model in models}.values())
-    column = {id(model): c for c, model in enumerate(distinct)}
-    best = np.full((len(distinct), np.shape(features)[0]), -np.inf)
-    out = np.zeros(best.shape, dtype=int)
-    for k, j, values in _action_values(distinct, features):
-        better = values > best[j]
-        best[j, better] = values[better]
-        out[j, better] = k
-    return out[[column[id(model)] for model in models]]
+            comps = [distinct[j].components[k] for j in members]
+            for j, predicted in zip(members, _kernel_predictions(x, comps[0][1], bandwidth, comps)):
+                keep(j, k, predicted)
+    row = {id(model): j for j, model in enumerate(distinct)}
+    pick = [row[id(model)] for model in models]
+    return values[pick], actions[pick]
 
 
 # --- model serialization ------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from nearq.core import ActionSpace, OfflineDataset, PatientTrajectory, StageRecord
 from nearq.qlearn import stage_targets
-from nearq.regression import FittedQ, max_over_actions
+from nearq.regression import FittedQ, best_over_actions
 
 
 class TableQ(FittedQ):
@@ -28,7 +28,7 @@ class TableQ(FittedQ):
 def classical_targets(dataset, t, next_model):
     """Classical stage-t targets: the reward plus the best value of the stage-(t+1) model."""
     feats_next = dataset.stage_rows(t + 1)[1]
-    return stage_targets(dataset, t, max_over_actions([next_model], feats_next))[:, 0]
+    return stage_targets(dataset, t, best_over_actions([next_model], feats_next)[0].T)[:, 0]
 
 
 def two_actions() -> ActionSpace:

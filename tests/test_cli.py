@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -655,6 +656,43 @@ def test_config_file_property(command, payload):
     else:
         assert code == 2
         assert any(re.search(rf"\b{re.escape(key)}\b", err.getvalue()) for key in payload), err.getvalue()
+
+
+# flag values: huge and negative integers, non-finite numbers, NUL bytes, and text near the valid values
+FLAG_VALUES = st.one_of(
+    st.integers().map(str),
+    st.sampled_from([2**63, 2**64 - 2, 2**64, -(2**64), 10**400]).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "", "\x00", "1\x002", "0.1", "22", "relative", "absolute",
+                     "interaction-linear", "per-action-kernel", "..", "/"]),
+    st.text(max_size=4),
+)
+
+
+# (flag, RunConfig name) of every option that takes a value; a command refuses those it does not read
+VALUE_OPTIONS = [(o.flag, o.dest) for o in nearq.cli.OPTIONS if o.flag != "--dry-run"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["itr", "cancer"]),
+       drawn=st.lists(st.tuples(st.sampled_from(VALUE_OPTIONS), FLAG_VALUES), max_size=4))
+@example(command="itr", drawn=[(("--out", "out"), "1" * 300)])  # longer than a file name may be
+def test_argv_property_under_dry_run(command, drawn):
+    argv = [command, *(arg for (flag, _), value in drawn for arg in (flag, value)), "--dry-run"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        home = os.getcwd()
+        os.chdir(tmp)  # relative --out and --config values land here
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = _exit_code(*argv)
+        finally:
+            os.chdir(home)
+        assert list(Path(tmp).iterdir()) == []
+    if code != 0:
+        assert code == 2, err.getvalue()
+        named = {name for option, _ in drawn for name in option}
+        assert any(re.search(rf"(?<![\w-]){re.escape(name)}\b", err.getvalue()) for name in named), err.getvalue()
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])

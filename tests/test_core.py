@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nearq.core
 from nearq.core import (
     ActionSpace,
     DatasetError,
@@ -266,6 +268,15 @@ def test_csv_non_numeric_field_reports_row(tmp_path):
     assert err.value.row == 3
 
 
+def test_csv_field_past_the_csv_size_limit_is_schema_error(tmp_path):
+    # an unbalanced quote makes the rest of the file one field, past the csv module's limit
+    path = tmp_path / "bad.csv"
+    path.write_text('patient_id,stage,cov_0,action_index,reward\n0,0,"1.0,0,2.0\n' + "1,0,0.5,1,1.0\n" * 12000)
+    with pytest.raises(SchemaError, match="field larger than field limit") as err:
+        load_csv(path)
+    assert err.value.row is not None  # the line where the field passed the limit
+
+
 def test_csv_horizon_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
@@ -361,3 +372,135 @@ def test_csv_sidecar_bad_action_labels_are_schema_error(tmp_path, labels, proble
     with pytest.raises(SchemaError, match=f"key 'action_values': .*{problem}") as err:
         load_csv(path)
     assert "bad.csv.meta.json" in str(err.value)
+
+
+def test_csv_that_is_not_utf8_is_schema_error_naming_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\xfepatient_id,stage,cov_0,action_index,reward\n0,0,1.0,0,2.0\n")
+    with pytest.raises(SchemaError, match="bad.csv is not UTF-8"):
+        load_csv(path)
+
+
+def test_sidecar_that_is_not_utf8_is_schema_error_naming_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("patient_id,stage,cov_0,action_index,reward\n0,0,1.0,0,2.0\n")
+    (tmp_path / "bad.csv.meta.json").write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SchemaError, match="malformed JSON .*utf-8") as err:
+        load_csv(path)
+    assert "bad.csv.meta.json" in str(err.value)
+
+
+@pytest.mark.parametrize("code", [nearq.core.MAX_ACTION_CODES, -1, 10**20],
+                         ids=["bound", "negative", "past-64-bits"])
+def test_csv_without_sidecar_refuses_an_action_code_outside_the_bound(tmp_path, monkeypatch, code):
+    path = tmp_path / "plain.csv"
+    path.write_text(f"patient_id,stage,cov_0,action_index,reward\n0,0,1.0,0,2.0\n1,0,0.5,{code},1.0\n")
+    space = ActionSpace
+
+    def bounded(values):
+        values = tuple(values)
+        assert len(values) <= nearq.core.MAX_ACTION_CODES, "built an action space past the bound"
+        return space(values)
+
+    monkeypatch.setattr(nearq.core, "ActionSpace", bounded)
+    with pytest.raises(SchemaError) as err:
+        load_csv(path)
+    assert err.value.row == 3
+    # the last code under the bound still loads
+    path.write_text(f"patient_id,stage,cov_0,action_index,reward\n0,0,1.0,0,2.0\n"
+                    f"1,0,0.5,{nearq.core.MAX_ACTION_CODES - 1},1.0\n")
+    assert load_csv(path).action_spaces[0].size == nearq.core.MAX_ACTION_CODES
+
+
+# --- corrupted cohort files --------------------------------------------------------
+
+# what a typed error names: the row, the stage or the sidecar key, or the file that is not UTF-8 or JSON
+NAMED = re.compile(r"\brow \d+|\bstage \d+|\bkey '\w+'|\.csv is not UTF-8|\.meta\.json: malformed JSON")
+BAD_CELLS = ["", "x", "nan", "inf", "-inf", "1e999", "-1", "1.5", "0x1", "99999999999999999999"]
+BAD_BYTES = [b"\xff", b"\xff\xfe", b"\x80", b"\xc3\x28", b"\xed\xa0\x80"]
+# sidecar values of the wrong type, or of the right type and the wrong size
+SIDECAR_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-2, 4), max_size=4), st.lists(st.lists(st.floats(), max_size=3), max_size=4),
+)
+
+
+def _cells(path):
+    """The CSV as lists of cells, and a writer for them."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    return rows, lambda: path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def _truncate(draw, path, sidecar):
+    target = draw(st.sampled_from([path, sidecar]))
+    raw = target.read_bytes()
+    target.write_bytes(raw[: draw(st.integers(0, len(raw) - 1))])
+
+
+def _drop_column(draw, path, sidecar):
+    rows, write = _cells(path)
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    for row in rows[: draw(st.integers(1, len(rows)))]:  # the header, and the data rows up to some row
+        del row[j]
+    write()
+
+
+def _repeat_column(draw, path, sidecar):
+    rows, write = _cells(path)
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    for row in rows:
+        row.append(row[j])
+    write()
+
+
+def _bad_cell(draw, path, sidecar):
+    rows, write = _cells(path)
+    row = rows[draw(st.integers(1, len(rows) - 1))]
+    row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_CELLS))
+    write()
+
+
+def _reorder_header(draw, path, sidecar):
+    rows, write = _cells(path)
+    rows[0] = draw(st.permutations(rows[0]))
+    write()
+
+
+def _stage_gap(draw, path, sidecar):
+    rows, write = _cells(path)
+    row = rows[draw(st.integers(1, len(rows) - 1))]
+    row[1] = str(int(row[1]) + draw(st.integers(1, 3)))
+    write()
+
+
+def _sidecar_type(draw, path, sidecar):
+    meta = json.loads(sidecar.read_text())
+    meta[draw(st.sampled_from(["horizon", "feature_dims", "action_values"]))] = draw(SIDECAR_VALUES)
+    sidecar.write_text(json.dumps(meta))
+
+
+def _non_utf8(draw, path, sidecar):
+    target = draw(st.sampled_from([path, sidecar]))
+    raw = target.read_bytes()
+    at = draw(st.integers(0, len(raw)))
+    target.write_bytes(raw[:at] + draw(st.sampled_from(BAD_BYTES)) + raw[at:])
+
+
+CORRUPTIONS = [_truncate, _drop_column, _repeat_column, _bad_cell, _reorder_header, _stage_gap,
+               _sidecar_type, _non_utf8]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=cohorts(), corrupt=st.sampled_from(CORRUPTIONS), data=st.data())
+def test_corrupted_cohort_files_load_or_fail_naming_the_place(ds, corrupt, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        save_csv(ds, path)
+        corrupt(data.draw, path, Path(f"{path}.meta.json"))
+        try:
+            report = validate(load_csv(path))
+        except (SchemaError, DatasetError) as err:
+            assert NAMED.search(str(err)), str(err)
+        else:
+            for error in report.errors:
+                assert NAMED.search(error), error

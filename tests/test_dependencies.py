@@ -21,6 +21,14 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert result.stdout == "[]\n"
 
 
+def test_importing_the_package_loads_none_of_its_modules(tmp_path):
+    # callers import names from their modules; the package itself holds only the version
+    result = _python("import sys, nearq; print(sorted(m for m in sys.modules if m.startswith('nearq.')))",
+                     tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 RUN_WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # every import of scipy now raises ImportError

@@ -35,8 +35,8 @@ def _true_coef_model():
 
 
 def test_evaluate_policy_deterministic():
-    a = evaluate_policy(PARAMS, 0.5, 200, seed=3)
-    b = evaluate_policy(PARAMS, 0.5, 200, seed=3)
+    a = evaluate_policy(PARAMS, 0.5, 200, seed=3, label="const-0.5")
+    b = evaluate_policy(PARAMS, 0.5, 200, seed=3, label="const-0.5")
     assert a == b
 
 
@@ -176,7 +176,7 @@ def test_rollouts_build_no_stage_records(monkeypatch):
         raise AssertionError("a rollout built a stage record")
 
     monkeypatch.setattr(StageRecord, "__post_init__", refuse)
-    assert evaluate_policy(PARAMS, 0.4, 50, seed=13).label == "const-0.4"
+    assert evaluate_policy(PARAMS, 0.4, 50, seed=13, label="const-0.4").label == "const-0.4"
     assert evaluate_policy(PARAMS, policy, 50, seed=13, label="opt").label == "opt"
     assert len(constant_dose_baselines(PARAMS, 50, seed=13)) == len(PARAMS.dose_grid)
     with pytest.raises(AssertionError, match="stage record"):
@@ -254,6 +254,6 @@ def test_greedy_policy_without_a_stage_model_is_named_before_any_kernel_work(mon
     def refuse(*args, **kwargs):
         raise AssertionError("a greedy decision started")
 
-    monkeypatch.setattr(nearq.envs, "argmax_over_actions", refuse)
+    monkeypatch.setattr(nearq.envs, "best_over_actions", refuse)
     with pytest.raises(ValueError, match=r"policy 'eps0.1-short' has no model for stage 3"):
         evaluate_policies(PARAMS, [policies[0], truncated], 30, 1, ["opt", "eps0.1-short"])

@@ -18,7 +18,7 @@ from nearq.nearequiv import (
     select_and_pad,
 )
 from nearq.qlearn import backward_fit, greedy_policy, stage_targets
-from nearq.regression import DesignSpec, FittedQ, fit, max_over_actions
+from nearq.regression import DesignSpec, FittedQ, best_over_actions, fit
 
 from conftest import TableQ, classical_targets, make_dataset, two_actions
 
@@ -248,7 +248,7 @@ def test_column_one_pseudo_outcomes_match_classical_every_stage():
     assert np.array_equal(matrix[both, 0], vector[both])
     for t in range(t_last - 1, -1, -1):
         next_models = [stack.column_models[j][t + 1] for j in range(stack.m)]
-        matrix = stage_targets(ds, t, max_over_actions(next_models, ds.stage_rows(t + 1)[1]))
+        matrix = stage_targets(ds, t, best_over_actions(next_models, ds.stage_rows(t + 1)[1])[0].T)
         vector = classical_targets(ds, t, classical.models[t + 1])
         both = ~np.isnan(vector)
         assert np.array_equal(matrix[both, 0], vector[both])

@@ -14,9 +14,8 @@ from nearq.regression import (
     _kernel_predictions,
     _rbf,
     _solve_columns,
-    argmax_over_actions,
+    best_over_actions,
     load_model,
-    max_over_actions,
     model_from_dict,
     save_model,
 )
@@ -279,11 +278,11 @@ def test_max_over_actions_matches_predict_all_max_bitwise(mode):
     # a separately fitted model shares no inputs with the others
     models = models + (fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 0], space),)
     probe = np.random.default_rng(9).normal(size=(15, 2))
-    got = max_over_actions(models, probe)
-    want = np.column_stack([model.predict_all_matrix(probe).max(axis=1) for model in models])
+    got, _ = best_over_actions(models, probe)
+    want = np.stack([model.predict_all_matrix(probe).max(axis=1) for model in models])
     assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="feature matrix"):
-        max_over_actions(models, probe[:, :1])
+        best_over_actions(models, probe[:, :1])
 
 
 @pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
@@ -294,12 +293,12 @@ def test_argmax_over_actions_matches_greedy_argmax(mode):
     models = models + (fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 0], space),
                        fit(DesignSpec(mode, ridge=0.7), x[::2], a[::2], y[::2, 1], space))
     probe = np.random.default_rng(9).normal(size=(15, 2))
-    got = argmax_over_actions(models, probe)
+    _, got = best_over_actions(models, probe)
     want = np.stack([np.argmax(model.predict_all_matrix(probe), axis=1) for model in models])
     assert np.array_equal(got, want)
     # exact ties go to the lowest index, as in np.argmax
     tied = PerActionKernelQ(space, 2, 1.0, (("constant", 1.0),) * space.size)
-    assert argmax_over_actions([tied], probe).tolist() == [[0] * 15]
+    assert best_over_actions([tied], probe)[1].tolist() == [[0] * 15]
 
 
 @pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
@@ -308,7 +307,7 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
     model = fit(DesignSpec(mode, ridge=0.2), x, a, y[:, 0], space)
     other = fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 1], space)
     probe = np.random.default_rng(9).normal(size=(15, 2))
-    want = np.stack([argmax_over_actions([m], probe)[0] for m in (model, model, other)])
+    alone = [best_over_actions([m], probe) for m in (model, model, other)]
     counts = {"_rbf": 0, "components": 0, "linear": 0}
     rbf, kernel_predictions = nearq.regression._rbf, nearq.regression._kernel_predictions
     linear = InteractionLinearQ.predict_matrix
@@ -328,8 +327,9 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
     monkeypatch.setattr(nearq.regression, "_rbf", counted_rbf)
     monkeypatch.setattr(nearq.regression, "_kernel_predictions", counted_kernel_predictions)
     monkeypatch.setattr(InteractionLinearQ, "predict_matrix", counted_linear)
-    got = argmax_over_actions([model, model, other], probe)
-    assert np.array_equal(got, want)
+    got = best_over_actions([model, model, other], probe)
+    for together, want in zip(got, zip(*alone)):
+        assert np.array_equal(together, np.concatenate(want))
     # rows 0 and 1 come from one computation: work is that of the two distinct models
     if mode == "per-action-kernel":
         kernel_actions = sum(comp[0] == "kernel" for m in (model, other) for comp in m.components)
