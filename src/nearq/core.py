@@ -247,7 +247,7 @@ def validate(dataset: OfflineDataset) -> ValidationReport:
         report.errors.append(f"{where(r)}: non-finite reward")
     for t in range(dataset.horizon + 1):
         at = dataset.stage == t
-        n_actions = np.unique(dataset.actions[at & in_range]).size
+        n_actions = np.count_nonzero(np.bincount(dataset.actions[at & in_range]))
         if not at.any():
             report.errors.append(f"empty stage {t}: no patient has a record there")
         elif n_actions < 2:
@@ -302,6 +302,28 @@ _SIDECAR_KEYS = (
 )
 
 
+CSV_BLOCK_ROWS = 2048  # records formatted per write: a writer holds one block's text, never the file's
+
+
+def write_csv(path: str | Path, header: str, line, *columns) -> None:
+    """Write ``header``, then the text ``line(*record)`` of each record of ``columns``.
+
+    The columns are numpy arrays or sequences of equal length; record k is
+    their k-th entries. ``line`` returns the record's lines, each ending in a
+    newline, so a record may span several lines or none. Records are formatted
+    ``CSV_BLOCK_ROWS`` at a time: only that block of each array is turned into
+    Python objects, and the block's text is written with one ``write``. The
+    file is opened as ``Path.write_text`` opens it, so its bytes equal those of
+    the whole text written at once.
+    """
+    with Path(path).open("w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [column[lo:lo + CSV_BLOCK_ROWS] for column in columns]
+            block = [part.tolist() if isinstance(part, np.ndarray) else part for part in block]
+            fh.write("".join(map(line, *block)))
+
+
 def save_csv(dataset: OfflineDataset, path: str | Path) -> None:
     """Write the cohort CSV plus its sidecar metadata file.
 
@@ -309,14 +331,11 @@ def save_csv(dataset: OfflineDataset, path: str | Path) -> None:
     values.
     """
     d = dataset.features.shape[1]
-    header = ["patient_id", "stage", *(f"cov_{j}" for j in range(d)), "action_index", "reward"]
-    lines = [",".join(header)]
-    for i, t, covs, a, r in zip(
-        dataset.patient.tolist(), dataset.stage.tolist(), dataset.features.tolist(),
-        dataset.actions.tolist(), dataset.rewards.tolist(),
-    ):
-        lines.append(f"{i},{t},{','.join(map(repr, covs))},{a},{r!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(
+        path, ",".join(["patient_id", "stage", *(f"cov_{j}" for j in range(d)), "action_index", "reward"]),
+        lambda i, t, covs, a, r: f"{i},{t},{','.join(map(repr, covs))},{a},{r!r}\n",
+        dataset.patient, dataset.stage, dataset.features, dataset.actions, dataset.rewards,
+    )
     sidecar = {
         "format_version": 1,
         "horizon": dataset.horizon,

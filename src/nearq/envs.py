@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSpace, OfflineDataset
+from .core import ActionSpace, OfflineDataset, write_csv
 from .qlearn import GreedyPolicy
 from .regression import best_over_actions
 
@@ -343,14 +343,17 @@ def _walk_back(cls, states, alive, parents, doses, rewards, space) -> CancerCoho
 def save_trajectories_csv(cohort: CancerCohort, path: str | Path) -> None:
     """Per-month state log: patient_id,stage,tumor,toxicity,dose,reward,alive."""
     n_decisions = cohort.dose_index.shape[1]
-    lines = ["patient_id,stage,tumor,toxicity,dose,reward,alive"]
     grid = [repr(v) for v in cohort.action_space.values]
-    for i, (tumor, tox, doses, rewards, alive) in enumerate(zip(
-        cohort.tumor.tolist(), cohort.toxicity.tolist(), cohort.dose_index.tolist(),
-        cohort.rewards.tolist(), cohort.alive.tolist(),
-    )):
+
+    def patient_lines(i, tumor, tox, doses, rewards, alive):
+        lines = []
         for t in range(n_decisions + 1):
             dose = grid[doses[t]] if t < n_decisions and doses[t] >= 0 else ""
             reward = repr(rewards[t]) if t < n_decisions and alive[t] else ""
-            lines.append(f"{i},{t},{tumor[t]!r},{tox[t]!r},{dose},{reward},{int(alive[t])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+            lines.append(f"{i},{t},{tumor[t]!r},{tox[t]!r},{dose},{reward},{int(alive[t])}\n")
+        return "".join(lines)
+
+    write_csv(
+        path, "patient_id,stage,tumor,toxicity,dose,reward,alive", patient_lines,
+        range(len(cohort.tumor)), cohort.tumor, cohort.toxicity, cohort.dose_index, cohort.rewards, cohort.alive,
+    )

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OfflineDataset
+from .core import OfflineDataset, write_csv
 from .envs import CancerCohort, CancerParams, simulate_cancer_cohorts
 from .regression import FittedQ, InteractionLinearQ
 
@@ -199,34 +199,29 @@ def band_stats(model: FittedQ, test_set: OfflineDataset, epsilon: float) -> Band
 
 
 def save_results_csv(results: list[EvalResult], path: str | Path) -> None:
-    lines = ["policy_label,month,mean_combined,stderr_combined,mean_cum_reward"]
-    for res in results:
-        for month, (m, s) in enumerate(zip(res.mean_combined, res.stderr_combined)):
-            lines.append(f"{res.label},{month},{m!r},{s!r},{res.mean_cum_reward!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(
+        path, "policy_label,month,mean_combined,stderr_combined,mean_cum_reward",
+        lambda res: "".join(
+            f"{res.label},{month},{m!r},{s!r},{res.mean_cum_reward!r}\n"
+            for month, (m, s) in enumerate(zip(res.mean_combined, res.stderr_combined))
+        ),
+        results,
+    )
 
 
 def save_band_csv(band: BandCurve, path: str | Path) -> None:
-    lines = ["month,band_lo,band_hi"]
-    for month, lo, hi in zip(band.months, band.lo, band.hi):
-        lines.append(f"{month},{lo!r},{hi!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "month,band_lo,band_hi", lambda month, lo, hi: f"{month},{lo!r},{hi!r}\n",
+              band.months, band.lo, band.hi)
 
 
 def save_blip_csv(grid: np.ndarray, path: str | Path) -> None:
-    lines = ["x0,x1,blip"]
-    for x0, x1, blip in np.asarray(grid).tolist():
-        lines.append(f"{x0!r},{x1!r},{blip!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "x0,x1,blip", lambda row: ",".join(map(repr, row)) + "\n", np.asarray(grid))
 
 
 def save_band_stats_csv(stats: list[BandStats], path: str | Path) -> None:
-    lines = [
-        "epsilon,n_test,misclassified_total,misclassified_in_band,band_fraction,accuracy_outside_band"
-    ]
-    for s in stats:
-        lines.append(
-            f"{s.epsilon!r},{s.n_test},{s.misclassified_total},{s.misclassified_in_band},"
-            f"{s.band_fraction!r},{s.accuracy_outside_band!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(
+        path, "epsilon,n_test,misclassified_total,misclassified_in_band,band_fraction,accuracy_outside_band",
+        lambda s: f"{s.epsilon!r},{s.n_test},{s.misclassified_total},{s.misclassified_in_band},"
+                  f"{s.band_fraction!r},{s.accuracy_outside_band!r}\n",
+        stats,
+    )

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OfflineDataset
+from .core import OfflineDataset, write_csv
 from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage
 from .regression import DesignSpec, FittedQ
 
@@ -231,8 +231,11 @@ def policy_set(stack: NearEquivQStack) -> tuple[GreedyPolicy, ...]:
 
 def save_admissible_csv(stack: NearEquivQStack, path: str | Path) -> None:
     """Audit rows ``patient_id,rank,action_index,q_value``, best rank first."""
-    lines = ["patient_id,rank,action_index,q_value"]
-    for pid, row in enumerate(stack.admissible_sets.rows):
-        for rank, (action, value) in enumerate(row, start=1):
-            lines.append(f"{pid},{rank},{action},{value!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = stack.admissible_sets.rows
+    write_csv(
+        path, "patient_id,rank,action_index,q_value",
+        lambda pid, row: "".join(
+            f"{pid},{rank},{action},{value!r}\n" for rank, (action, value) in enumerate(row, start=1)
+        ),
+        range(len(rows)), rows,
+    )

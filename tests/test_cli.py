@@ -428,6 +428,29 @@ def test_failed_write_leaves_the_previous_out_untouched(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize("command", [ITR_SMALL, CANCER_SMALL], ids=["itr", "cancer"])
+def test_writer_failing_part_way_leaves_the_previous_out_untouched(tmp_path, monkeypatch, capsys, command):
+    import nearq.core
+
+    out = tmp_path / "run"
+    assert _run(*command, "--seed", "3", "--epsilon", "0.3", "--out", str(out)) == 0
+    before = _snapshot(out)
+    write_csv = nearq.core.write_csv
+
+    def failing_after_one_block(path, header, line, *columns):
+        write_csv(path, header, line, *(column[:nearq.core.CSV_BLOCK_ROWS] for column in columns))
+        assert len(path.read_text().splitlines()) == 1 + nearq.core.CSV_BLOCK_ROWS
+        raise OSError("injected failure after one block")
+
+    # the first artifact of either command is the training cohort, written by core.save_csv
+    monkeypatch.setattr(nearq.core, "CSV_BLOCK_ROWS", 8)
+    monkeypatch.setattr(nearq.core, "write_csv", failing_after_one_block)
+    assert _run(*command, "--seed", "5", "--epsilon", "0.5", "--out", str(out)) == 1
+    assert "injected failure after one block" in capsys.readouterr().err
+    assert _snapshot(out) == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_failed_swap_puts_the_previous_out_back(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert _run(*ITR_SMALL, "--seed", "3", "--epsilon", "0.3", "--out", str(out)) == 0

@@ -1,4 +1,5 @@
-"""numpy is the one runtime dependency: the package imports and runs with scipy unavailable."""
+"""numpy is the one runtime dependency: the package imports and runs with scipy unavailable,
+and loads no numpy submodule it does not use."""
 
 import os
 import subprocess
@@ -27,6 +28,25 @@ def test_importing_the_package_loads_none_of_its_modules(tmp_path):
                      tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+VALIDATE_A_SMALL_DATASET = """
+import sys
+import numpy as np
+from nearq.core import ActionSpace, OfflineDataset, validate
+space = ActionSpace((0.0, 1.0))
+ds = OfflineDataset.from_rows([0, 0, 1], [0, 1, 0], np.zeros((3, 1)), [0, 1, 1], [0.0, 1.0, 2.0],
+                              1, (space, space), (1, 1))
+report = validate(ds)
+print(report.ok, report.warnings, "numpy.ma" in sys.modules)
+"""
+
+
+def test_validate_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first call; counting actions with np.bincount does not
+    result = _python(VALIDATE_A_SMALL_DATASET, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True ['degenerate action support at stage 1: only 1 distinct action observed'] False\n"
 
 
 RUN_WITHOUT_SCIPY = """
