@@ -148,8 +148,13 @@ def stack_from_dict(payload: dict) -> QStack:
 
     if payload.get("format_version") != 1:
         raise ValueError(f"unsupported stack format version {payload.get('format_version')!r}")
-    models = tuple(model_from_dict(m) for m in payload["models"])
-    stack = QStack(models, int(payload["horizon"]), tuple(m.action_space for m in models))
+    models = []
+    for t, model in enumerate(payload["models"]):
+        try:
+            models.append(model_from_dict(model))
+        except ValueError as err:
+            raise ValueError(f"stage {t} {err}") from err
+    stack = QStack(tuple(models), int(payload["horizon"]), tuple(m.action_space for m in models))
     if list(payload["provenance"]) != list(stack.provenance):
         raise ValueError(f"stack provenance disagrees with its horizon {stack.horizon}")
     return stack

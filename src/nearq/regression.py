@@ -19,17 +19,20 @@ is reported as :class:`RankDeficientError`.
 :func:`fit_columns` fits target columns that share rows, features and actions:
 each normal-equation matrix is factorized once and all its columns are solved
 together (Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share
-each action's inputs, so :func:`best_over_actions` builds each kernel matrix
-once per action. Every entry of a solve is one dot product of a contiguous row
-with one column's values, so column j is bitwise equal to a single-column fit
-on it.
+each action's inputs. So :func:`best_over_actions` evaluates the models of one
+fit as one stacked model: per action one kernel matrix, one dot-product call
+per row block for all the fit's weight rows, and one best-value update. Every
+entry of a solve is one dot product of a contiguous row with one column's
+values, so column j is bitwise equal to a single-column fit on it.
 
 Kernel predictions are row independent by construction: squared distances
 are summed elementwise and each prediction is one dot product of its kernel
 row with the weights, so a row's value never depends on which other rows share
 the call or on the row blocks the kernel matrix is built in. Batched BLAS
 products (gemm, gemv) do not promise this; on OpenBLAS they differ in the last
-bits with the batch's size and the row's position.
+bits with the batch's size and the row's position. They are model independent
+for the same reason: a model's row of a stacked call is one dot product with
+that model's weights, so it equals that model's call alone.
 """
 
 from __future__ import annotations
@@ -125,15 +128,20 @@ _ROW_BLOCK = 256  # kernel rows built at a time: a block stays in cache for ever
 def _kernel_predictions(x: np.ndarray, inputs: np.ndarray, bandwidth: float, comps) -> np.ndarray:
     """(len(comps), n) predictions at the rows of ``x`` of kernel components sharing ``inputs``.
 
-    The kernel matrix is built once, block by block. Each prediction is one dot
-    product of its kernel row with the weights (``np.vecdot``, not a gemv, whose
-    blocking makes a row depend on the batch), so it depends on that row alone.
+    The components are evaluated as one stacked model: their weights form one (M, C) matrix and
+    the kernel matrix is built once, block by block, with one ``np.vecdot`` call per block for all
+    M components. Each prediction is one dot product of its kernel row with one component's weights
+    (not a gemm or gemv, whose blocking makes a row depend on the batch), so it depends on that row
+    alone, and a component's row equals the call on that component alone.
     """
+    weights = np.stack([comp[2] for comp in comps])
+    means = np.array([comp[3] for comp in comps])[:, None]
     out = np.empty((len(comps), x.shape[0]))
     for lo in range(0, x.shape[0], _ROW_BLOCK):
         kernel = _rbf(x[lo : lo + _ROW_BLOCK], inputs, bandwidth)
-        for row, (_, _, weights, mean) in zip(out, comps):
-            row[lo : lo + _ROW_BLOCK] = np.vecdot(kernel, weights) + mean
+        block = out[:, lo : lo + _ROW_BLOCK]
+        np.vecdot(kernel[None], weights[:, None, :], out=block)
+        block += means
     return out
 
 
@@ -361,8 +369,10 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
             gram = gram + spec.ridge * np.eye(gram.shape[0])
         low = _factor_spd(gram, f"kernel fit for action {k}")
         xa.setflags(write=False)
-        means = [float(y[mask].mean()) for y in cols]  # each over one contiguous column
-        weights = _solve_columns(low, cols[:, mask] - np.array(means)[:, None])
+        block = cols[:, mask]
+        # per contiguous row, bitwise ``row.mean()``: a 2-d reduction may sum in another order
+        means = [float(np.add.reduce(row) / row.size) for row in block]
+        weights = _solve_columns(low, block - np.array(means)[:, None])
         weights.setflags(write=False)
         for comps, w, mean in zip(components, weights, means):
             comps.append(("kernel", xa, w, mean))
@@ -373,40 +383,52 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
     )
 
 
+def _stacked_values(group, x: np.ndarray, k: int) -> np.ndarray:
+    """(len(group), n) or broadcastable predictions for action ``k`` of a group from
+    :func:`best_over_actions`: the kernel models of one fit, or a single model."""
+    first = group[0]
+    if not isinstance(first, PerActionKernelQ):
+        return first.predict_matrix(x, k)[None]
+    comps = [model.components[k] for model in group]
+    if comps[0][0] == "constant":
+        return np.array([[comp[1]] for comp in comps])
+    return _kernel_predictions(x, comps[0][1], first.bandwidth, comps)
+
+
 def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, actions), both (m, n): row j is the best predicted value of ``models[j]`` at each
     feature row and its greedy action index.
 
     Equal bit for bit to ``models[j].predict_all_matrix(features).max(axis=1)`` and, for finite
     values, to its ``np.argmax`` (lowest index on exact ties). A model listed more than once is
-    evaluated once, and kernel models that share an action's training inputs and bandwidth (the
-    models of one ``fit_columns`` call) share that action's kernel matrix, built once per action.
+    evaluated once. Kernel models that share every action's training inputs and bandwidth (the
+    models of one ``fit_columns`` call) form one group, evaluated as one stacked model: one kernel
+    matrix and one :func:`_kernel_predictions` call per action, then one best-value update over
+    the group's rows. Any other model is a group of its own.
     """
     distinct = list({id(model): model for model in models}.values())
     for model in distinct:
         model._check_features(features)
     x = np.asarray(features, dtype=float)
-    values = np.full((len(distinct), x.shape[0]), -np.inf)
+    groups: dict = {}
+    for model in distinct:
+        key = id(model)
+        if isinstance(model, PerActionKernelQ):
+            key = (model.bandwidth, tuple(id(comp[1]) if comp[0] == "kernel" else None
+                                          for comp in model.components))
+        groups.setdefault(key, []).append(model)
+    order = [model for group in groups.values() for model in group]
+    values = np.full((len(order), x.shape[0]), -np.inf)
     actions = np.zeros(values.shape, dtype=int)
-
-    def keep(j, k, predicted):
-        best = values[j]
-        actions[j][predicted > best] = k
-        np.maximum(best, predicted, out=best)
-
-    for k in range(distinct[0].action_space.size):
-        groups: dict = {}  # (id(inputs), bandwidth) -> rows of the kernel models using them
-        for j, model in enumerate(distinct):
-            comp = model.components[k] if isinstance(model, PerActionKernelQ) else None
-            if comp is not None and comp[0] == "kernel":
-                groups.setdefault((id(comp[1]), model.bandwidth), []).append(j)
-            else:
-                keep(j, k, model.predict_matrix(x, k))
-        for (_, bandwidth), members in groups.items():
-            comps = [distinct[j].components[k] for j in members]
-            for j, predicted in zip(members, _kernel_predictions(x, comps[0][1], bandwidth, comps)):
-                keep(j, k, predicted)
-    row = {id(model): j for j, model in enumerate(distinct)}
+    lo = 0
+    for group in groups.values():
+        best, arg = values[lo : lo + len(group)], actions[lo : lo + len(group)]
+        lo += len(group)
+        for k in range(group[0].action_space.size):
+            pred = _stacked_values(group, x, k)
+            arg[pred > best] = k
+            np.maximum(best, pred, out=best)
+    row = {id(model): j for j, model in enumerate(order)}
     pick = [row[id(model)] for model in models]
     return values[pick], actions[pick]
 
@@ -414,31 +436,54 @@ def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndar
 # --- model serialization ------------------------------------------------------
 
 
+def _loaded(payload: Mapping, key: str, shape: tuple, where: str) -> np.ndarray:
+    """``payload[key]`` as a finite float array of ``shape`` (``None``: any length)."""
+    try:
+        value = np.asarray(payload[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{where}: {key!r} is missing or not numeric") from err
+    if value.ndim != len(shape) or any(n not in (None, got) for n, got in zip(shape, value.shape)):
+        want = "(" + ", ".join("*" if n is None else str(n) for n in shape) + ")"
+        raise ValueError(f"{where}: {key!r} has shape {value.shape}, expected {want}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{where}: {key!r} has non-finite values")
+    return value
+
+
 def model_from_dict(payload: Mapping) -> FittedQ:
+    """The model ``to_dict`` wrote. A payload that could not have been fitted (a non-finite or
+    misshapen parameter, a nonpositive bandwidth, a component count other than the number of
+    actions) raises ``ValueError`` naming the component and the key."""
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     space = ActionSpace(tuple(payload["action_values"]))
-    if payload["mode"] == MODE_LINEAR:
-        return InteractionLinearQ(space, np.asarray(payload["coef"], dtype=float), payload["n_features"])
-    if payload["mode"] == MODE_KERNEL:
+    d = payload.get("n_features")
+    if type(d) is not int or d < 0:
+        raise ValueError(f"model: 'n_features' must be a nonnegative integer, got {d!r}")
+    if payload.get("mode") == MODE_LINEAR:
+        return InteractionLinearQ(space, _loaded(payload, "coef", (2 * d + 2,), "model"), d)
+    if payload.get("mode") == MODE_KERNEL:
+        bandwidth = float(_loaded(payload, "bandwidth", (), "model"))
+        if bandwidth <= 0:
+            raise ValueError(f"model: 'bandwidth' must be positive, got {bandwidth}")
+        listed = payload.get("components")
+        if not isinstance(listed, (list, tuple)) or len(listed) != space.size:
+            raise ValueError(f"model: 'components' must list one component per action ({space.size})")
         comps = []
-        for comp in payload["components"]:
-            if comp["kind"] == "constant":
-                comps.append(("constant", float(comp["value"])))
+        for k, comp in enumerate(listed):
+            where = f"model component {k}"
+            kind = comp.get("kind") if isinstance(comp, Mapping) else None
+            if kind == "constant":
+                comps.append(("constant", float(_loaded(comp, "value", (), where))))
+            elif kind == "kernel":
+                inputs = _loaded(comp, "inputs", (None, d), where)
+                weights = _loaded(comp, "weights", (len(inputs),), where)
+                comps.append(("kernel", inputs, weights, float(_loaded(comp, "mean", (), where))))
             else:
-                comps.append(
-                    (
-                        "kernel",
-                        np.asarray(comp["inputs"], dtype=float),
-                        np.asarray(comp["weights"], dtype=float),
-                        float(comp["mean"]),
-                    )
-                )
-        return PerActionKernelQ(
-            space, payload["n_features"], payload["bandwidth"], tuple(comps), payload.get("meta", {})
-        )
-    raise ValueError(f"unknown model mode {payload['mode']!r}")
+                raise ValueError(f"{where}: unknown 'kind' {kind!r}")
+        return PerActionKernelQ(space, d, bandwidth, tuple(comps), payload.get("meta", {}))
+    raise ValueError(f"unknown model mode {payload.get('mode')!r}")
 
 
 def save_model(model: FittedQ, path: str | Path) -> None:

@@ -180,6 +180,15 @@ def test_stack_serialization_round_trip():
         )
 
 
+def test_stack_load_names_the_stage_of_a_bad_model():
+    from nearq.qlearn import stack_from_dict, stack_to_dict
+
+    payload = stack_to_dict(backward_fit(_two_stage_fixture(), DesignSpec.per_action_kernel(ridge=1.0)))
+    payload["models"][1]["components"][0]["mean"] = float("nan")
+    with pytest.raises(ValueError, match="stage 1 model component 0: 'mean'"):
+        stack_from_dict(payload)
+
+
 def test_stack_provenance_must_match_its_horizon():
     from nearq.qlearn import stack_from_dict, stack_to_dict
 

@@ -271,12 +271,20 @@ def test_fit_columns_rejects_bad_target_shapes():
         fit_columns(spec, x, a, np.where(np.arange(y.size).reshape(y.shape) == 5, np.nan, y), space)
 
 
+def _two_interleaved_fits(mode, x, a, y, space):
+    """The models of two ``fit_columns`` calls in interleaved order, then a copy of one model
+    through its payload: equal values, its own inputs arrays."""
+    first = fit_columns(DesignSpec(mode, ridge=0.2), x, a, y, space)
+    second = fit_columns(DesignSpec(mode, ridge=0.5), x, a, y[:, ::-1], space)
+    return [m for pair in zip(first, second) for m in pair] + [model_from_dict(first[1].to_dict())]
+
+
 @pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
 def test_max_over_actions_matches_predict_all_max_bitwise(mode):
     x, a, y, space = _three_action_columns()
-    models = fit_columns(DesignSpec(mode, ridge=0.2), x, a, y, space)
+    models = _two_interleaved_fits(mode, x, a, y, space)
     # a separately fitted model shares no inputs with the others
-    models = models + (fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 0], space),)
+    models = models + [fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 0], space)]
     probe = np.random.default_rng(9).normal(size=(15, 2))
     got, _ = best_over_actions(models, probe)
     want = np.stack([model.predict_all_matrix(probe).max(axis=1) for model in models])
@@ -288,10 +296,10 @@ def test_max_over_actions_matches_predict_all_max_bitwise(mode):
 @pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
 def test_argmax_over_actions_matches_greedy_argmax(mode):
     x, a, y, space = _three_action_columns()
-    models = fit_columns(DesignSpec(mode, ridge=0.2), x, a, y, space)
+    models = _two_interleaved_fits(mode, x, a, y, space)
     # separately fitted models: the same inputs in another array, and other inputs
-    models = models + (fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 0], space),
-                       fit(DesignSpec(mode, ridge=0.7), x[::2], a[::2], y[::2, 1], space))
+    models = models + [fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 0], space),
+                       fit(DesignSpec(mode, ridge=0.7), x[::2], a[::2], y[::2, 1], space)]
     probe = np.random.default_rng(9).normal(size=(15, 2))
     _, got = best_over_actions(models, probe)
     want = np.stack([np.argmax(model.predict_all_matrix(probe), axis=1) for model in models])
@@ -306,11 +314,14 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
     x, a, y, space = _three_action_columns()
     model = fit(DesignSpec(mode, ridge=0.2), x, a, y[:, 0], space)
     other = fit(DesignSpec(mode, ridge=0.7), x, a, y[:, 1], space)
-    probe = np.random.default_rng(9).normal(size=(15, 2))
-    alone = [best_over_actions([m], probe) for m in (model, model, other)]
-    counts = {"_rbf": 0, "components": 0, "linear": 0}
+    columns = list(fit_columns(DesignSpec(mode, ridge=0.5), x, a, y[:, 1:], space))
+    listed = [model, model, other] + columns
+    probe = np.random.default_rng(9).normal(size=(600, 2))  # three row blocks
+    alone = [best_over_actions([m], probe) for m in listed]
+    counts = {"_rbf": 0, "components": 0, "linear": 0, "vecdot": 0}
     rbf, kernel_predictions = nearq.regression._rbf, nearq.regression._kernel_predictions
     linear = InteractionLinearQ.predict_matrix
+    vecdot = np.vecdot
 
     def counted_rbf(*args):
         counts["_rbf"] += 1
@@ -324,18 +335,67 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
         counts["linear"] += 1
         return linear(self, *args)
 
+    def counted_vecdot(*args, **kwargs):
+        counts["vecdot"] += 1
+        return vecdot(*args, **kwargs)
+
     monkeypatch.setattr(nearq.regression, "_rbf", counted_rbf)
     monkeypatch.setattr(nearq.regression, "_kernel_predictions", counted_kernel_predictions)
     monkeypatch.setattr(InteractionLinearQ, "predict_matrix", counted_linear)
-    got = best_over_actions([model, model, other], probe)
+    monkeypatch.setattr(np, "vecdot", counted_vecdot)
+    got = best_over_actions(listed, probe)
     for together, want in zip(got, zip(*alone)):
         assert np.array_equal(together, np.concatenate(want))
-    # rows 0 and 1 come from one computation: work is that of the two distinct models
+    # rows 0 and 1 come from one computation, and the models of one fit are one stacked model:
+    # one kernel matrix and one vecdot per (row block, kernel action) of each fit, whatever m is
     if mode == "per-action-kernel":
-        kernel_actions = sum(comp[0] == "kernel" for m in (model, other) for comp in m.components)
-        assert counts["_rbf"] == counts["components"] == kernel_actions
+        kernel_actions = sum(comp[0] == "kernel" for comp in model.components)
+        fits, blocks = 3, 3  # model, other, columns; 600 rows in blocks of 256
+        assert counts["_rbf"] == counts["vecdot"] == fits * kernel_actions * blocks
+        assert counts["components"] == (2 + len(columns)) * kernel_actions
     else:
-        assert counts["linear"] == 2 * space.size
+        assert counts["linear"] == (2 + len(columns)) * space.size
+        assert counts["vecdot"] == 0
+
+
+def test_kernel_means_equal_per_action_mean_bitwise():
+    # numpy's pairwise sum works in blocks of 8 and 128 entries: cover lengths on each side
+    lengths = (1, 7, 8, 9, 127, 128, 129, 1000)
+    rng = np.random.default_rng(5)
+    a = np.repeat(np.arange(len(lengths)), lengths)
+    x = rng.normal(size=(a.size, 1))
+    y = rng.uniform(-1e3, 1e3, size=(a.size, 3)) / 7.0
+    models = fit_columns(DesignSpec.per_action_kernel(ridge=1.0), x, a, y,
+                         ActionSpace(tuple(float(k) for k in range(len(lengths)))))
+    for j, model in enumerate(models):
+        for k, comp in enumerate(model.components):
+            assert comp[3] == float(y[a == k, j].mean())
+
+
+def _bad_payload(mode, change):
+    x, a, y, space = _three_action_columns()
+    payload = fit(DesignSpec(mode, ridge=0.2), x, a, y[:, 0], space).to_dict()
+    change(payload, payload.get("components"))
+    return payload
+
+
+@pytest.mark.parametrize("mode,change,message", [
+    ("per-action-kernel", lambda p, c: p.update(bandwidth=float("nan")), "model: 'bandwidth'"),
+    ("per-action-kernel", lambda p, c: p.update(bandwidth=-0.5), "model: 'bandwidth'"),
+    ("per-action-kernel", lambda p, c: c[1].update(inputs=[r + [0.0] for r in c[1]["inputs"]]),
+     "component 1: 'inputs'"),
+    ("per-action-kernel", lambda p, c: c[0].update(weights=c[0]["weights"][:-1]),
+     "component 0: 'weights'"),
+    ("per-action-kernel", lambda p, c: c[1].update(mean=float("nan")), "component 1: 'mean'"),
+    ("per-action-kernel", lambda p, c: c[2].update(value=float("inf")), "component 2: 'value'"),
+    ("per-action-kernel", lambda p, c: c.pop(), "model: 'components'"),
+    ("interaction-linear", lambda p, c: p["coef"].__setitem__(3, float("nan")), "model: 'coef'"),
+    ("interaction-linear", lambda p, c: p["coef"].pop(), "model: 'coef'"),
+], ids=["nan-bandwidth", "negative-bandwidth", "wide-inputs", "short-weights", "nan-mean",
+        "inf-constant", "missing-component", "nan-coef", "short-coef"])
+def test_bad_model_payload_fails_at_load_naming_the_component(mode, change, message):
+    with pytest.raises(ValueError, match=message):
+        model_from_dict(_bad_payload(mode, change))
 
 
 @pytest.mark.parametrize("n_rows,n_inputs", [(1, 1), (2, 7), (13, 5), (64, 45), (333, 270),
@@ -357,3 +417,11 @@ def test_kernel_rows_do_not_depend_on_the_batch(n_rows, n_inputs):
         assert np.array_equal(values[:, rows], _kernel_predictions(x[rows], inputs, 2.0, comps))
     # a block of the batch is the matching rows of the whole kernel matrix
     assert np.array_equal(values[1], np.vecdot(kernel, comps[1][2]) + comps[1][3])
+    # a component's row of a stacked call equals the call on that component alone
+    for size in (1, 2, 15):
+        stacked = [("kernel", inputs, rng.normal(size=n_inputs), float(rng.normal()))
+                   for _ in range(size)]
+        together = _kernel_predictions(x, inputs, 2.0, stacked)
+        for row, comp in zip(together, stacked):
+            assert np.array_equal(row, _kernel_predictions(x, inputs, 2.0, [comp])[0])
+            assert np.array_equal(row, np.vecdot(kernel, comp[2]) + comp[3])
