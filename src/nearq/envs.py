@@ -4,15 +4,20 @@ Randomness is counter-based (Philox) and keyed by ``(seed, label)`` so every
 draw stream can be reproduced in isolation; rows of the pre-drawn matrices act
 as independent per-patient streams.
 
-The tumor/toxicity rollout steps many policies in lockstep and decides every
-greedy policy, of any regression backend, in one batched argmax per stage.
+The tumor/toxicity rollout steps many policies in lockstep over decision-path
+classes, refined once per stage without sorting, and decides every greedy
+policy, of any regression backend, in one batched argmax and one gather per
+stage. A cohort's initial states and death draws are drawn once per
+``(seed, label)`` and shared by every rollout that keys them. What a rollout
+leaves is its class history: a policy's paths are read from it by class, so
+an evaluation gathers only the values it aggregates.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -152,8 +157,8 @@ class CancerCohort:
     state columns stop changing (the death-month state is carried forward).
     ``alive[:, t]`` flags patients alive at the start of month t;
     ``dose_index`` (into ``action_space``) and ``rewards`` are -1/0 after
-    death. A rollout builds only these arrays; the dataset's rows are their
-    alive patient-months.
+    death. :meth:`LockstepRollout.cohort` builds only these arrays; the
+    dataset's rows are their alive patient-months.
     """
 
     tumor: np.ndarray
@@ -207,8 +212,80 @@ def simulate_cancer_cohort(
     identical cohorts, and calls sharing ``(seed, label)`` share initial states
     and death draws regardless of the policy.
     """
-    (cohort,) = simulate_cancer_cohorts(params, [policy], n, seed, label=label)
-    return cohort
+    return simulate_cancer_cohorts(params, [policy], n, seed, label=label).cohort(0)
+
+
+@lru_cache(maxsize=1)
+def _cohort_draws(seed: int, label: str, n: int, n_stages: int, low: float, high: float):
+    """Read-only initial states (n, 2) and monthly death draws (n, n_stages) of cohort
+    ``(seed, label)``. A pure function of its arguments, memoized: the rollouts of one
+    evaluation seed (the constant doses, then the learned policies) draw its streams once."""
+    init = stream(seed, f"{label}/init").uniform(low, high, size=(n, 2))
+    death_u = stream(seed, f"{label}/death").uniform(size=(n, n_stages))
+    init.setflags(write=False)
+    death_u.setflags(write=False)
+    return init, death_u
+
+
+def _refine(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for integer keys in [0, width), without sorting:
+    the ascending distinct keys, and each key's rank among them as int32 in the keys' shape."""
+    seen = np.zeros(width, dtype=bool)
+    seen[keys] = True
+    uniq = np.flatnonzero(seen)
+    rank = np.empty(width, dtype=np.int32)
+    rank[uniq] = np.arange(uniq.size, dtype=np.int32)
+    return uniq, rank[keys]
+
+
+@dataclass(frozen=True)
+class LockstepRollout:
+    """Decision-path class history of a lockstep rollout.
+
+    ``states[t]`` (C_t, 2) and ``alive[t]`` (C_t,) hold the tumor, toxicity and
+    alive flag of each class at month t. Stage t maps each month-(t+1) class to
+    its month-t class (``parents[t]``), its dose index (``doses[t]``, -1 after
+    death) and its reward (``rewards[t]``). ``final[j, i]`` is the class of
+    policy j's patient i after the last stage.
+    """
+
+    states: list
+    alive: list
+    parents: list
+    doses: list
+    rewards: list
+    final: np.ndarray
+    action_space: ActionSpace
+
+    def paths(self, j: int) -> np.ndarray:
+        """(n, n_stages + 1) int32: the class of each of policy j's patients at months 0..n_stages."""
+        n_stages = len(self.parents)
+        path = np.empty((self.final.shape[1], n_stages + 1), dtype=np.int32)
+        path[:, n_stages] = self.final[j]
+        for t in range(n_stages - 1, -1, -1):
+            path[:, t] = self.parents[t][path[:, t + 1]]
+        return path
+
+    @staticmethod
+    def along(path: np.ndarray, per_class) -> np.ndarray:
+        """Column t is ``per_class[t]`` read at the classes in column t of ``path``: pass
+        ``path[:, 1:]`` for a per-stage array, indexed by the class its stage makes."""
+        offsets = np.cumsum([0] + [len(values) for values in per_class[:-1]])
+        return np.take(np.concatenate(per_class), path + offsets)  # one gather, in C order
+
+    def cohort(self, j: int) -> CancerCohort:
+        """Policy j's full state, alive, dose and reward paths."""
+        path = self.paths(j)
+        arrays = (
+            self.along(path, [s[:, 0] for s in self.states]),
+            self.along(path, [s[:, 1] for s in self.states]),
+            self.along(path, self.alive),
+            self.along(path[:, 1:], self.doses),
+            self.along(path[:, 1:], self.rewards),
+        )
+        for arr in arrays:
+            arr.setflags(write=False)
+        return CancerCohort(*arrays, self.action_space)
 
 
 def simulate_cancer_cohorts(
@@ -219,28 +296,28 @@ def simulate_cancer_cohorts(
     *,
     label: str = "train",
     names=None,
-):
-    """Roll out every policy on one cohort in lockstep; returns an iterator over their cohorts.
+) -> LockstepRollout:
+    """Roll out every policy on one cohort in lockstep; returns the class history, from which
+    ``cohort(j)`` builds policy j's cohort.
 
     All policies see the same initial states and death draws (common random
     numbers), so a (policy, patient) pair's trajectory is fixed by its patient
     and dose history. Pairs with the same patient and dose history form one
     decision-path class: each stage refines the classes once, by (class,
-    action), and steps each new class once. A policy decides at stage t on the
-    states of the live classes its patients are in, in patient order, so a
-    policy's cohort is bitwise the one it would get alone.
+    action), without sorting (:func:`_refine`), and steps each new class once.
+    A policy decides at stage t on the states of the live classes its patients
+    are in, in patient order, so a policy's cohort is bitwise the one it would
+    get alone.
 
     The :class:`~nearq.qlearn.GreedyPolicy` policies decide together: one
     :func:`~nearq.regression.best_over_actions` call per stage over every live
     class's state, so models from one fit build one kernel matrix per action,
-    and each policy reads its own rows (kernel predictions are row independent
-    by construction; tests pin the interaction-linear ones); states that only
-    other policies reach are evaluated too. Every other policy is called on its
-    own class states. ``names`` label the policies in error messages. At most
-    one policy may be "uniform-random", since it reads the one dose stream.
-    Every stage runs before this returns; each policy's cohort is built from
-    the class history when the iterator reaches it, so only one is held at a
-    time.
+    and one gather reads each greedy policy's actions at its patients' classes
+    (kernel predictions are row independent by construction; tests pin the
+    interaction-linear ones); states that only other policies reach are
+    evaluated too. Every other policy is called on its own class states.
+    ``names`` label the policies in error messages. At most one policy may be
+    "uniform-random", since it reads the one dose stream.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -250,7 +327,9 @@ def simulate_cancer_cohorts(
     if sum(uniform) > 1:
         raise ValueError(f"at most one {UNIFORM_RANDOM!r} policy per rollout: they would share one dose stream")
     n_stages = params.n_stages
-    greedy = [j for j, p in enumerate(policies) if isinstance(p, GreedyPolicy)]
+    is_greedy = [isinstance(p, GreedyPolicy) for p in policies]
+    greedy = np.flatnonzero(is_greedy)
+    others = [j for j, g in enumerate(is_greedy) if not g]
     for j in greedy:
         if policies[j].horizon < n_stages - 1:
             raise ValueError(f"policy {names[j]!r} has no model for stage {policies[j].horizon + 1}"
@@ -258,8 +337,7 @@ def simulate_cancer_cohorts(
     space = params.action_space
     n_actions = space.size
 
-    init = stream(seed, f"{label}/init").uniform(params.init_low, params.init_high, size=(n, 2))
-    death_u = stream(seed, f"{label}/death").uniform(size=(n, n_stages))
+    init, death_u = _cohort_draws(seed, label, n, n_stages, params.init_low, params.init_high)
     dose_rng = stream(seed, f"{label}/dose") if any(uniform) else None
     deciders = [_resolve_policy(params, p, dose_rng) for p in policies]
     dose_values = np.asarray(space.values)
@@ -270,30 +348,34 @@ def simulate_cancer_cohorts(
     cls = np.broadcast_to(np.arange(n, dtype=np.int32), (len(policies), n))
     for t in range(n_stages):
         live = alive[t][cls]
-        visits = [row[ok] if ok.any() else None for row, ok in zip(cls, live)]
-        deciding, decided = [j for j in greedy if visits[j] is not None], {}
-        if deciding:
-            _, actions = best_over_actions([policies[j].models[t] for j in deciding],
-                                           states[t][np.flatnonzero(alive[t])])
-            position = np.cumsum(alive[t]) - 1  # a live class's row among the live classes
-            decided = {j: actions[c, position[visits[j]]] for c, j in enumerate(deciding)}
-            del actions, position
         # the key's action n_actions marks a dead class, carried forward unchanged
-        key_type = np.int32 if len(states[t]) * (n_actions + 1) < 2**31 else np.int64
+        width = len(states[t]) * (n_actions + 1)
+        key_type = np.int32 if width < 2**31 else np.int64
         keys = np.full(cls.shape, n_actions, dtype=key_type)
-        for j, rows in enumerate(visits):
-            if rows is None:
+        deciding = greedy[live[greedy].any(axis=1)]
+        if deciding.size:
+            rows = np.flatnonzero(alive[t])
+            _, actions = best_over_actions([policies[j].models[t] for j in deciding], states[t][rows])
+            # each policy's actions at the live classes, then n_actions in the column every dead class reads
+            table = np.empty((deciding.size, rows.size + 1), dtype=key_type)
+            table[:, :-1] = actions
+            table[:, -1] = n_actions
+            position = np.full(len(states[t]), rows.size)
+            position[rows] = np.arange(rows.size)
+            keys[deciding] = np.take_along_axis(table, position[cls[deciding]], axis=1)
+            del actions, table, position
+        for j in others:
+            if not live[j].any():
                 continue
-            idx = decided[j] if j in decided else np.asarray(deciders[j](t, states[t][rows]), dtype=int)
+            rows = cls[j][live[j]]
+            idx = np.asarray(deciders[j](t, states[t][rows]), dtype=int)
             if idx.shape != rows.shape or idx.min() < 0 or idx.max() >= n_actions:
                 raise ValueError(f"policy {names[j]!r} returned invalid action indices at stage {t}")
             keys[j, live[j]] = idx
-        keys += cls.astype(key_type) * (n_actions + 1)
-        del live, visits, decided
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        del live
+        keys += cls.astype(key_type, copy=False) * (n_actions + 1)
+        uniq, cls = _refine(keys, width)
         del keys
-        cls = inverse.reshape(cls.shape).astype(np.int32)
-        del inverse
         parent, action = np.divmod(uniq, n_actions + 1)
         parent = parent.astype(np.int32)
         dosed = action < n_actions
@@ -316,28 +398,7 @@ def simulate_cancer_cohorts(
         rewards.append(reward)
         patient = patient[parent]
 
-    return (_walk_back(final, states, alive, parents, doses, rewards, space) for final in cls)
-
-
-def _walk_back(cls, states, alive, parents, doses, rewards, space) -> CancerCohort:
-    """One policy's cohort from its final class ids, following parent classes back to month 0."""
-    n, n_stages = cls.size, len(parents)
-    tumor = np.empty((n, n_stages + 1))
-    tox = np.empty((n, n_stages + 1))
-    alive_path = np.empty((n, n_stages + 1), dtype=bool)
-    dose_idx = np.empty((n, n_stages), dtype=int)
-    reward_path = np.empty((n, n_stages))
-    for t in range(n_stages, -1, -1):
-        tumor[:, t] = states[t][cls, 0]
-        tox[:, t] = states[t][cls, 1]
-        alive_path[:, t] = alive[t][cls]
-        if t:
-            dose_idx[:, t - 1] = doses[t - 1][cls]
-            reward_path[:, t - 1] = rewards[t - 1][cls]
-            cls = parents[t - 1][cls]
-    for arr in (tumor, tox, alive_path, dose_idx, reward_path):
-        arr.setflags(write=False)
-    return CancerCohort(tumor, tox, alive_path, dose_idx, reward_path, space)
+    return LockstepRollout(states, alive, parents, doses, rewards, cls, space)
 
 
 def save_trajectories_csv(cohort: CancerCohort, path: str | Path) -> None:

@@ -9,8 +9,10 @@ Identical decisions also share computation. :func:`evaluate_policies` rolls
 out a run's policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
 each state that several policies reach along the same patient and dose history
 is stepped once, and the rollout decides the greedy policies at each stage in
-one batch, with one kernel matrix per action for models from one fit. Every
-policy's result equals its one-policy rollout bit for bit.
+one batch, with one kernel matrix per action for models from one fit. The
+aggregates read each policy's class paths: tumor plus toxicity, summed once per
+class, and the rewards, gathered one policy at a time; no other path is built.
+Every policy's result equals its one-policy rollout bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import OfflineDataset, write_csv
-from .envs import CancerCohort, CancerParams, simulate_cancer_cohorts
+from .envs import CancerParams, simulate_cancer_cohorts
 from .regression import FittedQ, InteractionLinearQ
 
 
@@ -41,12 +43,13 @@ class EvalResult:
     stderr_cum_reward: float
 
 
-def _aggregate(label: str, cohort: CancerCohort) -> EvalResult:
-    combined = cohort.tumor + cohort.toxicity
+def _aggregate(label: str, combined: np.ndarray, rewards: np.ndarray) -> EvalResult:
+    """Result from per-patient paths: tumor plus toxicity (n, months) and rewards (n, stages)."""
     n = combined.shape[0]
-    mean = combined.mean(axis=0)
-    sd = combined.std(axis=0, ddof=1) if n > 1 else np.zeros(combined.shape[1])
-    totals = cohort.rewards.sum(axis=1)
+    mean = combined.mean(axis=0, keepdims=True)  # the mean std would compute, computed once
+    sd = combined.std(axis=0, ddof=1, mean=mean) if n > 1 else np.zeros(combined.shape[1])
+    mean = mean[0]
+    totals = rewards.sum(axis=1)
     total_sd = totals.std(ddof=1) if n > 1 else 0.0
     return EvalResult(
         label=label,
@@ -72,8 +75,9 @@ def evaluate_policy(
 def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, labels) -> list[EvalResult]:
     """One fresh cohort rolled out under every policy in lockstep; one result per policy.
 
-    The rollout builds state, dose and reward arrays only; no dataset or
-    per-stage record is made, since the aggregates read nothing else. The
+    The rollout leaves its class history; each policy's tumor plus toxicity
+    and reward paths are gathered from it by class, since the aggregates read
+    nothing else (no dataset, per-stage record or other path is built). The
     simulation streams are keyed by the seed alone, so every policy evaluated
     with the same seed gets the same initial states and survival draws, and
     each result equals that policy's one-policy evaluation bit for bit.
@@ -86,15 +90,18 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     repeated = sorted({label for i, label in enumerate(labels) if label in labels[:i]})
     if repeated:
         raise ValueError(f"duplicate policy labels: {', '.join(map(repr, repeated))}")
-    cohorts = simulate_cancer_cohorts(params, policies, n_test, seed, label="eval", names=labels)
-    # each cohort is built, aggregated and dropped before the next one is built
-    return [_aggregate(label, next(cohorts)) for label in labels]
+    rollout = simulate_cancer_cohorts(params, policies, n_test, seed, label="eval", names=labels)
+    combined = [states[:, 0] + states[:, 1] for states in rollout.states]  # per class, all policies
+    paths = (rollout.paths(j) for j in range(len(labels)))  # one policy's paths at a time
+    return [_aggregate(label, rollout.along(path, combined), rollout.along(path[:, 1:], rollout.rewards))
+            for label, path in zip(labels, paths)]
 
 
 def constant_dose_baselines(params: CancerParams, n_test: int, seed: int) -> list[EvalResult]:
-    """One shared-initial-state evaluation per dose on the grid (0.0 included)."""
+    """One shared-initial-state evaluation per dose on the grid (0.0 included), labelled
+    ``const-`` and the dose's repr, so distinct doses never share a label."""
     return [
-        evaluate_policy(params, dose, n_test, seed, label=f"const-{dose:.1f}")
+        evaluate_policy(params, dose, n_test, seed, label=f"const-{dose!r}")
         for dose in params.dose_grid
     ]
 

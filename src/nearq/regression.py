@@ -430,6 +430,8 @@ def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndar
             np.maximum(best, pred, out=best)
     row = {id(model): j for j, model in enumerate(order)}
     pick = [row[id(model)] for model in models]
+    if pick == list(range(len(order))):  # models listed once each, already in group order
+        return values, actions
     return values[pick], actions[pick]
 
 

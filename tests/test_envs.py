@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearq.core import validate
 from nearq.envs import (
     CancerParams,
     ItrConfig,
+    _refine,
     _reward_arrays,
     _step_arrays,
     simulate_cancer_cohort,
@@ -265,3 +268,31 @@ def test_stream_refuses_a_seed_outside_64_bits(seed):
 def test_stream_keys_every_64_bit_seed_apart():
     draws = {seed: stream(seed, "itr").uniform() for seed in (0, 1, (1 << 64) - 1)}
     assert len(set(draws.values())) == 3
+
+
+@st.composite
+def class_keys(draw):
+    """(P, n) rollout keys ``class * (K + 1) + action`` over C classes, with width C * (K + 1):
+    action K marks a dead class; a policy row is its own, a copy of the first row (the
+    policies share every class) or all dead."""
+    p, n = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    k, c = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    row = st.lists(st.tuples(st.integers(0, c - 1), st.integers(0, k)), min_size=n, max_size=n)
+    rows = [draw(row)]
+    for _ in range(p - 1):
+        kind = draw(st.sampled_from(["own", "shared", "dead"]))
+        own = draw(row)
+        rows.append(rows[0] if kind == "shared" else [(cls, k) for cls, _ in own] if kind == "dead" else own)
+    cells = np.array(rows, dtype=np.int32)
+    return cells[..., 0] * (k + 1) + cells[..., 1], c * (k + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=class_keys())
+def test_refine_equals_unique_with_inverse(case):
+    keys, width = case
+    uniq, inverse = _refine(keys, width)
+    want_uniq, want_inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(uniq, want_uniq)
+    assert inverse.dtype == np.int32 and inverse.shape == keys.shape
+    assert np.array_equal(inverse, want_inverse.reshape(keys.shape))

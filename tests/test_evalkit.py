@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,30 @@ def test_constant_baselines_share_month_zero():
     month0 = {r.mean_combined[0] for r in results}
     assert len(month0) == 1
     assert all(len(r.mean_combined) == PARAMS.n_stages + 1 for r in results)
+
+
+def test_constant_dose_labels_name_each_dose_exactly():
+    # a one-decimal label would name both 0.05 and 0.1 "const-0.1"
+    fine = CancerParams(dose_grid=(0.05, 0.1, 0.5))
+    assert [r.label for r in constant_dose_baselines(fine, 20, seed=3)] == ["const-0.05", "const-0.1", "const-0.5"]
+    assert [r.label for r in constant_dose_baselines(PARAMS, 20, seed=3)] == [f"const-{k / 10}" for k in range(11)]
+
+
+def test_one_evaluation_seed_draws_its_streams_once(monkeypatch):
+    drawn = []
+    keyed = nearq.envs.stream
+
+    def counted(seed, label):
+        drawn.append(label)
+        return keyed(seed, label)
+
+    nearq.envs._cohort_draws.cache_clear()
+    monkeypatch.setattr(nearq.envs, "stream", counted)
+    constant_dose_baselines(PARAMS, 40, seed=21)
+    evaluate_policies(PARAMS, [0.3, "uniform-random"], 40, 21, ["a", "b"])
+    assert drawn == ["eval/init", "eval/death", "eval/dose"]
+    init, death_u = nearq.envs._cohort_draws(21, "eval", 40, PARAMS.n_stages, PARAMS.init_low, PARAMS.init_high)
+    assert not init.flags.writeable and not death_u.flags.writeable
 
 
 def test_constant_dose_toxicity_ordering_at_late_months():
@@ -209,8 +234,9 @@ def test_lockstep_evaluation_equals_one_policy_rollouts(n_train, n_test, seed):
         together = evaluate_policies(PARAMS, policies, n_test, seed + 1, labels)
         assert [r.label for r in together] == labels
         assert len({r.mean_combined for r in together}) > 1  # the family's decisions differ somewhere
-        cohorts = simulate_cancer_cohorts(PARAMS, policies, n_test, seed + 1, label="eval")
-        for policy, label, result, cohort in zip(policies, labels, together, cohorts):
+        rollout = simulate_cancer_cohorts(PARAMS, policies, n_test, seed + 1, label="eval")
+        for j, (policy, label, result) in enumerate(zip(policies, labels, together)):
+            cohort = rollout.cohort(j)
             assert result == evaluate_policy(PARAMS, policy, n_test, seed + 1, label=label)
             # the policy's models on its own rows alone, without the batched argmax the rollout uses
             alone = simulate_cancer_cohort(
@@ -257,3 +283,26 @@ def test_greedy_policy_without_a_stage_model_is_named_before_any_kernel_work(mon
     monkeypatch.setattr(nearq.envs, "best_over_actions", refuse)
     with pytest.raises(ValueError, match=r"policy 'eps0.1-short' has no model for stage 3"):
         evaluate_policies(PARAMS, [policies[0], truncated], 30, 1, ["opt", "eps0.1-short"])
+
+
+def test_evaluation_peak_memory_is_bounded():
+    # nearq cancer 500 train / 2800 test, seed 2: opt and ranks 2..m of the four default
+    # tolerances (22 policies), evaluated on eval seed 3. The peak falls in the batched argmax:
+    # 3.44 MB with the class ids and live flags the rollout needs held through it, 3.63 MB when
+    # a copy of every policy's live class rows is held too, 3.69 MB when per-policy action dicts
+    # are kept and np.unique refines the classes as well. Holding every policy's cohort: 15 MB.
+    train = simulate_cancer_cohort(PARAMS, "uniform-random", 500, 2, label="train").dataset
+    stack, ne_stacks = fit_tolerances(train, CANCER_SPEC, tuple(EpsilonConfig(e) for e in (0.1, 0.3, 0.5, 0.9)))
+    named = {"opt": greedy_policy(stack)}
+    for eps, ne_stack in zip((0.1, 0.3, 0.5, 0.9), ne_stacks):
+        for j, policy in enumerate(policy_set(ne_stack)[1:], start=2):
+            named[f"eps{eps}-rank{j}"] = policy
+    evaluate_policies(PARAMS, named.values(), 2800, 3, named)
+    tracemalloc.start()
+    try:
+        evaluate_policies(PARAMS, named.values(), 2800, 3, named)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert len(named) == 22
+    assert peak_mb < 3.55

@@ -289,6 +289,13 @@ def test_max_over_actions_matches_predict_all_max_bitwise(mode):
     got, _ = best_over_actions(models, probe)
     want = np.stack([model.predict_all_matrix(probe).max(axis=1) for model in models])
     assert np.array_equal(got, want)
+    # each fit's models together in fit order (the rows come back as computed), shuffled, repeated
+    grouped = models[0:8:2] + models[1:8:2] + models[8:]
+    shuffled = [models[i] for i in np.random.default_rng(3).permutation(len(models))]
+    for listed in (grouped, shuffled, [models[3], models[0], models[3], models[8], models[0]]):
+        values, actions = best_over_actions(listed, probe)
+        assert np.array_equal(values, np.stack([m.predict_all_matrix(probe).max(axis=1) for m in listed]))
+        assert np.array_equal(actions, np.stack([np.argmax(m.predict_all_matrix(probe), axis=1) for m in listed]))
     with pytest.raises(ValueError, match="feature matrix"):
         best_over_actions(models, probe[:, :1])
 
