@@ -1,0 +1,70 @@
+"""Record the sha256 of every artifact of a few small ``nearq`` runs, ``run.meta`` excepted.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/make_artifact_digests.py
+
+It rewrites ``tests/artifact_digests.json``: each run's arguments and its
+artifacts' digests, stamped with the platform whose floating point they
+describe. ``tests/test_artifact_digests.py`` reruns the same arguments and
+compares every byte. Regenerate only for an intended change of the artifacts'
+bytes, and record which files moved and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from nearq.cli import main
+
+DIGESTS = Path(__file__).with_name("artifact_digests.json")
+VOLATILE = frozenset({"run.meta"})  # holds timings
+
+RUNS = {  # nearq arguments, --out aside
+    "cancer-kernel": "cancer --seed 8 --n-train 120 --n-test 50 --epsilon 0.1 --epsilon 0.3 --epsilon 0.9",
+    "cancer-linear": "cancer --seed 2 --regression interaction-linear --n-train 100 --n-test 40 --epsilon 0.5",
+    "cancer-absolute": "cancer --seed 5 --mode absolute --n-train 100 --n-test 40 --epsilon 0.2 --epsilon 0.6",
+    "cancer-one-test-patient": "cancer --seed 3 --n-train 60 --n-test 1 --epsilon 0.5",
+    "itr": "itr --seed 4 --n-train 60 --n-test 40 --epsilon 0.1 --epsilon 0.5 --grid-resolution 7",
+}
+
+
+def stamp() -> dict:
+    """What fixes the bits of a floating-point artifact besides the code."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "machine": platform.machine(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def run_artifacts(args: str, out: Path) -> dict[str, str]:
+    """Run ``nearq`` with ``args`` into ``out``; the sha256 of each artifact but the volatile ones."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*args.split(), "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"nearq {args} exited {code}")
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir()) if path.name not in VOLATILE}
+
+
+def regenerate() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {name: {"args": args, "sha256": run_artifacts(args, Path(tmp) / name)} for name, args in RUNS.items()}
+    DIGESTS.write_text(json.dumps({"stamp": stamp(), "runs": runs}, indent=1) + "\n")
+    print(f"wrote {DIGESTS}: {sum(len(run['sha256']) for run in runs.values())} digests of {len(runs)} runs")
+
+
+if __name__ == "__main__":
+    regenerate()
