@@ -5,12 +5,12 @@ draw stream can be reproduced in isolation; rows of the pre-drawn matrices act
 as independent per-patient streams.
 
 The tumor/toxicity rollout steps many policies in lockstep over decision-path
-classes, refined once per stage without sorting, and decides every greedy
-policy, of any regression backend, in one batched argmax and one gather per
-stage. A cohort's initial states and death draws are drawn once per
-``(seed, label)`` and shared by every rollout that keys them. What a rollout
-leaves is its class history: a policy's paths are read from it by class, so
-an evaluation gathers only the values it aggregates.
+classes, numbered across months: each stage refines (without sorting) and
+steps only the live classes, and a patient who dies stays in its death-month
+class. Every greedy policy, of any backend, is decided in one batched argmax
+and one gather per stage. A cohort's initial states and death draws are drawn
+once per ``(seed, label)`` and shared by every rollout that keys them. A
+rollout leaves five flat per-class arrays; a policy's paths index into them.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ class CancerCohort:
     state columns stop changing (the death-month state is carried forward).
     ``alive[:, t]`` flags patients alive at the start of month t;
     ``dose_index`` (into ``action_space``) and ``rewards`` are -1/0 after
-    death. :meth:`LockstepRollout.cohort` builds only these arrays; the
-    dataset's rows are their alive patient-months.
+    death. :meth:`LockstepRollout.cohort` builds only these arrays, by plain
+    indexing of its class arrays; the dataset's rows are their alive patient-months.
     """
 
     tumor: np.ndarray
@@ -240,49 +240,47 @@ def _refine(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class LockstepRollout:
-    """Decision-path class history of a lockstep rollout.
+    """Decision-path class history of a lockstep rollout, one entry per class.
 
-    ``states[t]`` (C_t, 2) and ``alive[t]`` (C_t,) hold the tumor, toxicity and
-    alive flag of each class at month t. Stage t maps each month-(t+1) class to
-    its month-t class (``parents[t]``), its dose index (``doses[t]``, -1 after
-    death) and its reward (``rewards[t]``). ``final[j, i]`` is the class of
-    policy j's patient i after the last stage.
+    Month t's classes are ids ``starts[t]`` on; each was made at stage t - 1
+    from a live class (``parents``) under a dose index (``doses``) with a
+    reward (``rewards``), and month 0's, the patients, hold -1, -1 and 0.0.
+    ``states`` (C, 2) and ``alive`` hold each class's tumor, toxicity and alive
+    flag. A patient who dies stays in its death-month class, so ``final[j, i]``,
+    the class of policy j's patient i after the last stage, is of any month.
     """
 
-    states: list
-    alive: list
-    parents: list
-    doses: list
-    rewards: list
+    states: np.ndarray
+    alive: np.ndarray
+    parents: np.ndarray
+    doses: np.ndarray
+    rewards: np.ndarray
     final: np.ndarray
+    starts: np.ndarray
     action_space: ActionSpace
 
     def paths(self, j: int) -> np.ndarray:
         """(n, n_stages + 1) int32: the class of each of policy j's patients at months 0..n_stages."""
-        n_stages = len(self.parents)
+        n_stages = len(self.starts) - 1
         path = np.empty((self.final.shape[1], n_stages + 1), dtype=np.int32)
         path[:, n_stages] = self.final[j]
         for t in range(n_stages - 1, -1, -1):
-            path[:, t] = self.parents[t][path[:, t + 1]]
+            later = path[:, t + 1]
+            path[:, t] = np.where(later >= self.starts[t + 1], self.parents[later], later)
         return path
 
     @staticmethod
-    def along(path: np.ndarray, per_class) -> np.ndarray:
-        """Column t is ``per_class[t]`` read at the classes in column t of ``path``: pass
-        ``path[:, 1:]`` for a per-stage array, indexed by the class its stage makes."""
-        offsets = np.cumsum([0] + [len(values) for values in per_class[:-1]])
-        return np.take(np.concatenate(per_class), path + offsets)  # one gather, in C order
+    def stage_values(path: np.ndarray, per_class: np.ndarray, dead) -> np.ndarray:
+        """(n, n_stages): at stage t, ``per_class`` of the class the stage made on ``path``, or
+        ``dead`` where the path stayed in its class (its patient had died)."""
+        made = path[:, 1:]
+        return np.where(made != path[:, :-1], per_class[made], dead)
 
     def cohort(self, j: int) -> CancerCohort:
         """Policy j's full state, alive, dose and reward paths."""
         path = self.paths(j)
-        arrays = (
-            self.along(path, [s[:, 0] for s in self.states]),
-            self.along(path, [s[:, 1] for s in self.states]),
-            self.along(path, self.alive),
-            self.along(path[:, 1:], self.doses),
-            self.along(path[:, 1:], self.rewards),
-        )
+        arrays = (self.states[path, 0], self.states[path, 1], self.alive[path],
+                  self.stage_values(path, self.doses, -1), self.stage_values(path, self.rewards, 0.0))
         for arr in arrays:
             arr.setflags(write=False)
         return CancerCohort(*arrays, self.action_space)
@@ -303,11 +301,11 @@ def simulate_cancer_cohorts(
     All policies see the same initial states and death draws (common random
     numbers), so a (policy, patient) pair's trajectory is fixed by its patient
     and dose history. Pairs with the same patient and dose history form one
-    decision-path class: each stage refines the classes once, by (class,
-    action), without sorting (:func:`_refine`), and steps each new class once.
-    A policy decides at stage t on the states of the live classes its patients
-    are in, in patient order, so a policy's cohort is bitwise the one it would
-    get alone.
+    decision-path class: each stage refines the live classes once, by (class,
+    action), without sorting (:func:`_refine`), and steps each new class once;
+    a dead patient's class is never keyed, stepped or stored again. A policy
+    decides at stage t on the states of the live classes its patients are in,
+    in patient order, so its cohort is bitwise the one it would get alone.
 
     The :class:`~nearq.qlearn.GreedyPolicy` policies decide together: one
     :func:`~nearq.regression.best_over_actions` call per stage over every live
@@ -342,63 +340,59 @@ def simulate_cancer_cohorts(
     deciders = [_resolve_policy(params, p, dose_rng) for p in policies]
     dose_values = np.asarray(space.values)
 
-    # per stage: class states, alive flags, parent classes, dose index (-1: dead) and reward
-    states, alive, patient = [init], [np.ones(n, dtype=bool)], np.arange(n)
-    parents, doses, rewards = [], [], []
-    cls = np.broadcast_to(np.arange(n, dtype=np.int32), (len(policies), n))
+    # one block per month of each per-class array; month 0's classes are the patients
+    states, alive = [init], [np.ones(n, dtype=bool)]
+    parents, doses, rewards = [np.full(n, -1, dtype=np.int32)], [np.full(n, -1)], [np.zeros(n)]
+    starts, patient = [0], np.arange(n)
+    # cls[j * n + i] is the class of policy j's patient i; pairs, the flat indices of the live
+    # (policy, patient) pairs, ascending, so that each policy's live pairs are one run of it
+    cls = np.tile(np.arange(n, dtype=np.int32), len(policies))
+    pairs = np.arange(cls.size, dtype=np.int32 if cls.size < 2**31 else np.int64)
     for t in range(n_stages):
-        live = alive[t][cls]
-        # the key's action n_actions marks a dead class, carried forward unchanged
-        width = len(states[t]) * (n_actions + 1)
+        first, here = starts[t], states[t]
+        width = len(here) * n_actions
         key_type = np.int32 if width < 2**31 else np.int64
-        keys = np.full(cls.shape, n_actions, dtype=key_type)
-        deciding = greedy[live[greedy].any(axis=1)]
+        bounds = np.searchsorted(pairs, np.arange(len(policies) + 1) * n)
+        counts = np.diff(bounds)
+        deciding = greedy[counts[greedy] > 0]
         if deciding.size:
             rows = np.flatnonzero(alive[t])
-            _, actions = best_over_actions([policies[j].models[t] for j in deciding], states[t][rows])
-            # each policy's actions at the live classes, then n_actions in the column every dead class reads
-            table = np.empty((deciding.size, rows.size + 1), dtype=key_type)
-            table[:, :-1] = actions
-            table[:, -1] = n_actions
-            position = np.full(len(states[t]), rows.size)
-            position[rows] = np.arange(rows.size)
-            keys[deciding] = np.take_along_axis(table, position[cls[deciding]], axis=1)
-            del actions, table, position
-        for j in others:
-            if not live[j].any():
-                continue
-            rows = cls[j][live[j]]
-            idx = np.asarray(deciders[j](t, states[t][rows]), dtype=int)
-            if idx.shape != rows.shape or idx.min() < 0 or idx.max() >= n_actions:
+            actions = best_over_actions([policies[j].models[t] for j in deciding], here[rows])[1].astype(key_type)
+        # a pair's key is its class, counted from first, and its action
+        local = cls[pairs] - first
+        keys = np.empty(pairs.size, dtype=key_type)
+        if deciding.size:
+            # one gather: each pair reads its policy's row (other policies': row 0, overwritten below)
+            row_offset = np.zeros(len(policies), dtype=int)
+            row_offset[deciding] = np.arange(deciding.size) * rows.size
+            position = np.cumsum(alive[t]) - 1  # of each live class among rows
+            keys = actions.take(np.repeat(row_offset, counts) + position[local])
+            del actions, position
+        for j in [j for j in others if counts[j]]:
+            idx = np.asarray(deciders[j](t, here[local[bounds[j]:bounds[j + 1]]]), dtype=int)
+            if idx.shape != (counts[j],) or idx.min() < 0 or idx.max() >= n_actions:
                 raise ValueError(f"policy {names[j]!r} returned invalid action indices at stage {t}")
-            keys[j, live[j]] = idx
-        del live
-        keys += cls.astype(key_type, copy=False) * (n_actions + 1)
-        uniq, cls = _refine(keys, width)
-        del keys
-        parent, action = np.divmod(uniq, n_actions + 1)
-        parent = parent.astype(np.int32)
-        dosed = action < n_actions
-        src = parent[dosed]
-        who = patient[src]
-        next_states = states[t][parent]
-        next_alive = np.zeros(parent.size, dtype=bool)
-        reward = np.zeros(parent.size)
-        next_tumor, next_tox, died, reward[dosed] = _step_arrays(
-            params, states[t][src, 0], states[t][src, 1], init[who, 0], init[who, 1],
-            dose_values[action[dosed]], death_u[who, t],
+            keys[bounds[j]:bounds[j + 1]] = idx
+        keys += local.astype(key_type, copy=False) * n_actions
+        uniq, rank = _refine(keys, width)
+        del keys, local
+        src, action = np.divmod(uniq, n_actions)
+        patient = patient[src]
+        next_tumor, next_tox, died, reward = _step_arrays(
+            params, here[src, 0], here[src, 1], init[patient, 0], init[patient, 1],
+            dose_values[action], death_u[patient, t],
         )
-        next_states[dosed, 0] = next_tumor
-        next_states[dosed, 1] = next_tox
-        next_alive[dosed] = ~died
-        states.append(next_states)
-        alive.append(next_alive)
-        parents.append(parent)
-        doses.append(np.where(dosed, action, -1))
+        starts.append(first + len(here))
+        states.append(np.column_stack([next_tumor, next_tox]))
+        alive.append(~died)
+        parents.append((src + first).astype(np.int32))
+        doses.append(action)
         rewards.append(reward)
-        patient = patient[parent]
+        cls[pairs] = rank + starts[-1]
+        pairs = pairs[alive[-1][rank]]
 
-    return LockstepRollout(states, alive, parents, doses, rewards, cls, space)
+    return LockstepRollout(*(np.concatenate(blocks) for blocks in (states, alive, parents, doses, rewards)),
+                           cls.reshape(len(policies), n), np.array(starts), space)
 
 
 def save_trajectories_csv(cohort: CancerCohort, path: str | Path) -> None:

@@ -10,8 +10,8 @@ out a run's policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
 each state that several policies reach along the same patient and dose history
 is stepped once, and the rollout decides the greedy policies at each stage in
 one batch, with one kernel matrix per action for models from one fit. The
-aggregates read each policy's class paths: tumor plus toxicity, summed once per
-class, and the rewards, gathered one policy at a time; no other path is built.
+aggregates index the per-class arrays along one policy's class paths at a time:
+tumor plus toxicity, summed once per class, and the rewards; no other path is built.
 Every policy's result equals its one-policy rollout bit for bit.
 """
 
@@ -91,9 +91,9 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     if repeated:
         raise ValueError(f"duplicate policy labels: {', '.join(map(repr, repeated))}")
     rollout = simulate_cancer_cohorts(params, policies, n_test, seed, label="eval", names=labels)
-    combined = [states[:, 0] + states[:, 1] for states in rollout.states]  # per class, all policies
+    combined = rollout.states[:, 0] + rollout.states[:, 1]  # per class, all policies
     paths = (rollout.paths(j) for j in range(len(labels)))  # one policy's paths at a time
-    return [_aggregate(label, rollout.along(path, combined), rollout.along(path[:, 1:], rollout.rewards))
+    return [_aggregate(label, combined[path], rollout.stage_values(path, rollout.rewards, 0.0))
             for label, path in zip(labels, paths)]
 
 
@@ -119,7 +119,9 @@ class BandCurve:
 def epsilon_band_curve(
     opt_result: EvalResult, policy_results: list[EvalResult], epsilon: float
 ) -> BandCurve:
-    """Per-month band [optimal, optimal + epsilon*|optimal|] with overlays."""
+    """Per-month band [optimal, optimal + epsilon*|optimal|] with overlays; epsilon must be nonnegative."""
+    if not epsilon >= 0:  # NaN too
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     horizon = len(opt_result.mean_combined)
     for res in policy_results:
         if len(res.mean_combined) != horizon:
@@ -178,8 +180,8 @@ def band_stats(model: FittedQ, test_set: OfflineDataset, epsilon: float) -> Band
     ``epsilon``; accuracy outside the band is 1.0 when the band covers
     everything.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not epsilon >= 0:  # NaN too
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     _, feats, _, _ = test_set.stage_rows(0)
     blip_hat = estimated_blips(model, feats)
     predicted = np.where(blip_hat > 0, 1.0, -1.0)

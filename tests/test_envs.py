@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from nearq.core import validate
 from nearq.envs import (
+    UNIFORM_RANDOM,
     CancerParams,
     ItrConfig,
+    _cohort_draws,
     _refine,
     _reward_arrays,
     _step_arrays,
     simulate_cancer_cohort,
+    simulate_cancer_cohorts,
     simulate_itr,
     stream,
 )
@@ -172,17 +175,45 @@ def test_cohort_zero_dose_never_shrinks_tumor():
 
 
 def test_cohort_paths_carry_forward_after_death():
-    cohort = simulate_cancer_cohort(PARAMS, 1.0, 300, seed=23)
-    n, months = cohort.alive.shape
-    for i in range(n):
-        if cohort.alive[i, -1]:
-            continue
-        t_dead = int(np.argmin(cohort.alive[i]))  # first month not alive
-        assert not cohort.alive[i, t_dead:].any()
-        assert (cohort.tumor[i, t_dead:] == cohort.tumor[i, t_dead]).all()
-        assert (cohort.toxicity[i, t_dead:] == cohort.toxicity[i, t_dead]).all()
-        assert (cohort.dose_index[i, t_dead:] == -1).all()
-        assert (cohort.rewards[i, t_dead:] == 0.0).all()
+    # constant doses, the random policy and a policy that stops dosing after month 1, in one
+    # rollout: every cohort's live months replay the scalar reference from the shared draws,
+    # and once a patient dies its state stays, with dose -1 and reward 0.0
+    n, seed = 80, 23
+    switch = lambda t, feats: np.full(feats.shape[0], 10 if t < 2 else 0)
+    policies = [0.0, 0.5, 1.0, UNIFORM_RANDOM, switch]
+    rollout = simulate_cancer_cohorts(PARAMS, policies, n, seed)
+    init, death_u = _cohort_draws(seed, "train", n, PARAMS.n_stages, PARAMS.init_low, PARAMS.init_high)
+    assert not rollout.alive.all()
+    assert rollout.alive[rollout.parents[rollout.starts[1]:]].all()  # no dead class is stepped
+    deaths = remissions = 0
+    for j, policy in enumerate(policies):
+        cohort = rollout.cohort(j)
+        tumor, tox, alive = cohort.tumor.tolist(), cohort.toxicity.tolist(), cohort.alive.tolist()
+        for i in range(n):
+            state = (tumor[i][0], tox[i][0])
+            assert state == tuple(init[i])
+            for t in range(PARAMS.n_stages):
+                if not alive[i][t]:
+                    deaths += 1
+                    assert not cohort.alive[i, t:].any()
+                    assert (cohort.tumor[i, t:] == state[0]).all() and (cohort.toxicity[i, t:] == state[1]).all()
+                    assert (cohort.dose_index[i, t:] == -1).all() and (cohort.rewards[i, t:] == 0.0).all()
+                    break
+                dose = cohort.action_space.label(cohort.dose_index[i, t])
+                if policy is switch:
+                    assert dose == (1.0 if t < 2 else 0.0)
+                elif policy != UNIFORM_RANDOM:
+                    assert dose == policy
+                *state, died, reward = _reference_step(PARAMS, *state, *init[i], dose, death_u[i, t])
+                assert tuple(state) == (tumor[i][t + 1], tox[i][t + 1])
+                assert died == (not alive[i][t + 1])
+                assert reward == cohort.rewards[i, t]
+                remissions += state[0] == 0.0 and not died
+    assert deaths > 0 and remissions > 0
+    # dose 1.0 and the switch share every class through month 2, then part for patients still alive
+    full, stop = rollout.paths(2), rollout.paths(4)
+    assert (full[:, :3] == stop[:, :3]).all()
+    assert (full[:, 3:] != stop[:, 3:]).any()
 
 
 def test_cohort_dataset_shape_and_validation():
@@ -272,9 +303,9 @@ def test_stream_keys_every_64_bit_seed_apart():
 
 @st.composite
 def class_keys(draw):
-    """(P, n) rollout keys ``class * (K + 1) + action`` over C classes, with width C * (K + 1):
-    action K marks a dead class; a policy row is its own, a copy of the first row (the
-    policies share every class) or all dead."""
+    """(P, n) keys ``class * (K + 1) + action`` over C classes and K + 1 actions, with width
+    C * (K + 1): a policy row is its own, a copy of the first row (the policies share every
+    class) or one action throughout."""
     p, n = draw(st.integers(1, 5)), draw(st.integers(1, 30))
     k, c = draw(st.integers(1, 6)), draw(st.integers(1, 40))
     row = st.lists(st.tuples(st.integers(0, c - 1), st.integers(0, k)), min_size=n, max_size=n)

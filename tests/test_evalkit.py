@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,16 @@ def test_band_stats_edges_and_monotonicity():
     assert fractions == sorted(fractions)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), -0.1])
+def test_band_helpers_reject_a_nan_or_negative_epsilon(epsilon):
+    named = re.escape(f"epsilon must be nonnegative, got {epsilon!r}")
+    with pytest.raises(ValueError, match=named):
+        band_stats(_true_coef_model(), simulate_itr(ItrConfig(20, seed=5)), epsilon)
+    opt = EvalResult("opt", (2.0, 1.5), (0.1, 0.1), -5.0, 0.5)
+    with pytest.raises(ValueError, match=named):
+        epsilon_band_curve(opt, [opt], epsilon)
+
+
 def test_band_stats_counts_are_consistent():
     train = simulate_itr(ItrConfig(800, seed=301))
     test = simulate_itr(ItrConfig(1000, seed=302))
@@ -288,9 +299,9 @@ def test_greedy_policy_without_a_stage_model_is_named_before_any_kernel_work(mon
 def test_evaluation_peak_memory_is_bounded():
     # nearq cancer 500 train / 2800 test, seed 2: opt and ranks 2..m of the four default
     # tolerances (22 policies), evaluated on eval seed 3. The peak falls in the batched argmax:
-    # 3.44 MB with the class ids and live flags the rollout needs held through it, 3.63 MB when
-    # a copy of every policy's live class rows is held too, 3.69 MB when per-policy action dicts
-    # are kept and np.unique refines the classes as well. Holding every policy's cohort: 15 MB.
+    # 3.10 MB with the class ids and live-pair indices the rollout needs held through it, 3.59 MB
+    # when each live pair's class and key arrays are held too, 3.44 MB when every dead class was
+    # carried forward each month. Holding every policy's cohort: 15 MB.
     train = simulate_cancer_cohort(PARAMS, "uniform-random", 500, 2, label="train").dataset
     stack, ne_stacks = fit_tolerances(train, CANCER_SPEC, tuple(EpsilonConfig(e) for e in (0.1, 0.3, 0.5, 0.9)))
     named = {"opt": greedy_policy(stack)}
