@@ -4,18 +4,23 @@ Randomness is counter-based (Philox) and keyed by ``(seed, label)`` so every
 draw stream can be reproduced in isolation; rows of the pre-drawn matrices act
 as independent per-patient streams.
 
-The tumor/toxicity rollout steps many policies in lockstep over decision-path
-classes, numbered across months: each stage refines (without sorting) and
-steps only the live classes, and a patient who dies stays in its death-month
-class. Every greedy policy, of any backend, is decided in one batched argmax
-and one gather per stage. A cohort's initial states and death draws are drawn
-once per ``(seed, label)`` and shared by every rollout that keys them. A
-rollout leaves five flat per-class arrays; a policy's paths index into them.
+The tumor/toxicity rollout of many policies steps them in lockstep over
+decision-path classes, numbered across months: each stage refines (without
+sorting) and steps only the live classes, and a patient who dies stays in its
+death-month class. Every greedy policy, of any backend, is decided in one
+batched argmax and one gather per stage. A lockstep leaves five flat per-class
+arrays; a policy's paths index into them. One policy's decision paths never
+merge, so its rollout has no classes: each stage steps its live patients
+straight into the cohort's patient x month arrays. Both rollouts share the
+draws, the policy resolution, the action check and the dynamics. A cohort's
+initial states and death draws are drawn once per ``(seed, label)`` and shared
+by every rollout that keys them.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -157,8 +162,10 @@ class CancerCohort:
     state columns stop changing (the death-month state is carried forward).
     ``alive[:, t]`` flags patients alive at the start of month t;
     ``dose_index`` (into ``action_space``) and ``rewards`` are -1/0 after
-    death. :meth:`LockstepRollout.cohort` builds only these arrays, by plain
-    indexing of its class arrays; the dataset's rows are their alive patient-months.
+    death. :func:`simulate_cancer_cohort` steps a policy's live patients
+    straight into these arrays, and :meth:`LockstepRollout.cohort` builds them
+    by plain indexing of its class arrays; the dataset's rows are their alive
+    patient-months.
     """
 
     tumor: np.ndarray
@@ -182,15 +189,44 @@ class CancerCohort:
 
 
 def _resolve_policy(params: CancerParams, policy, dose_rng: np.random.Generator | None):
+    """A constant dose's action index, or a callable ``(t, states) -> action indices``."""
     space = params.action_space
     if isinstance(policy, str) and policy == UNIFORM_RANDOM:
         return lambda t, feats: dose_rng.integers(0, space.size, size=feats.shape[0])
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
-        k = space.index_of(float(policy))
-        return lambda t, feats: np.full(feats.shape[0], k, dtype=int)
+    if isinstance(policy, (int, float, np.integer)) and not isinstance(policy, bool):
+        return space.index_of(float(policy))
     if callable(policy):
         return policy
     raise ValueError(f"unsupported policy spec {policy!r}")
+
+
+def _deciders(params: CancerParams, policies: list, names: list, seed: int, label: str) -> list:
+    """Each policy's :func:`_resolve_policy` decider, once the policies are checked: at most one
+    "uniform-random" (it reads the one dose stream), and a greedy model for every stage."""
+    uniform = [isinstance(p, str) and p == UNIFORM_RANDOM for p in policies]
+    if sum(uniform) > 1:
+        raise ValueError(f"at most one {UNIFORM_RANDOM!r} policy per rollout: they would share one dose stream")
+    for policy, name in zip(policies, names):
+        if isinstance(policy, GreedyPolicy) and policy.horizon < params.n_stages - 1:
+            raise ValueError(f"policy {name!r} has no model for stage {policy.horizon + 1}"
+                             f" of a {params.n_stages}-stage rollout")
+    dose_rng = stream(seed, f"{label}/dose") if any(uniform) else None
+    return [_resolve_policy(params, p, dose_rng) for p in policies]
+
+
+def _decide(decider, name: str, t: int, states, n_actions: int):
+    """Policy ``name``'s actions at stage t for its live patients: a constant dose's index as is,
+    for the caller to fill, or the callable's answer on ``states()``, the (k, 2) live states in
+    patient order, which must be k integer action indices in [0, n_actions). Never called
+    without a live patient."""
+    if not callable(decider):
+        return decider
+    rows = states()
+    idx = np.asarray(decider(t, rows))
+    if idx.dtype.kind not in "iu" or idx.shape != (len(rows),) or idx.min() < 0 or idx.max() >= n_actions:
+        raise ValueError(f"policy {name!r} returned invalid action indices at stage {t}: expected"
+                         f" {len(rows)} integers in [0, {n_actions}), got {idx.dtype} of shape {idx.shape}")
+    return idx
 
 
 def simulate_cancer_cohort(
@@ -205,14 +241,65 @@ def simulate_cancer_cohort(
 
     ``policy`` is the string "uniform-random", a dose value from the grid
     (constant regime), or a callable ``(t, features_matrix) -> action indices``.
-    This is the one-policy case of :func:`simulate_cancer_cohorts`: initial
-    tumor and toxicity are iid uniform on ``[params.init_low,
+    Initial tumor and toxicity are iid uniform on ``[params.init_low,
     params.init_high]``, and all draws come from streams keyed by
     ``(seed, label/purpose)``, so two calls with the same arguments produce
     identical cohorts, and calls sharing ``(seed, label)`` share initial states
-    and death draws regardless of the policy.
+    and death draws regardless of the policy. Each stage of
+    :func:`one_policy_stages` is stored straight into the cohort's patient x
+    month arrays, so the cohort is bitwise the one :func:`simulate_cancer_cohorts`
+    builds for the policy in any lockstep.
     """
-    return simulate_cancer_cohorts(params, [policy], n, seed, label=label).cohort(0)
+    init, stages = one_policy_stages(params, policy, n, seed, label=label)
+    months = params.n_stages + 1
+    tumor, tox = np.empty((n, months)), np.empty((n, months))
+    alive = np.zeros((n, months), dtype=bool)
+    dose_index, rewards = np.full((n, months - 1), -1), np.zeros((n, months - 1))
+    tumor[:, 0], tox[:, 0], alive[:, 0] = init[:, 0], init[:, 1], True
+    for t, live, action, next_tumor, next_tox, died, reward in stages:
+        tumor[:, t + 1], tox[:, t + 1] = tumor[:, t], tox[:, t]  # a dead patient's state is carried forward
+        tumor[live, t + 1], tox[live, t + 1], alive[live, t + 1] = next_tumor, next_tox, ~died
+        dose_index[live, t], rewards[live, t] = action, reward
+    for arr in (tumor, tox, alive, dose_index, rewards):
+        arr.setflags(write=False)
+    return CancerCohort(tumor, tox, alive, dose_index, rewards, params.action_space)
+
+
+def one_policy_stages(
+    params: CancerParams, policy, n: int, seed: int, *, label: str = "train", name: str = "#0",
+) -> tuple[np.ndarray, Iterator[tuple]]:
+    """One policy's rollout of cohort ``(seed, label)``, stage by stage: ``(init, stages)``.
+
+    ``init`` holds the (n, 2) initial states. ``stages`` yields, for each stage
+    t, ``(t, live, action, tumor, toxicity, died, reward)``: the patients alive
+    at month t, ascending; their action index (one for all under a constant
+    dose); and their month t + 1 tumor, toxicity, death flag and reward. One
+    policy's decision paths never merge, so there are no classes: each stage
+    decides and steps the live patients in patient order, from states kept
+    compacted to them, with the draws :func:`simulate_cancer_cohorts` uses.
+    ``name`` labels the policy in error messages. The policy is checked before
+    this returns, and it is never asked about zero patients.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    decider = _deciders(params, [policy], [name], seed, label)[0]
+    init, death_u = _cohort_draws(seed, label, n, params.n_stages, params.init_low, params.init_high)
+    return init, _live_stages(params, decider, name, init, death_u)
+
+
+def _live_stages(params: CancerParams, decider, name: str, init: np.ndarray, death_u: np.ndarray):
+    dose_values = np.asarray(params.action_space.values)
+    live, tumor, tox, tumor0, tox0 = np.arange(len(init)), init[:, 0], init[:, 1], init[:, 0], init[:, 1]
+    for t in range(params.n_stages):
+        if live.size:
+            action = _decide(decider, name, t, lambda: np.column_stack([tumor, tox]), dose_values.size)
+        else:  # everyone has died: the stage steps no one and asks the policy nothing
+            action = live
+        next_tumor, next_tox, died, reward = _step_arrays(
+            params, tumor, tox, tumor0, tox0, dose_values[action], death_u[live, t])
+        yield t, live, action, next_tumor, next_tox, died, reward
+        kept = ~died
+        live, tumor, tox, tumor0, tox0 = (a[kept] for a in (live, next_tumor, next_tox, tumor0, tox0))
 
 
 @lru_cache(maxsize=1)
@@ -321,23 +408,15 @@ def simulate_cancer_cohorts(
         raise ValueError("n must be >= 1")
     policies = list(policies)
     names = list(names) if names is not None else [f"#{j}" for j in range(len(policies))]
-    uniform = [isinstance(p, str) and p == UNIFORM_RANDOM for p in policies]
-    if sum(uniform) > 1:
-        raise ValueError(f"at most one {UNIFORM_RANDOM!r} policy per rollout: they would share one dose stream")
+    deciders = _deciders(params, policies, names, seed, label)
     n_stages = params.n_stages
     is_greedy = [isinstance(p, GreedyPolicy) for p in policies]
     greedy = np.flatnonzero(is_greedy)
     others = [j for j, g in enumerate(is_greedy) if not g]
-    for j in greedy:
-        if policies[j].horizon < n_stages - 1:
-            raise ValueError(f"policy {names[j]!r} has no model for stage {policies[j].horizon + 1}"
-                             f" of a {n_stages}-stage rollout")
     space = params.action_space
     n_actions = space.size
 
     init, death_u = _cohort_draws(seed, label, n, n_stages, params.init_low, params.init_high)
-    dose_rng = stream(seed, f"{label}/dose") if any(uniform) else None
-    deciders = [_resolve_policy(params, p, dose_rng) for p in policies]
     dose_values = np.asarray(space.values)
 
     # one block per month of each per-class array; month 0's classes are the patients
@@ -369,10 +448,8 @@ def simulate_cancer_cohorts(
             keys = actions.take(np.repeat(row_offset, counts) + position[local])
             del actions, position
         for j in [j for j in others if counts[j]]:
-            idx = np.asarray(deciders[j](t, here[local[bounds[j]:bounds[j + 1]]]), dtype=int)
-            if idx.shape != (counts[j],) or idx.min() < 0 or idx.max() >= n_actions:
-                raise ValueError(f"policy {names[j]!r} returned invalid action indices at stage {t}")
-            keys[bounds[j]:bounds[j + 1]] = idx
+            keys[bounds[j]:bounds[j + 1]] = _decide(
+                deciders[j], names[j], t, lambda: here[local[bounds[j]:bounds[j + 1]]], n_actions)
         keys += local.astype(key_type, copy=False) * n_actions
         uniq, rank = _refine(keys, width)
         del keys, local

@@ -12,7 +12,10 @@ is stepped once, and the rollout decides the greedy policies at each stage in
 one batch, with one kernel matrix per action for models from one fit. The
 aggregates index the per-class arrays along one policy's class paths at a time:
 tumor plus toxicity, summed once per class, and the rewards; no other path is built.
-Every policy's result equals its one-policy rollout bit for bit.
+A single policy (:func:`evaluate_policy`, each constant-dose baseline) shares
+nothing, so it is rolled out with no classes (:func:`nearq.envs.one_policy_stages`)
+into just those two patient x month arrays. Every policy's result equals its
+one-policy rollout bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import OfflineDataset, write_csv
-from .envs import CancerParams, simulate_cancer_cohorts
+from .envs import CancerParams, one_policy_stages, simulate_cancer_cohorts
 from .regression import FittedQ, InteractionLinearQ
 
 
@@ -77,7 +80,8 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
 
     The rollout leaves its class history; each policy's tumor plus toxicity
     and reward paths are gathered from it by class, since the aggregates read
-    nothing else (no dataset, per-stage record or other path is built). The
+    nothing else (no dataset, per-stage record or other path is built). A
+    single policy is rolled out alone, with no classes, into those two paths. The
     simulation streams are keyed by the seed alone, so every policy evaluated
     with the same seed gets the same initial states and survival draws, and
     each result equals that policy's one-policy evaluation bit for bit.
@@ -90,6 +94,8 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     repeated = sorted({label for i, label in enumerate(labels) if label in labels[:i]})
     if repeated:
         raise ValueError(f"duplicate policy labels: {', '.join(map(repr, repeated))}")
+    if len(policies) == 1:  # one policy's decision paths never merge: no lockstep
+        return [_evaluate_one(params, policies[0], n_test, seed, labels[0])]
     rollout = simulate_cancer_cohorts(params, policies, n_test, seed, label="eval", names=labels)
     combined = rollout.states[:, 0] + rollout.states[:, 1]  # per class, all policies
     paths = (rollout.paths(j) for j in range(len(labels)))  # one policy's paths at a time
@@ -97,9 +103,23 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
             for label, path in zip(labels, paths)]
 
 
+def _evaluate_one(params: CancerParams, policy, n_test: int, seed: int, label: str) -> EvalResult:
+    """One policy's result from its :func:`~nearq.envs.one_policy_stages`, stored straight into
+    the two patient x month arrays the aggregates read: tumor plus toxicity, and the rewards."""
+    init, stages = one_policy_stages(params, policy, n_test, seed, label="eval", name=label)
+    combined, rewards = np.empty((n_test, params.n_stages + 1)), np.zeros((n_test, params.n_stages))
+    combined[:, 0] = init[:, 0] + init[:, 1]
+    for t, live, _, tumor, tox, _, reward in stages:
+        combined[:, t + 1] = combined[:, t]  # a dead patient's state is carried forward
+        combined[live, t + 1], rewards[live, t] = tumor + tox, reward
+    return _aggregate(label, combined, rewards)
+
+
 def constant_dose_baselines(params: CancerParams, n_test: int, seed: int) -> list[EvalResult]:
     """One shared-initial-state evaluation per dose on the grid (0.0 included), labelled
-    ``const-`` and the dose's repr, so distinct doses never share a label."""
+    ``const-`` and the dose's repr, so distinct doses never share a label. Each dose is its
+    own one-policy rollout: the doses share no decision path, and a lockstep of them would
+    hold every dose's cohort at once."""
     return [
         evaluate_policy(params, dose, n_test, seed, label=f"const-{dose!r}")
         for dose in params.dose_grid

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nearq.envs
+import nearq.qlearn
 from nearq.core import validate
 from nearq.envs import (
     UNIFORM_RANDOM,
@@ -14,11 +16,14 @@ from nearq.envs import (
     _refine,
     _reward_arrays,
     _step_arrays,
+    one_policy_stages,
     simulate_cancer_cohort,
     simulate_cancer_cohorts,
     simulate_itr,
     stream,
 )
+from nearq.qlearn import GreedyPolicy
+from nearq.regression import InteractionLinearQ
 
 PARAMS = CancerParams()
 
@@ -214,6 +219,77 @@ def test_cohort_paths_carry_forward_after_death():
     full, stop = rollout.paths(2), rollout.paths(4)
     assert (full[:, :3] == stop[:, :3]).all()
     assert (full[:, 3:] != stop[:, 3:]).any()
+    # each policy alone, with no classes, makes the cohort the lockstep gives it: values, dtypes, flags
+    for j, policy in enumerate(policies):
+        _assert_same_cohort(simulate_cancer_cohort(PARAMS, policy, n, seed), rollout.cohort(j))
+
+
+COHORT_ARRAYS = ("tumor", "toxicity", "alive", "dose_index", "rewards")
+
+
+def _assert_same_cohort(alone, together):
+    for name in COHORT_ARRAYS:
+        a, b = getattr(alone, name), getattr(together, name)
+        assert np.array_equal(a, b), name
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert not a.flags.writeable and not b.flags.writeable, name
+        assert a.flags.c_contiguous, name
+    assert alone.action_space == together.action_space
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_everyone_dies_at_stage_zero(monkeypatch, n):
+    # a hazard of exp(50) kills every patient in the first month; the later stages step no one
+    # and ask no policy, whether it is called alone or in a lockstep
+    params = CancerParams(hazard_intercept=50.0)
+    shapes = []
+    real_best = nearq.envs.best_over_actions
+
+    def counted_best(models, features):
+        shapes.append(features.shape[0])
+        return real_best(models, features)
+
+    def counted(t, feats):
+        shapes.append(feats.shape[0])
+        return np.full(feats.shape[0], 3)
+
+    monkeypatch.setattr(nearq.envs, "best_over_actions", counted_best)
+    monkeypatch.setattr(nearq.qlearn, "best_over_actions", counted_best)
+    space = params.action_space
+    greedy = GreedyPolicy(tuple(InteractionLinearQ(space, np.arange(6.0), 2) for _ in range(params.n_stages)))
+    policies = [0.0, np.int64(1), UNIFORM_RANDOM, counted, greedy]
+    rollout = simulate_cancer_cohorts(params, policies, n, seed=4)
+    for j, policy in enumerate(policies):
+        alone = simulate_cancer_cohort(params, policy, n, seed=4)
+        _assert_same_cohort(alone, rollout.cohort(j))
+        assert alone.alive[:, 0].all() and not alone.alive[:, 1:].any()
+        assert (alone.dose_index[:, 0] >= 0).all() and (alone.dose_index[:, 1:] == -1).all()
+        assert (alone.rewards[:, 0] <= -40.0).all() and (alone.rewards[:, 1:] == 0.0).all()
+        assert (alone.tumor[:, 1:] == alone.tumor[:, 1:2]).all()
+    assert shapes and min(shapes) == n
+
+
+@pytest.mark.parametrize("answer", [
+    lambda t, feats: np.full(feats.shape[0], 2.7),
+    lambda t, feats: np.ones(feats.shape[0], dtype=bool),
+    lambda t, feats: [float(t)] * feats.shape[0],
+], ids=["float", "bool", "float-list"])
+def test_non_integer_action_indices_are_refused_in_both_paths(answer):
+    named = r"policy 'odd' returned invalid action indices at stage 0"
+    with pytest.raises(ValueError, match=named):
+        simulate_cancer_cohorts(PARAMS, [0.5, answer], 10, seed=1, names=["const-0.5", "odd"])
+    with pytest.raises(ValueError, match=named):
+        list(one_policy_stages(PARAMS, answer, 10, seed=1, name="odd")[1])
+    with pytest.raises(ValueError, match="'#0' returned invalid action indices at stage 0"):
+        simulate_cancer_cohort(PARAMS, answer, 10, seed=1)
+
+
+@pytest.mark.parametrize("dose", [np.int64(1), np.int32(0), np.uint8(1)])
+def test_numpy_integer_is_a_constant_dose(dose):
+    as_python = simulate_cancer_cohort(PARAMS, int(dose), 30, seed=2)
+    _assert_same_cohort(simulate_cancer_cohort(PARAMS, dose, 30, seed=2), as_python)
+    assert (as_python.dose_index[as_python.alive[:, :-1]] == PARAMS.action_space.index_of(float(dose))).all()
+    _assert_same_cohort(simulate_cancer_cohorts(PARAMS, [0.5, dose], 30, seed=2).cohort(1), as_python)
 
 
 def test_cohort_dataset_shape_and_validation():

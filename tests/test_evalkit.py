@@ -10,6 +10,7 @@ from nearq.core import StageRecord
 from nearq.envs import CancerParams, ItrConfig, simulate_cancer_cohort, simulate_cancer_cohorts, simulate_itr
 from nearq.evalkit import (
     EvalResult,
+    _aggregate,
     band_stats,
     blip_surface,
     constant_dose_baselines,
@@ -100,6 +101,34 @@ def test_mean_cum_reward_matches_raw_trajectories():
     assert res.mean_cum_reward == pytest.approx(cohort.rewards.sum(axis=1).mean())
     combined = cohort.tumor + cohort.toxicity
     assert np.allclose(res.mean_combined, combined.mean(axis=0))
+
+
+def test_one_policy_evaluation_aggregates_its_cohort():
+    # the evaluation stores only tumor plus toxicity and the rewards; its result is bitwise the
+    # aggregate of the full cohort simulate_cancer_cohort builds under the same policy
+    late = lambda t, feats: np.full(feats.shape[0], 9 if t < 3 else 1)
+    for policy in (0.0, 0.7, np.int64(1), "uniform-random", late):
+        cohort = simulate_cancer_cohort(PARAMS, policy, 150, seed=11, label="eval")
+        assert not cohort.alive[:, -1].all()
+        want = _aggregate("p", cohort.tumor + cohort.toxicity, cohort.rewards)
+        assert evaluate_policy(PARAMS, policy, 150, seed=11, label="p") == want
+
+
+def test_constant_dose_baselines_peak_memory_is_bounded():
+    # 2800 patients: one dose at a time peaks at 1.18 MB through class paths and at 0.68 MB
+    # stepping the live patients directly; a lockstep of the 11 doses holds 8.2 MB at once
+    constant_dose_baselines(PARAMS, 2800, 3)
+    peaks = []
+    for run in (lambda: constant_dose_baselines(PARAMS, 2800, 3),
+                lambda: evaluate_policies(PARAMS, PARAMS.dose_grid, 2800, 3, [repr(d) for d in PARAMS.dose_grid])):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    one_at_a_time, lockstep = peaks
+    assert one_at_a_time < 1.5 < lockstep
 
 
 def test_band_curve_geometry():
