@@ -160,8 +160,7 @@ def cmd_cancer(cfg: RunConfig) -> int:
         cohort = simulate_cancer_cohort(params, UNIFORM_RANDOM, cfg.n_train, cfg.seed, label="train")
         train = cohort.dataset
         _check_cohort("train.csv", train)
-        save_csv(train, stage / "train.csv")
-        save_trajectories_csv(cohort, stage / "trajectories.csv")
+        save_trajectories_csv(cohort, stage / "trajectories.csv", train=stage / "train.csv")
 
         t0 = time.perf_counter()
         stack, ne_stacks = fit_tolerances(train, spec, cfg.tolerances())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -302,26 +303,63 @@ _SIDECAR_KEYS = (
 )
 
 
-CSV_BLOCK_ROWS = 2048  # records formatted per write: a writer holds one block's text, never the file's
+CSV_BLOCK_ROWS = 128  # records formatted per block: a writer holds one block's text, never the file's
 
 
-def write_csv(path: str | Path, header: str, line, *columns) -> None:
-    """Write ``header``, then the text ``line(*record)`` of each record of ``columns``.
+def _cells(column) -> list[str]:
+    """The cell texts of one block column (see :func:`write_csvs`)."""
+    if isinstance(column, tuple):
+        texts, index = column
+        return list(map(texts.__getitem__, index.tolist()))
+    return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
 
-    The columns are numpy arrays or sequences of equal length; record k is
-    their k-th entries. ``line`` returns the record's lines, each ending in a
-    newline, so a record may span several lines or none. Records are formatted
-    ``CSV_BLOCK_ROWS`` at a time: only that block of each array is turned into
-    Python objects, and the block's text is written with one ``write``. The
-    file is opened as ``Path.write_text`` opens it, so its bytes equal those of
+
+def write_csvs(headers: dict, n: int, block) -> None:
+    """Write one CSV file per ``path: header`` entry of ``headers`` in one pass over ``n`` records.
+
+    Records are formatted ``CSV_BLOCK_ROWS`` at a time: ``block(lo, hi)``
+    returns, for each file in the order of ``headers``, the columns of the
+    lines that records lo..hi-1 make there. A column is a numpy array of
+    floats, each cell its ``repr``, or of integers or strings, each cell its
+    ``str``; or a pair ``(texts, index)`` of a list of cell texts and an
+    integer array, each cell ``texts[index[k]]``, for text made once and read
+    many times. A block is formatted column by column, one map per column,
+    joined line by line, and written with one ``write`` per file. Files are
+    opened as ``Path.write_text`` opens them, so their bytes equal those of
     the whole text written at once.
     """
-    with Path(path).open("w") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [column[lo:lo + CSV_BLOCK_ROWS] for column in columns]
-            block = [part.tolist() if isinstance(part, np.ndarray) else part for part in block]
-            fh.write("".join(map(line, *block)))
+    with ExitStack() as stack:
+        files = [stack.enter_context(Path(path).open("w")) for path in headers]
+        for fh, header in zip(files, headers.values()):
+            fh.write(header + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            for fh, columns in zip(files, block(lo, min(lo + CSV_BLOCK_ROWS, n)), strict=True):
+                lines = list(map(",".join, zip(*map(_cells, columns), strict=True)))
+                if lines:
+                    fh.write("\n".join(lines) + "\n")
+
+
+def write_csv(path: str | Path, header: str, *columns: np.ndarray) -> None:
+    """Write ``header``, then one line per entry of the equal-length numpy ``columns``,
+    ``CSV_BLOCK_ROWS`` lines a block (see :func:`write_csvs`); a column of text cells is a
+    numpy string array."""
+    write_csvs({path: header}, len(columns[0]), lambda lo, hi: ([column[lo:hi] for column in columns],))
+
+
+def cohort_header(d: int) -> str:
+    """The header line of a cohort CSV with ``d`` covariates."""
+    return ",".join(["patient_id", "stage", *(f"cov_{j}" for j in range(d)), "action_index", "reward"])
+
+
+def save_sidecar(dataset: OfflineDataset, path: str | Path) -> None:
+    """Write the sidecar metadata file of the cohort CSV of ``dataset`` at ``path``."""
+    sidecar = {
+        "format_version": 1,
+        "horizon": dataset.horizon,
+        "feature_dims": list(dataset.feature_dims),
+        "action_values": [list(sp.values) for sp in dataset.action_spaces],
+    }
+    Path(str(path) + _SIDECAR_SUFFIX).write_text(json.dumps(sidecar, indent=1))
 
 
 def save_csv(dataset: OfflineDataset, path: str | Path) -> None:
@@ -330,19 +368,11 @@ def save_csv(dataset: OfflineDataset, path: str | Path) -> None:
     Floats are written with ``repr`` so that loading reproduces the exact
     values.
     """
-    d = dataset.features.shape[1]
     write_csv(
-        path, ",".join(["patient_id", "stage", *(f"cov_{j}" for j in range(d)), "action_index", "reward"]),
-        lambda i, t, covs, a, r: f"{i},{t},{','.join(map(repr, covs))},{a},{r!r}\n",
-        dataset.patient, dataset.stage, dataset.features, dataset.actions, dataset.rewards,
+        path, cohort_header(dataset.features.shape[1]), dataset.patient, dataset.stage,
+        *dataset.features.T, dataset.actions, dataset.rewards,
     )
-    sidecar = {
-        "format_version": 1,
-        "horizon": dataset.horizon,
-        "feature_dims": list(dataset.feature_dims),
-        "action_values": [list(sp.values) for sp in dataset.action_spaces],
-    }
-    Path(str(path) + _SIDECAR_SUFFIX).write_text(json.dumps(sidecar, indent=1))
+    save_sidecar(dataset, path)
 
 
 def _csv_rows(fh):

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSpace, OfflineDataset, write_csv
+from .core import ActionSpace, OfflineDataset, cohort_header, save_sidecar, write_csvs
 from .qlearn import GreedyPolicy
 from .regression import best_over_actions
 
@@ -120,8 +120,9 @@ class CancerParams:
         if len(self.dose_grid) < 2:
             raise ValueError("dose grid needs at least two doses")
 
-    @property
+    @cached_property
     def action_space(self) -> ActionSpace:
+        """The dose grid as an action space, built once per parameter set."""
         return ActionSpace(self.dose_grid)
 
 
@@ -472,20 +473,53 @@ def simulate_cancer_cohorts(
                            cls.reshape(len(policies), n), np.array(starts), space)
 
 
-def save_trajectories_csv(cohort: CancerCohort, path: str | Path) -> None:
-    """Per-month state log: patient_id,stage,tumor,toxicity,dose,reward,alive."""
-    n_decisions = cohort.dose_index.shape[1]
-    grid = [repr(v) for v in cohort.action_space.values]
+def save_trajectories_csv(cohort: CancerCohort, path: str | Path, train: str | Path | None = None) -> None:
+    """Per-month state log ``patient_id,stage,tumor,toxicity,dose,reward,alive``; with ``train``,
+    also the cohort CSV of ``cohort.dataset`` and its sidecar there, the bytes
+    :func:`~nearq.core.save_csv` writes, in the same pass.
 
-    def patient_lines(i, tumor, tox, doses, rewards, alive):
-        lines = []
-        for t in range(n_decisions + 1):
-            dose = grid[doses[t]] if t < n_decisions and doses[t] >= 0 else ""
-            reward = repr(rewards[t]) if t < n_decisions and alive[t] else ""
-            lines.append(f"{i},{t},{tumor[t]!r},{tox[t]!r},{dose},{reward},{int(alive[t])}\n")
-        return "".join(lines)
+    Both files are formatted a block of patients at a time, and each cell's
+    text is made once: a state carried forward after death reuses its
+    death-month text, a reward's text is looked up by its bit pattern (so
+    ``-0.0`` keeps its own), and the cohort rows read the text of the block's
+    alive patient-months.
+    """
+    headers = {path: "patient_id,stage,tumor,toxicity,dose,reward,alive"}
+    if train is not None:
+        headers[train] = cohort_header(2)
+    grid = [repr(v) for v in cohort.action_space.values] + [""]  # dose index -1: no dose
+    write_csvs(headers, len(cohort.tumor), lambda lo, hi: _cohort_columns(cohort, grid, lo, hi)[:len(headers)])
+    if train is not None:
+        save_sidecar(cohort.dataset, train)
 
-    write_csv(
-        path, "patient_id,stage,tumor,toxicity,dose,reward,alive", patient_lines,
-        range(len(cohort.tumor)), cohort.tumor, cohort.toxicity, cohort.dose_index, cohort.rewards, cohort.alive,
+
+def _cohort_columns(cohort: CancerCohort, grid: list[str], lo: int, hi: int) -> tuple[list, list]:
+    """The trajectories columns of patients lo..hi-1, then the cohort CSV columns of their rows."""
+    alive = cohort.alive[lo:hi]
+    n, months = alive.shape
+    # month t's state is new where the patient was alive at month t - 1, and month 0's always;
+    # otherwise it was carried forward, and so is its text. latest: each (flat) cell's newest new cell
+    fresh = np.ones_like(alive)
+    fresh[:, 1:] = alive[:, :-1]
+    latest = np.cumsum(fresh) - 1
+    tumor = _reprs(cohort.tumor[lo:hi][fresh])
+    tox = _reprs(cohort.toxicity[lo:hi][fresh])
+    rows = np.zeros_like(alive)  # the cells of the cohort rows: alive, at a decision month
+    rows[:, :-1] = alive[:, :-1]
+    bits, which = np.unique(cohort.rewards[lo:hi][rows[:, :-1]].view(np.uint64), return_inverse=True)
+    rewards = _reprs(bits.view(np.float64)) + [""]
+    reward_at = np.full(alive.shape, -1)
+    reward_at[rows] = which
+    dose_at = np.full(alive.shape, -1)
+    dose_at[:, :-1] = cohort.dose_index[lo:hi]
+    patient, stage = np.repeat(np.arange(lo, hi), months), np.tile(np.arange(months), n)
+    at = np.flatnonzero(rows)
+    return (
+        [patient, stage, (tumor, latest), (tox, latest), (grid, dose_at.ravel()), (rewards, reward_at.ravel()),
+         alive.ravel().astype(np.int8)],
+        [patient[at], stage[at], (tumor, latest[at]), (tox, latest[at]), dose_at.ravel()[at], (rewards, which)],
     )
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))

@@ -228,29 +228,26 @@ def band_stats(model: FittedQ, test_set: OfflineDataset, epsilon: float) -> Band
 
 
 def save_results_csv(results: list[EvalResult], path: str | Path) -> None:
+    months = [len(res.mean_combined) for res in results]
     write_csv(
         path, "policy_label,month,mean_combined,stderr_combined,mean_cum_reward",
-        lambda res: "".join(
-            f"{res.label},{month},{m!r},{s!r},{res.mean_cum_reward!r}\n"
-            for month, (m, s) in enumerate(zip(res.mean_combined, res.stderr_combined))
-        ),
-        results,
+        np.repeat([res.label for res in results], months), np.array([t for k in months for t in range(k)]),
+        np.array([v for res in results for v in res.mean_combined], dtype=float),
+        np.array([v for res in results for v in res.stderr_combined], dtype=float),
+        np.repeat(np.array([res.mean_cum_reward for res in results], dtype=float), months),
     )
 
 
 def save_band_csv(band: BandCurve, path: str | Path) -> None:
-    write_csv(path, "month,band_lo,band_hi", lambda month, lo, hi: f"{month},{lo!r},{hi!r}\n",
-              band.months, band.lo, band.hi)
+    write_csv(path, "month,band_lo,band_hi", np.array(band.months, dtype=int),
+              np.array(band.lo, dtype=float), np.array(band.hi, dtype=float))
 
 
 def save_blip_csv(grid: np.ndarray, path: str | Path) -> None:
-    write_csv(path, "x0,x1,blip", lambda row: ",".join(map(repr, row)) + "\n", np.asarray(grid))
+    write_csv(path, "x0,x1,blip", *np.asarray(grid, dtype=float).T)
 
 
 def save_band_stats_csv(stats: list[BandStats], path: str | Path) -> None:
-    write_csv(
-        path, "epsilon,n_test,misclassified_total,misclassified_in_band,band_fraction,accuracy_outside_band",
-        lambda s: f"{s.epsilon!r},{s.n_test},{s.misclassified_total},{s.misclassified_in_band},"
-                  f"{s.band_fraction!r},{s.accuracy_outside_band!r}\n",
-        stats,
-    )
+    fields = ("epsilon", "n_test", "misclassified_total", "misclassified_in_band", "band_fraction",
+              "accuracy_outside_band")
+    write_csv(path, ",".join(fields), *(np.array([getattr(s, name) for s in stats]) for name in fields))

@@ -28,11 +28,12 @@ size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .core import OfflineDataset, write_csv
+from .core import OfflineDataset, write_csvs
 from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage
 from .regression import DesignSpec, FittedQ
 
@@ -90,19 +91,36 @@ def admissible_actions(q_values: np.ndarray, cfg: EpsilonConfig) -> tuple[tuple[
     return tuple(zip(order[0, : counts[0]].tolist(), values[0, : counts[0]].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmissibleSet:
-    """Per-patient ordered admissible actions at the final stage.
+    """Per-patient ordered admissible actions at the final stage, as read-only arrays.
 
-    ``rows[i]`` holds patient i's ``(action_index, q_value)`` pairs, best
-    first. Patients without a final-stage record hold the single sentinel
-    entry ``(NO_ACTION, 0.0)``.
+    ``counts[i]`` is patient i's number of admissible actions. ``actions`` and
+    ``values`` hold every patient's admissible action indices and their
+    values, patient by patient, best first within a patient, so patient i's
+    are the ``counts[i]`` entries from ``counts[:i].sum()`` on. Patients
+    without a final-stage record hold the single sentinel entry
+    ``(NO_ACTION, 0.0)``. ``rows[i]``, patient i's entries as
+    ``(action_index, q_value)`` pairs, is built on first read.
     """
 
-    rows: tuple[tuple[tuple[int, float], ...], ...]
+    actions: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, AdmissibleSet):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in ("actions", "values", "counts"))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        pairs = list(zip(self.actions.tolist(), self.values.tolist()))
+        ends = np.cumsum(self.counts).tolist()
+        return tuple(tuple(pairs[hi - n_i:hi]) for hi, n_i in zip(ends, self.counts.tolist()))
 
     def n_admissible(self, i: int) -> int:
-        return len(self.rows[i])
+        return int(self.counts[i])
 
 
 @dataclass(frozen=True)
@@ -130,19 +148,22 @@ def _select(n: int, idx_final: np.ndarray, q_final: np.ndarray, cfg: EpsilonConf
     """:func:`select_and_pad` on the final-stage value matrix of the patients ``idx_final``."""
     order, values, counts = _ranked(q_final, cfg)
     m = int(counts.max(initial=1))
+    admitted = np.arange(order.shape[1]) < counts[:, None]
 
-    rows = [((NO_ACTION, 0.0),)] * n
-    for i, actions, vals, n_i in zip(
-        idx_final.tolist(), order.tolist(), values.tolist(), counts.tolist()
-    ):
-        rows[i] = tuple(zip(actions[:n_i], vals[:n_i]))
+    all_counts = np.ones(n, dtype=int)
+    all_counts[idx_final] = counts
+    has_final = np.zeros(n, dtype=bool)
+    has_final[idx_final] = True
+    # entries patient by patient, as idx_final is ascending
+    of_final = np.repeat(has_final, all_counts)
+    actions, admitted_values = np.full(of_final.size, NO_ACTION), np.zeros(of_final.size)
+    actions[of_final], admitted_values[of_final] = order[admitted], values[admitted]
     padded = np.zeros((n, m))
-    padded[idx_final] = np.where(np.arange(m) < counts[:, None], values[:, :m], values[:, :1])
-    padding_counts = np.full(n, m - 1)
-    padding_counts[idx_final] = m - counts
-    padded.setflags(write=False)
-    padding_counts.setflags(write=False)
-    return SelectionResult(AdmissibleSet(tuple(rows)), m, padded, padding_counts)
+    padded[idx_final] = np.where(admitted[:, :m], values[:, :m], values[:, :1])
+    padding_counts = m - all_counts
+    for arr in (actions, admitted_values, all_counts, padded, padding_counts):
+        arr.setflags(write=False)
+    return SelectionResult(AdmissibleSet(actions, admitted_values, all_counts), m, padded, padding_counts)
 
 
 @dataclass(frozen=True)
@@ -230,12 +251,17 @@ def policy_set(stack: NearEquivQStack) -> tuple[GreedyPolicy, ...]:
 
 
 def save_admissible_csv(stack: NearEquivQStack, path: str | Path) -> None:
-    """Audit rows ``patient_id,rank,action_index,q_value``, best rank first."""
-    rows = stack.admissible_sets.rows
-    write_csv(
-        path, "patient_id,rank,action_index,q_value",
-        lambda pid, row: "".join(
-            f"{pid},{rank},{action},{value!r}\n" for rank, (action, value) in enumerate(row, start=1)
-        ),
-        range(len(rows)), rows,
-    )
+    """Audit rows ``patient_id,rank,action_index,q_value``, best rank first: one line per entry
+    of the admissible arrays. A sentinel entry's value is written as the text ``0.0``, by no
+    ``repr``."""
+    sets = stack.admissible_sets
+    patient = np.repeat(np.arange(sets.counts.size), sets.counts)
+    rank = np.arange(patient.size) - (np.cumsum(sets.counts) - sets.counts)[patient] + 1
+
+    def block(lo, hi):
+        admitted = sets.actions[lo:hi] != NO_ACTION
+        # text 0 is every sentinel's; the k-th admitted entry of the block reads text k
+        texts = ["0.0", *map(repr, sets.values[lo:hi][admitted].tolist())]
+        return ([patient[lo:hi], rank[lo:hi], sets.actions[lo:hi], (texts, np.cumsum(admitted) * admitted)],)
+
+    write_csvs({path: "patient_id,rank,action_index,q_value"}, patient.size, block)

@@ -431,20 +431,25 @@ def test_failed_write_leaves_the_previous_out_untouched(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("command", [ITR_SMALL, CANCER_SMALL], ids=["itr", "cancer"])
 def test_writer_failing_part_way_leaves_the_previous_out_untouched(tmp_path, monkeypatch, capsys, command):
     import nearq.core
+    import nearq.envs
 
     out = tmp_path / "run"
     assert _run(*command, "--seed", "3", "--epsilon", "0.3", "--out", str(out)) == 0
     before = _snapshot(out)
-    write_csv = nearq.core.write_csv
+    write_csvs = nearq.core.write_csvs
 
-    def failing_after_one_block(path, header, line, *columns):
-        write_csv(path, header, line, *(column[:nearq.core.CSV_BLOCK_ROWS] for column in columns))
-        assert len(path.read_text().splitlines()) == 1 + nearq.core.CSV_BLOCK_ROWS
+    def failing_after_one_block(headers, n, block):
+        write_csvs(headers, nearq.core.CSV_BLOCK_ROWS, block)
+        lines = [len(columns[0]) for columns in block(0, nearq.core.CSV_BLOCK_ROWS)]
+        assert [len(Path(path).read_text().splitlines()) for path in headers] == [1 + k for k in lines]
+        assert lines[0] >= nearq.core.CSV_BLOCK_ROWS
         raise OSError("injected failure after one block")
 
-    # the first artifact of either command is the training cohort, written by core.save_csv
+    # the first artifact of either command is the training cohort: core.save_csv writes it for itr,
+    # envs.save_trajectories_csv writes it with trajectories.csv for cancer
     monkeypatch.setattr(nearq.core, "CSV_BLOCK_ROWS", 8)
-    monkeypatch.setattr(nearq.core, "write_csv", failing_after_one_block)
+    monkeypatch.setattr(nearq.core, "write_csvs", failing_after_one_block)
+    monkeypatch.setattr(nearq.envs, "write_csvs", failing_after_one_block)
     assert _run(*command, "--seed", "5", "--epsilon", "0.5", "--out", str(out)) == 1
     assert "injected failure after one block" in capsys.readouterr().err
     assert _snapshot(out) == before

@@ -304,6 +304,13 @@ def test_cohort_dataset_shape_and_validation():
         assert patient.terminal_stage + 1 == cohort.alive[i, :6].sum()
 
 
+def test_action_space_is_built_once_per_parameter_set():
+    params = CancerParams()
+    assert params.action_space is params.action_space
+    assert params.action_space.values == params.dose_grid
+    assert CancerParams().action_space == params.action_space
+
+
 def test_cohort_dataset_is_built_from_the_arrays_once():
     cohort = simulate_cancer_cohort(PARAMS, "uniform-random", 200, seed=29)
     ds = cohort.dataset

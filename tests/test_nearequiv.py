@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nearq.cli
+import nearq.core
+from nearq.cli import main
 from nearq.core import ActionSpace, history_features
 from nearq.envs import CancerParams, simulate_cancer_cohort
 from nearq.nearequiv import (
@@ -352,6 +357,70 @@ def test_admissible_audit_csv(tmp_path):
         values = [v for _, _, v in rows]
         assert values == sorted(values, reverse=True)
     assert set(seen) == set(range(30))
+
+
+def _tied_selection_case():
+    """Tie-heavy final-stage values with signed zeros; patients 1, 4, 7, ... stop before the final stage."""
+    rows = np.random.default_rng(7).choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], size=(13, 5)).tolist()
+    final, space = _stub_final(rows)
+    ds = make_dataset(
+        [[((0.0,), 0, 0.0)] + ([] if i % 3 == 1 else [((float(i),), 0, 0.0)]) for i in range(len(rows))],
+        horizon=1, action_space=space,
+    )
+    return final, ds, rows
+
+
+SELECTION_CFGS = (EpsilonConfig(0.0), EpsilonConfig(0.5), EpsilonConfig(0.9),
+                  EpsilonConfig(0.0, ABSOLUTE), EpsilonConfig(0.6, ABSOLUTE))
+
+
+@pytest.mark.parametrize("cfg", SELECTION_CFGS)
+def test_admissible_arrays_give_the_one_row_rule_and_sentinel_rows(cfg):
+    final, ds, rows = _tied_selection_case()
+    sets = select_and_pad(final, ds, cfg).admissible
+    assert "rows" not in vars(sets)
+    expected = [((NO_ACTION, 0.0),) if i % 3 == 1 else admissible_actions(np.array(q), cfg) for i, q in enumerate(rows)]
+    assert list(sets.rows) == expected
+    assert [sets.n_admissible(i) for i in range(len(rows))] == [len(row) for row in expected]
+    for arr in (sets.actions, sets.values, sets.counts):
+        assert not arr.flags.writeable
+
+
+def admissible_text(sets):
+    """Reference formatter: the whole audit file as one string, built from ``rows``."""
+    lines = ["patient_id,rank,action_index,q_value"]
+    for pid, row in enumerate(sets.rows):
+        lines.extend(f"{pid},{rank},{action},{value!r}" for rank, (action, value) in enumerate(row, start=1))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block_rows", [3, nearq.core.CSV_BLOCK_ROWS])
+def test_save_admissible_csv_matches_the_whole_file_formatter(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(nearq.core, "CSV_BLOCK_ROWS", block_rows)
+    ds = _cancer_dataset(150, seed=12)
+    stacks = fit_tolerances(ds, KERNEL, (EpsilonConfig(0.9), EpsilonConfig(0.5, ABSOLUTE)))[1]
+    final, tied, _ = _tied_selection_case()
+    stacks += tuple(replace(stacks[0], admissible_sets=select_and_pad(final, tied, cfg).admissible)
+                    for cfg in SELECTION_CFGS)
+    assert max(stack.m for stack in stacks) > 1
+    for k, stack in enumerate(stacks):
+        save_admissible_csv(stack, tmp_path / f"audit{k}.csv")
+        assert (tmp_path / f"audit{k}.csv").read_text() == admissible_text(stack.admissible_sets)
+
+
+def test_a_cancer_run_never_builds_the_admissible_rows(tmp_path, monkeypatch):
+    fitted = []
+
+    def recorded(*args):
+        fitted.append(fit_tolerances(*args))
+        return fitted[-1]
+
+    monkeypatch.setattr(nearq.cli, "fit_tolerances", recorded)
+    argv = ["cancer", "--n-train", "60", "--n-test", "20", "--epsilon", "0.3", "--epsilon", "0.9"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    (_, stacks), = fitted
+    assert len(stacks) == 2 and (tmp_path / "run" / "admissible_eps0.9.csv").is_file()
+    assert all("rows" not in vars(stack.admissible_sets) for stack in stacks)
 
 
 def _kernel_arrays(model):

@@ -1,18 +1,23 @@
-"""The block CSV writer: the same bytes as formatting the whole file at once, in bounded memory."""
+"""The block CSV writers: the same bytes as formatting the whole file at once, in bounded memory."""
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import nearq.core
 from nearq.cli import main
-from nearq.core import CSV_BLOCK_ROWS, ActionSpace, OfflineDataset, save_csv
-from nearq.envs import UNIFORM_RANDOM, CancerParams, simulate_cancer_cohort, save_trajectories_csv
+from nearq.core import CSV_BLOCK_ROWS, ActionSpace, OfflineDataset, save_csv, write_csv
+from nearq.envs import UNIFORM_RANDOM, CancerCohort, CancerParams, simulate_cancer_cohort, save_trajectories_csv
 from nearq.evalkit import save_blip_csv
 
 C = CSV_BLOCK_ROWS
-SIZES = [1, C - 1, C, C + 1, 2 * C + 1]
+EDGES = [1, C - 1, C, C + 1, 2 * C + 1]  # record counts at the first block edges
+SIZES = [1, 16 * C - 1, 16 * C, 16 * C + 1, 32 * C + 1]  # the same edges, many blocks in
 
 
 # Reference formatters: each builds the whole file as one string, one line per row.
@@ -63,7 +68,7 @@ def test_save_csv_matches_the_whole_file_formatter_at_block_boundaries(tmp_path,
 
 @pytest.fixture(scope="module")
 def cancer_cohort():
-    return simulate_cancer_cohort(CancerParams(), UNIFORM_RANDOM, 2 * C + 1, seed=5)
+    return simulate_cancer_cohort(CancerParams(), UNIFORM_RANDOM, max(SIZES), seed=5)
 
 
 @pytest.mark.parametrize("n_patients", SIZES)
@@ -78,6 +83,77 @@ def test_save_trajectories_csv_matches_the_whole_file_formatter_at_block_boundar
         assert not cohort.alive[:, -1].all() and (cohort.tumor[:, -1] == 0).any()
     save_trajectories_csv(cohort, tmp_path / "trajectories.csv")
     assert (tmp_path / "trajectories.csv").read_bytes() == trajectories_text(cohort).encode()
+
+
+def _first(cohort, n_patients):
+    return replace(cohort, **{
+        name: getattr(cohort, name)[:n_patients] for name in ("tumor", "toxicity", "alive", "dose_index", "rewards")
+    })
+
+
+def _assert_cohort_files(tmp_path, cohort):
+    """trajectories.csv and train.csv written in one pass equal the whole-file formatters, and
+    train.csv with its sidecar equals what save_csv writes for the cohort's dataset."""
+    save_trajectories_csv(cohort, tmp_path / "trajectories.csv", train=tmp_path / "train.csv")
+    save_csv(cohort.dataset, tmp_path / "alone.csv")
+    assert (tmp_path / "trajectories.csv").read_bytes() == trajectories_text(cohort).encode()
+    assert (tmp_path / "train.csv").read_bytes() == cohort_text(cohort.dataset).encode()
+    for suffix in ("", ".meta.json"):
+        assert (tmp_path / f"train.csv{suffix}").read_bytes() == (tmp_path / f"alone.csv{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("n_patients", EDGES)
+def test_one_pass_cohort_files_match_save_csv_and_the_formatter(tmp_path, cancer_cohort, n_patients):
+    cohort = _first(cancer_cohort, n_patients)
+    if n_patients == 2 * C + 1:  # somebody dies in every month
+        assert (cohort.alive[:, :-1] & ~cohort.alive[:, 1:]).any(axis=0).all()
+    _assert_cohort_files(tmp_path, cohort)
+
+
+@pytest.mark.parametrize("n_patients", [1, C + 1])
+def test_one_pass_cohort_files_when_everyone_dies_at_stage_zero(tmp_path, n_patients):
+    cohort = simulate_cancer_cohort(CancerParams(hazard_intercept=50.0), UNIFORM_RANDOM, n_patients, seed=3)
+    assert not cohort.alive[:, 1:].any()
+    _assert_cohort_files(tmp_path, cohort)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+               1e-300, -1e300, 1.7976931348623157e308, 0.1, 15.0, -5.0, -60.0]
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def float_runs(draw):
+    """A float64 array made of runs of repeated values."""
+    runs = draw(st.lists(st.tuples(FLOATS, st.integers(1, 9)), min_size=1, max_size=30))
+    return np.repeat(np.array([v for v, _ in runs], dtype=float), [k for _, k in runs])
+
+
+def _cohort_holding(values, last_alive):
+    """A 3-month cohort whose rewards and states are ``values`` cycled, patient i alive at months
+    0..last_alive[i]; a state after death is carried forward, as the rollouts leave it."""
+    n_stages, n = 3, len(last_alive)
+    alive = np.arange(n_stages + 1) <= np.asarray(last_alive)[:, None]
+    decided = alive[:, :-1]
+    states = [np.resize(v, (n, n_stages + 1)) for v in (values, values[::-1])]
+    for t in range(1, n_stages + 1):
+        for state in states:
+            state[~alive[:, t - 1], t] = state[~alive[:, t - 1], t - 1]
+    rewards = np.where(decided, np.resize(values, (n, n_stages)), 0.0)
+    dose_index = np.where(decided, np.arange(n * n_stages).reshape(n, n_stages) % 3, -1)
+    return CancerCohort(*states, alive, dose_index, rewards, ActionSpace((0.0, 0.5, 1.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=float_runs(), last_alive=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+@example(values=np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0]), last_alive=[3, 3])
+def test_every_written_float_is_its_repr(tmp_path_factory, values, last_alive):
+    # blocks of 2 records: runs, signed zeros and subnormals fall on both sides of block edges
+    out = tmp_path_factory.mktemp("floats")
+    with mock.patch.object(nearq.core, "CSV_BLOCK_ROWS", 2):
+        write_csv(out / "values.csv", "value", values)
+        assert (out / "values.csv").read_text().splitlines()[1:] == [repr(float(v)) for v in values]
+        _assert_cohort_files(out, _cohort_holding(values, last_alive))
 
 
 @pytest.mark.parametrize("n_rows", SIZES)
