@@ -506,20 +506,30 @@ def _cohort_columns(cohort: CancerCohort, grid: list[str], lo: int, hi: int) -> 
     tox = _reprs(cohort.toxicity[lo:hi][fresh])
     rows = np.zeros_like(alive)  # the cells of the cohort rows: alive, at a decision month
     rows[:, :-1] = alive[:, :-1]
-    bits, which = np.unique(cohort.rewards[lo:hi][rows[:, :-1]].view(np.uint64), return_inverse=True)
-    rewards = _reprs(bits.view(np.float64)) + [""]
-    reward_at = np.full(alive.shape, -1)
-    reward_at[rows] = which
+    rewards = _reprs_by_bits(cohort.rewards[lo:hi][rows[:, :-1]])
+    reward_at = np.full(alive.shape, -1)  # -1: the empty text appended next
+    reward_at[rows] = np.arange(len(rewards))
+    rewards.append("")
     dose_at = np.full(alive.shape, -1)
     dose_at[:, :-1] = cohort.dose_index[lo:hi]
     patient, stage = np.repeat(np.arange(lo, hi), months), np.tile(np.arange(months), n)
     at = np.flatnonzero(rows)
+    dose_at, reward_at = dose_at.ravel(), reward_at.ravel()
     return (
-        [patient, stage, (tumor, latest), (tox, latest), (grid, dose_at.ravel()), (rewards, reward_at.ravel()),
+        [patient, stage, (tumor, latest), (tox, latest), (grid, dose_at), (rewards, reward_at),
          alive.ravel().astype(np.int8)],
-        [patient[at], stage[at], (tumor, latest[at]), (tox, latest[at]), dose_at.ravel()[at], (rewards, which)],
+        [patient[at], stage[at], (tumor, latest[at]), (tox, latest[at]), dose_at[at], (rewards, reward_at[at])],
     )
 
 
 def _reprs(values: np.ndarray) -> list[str]:
     return list(map(repr, values.tolist()))
+
+
+def _reprs_by_bits(values: np.ndarray) -> list[str]:
+    """``_reprs(values)``, one ``repr`` per distinct bit pattern (so ``-0.0`` keeps its own text).
+    A dict finds them: ``np.unique`` on the bit patterns would map about 0.6 MB of numpy's
+    integer sort code into a run that sorts no integers otherwise."""
+    bits = values.view(np.uint64).tolist()
+    text = {b: repr(v) for b, v in dict(zip(bits, values.tolist())).items()}
+    return list(map(text.__getitem__, bits))
