@@ -4,24 +4,23 @@ Randomness is counter-based (Philox) and keyed by ``(seed, label)`` so every
 draw stream can be reproduced in isolation; rows of the pre-drawn matrices act
 as independent per-patient streams.
 
-The tumor/toxicity rollout of many policies steps them in lockstep over
-decision-path classes, numbered across months: each stage refines (without
-sorting) and steps only the live classes, and a patient who dies stays in its
-death-month class. Every greedy policy, of any backend, is decided in one
-batched argmax and one gather per stage. A lockstep leaves five flat per-class
-arrays; a policy's paths index into them. One policy's decision paths never
-merge, so its rollout has no classes: each stage steps its live patients
-straight into the cohort's patient x month arrays. Both rollouts share the
-draws, the policy resolution, the action check and the dynamics. A cohort's
-initial states and death draws are drawn once per ``(seed, label)`` and shared
-by every rollout that keys them.
+Greedy policies are rolled out in lockstep over decision-path classes,
+numbered across months: each stage decides every policy in one batched argmax
+and one gather, refines (without sorting) and steps only the live classes, and
+a patient who dies stays in its death-month class; the five flat per-class
+arrays it leaves are indexed by each policy's paths. Any one policy can be
+rolled out alone, with no classes (its decision paths never merge): each stage
+steps its live patients straight into the cohort's patient x month arrays.
+Both rollouts share the policy check, the dynamics, and a cohort's initial
+states and death draws, drawn once per ``(seed, label)``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -115,10 +114,20 @@ class CancerParams:
     init_high: float = 2.0
 
     def __post_init__(self):
-        if self.n_stages < 1:
-            raise ValueError("n_stages must be >= 1")
+        if isinstance(self.n_stages, bool) or not isinstance(self.n_stages, int) or self.n_stages < 1:
+            raise ValueError(f"n_stages must be an int >= 1, got {self.n_stages!r}")
         if len(self.dose_grid) < 2:
-            raise ValueError("dose grid needs at least two doses")
+            raise ValueError("dose_grid needs at least two doses")
+        try:
+            self.action_space
+        except ValueError as err:
+            raise ValueError(f"dose_grid {self.dose_grid!r}: {err}") from err
+        for field in fields(self)[2:]:  # the coefficients, after n_stages and dose_grid
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) or field.name == "hazard_intercept" and value == -math.inf):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
+        if self.init_low > self.init_high:
+            raise ValueError(f"init_low {self.init_low!r} exceeds init_high {self.init_high!r}")
 
     @cached_property
     def action_space(self) -> ActionSpace:
@@ -189,30 +198,22 @@ class CancerCohort:
         )
 
 
-def _resolve_policy(params: CancerParams, policy, dose_rng: np.random.Generator | None):
-    """A constant dose's action index, or a callable ``(t, states) -> action indices``."""
+def _resolve_policy(params: CancerParams, policy, name: str, seed: int, label: str):
+    """Policy ``name`` checked and resolved for a rollout of cohort ``(seed, label)``: a constant
+    dose's action index, or a callable ``(t, states) -> action indices``. A greedy policy must have
+    a model for every stage; "uniform-random" draws from the cohort's dose stream."""
     space = params.action_space
+    if isinstance(policy, GreedyPolicy) and policy.horizon < params.n_stages - 1:
+        raise ValueError(f"policy {name!r} has no model for stage {policy.horizon + 1}"
+                         f" of a {params.n_stages}-stage rollout")
     if isinstance(policy, str) and policy == UNIFORM_RANDOM:
+        dose_rng = stream(seed, f"{label}/dose")
         return lambda t, feats: dose_rng.integers(0, space.size, size=feats.shape[0])
     if isinstance(policy, (int, float, np.integer)) and not isinstance(policy, bool):
         return space.index_of(float(policy))
     if callable(policy):
         return policy
     raise ValueError(f"unsupported policy spec {policy!r}")
-
-
-def _deciders(params: CancerParams, policies: list, names: list, seed: int, label: str) -> list:
-    """Each policy's :func:`_resolve_policy` decider, once the policies are checked: at most one
-    "uniform-random" (it reads the one dose stream), and a greedy model for every stage."""
-    uniform = [isinstance(p, str) and p == UNIFORM_RANDOM for p in policies]
-    if sum(uniform) > 1:
-        raise ValueError(f"at most one {UNIFORM_RANDOM!r} policy per rollout: they would share one dose stream")
-    for policy, name in zip(policies, names):
-        if isinstance(policy, GreedyPolicy) and policy.horizon < params.n_stages - 1:
-            raise ValueError(f"policy {name!r} has no model for stage {policy.horizon + 1}"
-                             f" of a {params.n_stages}-stage rollout")
-    dose_rng = stream(seed, f"{label}/dose") if any(uniform) else None
-    return [_resolve_policy(params, p, dose_rng) for p in policies]
 
 
 def _decide(decider, name: str, t: int, states, n_actions: int):
@@ -248,8 +249,8 @@ def simulate_cancer_cohort(
     identical cohorts, and calls sharing ``(seed, label)`` share initial states
     and death draws regardless of the policy. Each stage of
     :func:`one_policy_stages` is stored straight into the cohort's patient x
-    month arrays, so the cohort is bitwise the one :func:`simulate_cancer_cohorts`
-    builds for the policy in any lockstep.
+    month arrays, so a greedy policy's cohort is bitwise the one
+    :func:`simulate_cancer_cohorts` builds for it in any lockstep.
     """
     init, stages = one_policy_stages(params, policy, n, seed, label=label)
     months = params.n_stages + 1
@@ -283,7 +284,7 @@ def one_policy_stages(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    decider = _deciders(params, [policy], [name], seed, label)[0]
+    decider = _resolve_policy(params, policy, name, seed, label)
     init, death_u = _cohort_draws(seed, label, n, params.n_stages, params.init_low, params.init_high)
     return init, _live_stages(params, decider, name, init, death_u)
 
@@ -383,7 +384,7 @@ def simulate_cancer_cohorts(
     label: str = "train",
     names=None,
 ) -> LockstepRollout:
-    """Roll out every policy on one cohort in lockstep; returns the class history, from which
+    """Roll out greedy policies on one cohort in lockstep; returns the class history, from which
     ``cohort(j)`` builds policy j's cohort.
 
     All policies see the same initial states and death draws (common random
@@ -391,29 +392,28 @@ def simulate_cancer_cohorts(
     and dose history. Pairs with the same patient and dose history form one
     decision-path class: each stage refines the live classes once, by (class,
     action), without sorting (:func:`_refine`), and steps each new class once;
-    a dead patient's class is never keyed, stepped or stored again. A policy
-    decides at stage t on the states of the live classes its patients are in,
-    in patient order, so its cohort is bitwise the one it would get alone.
+    a dead patient's class is never keyed, stepped or stored again.
 
-    The :class:`~nearq.qlearn.GreedyPolicy` policies decide together: one
+    Every policy must be a :class:`~nearq.qlearn.GreedyPolicy` with a model for
+    each stage; any other is refused, named (by ``names``, one per policy),
+    before any draw. The policies decide together: one
     :func:`~nearq.regression.best_over_actions` call per stage over every live
     class's state, so models from one fit build one kernel matrix per action,
-    and one gather reads each greedy policy's actions at its patients' classes
-    (kernel predictions are row independent by construction; tests pin the
-    interaction-linear ones); states that only other policies reach are
-    evaluated too. Every other policy is called on its own class states.
-    ``names`` label the policies in error messages. At most one policy may be
-    "uniform-random", since it reads the one dose stream.
+    and one gather reads each policy's actions at its patients' classes. Kernel
+    predictions are row independent (tests pin the interaction-linear ones), so
+    each cohort is bitwise the one the policy gets alone.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     policies = list(policies)
     names = list(names) if names is not None else [f"#{j}" for j in range(len(policies))]
-    deciders = _deciders(params, policies, names, seed, label)
+    if len(names) != len(policies):
+        raise ValueError(f"{len(names)} names for {len(policies)} policies")
+    for policy, name in zip(policies, names):
+        if not isinstance(policy, GreedyPolicy):
+            raise ValueError(f"policy {name!r} is not a GreedyPolicy: a lockstep rolls out greedy policies only")
+        _resolve_policy(params, policy, name, seed, label)
     n_stages = params.n_stages
-    is_greedy = [isinstance(p, GreedyPolicy) for p in policies]
-    greedy = np.flatnonzero(is_greedy)
-    others = [j for j, g in enumerate(is_greedy) if not g]
     space = params.action_space
     n_actions = space.size
 
@@ -432,25 +432,18 @@ def simulate_cancer_cohorts(
         first, here = starts[t], states[t]
         width = len(here) * n_actions
         key_type = np.int32 if width < 2**31 else np.int64
-        bounds = np.searchsorted(pairs, np.arange(len(policies) + 1) * n)
-        counts = np.diff(bounds)
-        deciding = greedy[counts[greedy] > 0]
+        counts = np.diff(np.searchsorted(pairs, np.arange(len(policies) + 1) * n))
+        deciding, rows = np.flatnonzero(counts), np.flatnonzero(alive[t])
+        actions = np.empty((0, 0), dtype=key_type)  # once everyone has died, no policy is asked
         if deciding.size:
-            rows = np.flatnonzero(alive[t])
             actions = best_over_actions([policies[j].models[t] for j in deciding], here[rows])[1].astype(key_type)
-        # a pair's key is its class, counted from first, and its action
+        # a pair's key is its class, counted from first, and its action, read in one gather from
+        # its policy's row of actions at its class's position among the live classes
         local = cls[pairs] - first
-        keys = np.empty(pairs.size, dtype=key_type)
-        if deciding.size:
-            # one gather: each pair reads its policy's row (other policies': row 0, overwritten below)
-            row_offset = np.zeros(len(policies), dtype=int)
-            row_offset[deciding] = np.arange(deciding.size) * rows.size
-            position = np.cumsum(alive[t]) - 1  # of each live class among rows
-            keys = actions.take(np.repeat(row_offset, counts) + position[local])
-            del actions, position
-        for j in [j for j in others if counts[j]]:
-            keys[bounds[j]:bounds[j + 1]] = _decide(
-                deciders[j], names[j], t, lambda: here[local[bounds[j]:bounds[j + 1]]], n_actions)
+        row = np.cumsum(counts > 0) - 1  # of each deciding policy in actions
+        position = np.cumsum(alive[t]) - 1
+        keys = actions.take(np.repeat(row * rows.size, counts) + position[local])
+        del actions, position
         keys += local.astype(key_type, copy=False) * n_actions
         uniq, rank = _refine(keys, width)
         del keys, local

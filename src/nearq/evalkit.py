@@ -6,16 +6,14 @@ identical monthly survival draws (common random numbers), so two policies that
 make the same decisions produce the same trajectories.
 
 Identical decisions also share computation. :func:`evaluate_policies` rolls
-out a run's policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
-each state that several policies reach along the same patient and dose history
-is stepped once, and the rollout decides the greedy policies at each stage in
-one batch, with one kernel matrix per action for models from one fit. The
-aggregates index the per-class arrays along one policy's class paths at a time:
-tumor plus toxicity, summed once per class, and the rewards; no other path is built.
-A single policy (:func:`evaluate_policy`, each constant-dose baseline) shares
-nothing, so it is rolled out with no classes (:func:`nearq.envs.one_policy_stages`)
-into just those two patient x month arrays. Every policy's result equals its
-one-policy rollout bit for bit.
+out two or more greedy policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
+a state that several reach along one patient and dose history is stepped once,
+and each stage decides them in one batch, with one kernel matrix per action for
+models from one fit; their aggregates index the per-class arrays along each
+policy's class paths. Any other policy shares no kernel work, so it is rolled
+out alone with no classes (:func:`nearq.envs.one_policy_stages`) into the two
+patient x month arrays the aggregates read, tumor plus toxicity and the rewards.
+Every result equals the policy's one-policy rollout bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import numpy as np
 
 from .core import OfflineDataset, write_csv
 from .envs import CancerParams, one_policy_stages, simulate_cancer_cohorts
+from .qlearn import GreedyPolicy
 from .regression import FittedQ, InteractionLinearQ
 
 
@@ -52,7 +51,7 @@ def _aggregate(label: str, combined: np.ndarray, rewards: np.ndarray) -> EvalRes
     mean = combined.mean(axis=0, keepdims=True)  # the mean std would compute, computed once
     sd = combined.std(axis=0, ddof=1, mean=mean) if n > 1 else np.zeros(combined.shape[1])
     mean = mean[0]
-    totals = rewards.sum(axis=1)
+    totals = rewards @ np.ones(rewards.shape[1])  # whole numbers: exact in any order
     total_sd = totals.std(ddof=1) if n > 1 else 0.0
     return EvalResult(
         label=label,
@@ -76,17 +75,14 @@ def evaluate_policy(
 
 
 def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, labels) -> list[EvalResult]:
-    """One fresh cohort rolled out under every policy in lockstep; one result per policy.
+    """One fresh cohort rolled out under every policy; one result per policy, in the given order.
 
-    The rollout leaves its class history; each policy's tumor plus toxicity
-    and reward paths are gathered from it by class, since the aggregates read
-    nothing else (no dataset, per-stage record or other path is built). A
-    single policy is rolled out alone, with no classes, into those two paths. The
-    simulation streams are keyed by the seed alone, so every policy evaluated
-    with the same seed gets the same initial states and survival draws, and
-    each result equals that policy's one-policy evaluation bit for bit.
-    Labels must be unique and match the policies one to one, and at most one
-    policy may be "uniform-random" (it reads the one dose stream).
+    Two or more :class:`~nearq.qlearn.GreedyPolicy` policies share one lockstep
+    rollout; every other policy is rolled out alone, with no classes. Only each
+    policy's tumor plus toxicity and reward paths are built. The streams are
+    keyed by the seed alone, so every policy evaluated with a seed gets the same
+    initial states and survival draws, and each result equals the policy's
+    one-policy evaluation bit for bit. Labels must be unique, one per policy.
     """
     policies, labels = list(policies), list(labels)
     if len(labels) != len(policies):
@@ -94,8 +90,18 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     repeated = sorted({label for i, label in enumerate(labels) if label in labels[:i]})
     if repeated:
         raise ValueError(f"duplicate policy labels: {', '.join(map(repr, repeated))}")
-    if len(policies) == 1:  # one policy's decision paths never merge: no lockstep
-        return [_evaluate_one(params, policies[0], n_test, seed, labels[0])]
+    greedy = [j for j, policy in enumerate(policies) if isinstance(policy, GreedyPolicy)]
+    results = {}
+    if len(greedy) > 1:  # one policy's decision paths never merge: a lone greedy policy shares nothing
+        together = _evaluate_lockstep(params, [policies[j] for j in greedy], n_test, seed, [labels[j] for j in greedy])
+        results = dict(zip(greedy, together))
+    return [results[j] if j in results else _evaluate_one(params, policies[j], n_test, seed, labels[j])
+            for j in range(len(policies))]
+
+
+def _evaluate_lockstep(params: CancerParams, policies: list, n_test: int, seed: int, labels: list) -> list[EvalResult]:
+    """The greedy policies' results from one :func:`~nearq.envs.simulate_cancer_cohorts` rollout,
+    each aggregated from its two paths, indexed from the per-class arrays."""
     rollout = simulate_cancer_cohorts(params, policies, n_test, seed, label="eval", names=labels)
     combined = rollout.states[:, 0] + rollout.states[:, 1]  # per class, all policies
     paths = (rollout.paths(j) for j in range(len(labels)))  # one policy's paths at a time
@@ -117,29 +123,24 @@ def _evaluate_one(params: CancerParams, policy, n_test: int, seed: int, label: s
 
 def constant_dose_baselines(params: CancerParams, n_test: int, seed: int) -> list[EvalResult]:
     """One shared-initial-state evaluation per dose on the grid (0.0 included), labelled
-    ``const-`` and the dose's repr, so distinct doses never share a label. Each dose is its
-    own one-policy rollout: the doses share no decision path, and a lockstep of them would
-    hold every dose's cohort at once."""
-    return [
-        evaluate_policy(params, dose, n_test, seed, label=f"const-{dose!r}")
-        for dose in params.dose_grid
-    ]
+    ``const-`` and the dose's repr, so distinct doses never share a label."""
+    return evaluate_policies(params, params.dose_grid, n_test, seed, [f"const-{dose!r}" for dose in params.dose_grid])
 
 
 @dataclass(frozen=True)
 class BandCurve:
-    """Tolerance band around an optimal curve plus overlay curves."""
+    """Tolerance band around an optimal curve."""
 
     months: tuple[int, ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    overlays: tuple[tuple[str, tuple[float, ...]], ...]
 
 
 def epsilon_band_curve(
     opt_result: EvalResult, policy_results: list[EvalResult], epsilon: float
 ) -> BandCurve:
-    """Per-month band [optimal, optimal + epsilon*|optimal|] with overlays; epsilon must be nonnegative."""
+    """Per-month band [optimal, optimal + epsilon*|optimal|]; epsilon must be nonnegative, and every
+    curve of ``policy_results`` must span the optimal curve's months."""
     if not epsilon >= 0:  # NaN too
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     horizon = len(opt_result.mean_combined)
@@ -150,8 +151,7 @@ def epsilon_band_curve(
             )
     lo = opt_result.mean_combined
     hi = tuple(v + epsilon * abs(v) for v in lo)
-    overlays = tuple((res.label, res.mean_combined) for res in policy_results)
-    return BandCurve(tuple(range(horizon)), lo, hi, overlays)
+    return BandCurve(tuple(range(horizon)), lo, hi)
 
 
 def blip_surface(model: FittedQ, grid_resolution: int) -> np.ndarray:

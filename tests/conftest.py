@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nearq.core import ActionSpace, OfflineDataset, PatientTrajectory, StageRecord
-from nearq.qlearn import stage_targets
-from nearq.regression import FittedQ, best_over_actions
+from nearq.qlearn import GreedyPolicy, stage_targets
+from nearq.regression import FittedQ, PerActionKernelQ, best_over_actions
 
 
 class TableQ(FittedQ):
@@ -29,6 +29,16 @@ def classical_targets(dataset, t, next_model):
     """Classical stage-t targets: the reward plus the best value of the stage-(t+1) model."""
     feats_next = dataset.stage_rows(t + 1)[1]
     return stage_targets(dataset, t, best_over_actions([next_model], feats_next)[0].T)[:, 0]
+
+
+def dose_schedule_policy(space: ActionSpace, doses) -> GreedyPolicy:
+    """A greedy stand-in for a dose schedule: it gives ``doses[t]`` at stage t. Each stage's model
+    is a per-action kernel model whose components are all constants, the wanted dose's the highest."""
+    def model(dose):
+        want = space.index_of(dose)
+        return PerActionKernelQ(space, 2, 1.0, tuple(("constant", float(k == want)) for k in range(space.size)))
+
+    return GreedyPolicy(tuple(model(dose) for dose in doses))
 
 
 def two_actions() -> ActionSpace:

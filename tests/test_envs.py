@@ -25,7 +25,13 @@ from nearq.envs import (
 from nearq.qlearn import GreedyPolicy
 from nearq.regression import InteractionLinearQ
 
+from conftest import dose_schedule_policy
+
 PARAMS = CancerParams()
+
+
+def _stand_in(doses):
+    return dose_schedule_policy(PARAMS.action_space, doses)
 
 
 def _step(tumor, tox, dose, death_u=1.0):
@@ -180,18 +186,18 @@ def test_cohort_zero_dose_never_shrinks_tumor():
 
 
 def test_cohort_paths_carry_forward_after_death():
-    # constant doses, the random policy and a policy that stops dosing after month 1, in one
-    # rollout: every cohort's live months replay the scalar reference from the shared draws,
-    # and once a patient dies its state stays, with dose -1 and reward 0.0
+    # greedy stand-ins for the constant doses 0.0, 0.5 and 1.0 and for a policy that stops dosing
+    # after month 1, in one rollout: every cohort's live months replay the scalar reference from
+    # the shared draws, and once a patient dies its state stays, with dose -1 and reward 0.0
     n, seed = 80, 23
-    switch = lambda t, feats: np.full(feats.shape[0], 10 if t < 2 else 0)
-    policies = [0.0, 0.5, 1.0, UNIFORM_RANDOM, switch]
+    schedules = [[dose] * PARAMS.n_stages for dose in (0.0, 0.5, 1.0)] + [[1.0, 1.0] + [0.0] * 4]
+    policies = [_stand_in(schedule) for schedule in schedules]
     rollout = simulate_cancer_cohorts(PARAMS, policies, n, seed)
     init, death_u = _cohort_draws(seed, "train", n, PARAMS.n_stages, PARAMS.init_low, PARAMS.init_high)
     assert not rollout.alive.all()
     assert rollout.alive[rollout.parents[rollout.starts[1]:]].all()  # no dead class is stepped
     deaths = remissions = 0
-    for j, policy in enumerate(policies):
+    for j, schedule in enumerate(schedules):
         cohort = rollout.cohort(j)
         tumor, tox, alive = cohort.tumor.tolist(), cohort.toxicity.tolist(), cohort.alive.tolist()
         for i in range(n):
@@ -205,10 +211,7 @@ def test_cohort_paths_carry_forward_after_death():
                     assert (cohort.dose_index[i, t:] == -1).all() and (cohort.rewards[i, t:] == 0.0).all()
                     break
                 dose = cohort.action_space.label(cohort.dose_index[i, t])
-                if policy is switch:
-                    assert dose == (1.0 if t < 2 else 0.0)
-                elif policy != UNIFORM_RANDOM:
-                    assert dose == policy
+                assert dose == schedule[t]
                 *state, died, reward = _reference_step(PARAMS, *state, *init[i], dose, death_u[i, t])
                 assert tuple(state) == (tumor[i][t + 1], tox[i][t + 1])
                 assert died == (not alive[i][t + 1])
@@ -216,7 +219,7 @@ def test_cohort_paths_carry_forward_after_death():
                 remissions += state[0] == 0.0 and not died
     assert deaths > 0 and remissions > 0
     # dose 1.0 and the switch share every class through month 2, then part for patients still alive
-    full, stop = rollout.paths(2), rollout.paths(4)
+    full, stop = rollout.paths(2), rollout.paths(3)
     assert (full[:, :3] == stop[:, :3]).all()
     assert (full[:, 3:] != stop[:, 3:]).any()
     # each policy alone, with no classes, makes the cohort the lockstep gives it: values, dtypes, flags
@@ -240,7 +243,7 @@ def _assert_same_cohort(alone, together):
 @pytest.mark.parametrize("n", [1, 7])
 def test_everyone_dies_at_stage_zero(monkeypatch, n):
     # a hazard of exp(50) kills every patient in the first month; the later stages step no one
-    # and ask no policy, whether it is called alone or in a lockstep
+    # and ask no policy, whether it is rolled out alone or, greedy, in a lockstep
     params = CancerParams(hazard_intercept=50.0)
     shapes = []
     real_best = nearq.envs.best_over_actions
@@ -257,11 +260,12 @@ def test_everyone_dies_at_stage_zero(monkeypatch, n):
     monkeypatch.setattr(nearq.qlearn, "best_over_actions", counted_best)
     space = params.action_space
     greedy = GreedyPolicy(tuple(InteractionLinearQ(space, np.arange(6.0), 2) for _ in range(params.n_stages)))
-    policies = [0.0, np.int64(1), UNIFORM_RANDOM, counted, greedy]
-    rollout = simulate_cancer_cohorts(params, policies, n, seed=4)
-    for j, policy in enumerate(policies):
+    lockstep = [_stand_in([0.3] * params.n_stages), greedy]
+    rollout = simulate_cancer_cohorts(params, lockstep, n, seed=4)
+    for j, member in enumerate(lockstep):
+        _assert_same_cohort(simulate_cancer_cohort(params, member, n, seed=4), rollout.cohort(j))
+    for policy in [0.0, np.int64(1), UNIFORM_RANDOM, counted] + lockstep:
         alone = simulate_cancer_cohort(params, policy, n, seed=4)
-        _assert_same_cohort(alone, rollout.cohort(j))
         assert alone.alive[:, 0].all() and not alone.alive[:, 1:].any()
         assert (alone.dose_index[:, 0] >= 0).all() and (alone.dose_index[:, 1:] == -1).all()
         assert (alone.rewards[:, 0] <= -40.0).all() and (alone.rewards[:, 1:] == 0.0).all()
@@ -275,13 +279,70 @@ def test_everyone_dies_at_stage_zero(monkeypatch, n):
     lambda t, feats: [float(t)] * feats.shape[0],
 ], ids=["float", "bool", "float-list"])
 def test_non_integer_action_indices_are_refused_in_both_paths(answer):
+    # the lockstep takes greedy policies only, so it refuses the callable by name
+    with pytest.raises(ValueError, match=r"policy 'odd' is not a GreedyPolicy"):
+        simulate_cancer_cohorts(PARAMS, [_stand_in([0.5] * 6), answer], 10, seed=1, names=["0.5", "odd"])
     named = r"policy 'odd' returned invalid action indices at stage 0"
-    with pytest.raises(ValueError, match=named):
-        simulate_cancer_cohorts(PARAMS, [0.5, answer], 10, seed=1, names=["const-0.5", "odd"])
     with pytest.raises(ValueError, match=named):
         list(one_policy_stages(PARAMS, answer, 10, seed=1, name="odd")[1])
     with pytest.raises(ValueError, match="'#0' returned invalid action indices at stage 0"):
         simulate_cancer_cohort(PARAMS, answer, 10, seed=1)
+
+
+@pytest.mark.parametrize("policy", [0.5, np.int64(1), UNIFORM_RANDOM, lambda t, feats: np.zeros(len(feats), int)],
+                         ids=["constant", "numpy-int", "uniform-random", "callable"])
+def test_lockstep_refuses_a_non_greedy_policy_before_any_draw(monkeypatch, policy):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw started")
+
+    _cohort_draws.cache_clear()
+    monkeypatch.setattr(nearq.envs, "stream", refuse)
+    with pytest.raises(ValueError, match=r"policy 'other' is not a GreedyPolicy"):
+        simulate_cancer_cohorts(PARAMS, [_stand_in([0.5] * 6), policy], 10, seed=1, names=["0.5", "other"])
+
+
+def test_lockstep_refuses_a_names_list_of_another_length_before_any_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw started")
+
+    _cohort_draws.cache_clear()
+    monkeypatch.setattr(nearq.envs, "stream", refuse)
+    policies = [_stand_in([dose] * 6) for dose in (0.0, 0.5, 1.0)]
+    for names in (["a"], ["a", "b", "c", "d"]):
+        with pytest.raises(ValueError, match=f"{len(names)} names for 3 policies"):
+            simulate_cancer_cohorts(PARAMS, policies, 10, seed=1, names=names)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"n_stages": 0}, "n_stages must be an int >= 1, got 0"),
+    ({"n_stages": 2.5}, "n_stages must be an int >= 1, got 2.5"),
+    ({"n_stages": True}, "n_stages must be an int >= 1, got True"),
+    ({"dose_grid": (0.5,)}, "at least two doses"),
+    ({"dose_grid": (0.1, 0.1)}, r"dose_grid \(0.1, 0.1\): action labels must be distinct"),
+    ({"dose_grid": (0.0, math.nan)}, r"dose_grid \(0.0, nan\): action labels must be finite"),
+    ({"hazard_intercept": math.nan}, "hazard_intercept must be finite, got nan"),
+    ({"hazard_intercept": math.inf}, "hazard_intercept must be finite, got inf"),
+    ({"hazard_tumor": math.nan}, "hazard_tumor must be finite, got nan"),
+    ({"hazard_toxicity": -math.inf}, "hazard_toxicity must be finite, got -inf"),
+    ({"tumor_growth": math.inf}, "tumor_growth must be finite"),
+    ({"tox_growth": math.nan}, "tox_growth must be finite"),
+    ({"tumor_dose": math.nan}, "tumor_dose must be finite"),
+    ({"tox_dose": math.inf}, "tox_dose must be finite"),
+    ({"dose_offset": math.nan}, "dose_offset must be finite"),
+    ({"init_low": -math.inf}, "init_low must be finite"),
+    ({"init_high": math.nan}, "init_high must be finite"),
+    ({"init_low": 3.0, "init_high": 1.0}, "init_low 3.0 exceeds init_high 1.0"),
+], ids=lambda v: "-".join(f"{k}={v[k]}" for k in v) if isinstance(v, dict) else None)
+def test_cancer_params_refuse_bad_values_at_construction(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        CancerParams(**kwargs)
+
+
+def test_cancer_params_accept_the_documented_edges():
+    # a hazard intercept of -inf switches deaths off; an empty initial range is one state
+    assert simulate_cancer_cohort(CancerParams(hazard_intercept=-math.inf), 0.5, 5, seed=1).alive.all()
+    point = simulate_cancer_cohort(CancerParams(init_low=1.0, init_high=1.0), 0.5, 5, seed=1)
+    assert (point.tumor[:, 0] == 1.0).all() and (point.toxicity[:, 0] == 1.0).all()
 
 
 @pytest.mark.parametrize("dose", [np.int64(1), np.int32(0), np.uint8(1)])
@@ -289,7 +350,6 @@ def test_numpy_integer_is_a_constant_dose(dose):
     as_python = simulate_cancer_cohort(PARAMS, int(dose), 30, seed=2)
     _assert_same_cohort(simulate_cancer_cohort(PARAMS, dose, 30, seed=2), as_python)
     assert (as_python.dose_index[as_python.alive[:, :-1]] == PARAMS.action_space.index_of(float(dose))).all()
-    _assert_same_cohort(simulate_cancer_cohorts(PARAMS, [0.5, dose], 30, seed=2).cohort(1), as_python)
 
 
 def test_cohort_dataset_shape_and_validation():

@@ -1,11 +1,13 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nearq.envs
+import nearq.evalkit
 from nearq.core import StageRecord
 from nearq.envs import CancerParams, ItrConfig, simulate_cancer_cohort, simulate_cancer_cohorts, simulate_itr
 from nearq.evalkit import (
@@ -23,7 +25,7 @@ from nearq.nearequiv import EpsilonConfig, fit_tolerances, policy_set
 from nearq.qlearn import GreedyPolicy, backward_fit, greedy_policy
 from nearq.regression import DesignSpec, InteractionLinearQ
 
-from conftest import two_actions
+from conftest import dose_schedule_policy, two_actions
 
 PARAMS = CancerParams()
 NO_DEATH = CancerParams(hazard_intercept=-math.inf)  # zero hazard: every patient survives
@@ -115,20 +117,24 @@ def test_one_policy_evaluation_aggregates_its_cohort():
 
 
 def test_constant_dose_baselines_peak_memory_is_bounded():
-    # 2800 patients: one dose at a time peaks at 1.18 MB through class paths and at 0.68 MB
-    # stepping the live patients directly; a lockstep of the 11 doses holds 8.2 MB at once
+    # 2800 patients: the 11 doses, each rolled out alone, peak at 0.68 MB through the baselines
+    # and through evaluate_policies alike; a lockstep of 11 greedy stand-ins for the doses
+    # holds every dose's cohort at once, 8.27 MB
+    labels = [repr(d) for d in PARAMS.dose_grid]
+    stand_ins = [dose_schedule_policy(PARAMS.action_space, [dose] * PARAMS.n_stages) for dose in PARAMS.dose_grid]
     constant_dose_baselines(PARAMS, 2800, 3)
     peaks = []
     for run in (lambda: constant_dose_baselines(PARAMS, 2800, 3),
-                lambda: evaluate_policies(PARAMS, PARAMS.dose_grid, 2800, 3, [repr(d) for d in PARAMS.dose_grid])):
+                lambda: evaluate_policies(PARAMS, PARAMS.dose_grid, 2800, 3, labels),
+                lambda: simulate_cancer_cohorts(PARAMS, stand_ins, 2800, 3, label="eval")):
         tracemalloc.start()
         try:
             run()
             peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
         finally:
             tracemalloc.stop()
-    one_at_a_time, lockstep = peaks
-    assert one_at_a_time < 1.5 < lockstep
+    baselines, evaluated, lockstep = peaks
+    assert baselines < 1.5 and evaluated < 1.5 < lockstep
 
 
 def test_band_curve_geometry():
@@ -290,8 +296,7 @@ def test_lockstep_evaluation_equals_one_policy_rollouts(n_train, n_test, seed):
 @pytest.mark.parametrize("policies,labels,match", [
     ([0.2, 0.4], ["a"], "1 labels for 2 policies"),
     ([0.2, 0.4, 0.6, 0.8], ["a", "b", "a", "b"], "duplicate policy labels: 'a', 'b'"),
-    (["uniform-random", 0.4, "uniform-random"], ["u1", "c", "u2"], "one dose stream"),
-], ids=["label-count", "duplicate-labels", "two-uniform-random"])
+], ids=["label-count", "duplicate-labels"])
 def test_evaluate_policies_rejects_before_any_rollout(monkeypatch, policies, labels, match):
     def refuse(*args, **kwargs):
         raise AssertionError("a rollout started")
@@ -300,6 +305,48 @@ def test_evaluate_policies_rejects_before_any_rollout(monkeypatch, policies, lab
     monkeypatch.setattr(nearq.envs, "_step_arrays", refuse)
     with pytest.raises(ValueError, match=match):
         evaluate_policies(PARAMS, policies, 30, 1, labels)
+
+
+def test_evaluate_policies_routes_by_kind_and_keeps_the_callers_order(monkeypatch):
+    # only the greedy policies (two or more) share the lockstep; every other policy is rolled
+    # out alone, and each result is bitwise its one-policy evaluation
+    family, _ = _fitted_family(60, 2, CANCER_SPEC)
+    other_fit, _ = _fitted_family(60, 8, LINEAR_SPEC)
+    late = lambda t, feats: np.full(feats.shape[0], 9 if t < 3 else 1)
+    named = {"const-0.3": 0.3, "opt": family[0], "int-1": np.int64(1), "random-a": "uniform-random",
+             "linear-opt": other_fit[0], "late": late, "rank2": family[1], "random-b": "uniform-random",
+             "rank3": family[2]}
+    locksteps = []
+    real = nearq.evalkit.simulate_cancer_cohorts
+
+    def counted(params, policies, *args, **kwargs):
+        locksteps.append(list(policies))
+        return real(params, policies, *args, **kwargs)
+
+    monkeypatch.setattr(nearq.evalkit, "simulate_cancer_cohorts", counted)
+    results = evaluate_policies(PARAMS, named.values(), 120, 5, named)
+    assert [r.label for r in results] == list(named)
+    assert len(locksteps) == 1
+    assert [id(p) for p in locksteps[0]] == [id(p) for p in named.values() if isinstance(p, GreedyPolicy)]
+    for (label, policy), result in zip(named.items(), results):
+        assert result == evaluate_policy(PARAMS, policy, 120, 5, label=label)
+    by_label = dict(zip(named, results))
+    assert replace(by_label["random-a"], label="random-b") == by_label["random-b"]
+    assert len(locksteps) == 1  # each evaluate_policy above was one policy, rolled out alone
+
+
+def test_aggregate_sums_whole_number_rewards_exactly():
+    # every stage reward is -60 or 0, plus +-5, plus 15 or +-5 (0.0 after death), so each
+    # patient's total is a whole number and the matrix-product sum is bitwise the row sum
+    values = sorted({s + x + m for s in (-60.0, 0.0) for x in (-5.0, 5.0) for m in (-5.0, 5.0, 15.0)} | {0.0})
+    rng = np.random.default_rng(20)
+    for n, n_stages in ((1, 1), (2, 6), (2800, 6), (500, 11)):
+        rewards = rng.choice(values, size=(n, n_stages))
+        combined = rng.uniform(0.0, 4.0, size=(n, n_stages + 1))
+        totals = rewards.sum(axis=1)
+        result = _aggregate("p", combined, rewards)
+        assert result.mean_cum_reward == float(totals.mean())
+        assert result.stderr_cum_reward == (float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
 
 
 def test_invalid_actions_name_the_policy_and_stage():
