@@ -5,12 +5,13 @@ draw stream can be reproduced in isolation; rows of the pre-drawn matrices act
 as independent per-patient streams.
 
 Greedy policies are rolled out in lockstep over decision-path classes,
-numbered across months: each stage decides every policy in one batched argmax
-and one gather, refines (without sorting) and steps only the live classes, and
-a patient who dies stays in its death-month class; the five flat per-class
-arrays it leaves are indexed by each policy's paths. Any one policy can be
-rolled out alone, with no classes (its decision paths never merge): each stage
-steps its live patients straight into the cohort's patient x month arrays.
+numbered across months: each stage decides every policy in one screened argmax
+(exact predictions only of the actions the screen leaves) and one gather,
+refines (without sorting) and steps only the live classes, and a patient who
+dies stays in its death-month class; the five flat per-class arrays it leaves
+are indexed by each policy's paths. Any one policy can be rolled out alone,
+with no classes (its decision paths never merge): each stage steps its live
+patients straight into the cohort's patient x month arrays.
 Both rollouts share the policy check, the dynamics, and a cohort's initial
 states and death draws, drawn once per ``(seed, label)``.
 """
@@ -210,10 +211,13 @@ def _resolve_policy(params: CancerParams, policy, name: str, seed: int, label: s
         dose_rng = stream(seed, f"{label}/dose")
         return lambda t, feats: dose_rng.integers(0, space.size, size=feats.shape[0])
     if isinstance(policy, (int, float, np.integer)) and not isinstance(policy, bool):
-        return space.index_of(float(policy))
+        try:
+            return space.index_of(float(policy))
+        except ValueError as err:
+            raise ValueError(f"policy {name!r}: {err}") from None
     if callable(policy):
         return policy
-    raise ValueError(f"unsupported policy spec {policy!r}")
+    raise ValueError(f"policy {name!r}: unsupported policy spec {policy!r}")
 
 
 def _decide(decider, name: str, t: int, states, n_actions: int):
@@ -398,8 +402,11 @@ def simulate_cancer_cohorts(
     each stage; any other is refused, named (by ``names``, one per policy),
     before any draw. The policies decide together: one
     :func:`~nearq.regression.best_over_actions` call per stage over every live
-    class's state, so models from one fit build one kernel matrix per action,
-    and one gather reads each policy's actions at its patients' classes. Kernel
+    class's state, and one gather reads each policy's actions at its patients'
+    classes. Models from one fit are screened together, one approximate kernel
+    matrix per action and row block and one gemm for all of them, within an
+    error bound that leaves almost every (model, class) one action to predict
+    exactly; the actions come from those exact predictions alone. Exact kernel
     predictions are row independent (tests pin the interaction-linear ones), so
     each cohort is bitwise the one the policy gets alone.
     """

@@ -8,9 +8,10 @@ make the same decisions produce the same trajectories.
 Identical decisions also share computation. :func:`evaluate_policies` rolls
 out two or more greedy policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
 a state that several reach along one patient and dose history is stepped once,
-and each stage decides them in one batch, with one kernel matrix per action for
-models from one fit; their aggregates index the per-class arrays along each
-policy's class paths. Any other policy shares no kernel work, so it is rolled
+and each stage decides them in one screened argmax: models from one fit share
+one approximate kernel matrix per action, and an error bound on it leaves
+almost every (policy, state) one action to predict exactly; their aggregates
+index the per-class arrays along each policy's class paths. Any other policy shares no kernel work, so it is rolled
 out alone with no classes (:func:`nearq.envs.one_policy_stages`) into the two
 patient x month arrays the aggregates read, tumor plus toxicity and the rewards.
 Every result equals the policy's one-policy rollout bit for bit.
@@ -83,6 +84,9 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     keyed by the seed alone, so every policy evaluated with a seed gets the same
     initial states and survival draws, and each result equals the policy's
     one-policy evaluation bit for bit. Labels must be unique, one per policy.
+    Every policy is checked before any rollout: one that cannot be rolled out
+    (an unsupported spec, an off-grid dose, a greedy policy short of a stage
+    model) raises ``ValueError`` naming its label.
     """
     policies, labels = list(policies), list(labels)
     if len(labels) != len(policies):
@@ -91,12 +95,16 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     if repeated:
         raise ValueError(f"duplicate policy labels: {', '.join(map(repr, repeated))}")
     greedy = [j for j, policy in enumerate(policies) if isinstance(policy, GreedyPolicy)]
+    if len(greedy) < 2:  # one policy's decision paths never merge: a lone greedy policy shares nothing
+        greedy = []
+    # every other policy is checked here, and a bad one refused, named, before any rollout
+    alone = {j: one_policy_stages(params, policy, n_test, seed, label="eval", name=labels[j])
+             for j, policy in enumerate(policies) if j not in greedy}
     results = {}
-    if len(greedy) > 1:  # one policy's decision paths never merge: a lone greedy policy shares nothing
+    if greedy:
         together = _evaluate_lockstep(params, [policies[j] for j in greedy], n_test, seed, [labels[j] for j in greedy])
         results = dict(zip(greedy, together))
-    return [results[j] if j in results else _evaluate_one(params, policies[j], n_test, seed, labels[j])
-            for j in range(len(policies))]
+    return [results[j] if j in results else _evaluate_one(params, labels[j], *alone[j]) for j in range(len(policies))]
 
 
 def _evaluate_lockstep(params: CancerParams, policies: list, n_test: int, seed: int, labels: list) -> list[EvalResult]:
@@ -109,10 +117,10 @@ def _evaluate_lockstep(params: CancerParams, policies: list, n_test: int, seed: 
             for label, path in zip(labels, paths)]
 
 
-def _evaluate_one(params: CancerParams, policy, n_test: int, seed: int, label: str) -> EvalResult:
+def _evaluate_one(params: CancerParams, label: str, init: np.ndarray, stages) -> EvalResult:
     """One policy's result from its :func:`~nearq.envs.one_policy_stages`, stored straight into
     the two patient x month arrays the aggregates read: tumor plus toxicity, and the rewards."""
-    init, stages = one_policy_stages(params, policy, n_test, seed, label="eval", name=label)
+    n_test = len(init)
     combined, rewards = np.empty((n_test, params.n_stages + 1)), np.zeros((n_test, params.n_stages))
     combined[:, 0] = init[:, 0] + init[:, 1]
     for t, live, _, tumor, tox, _, reward in stages:

@@ -69,7 +69,8 @@ class GreedyPolicy:
         return int(self(t, np.asarray(features, dtype=float)[None, :])[0])
 
     def __call__(self, t: int, features: np.ndarray) -> np.ndarray:
-        """Greedy action indices at stage t for each row of ``features``; lowest index wins exact ties."""
+        """Greedy action indices at stage t for each row of ``features``; lowest index wins exact ties.
+        A row with a non-finite value raises ``ValueError`` naming it."""
         if not 0 <= t <= self.horizon:
             raise ValueError(f"stage {t} outside 0..{self.horizon}")
         return best_over_actions([self.models[t]], features)[1][0]
@@ -105,7 +106,8 @@ def fit_chains(
 
     ``future`` is the (n_T, m) matrix of final-stage values at the stage-T
     rows. Returns ``stages[t]``, the m stage-t models; column j's stage-t
-    targets add the best value of its stage-(t+1) model.
+    targets add the best value of its stage-(t+1) model, the exact prediction
+    of the one action (almost always) that a screen of all of them leaves.
     """
     stages: list = [None] * dataset.horizon
     for t in range(dataset.horizon - 1, -1, -1):

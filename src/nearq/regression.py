@@ -19,11 +19,9 @@ is reported as :class:`RankDeficientError`.
 :func:`fit_columns` fits target columns that share rows, features and actions:
 each normal-equation matrix is factorized once and all its columns are solved
 together (Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share
-each action's inputs. So :func:`best_over_actions` evaluates the models of one
-fit as one stacked model: per action one kernel matrix, one dot-product call
-per row block for all the fit's weight rows, and one best-value update. Every
-entry of a solve is one dot product of a contiguous row with one column's
-values, so column j is bitwise equal to a single-column fit on it.
+each action's inputs. Every entry of a solve is one dot product of a contiguous
+row with one column's values, so column j is bitwise equal to a single-column
+fit on it.
 
 Kernel predictions are row independent by construction: squared distances
 are summed elementwise and each prediction is one dot product of its kernel
@@ -33,6 +31,15 @@ products (gemm, gemv) do not promise this; on OpenBLAS they differ in the last
 bits with the batch's size and the row's position. They are model independent
 for the same reason: a model's row of a stacked call is one dot product with
 that model's weights, so it equals that model's call alone.
+
+:func:`best_over_actions` needs each model's best value and greedy action at
+each row, and it screens the models of one fit together before predicting: a
+BLAS gemm over every action gives approximate values, and a rigorous error
+bound on them (:func:`_screen_bound`) leaves, for almost every (model, row),
+one action that can be the best. Only those are predicted exactly, as above.
+The screened values pick which exact predictions are computed and never reach
+a result, so every value and action is bitwise the one predicting every action
+gives.
 """
 
 from __future__ import annotations
@@ -122,7 +129,9 @@ def _rbf(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-_ROW_BLOCK = 256  # kernel rows built at a time: a block stays in cache for every model's product
+# Rows screened, or exactly predicted, at a time: a block's kernel matrix stays in cache for every
+# model's product, and its screened values, one per (action, model, row), stay a few hundred kB.
+_ROW_BLOCK = 256
 
 
 def _kernel_predictions(x: np.ndarray, inputs: np.ndarray, bandwidth: float, comps) -> np.ndarray:
@@ -383,16 +392,155 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
     )
 
 
-def _stacked_values(group, x: np.ndarray, k: int) -> np.ndarray:
-    """(len(group), n) or broadcastable predictions for action ``k`` of a group from
-    :func:`best_over_actions`: the kernel models of one fit, or a single model."""
+_UNIT = 2.0**-53  # unit roundoff of float64
+_EXP_ERROR = 2.0**-44  # error assumed of np.exp, relative to 1: 256 ulp, where numpy promises a few
+_SLACK = 2.0**20  # the screening margin over the derived bound
+
+
+def _gamma(n):
+    """Higham's ``gamma_n = n u / (1 - n u)``: bounds the relative error of n roundings."""
+    return n * _UNIT / (1 - n * _UNIT)
+
+
+def _screen_kernel(rows: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Approximate kernel matrix of augmented rows ``[x, |x|^2, 1]`` and augmented inputs
+    ``-b [-2a, 1, |a|^2]``, with b the bandwidth: ``exp`` of one gemm, within
+    :func:`_screen_bound` of :func:`_rbf`."""
+    product = rows @ inputs.T
+    return np.exp(product, out=product)
+
+
+def _screen_bound(inputs, weights, means, bandwidth: float, scale) -> np.ndarray:
+    """(M,): per model, a bound on ``|s - e|`` for every kernel action i (``inputs[i]``, the (M, C)
+    ``weights[i]`` and (M, 1) ``means[i]``) at every row whose coordinates are at most ``scale``
+    in magnitude; inf or NaN where it overflows. ``s`` is the screened value, one gemm of the
+    weights with :func:`_screen_kernel` plus the mean, and ``e`` the exact prediction of
+    :func:`_kernel_predictions`, :func:`_rbf` and one ``np.vecdot`` plus the mean.
+
+    Write u for the unit roundoff, ``gamma_n = n u / (1 - n u)``, d for the features, C for the
+    inputs, b for the bandwidth, X for ``scale`` and A for the largest input coordinate magnitude.
+    ``R = 2d (1 + X + A)^2`` is at least 1, X, 2A and twice every squared distance, ``|x|^2`` and
+    ``|a|^2``, so R bounds every entry of the augmented rows, and ``S = bR`` every entry of the
+    augmented inputs and twice the magnitudes a gemm product sums. Where S is finite no exponent
+    overflows, and the exact one, ``t = -b |x - a|^2``, is at most 0. Higham's dot-product error bound, ``gamma_n`` times the
+    sum of the products' magnitudes, holds in any summation order, so for BLAS too (Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1).
+
+    * Screened exponent: the entries ``|x|^2``, ``2ba`` and ``b |a|^2`` carry up to
+      ``gamma_{d+1}``, and the gemm of length d + 2 adds ``gamma_{d+2}``: its error is
+      ``D <= gamma_{2d+5} S``.
+    * Exact exponent: a difference, a square, d - 1 sums of nonnegative terms and the scaling
+      by b: ``gamma_{d+3} S``, and it is at most 0.
+    * ``exp`` is assumed to err by ``eta = 2^-44`` of its largest value here, ``e^D``. It is
+      Lipschitz with constant ``e^D`` below ``t + D`` and 1 below 0, so a screened kernel entry
+      is within ``e^D (D + eta)`` of ``e^t`` and an exact one within ``gamma_{d+3} S + eta``:
+      they differ by at most ``dK = e^D (D + eta) + gamma_{d+3} S + eta``, and are at most
+      ``e^D (1 + eta)`` and ``1 + eta`` in size.
+    * The gemm and the vecdot with weights w then err by at most ``gamma_C ||w||_1`` times their
+      largest kernel entry.
+    * Each side adds the mean m once, within u of a sum at most ``|m| + 2 e^D ||w||_1``.
+
+    Hence ``|s - e| <= ||w||_1 (dK + 2 gamma_{C+1} (e^D + 1)) + 2u (|m| + 2 e^D ||w||_1)``, and
+    where it is finite, so is every sum of either computation.
+    """
+    d = inputs[0].shape[1]
+    reach = np.array([[np.abs(a).max(initial=0.0)] for a in inputs])  # A per action
+    count = np.array([[len(a)] for a in inputs])
+    norms = np.array([np.abs(w).sum(axis=1) for w in weights])  # (actions, M)
+    sizes = np.abs(np.array(means)[:, :, 0])
+    spread = bandwidth * (2 * d * np.square(1 + scale + reach))  # S
+    drift = _gamma(2 * d + 5) * spread  # D
+    grow = np.exp(drift)
+    gap = grow * (drift + _EXP_ERROR) + _gamma(d + 3) * spread + _EXP_ERROR  # dK
+    bound = norms * (gap + 2 * _gamma(count + 1) * (grow + 1)) + 2 * _UNIT * (sizes + 2 * grow * norms)
+    return bound.max(axis=0)
+
+
+def _screened_best(group, x: np.ndarray, best: np.ndarray, arg: np.ndarray) -> None:
+    """Fill ``best`` and ``arg``, (len(group), n), for the kernel models of one fit: bitwise the
+    best value and greedy action that reducing every action's exact prediction gives.
+
+    A floating-point filter (Shewchuk, Adaptive Precision Floating-Point Arithmetic and Fast
+    Robust Geometric Predicates, 1997). Each block of rows is screened: per kernel action, one
+    approximate kernel matrix (:func:`_screen_kernel`) and one gemm with the group's weights
+    give every model's screened value, and a constant action screens as itself. With E per
+    model ``2^20`` times :func:`_screen_bound`, an action whose exact value can be the best
+    screens at least ``max - 2E``: a (model, row) pair needs only those actions exact, and all
+    of them where E or the best screened value is not finite. Almost every pair needs one, its
+    best screened action. Then one :func:`_kernel_predictions` call per kernel action computes
+    it at the rows and models that need it, and a pair needing more reduces them in action
+    order, as :func:`best_over_actions` reduces all of them.
+    """
     first = group[0]
-    if not isinstance(first, PerActionKernelQ):
-        return first.predict_matrix(x, k)[None]
-    comps = [model.components[k] for model in group]
-    if comps[0][0] == "constant":
-        return np.array([[comp[1]] for comp in comps])
-    return _kernel_predictions(x, comps[0][1], first.bandwidth, comps)
+    n_actions, n, bandwidth = first.action_space.size, x.shape[0], first.bandwidth
+    constants, kernels = {}, {}  # by action: the models' (M, 1) constants; the kernel's arrays
+    for k in range(n_actions):
+        comps = [model.components[k] for model in group]
+        if comps[0][0] == "constant":
+            constants[k] = np.array([[comp[1]] for comp in comps])
+            continue
+        inputs = comps[0][1]
+        augmented = np.column_stack([2.0 * bandwidth * inputs, np.full(len(inputs), -bandwidth),
+                                     -bandwidth * (inputs * inputs).sum(axis=1)])
+        kernels[k] = (comps, np.array([comp[2] for comp in comps]), np.array([[comp[3]] for comp in comps]),
+                      augmented)
+    small = np.min_scalar_type(n_actions)  # holds an action index and a pair's count of them
+    index = np.arange(n_actions, dtype=small)[:, None, None]
+    rows_need, models_need = np.zeros((n_actions, n), dtype=bool), np.zeros((n_actions, len(group)), dtype=bool)
+    # the models, rows and needed actions (K, A) of the pairs needing more than one, per block
+    ambiguous = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((n_actions, 0), dtype=bool))]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes E non-finite
+        width = np.zeros((len(group), 1))  # 2E
+        if kernels:
+            comps, weights, means, _ = zip(*kernels.values())
+            bound = _screen_bound([c[0][1] for c in comps], weights, means, bandwidth, np.abs(x).max(initial=0.0))
+            width[:, 0] = 2 * _SLACK * bound
+        for lo in range(0, n, _ROW_BLOCK):
+            xb = x[lo : lo + _ROW_BLOCK]
+            rows = np.column_stack([xb, (xb * xb).sum(axis=1), np.ones(len(xb))])
+            screens = np.empty((n_actions, len(group), len(xb)))
+            for k, values in constants.items():
+                screens[k] = values
+            for k, (_, weights, means, augmented) in kernels.items():
+                np.matmul(weights, _screen_kernel(rows, augmented).T, out=screens[k])
+                screens[k] += means
+            floor = screens.max(axis=0)
+            floor -= width
+            need = screens >= floor
+            del screens  # before the next block's are made
+            unsure = ~np.isfinite(floor)
+            if unsure.any():
+                need[:, unsure] = True
+            rows_need[:, lo : lo + len(xb)] = need.any(axis=1)
+            models_need |= need.any(axis=2)
+            # a pair needing one action gets its index, the sum of index * need
+            arg[:, lo : lo + len(xb)] = np.add.reduce(need * index, axis=0, dtype=small)
+            j, r = np.nonzero(np.add.reduce(need, axis=0, dtype=small) > 1)
+            if j.size:
+                ambiguous.append((j, r + lo, need[:, j, r]))
+    j, r, need = (np.concatenate(part, axis=-1) for part in zip(*ambiguous))
+    arg[j, r] = -1  # these pairs are reduced apart
+    amb_best, amb_arg = np.full(j.size, -np.inf), np.zeros(j.size, dtype=arg.dtype)
+    for k in range(n_actions):
+        at = np.flatnonzero(rows_need[k])
+        if not at.size:
+            continue
+        models = np.flatnonzero(models_need[k])
+        if k in constants:
+            exact = np.broadcast_to(constants[k][models], (len(models), len(at)))
+        else:
+            comps = kernels[k][0]
+            exact = _kernel_predictions(x[at], comps[0][1], bandwidth, [comps[i] for i in models])
+        grid = np.ix_(models, at)
+        sub = best[grid]
+        np.copyto(sub, exact, where=arg[grid] == k)
+        best[grid] = sub
+        sel = np.flatnonzero(need[k])
+        if sel.size:
+            pred = exact[np.searchsorted(models, j[sel]), np.searchsorted(at, r[sel])]
+            amb_arg[sel[pred > amb_best[sel]]] = k
+            amb_best[sel] = np.maximum(amb_best[sel], pred)
+    best[j, r], arg[j, r] = amb_best, amb_arg
 
 
 def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,16 +548,20 @@ def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndar
     feature row and its greedy action index.
 
     Equal bit for bit to ``models[j].predict_all_matrix(features).max(axis=1)`` and, for finite
-    values, to its ``np.argmax`` (lowest index on exact ties). A model listed more than once is
-    evaluated once. Kernel models that share every action's training inputs and bandwidth (the
-    models of one ``fit_columns`` call) form one group, evaluated as one stacked model: one kernel
-    matrix and one :func:`_kernel_predictions` call per action, then one best-value update over
-    the group's rows. Any other model is a group of its own.
+    values, to its ``np.argmax`` (lowest index on exact ties). A feature row with a non-finite
+    value raises ``ValueError`` naming the row. A model listed more than once is evaluated once.
+    Kernel models that share every action's training inputs and bandwidth (the models of one
+    ``fit_columns`` call) form one group, screened block by block (:func:`_screened_best`): only
+    the actions that can be a model's best at a row are predicted exactly. Any other model is a
+    group of its own; an interaction-linear one predicts every action.
     """
     distinct = list({id(model): model for model in models}.values())
     for model in distinct:
         model._check_features(features)
     x = np.asarray(features, dtype=float)
+    bad_rows = ~np.isfinite(x).all(axis=1)
+    if bad_rows.any():
+        raise ValueError(f"features contain non-finite values (row {int(bad_rows.argmax())})")
     groups: dict = {}
     for model in distinct:
         key = id(model)
@@ -424,10 +576,13 @@ def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndar
     for group in groups.values():
         best, arg = values[lo : lo + len(group)], actions[lo : lo + len(group)]
         lo += len(group)
+        if isinstance(group[0], PerActionKernelQ):
+            _screened_best(group, x, best, arg)
+            continue
         for k in range(group[0].action_space.size):
-            pred = _stacked_values(group, x, k)
-            arg[pred > best] = k
-            np.maximum(best, pred, out=best)
+            pred = group[0].predict_matrix(x, k)
+            arg[0, pred > best[0]] = k
+            np.maximum(best[0], pred, out=best[0])
     row = {id(model): j for j, model in enumerate(order)}
     pick = [row[id(model)] for model in models]
     if pick == list(range(len(order))):  # models listed once each, already in group order

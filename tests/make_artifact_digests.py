@@ -35,6 +35,9 @@ RUNS = {  # nearq arguments, --out aside
     "cancer-absolute": "cancer --seed 5 --mode absolute --n-train 100 --n-test 40 --epsilon 0.2 --epsilon 0.6",
     "cancer-one-test-patient": "cancer --seed 3 --n-train 60 --n-test 1 --epsilon 0.5",
     "itr": "itr --seed 4 --n-train 60 --n-test 40 --epsilon 0.1 --epsilon 0.5 --grid-resolution 7",
+    # the paper's training size and every default tolerance: 1 + sum(m - 1) learned policies
+    # of realistic m decide each live class of a few hundred test patients
+    "cancer-paper-size": "cancer --seed 8 --n-train 500 --n-test 300",
 }
 
 

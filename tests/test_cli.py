@@ -316,15 +316,15 @@ def test_cancer_run_fits_once_and_reuses_the_classical_rollout(tmp_path, monkeyp
     counts = {}
     _counting(monkeypatch, nearq.nearequiv, "fit_final_stage", counts)
     _counting(monkeypatch, nearq.nearequiv, "fit_chains", counts)
-    _counting(monkeypatch, nearq.regression, "_rbf", counts)
+    _counting(monkeypatch, nearq.regression, "_screen_kernel", counts)
     evaluate = nearq.cli.evaluate_policies
 
     def counted_evaluate(*args):
-        # kernel matrices built while the CLI's evaluate_policies call runs
-        before = counts.get("_rbf", 0)
+        # screen kernel matrices built while the CLI's evaluate_policies call runs
+        before = counts.get("_screen_kernel", 0)
         results = evaluate(*args)
         counts["evaluate_policies"] = counts.get("evaluate_policies", 0) + 1
-        counts["eval_kernels"] = counts.get("eval_kernels", 0) + counts.get("_rbf", 0) - before
+        counts["eval_kernels"] = counts.get("eval_kernels", 0) + counts.get("_screen_kernel", 0) - before
         return results
 
     monkeypatch.setattr(nearq.cli, "evaluate_policies", counted_evaluate)
@@ -339,8 +339,8 @@ def test_cancer_run_fits_once_and_reuses_the_classical_rollout(tmp_path, monkeyp
     assert counts["fit_final_stage"] == 1
     assert counts["fit_chains"] == 1
     assert counts["evaluate_policies"] == 1
-    # one kernel matrix per (stage, action) with a kernel component, shared by
-    # all 1 + sum(m - 1) learned policies
+    # one screen kernel matrix per (stage, action) with a kernel component, shared
+    # by all 1 + sum(m - 1) learned policies
     stack = stack_from_dict(json.loads((out / "qstack.json").read_text()))
     kernel_actions = sum(comp[0] == "kernel" for model in stack.models for comp in model.components)
     assert 0 < kernel_actions <= len(stack.models) * len(CancerParams().dose_grid)

@@ -307,6 +307,26 @@ def test_evaluate_policies_rejects_before_any_rollout(monkeypatch, policies, lab
         evaluate_policies(PARAMS, policies, 30, 1, labels)
 
 
+@pytest.mark.parametrize("bad,match", [
+    ("telepathy", r"policy 'bad': unsupported policy spec 'telepathy'"),
+    (0.25, r"policy 'bad': action value 0.25 is not on the grid"),
+], ids=["unsupported-spec", "off-grid-dose"])
+def test_evaluate_policies_refuses_a_bad_policy_before_the_lockstep(monkeypatch, bad, match):
+    # a mixed list: the bad policy is refused, named, before the greedy policies' lockstep runs
+    policies, labels = _fitted_family(60, 2, CANCER_SPEC)
+    locksteps = []
+    real = nearq.evalkit.simulate_cancer_cohorts
+
+    def counted(*args, **kwargs):
+        locksteps.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nearq.evalkit, "simulate_cancer_cohorts", counted)
+    with pytest.raises(ValueError, match=match):
+        evaluate_policies(PARAMS, [policies[0], 0.3, policies[1], bad], 30, 1, [labels[0], "c", labels[1], "bad"])
+    assert locksteps == []
+
+
 def test_evaluate_policies_routes_by_kind_and_keeps_the_callers_order(monkeypatch):
     # only the greedy policies (two or more) share the lockstep; every other policy is rolled
     # out alone, and each result is bitwise its one-policy evaluation

@@ -325,8 +325,9 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
     listed = [model, model, other] + columns
     probe = np.random.default_rng(9).normal(size=(600, 2))  # three row blocks
     alone = [best_over_actions([m], probe) for m in listed]
-    counts = {"_rbf": 0, "components": 0, "linear": 0, "vecdot": 0}
-    rbf, kernel_predictions = nearq.regression._rbf, nearq.regression._kernel_predictions
+    counts = {"_rbf": 0, "screens": 0, "exact_calls": 0, "components": 0, "linear": 0, "vecdot": 0}
+    rbf, screen, kernel_predictions = (nearq.regression._rbf, nearq.regression._screen_kernel,
+                                       nearq.regression._kernel_predictions)
     linear = InteractionLinearQ.predict_matrix
     vecdot = np.vecdot
 
@@ -334,7 +335,12 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
         counts["_rbf"] += 1
         return rbf(*args)
 
+    def counted_screen(*args):
+        counts["screens"] += 1
+        return screen(*args)
+
     def counted_kernel_predictions(x, inputs, bandwidth, comps):
+        counts["exact_calls"] += 1
         counts["components"] += len(comps)
         return kernel_predictions(x, inputs, bandwidth, comps)
 
@@ -347,6 +353,7 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
         return vecdot(*args, **kwargs)
 
     monkeypatch.setattr(nearq.regression, "_rbf", counted_rbf)
+    monkeypatch.setattr(nearq.regression, "_screen_kernel", counted_screen)
     monkeypatch.setattr(nearq.regression, "_kernel_predictions", counted_kernel_predictions)
     monkeypatch.setattr(InteractionLinearQ, "predict_matrix", counted_linear)
     monkeypatch.setattr(np, "vecdot", counted_vecdot)
@@ -354,15 +361,81 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
     for together, want in zip(got, zip(*alone)):
         assert np.array_equal(together, np.concatenate(want))
     # rows 0 and 1 come from one computation, and the models of one fit are one stacked model:
-    # one kernel matrix and one vecdot per (row block, kernel action) of each fit, whatever m is
+    # one screen per (row block, kernel action) of each fit, whatever m is, then at most one
+    # exact call per (fit, kernel action), each model at most once, with one kernel matrix and
+    # one vecdot per row block of the rows it predicts
     if mode == "per-action-kernel":
         kernel_actions = sum(comp[0] == "kernel" for comp in model.components)
         fits, blocks = 3, 3  # model, other, columns; 600 rows in blocks of 256
-        assert counts["_rbf"] == counts["vecdot"] == fits * kernel_actions * blocks
-        assert counts["components"] == (2 + len(columns)) * kernel_actions
+        assert counts["screens"] == fits * kernel_actions * blocks
+        assert 0 < counts["exact_calls"] <= fits * kernel_actions
+        assert counts["components"] <= (2 + len(columns)) * kernel_actions
+        assert counts["_rbf"] == counts["vecdot"] <= counts["exact_calls"] * blocks
     else:
         assert counts["linear"] == (2 + len(columns)) * space.size
-        assert counts["vecdot"] == 0
+        assert counts["vecdot"] == counts["screens"] == counts["exact_calls"] == 0
+
+
+def _near_tie_group(case, n_models, seed=5):
+    """Kernel models of one fit's shape (each action's inputs one shared array) whose actions tie,
+    or nearly tie, by construction."""
+    rng = np.random.default_rng(seed)
+    inputs = [rng.uniform(0.0, 3.0, size=(c, 2)) for c in (30, 45, 20)]
+    twin = inputs[1].copy()  # equal inputs in another array, as a fit never shares them
+    models = []
+    for _ in range(n_models):
+        low = ("kernel", inputs[0], rng.normal(size=30), -1e3)  # far below the tied actions
+        w, mean = rng.normal(size=45), float(rng.normal())
+        if case == "exact-tie":  # actions 1 and 2 predict the same bits everywhere
+            tied = [("kernel", inputs[1], w, mean), ("kernel", twin, w.copy(), mean)]
+        elif case == "one-ulp":  # every weight of action 2 one ulp above action 1's
+            tied = [("kernel", inputs[1], w, mean), ("kernel", twin, np.nextafter(w, np.inf), mean)]
+        else:  # a constant fallback equal to a kernel value: zero weights leave the bare mean
+            tied = [("constant", mean), ("kernel", twin, np.zeros(45), mean)]
+        comps = (low, *tied, ("kernel", inputs[2], rng.normal(size=20), -1e3))
+        models.append(PerActionKernelQ(ActionSpace((0.0, 0.3, 0.6, 0.9)), 2, 0.7, comps))
+    return models
+
+
+@pytest.mark.parametrize("n_rows", [1, 255, 257, 700])
+@pytest.mark.parametrize("n_models", [1, 12])
+@pytest.mark.parametrize("case", ["exact-tie", "one-ulp", "constant-equals-kernel"])
+def test_screened_argmax_matches_the_reference_at_near_ties(case, n_models, n_rows):
+    # the screen only picks which actions to predict exactly: values and actions stay bitwise
+    # the reduction of every exact prediction, lowest index on exact ties
+    models = _near_tie_group(case, n_models)
+    x = np.random.default_rng(n_rows).uniform(0.0, 3.0, size=(n_rows, 2))
+    values, actions = best_over_actions(models, x)
+    q = [model.predict_all_matrix(x) for model in models]
+    assert np.array_equal(values, np.stack([qa.max(axis=1) for qa in q]))
+    assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
+    if case != "one-ulp":
+        assert set(np.unique(actions)) <= {1}  # every row's tie goes to the lower index
+    else:
+        assert set(np.unique(actions)) <= {1, 2}
+
+
+def test_screened_argmax_with_an_overflowing_margin_predicts_every_action():
+    # a huge bandwidth overflows the screening bound: every action is predicted exactly, and
+    # the screen's overflow raises no warning (the suite turns warnings into errors)
+    models = _near_tie_group("one-ulp", 3)
+    huge = [PerActionKernelQ(m.action_space, 2, 1e300, m.components) for m in models]
+    x = np.random.default_rng(2).uniform(0.0, 3.0, size=(300, 2))
+    values, actions = best_over_actions(huge, x)
+    q = [model.predict_all_matrix(x) for model in huge]
+    assert np.array_equal(values, np.stack([qa.max(axis=1) for qa in q]))
+    assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
+def test_argmax_over_actions_refuses_a_non_finite_feature_row_naming_it(mode, bad):
+    x, a, y, space = _three_action_columns()
+    models = fit_columns(DesignSpec(mode, ridge=0.5), x, a, y, space)
+    probe = np.random.default_rng(4).normal(size=(300, 2))
+    probe[261, 1] = bad
+    with pytest.raises(ValueError, match=r"non-finite values \(row 261\)"):
+        best_over_actions(models, probe)
 
 
 def test_kernel_means_equal_per_action_mean_bitwise():
