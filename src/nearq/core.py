@@ -61,10 +61,11 @@ class ActionSpace:
         return self.values[index]
 
     def index_of(self, value: float, tol: float = 1e-9) -> int:
-        """Index of the label closest to ``value`` within ``tol``."""
-        for k, v in enumerate(self.values):
-            if abs(v - float(value)) <= tol:
-                return k
+        """Index of the label closest to ``value`` within ``tol``, the lowest one on an exact tie."""
+        gaps = [abs(v - float(value)) for v in self.values]
+        k = min(range(len(gaps)), key=gaps.__getitem__)
+        if gaps[k] <= tol:
+            return k
         raise ValueError(f"action value {value!r} is not on the grid {self.values}")
 
 
@@ -306,12 +307,19 @@ _SIDECAR_KEYS = (
 CSV_BLOCK_ROWS = 128  # records formatted per block: a writer holds one block's text, never the file's
 
 
+def cell_texts(values: np.ndarray) -> list[str]:
+    """The CSV text of each entry of the numpy array ``values``: a float's ``repr``, the shortest
+    text that reads back to the same double, and an integer's or a string's ``str``. This is the
+    one rule by which an artifact's values become text."""
+    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+
+
 def _cells(column) -> list[str]:
     """The cell texts of one block column (see :func:`write_csvs`)."""
     if isinstance(column, tuple):
         texts, index = column
         return list(map(texts.__getitem__, index.tolist()))
-    return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return cell_texts(column)
 
 
 def write_csvs(headers: dict, n: int, block) -> None:
@@ -319,11 +327,11 @@ def write_csvs(headers: dict, n: int, block) -> None:
 
     Records are formatted ``CSV_BLOCK_ROWS`` at a time: ``block(lo, hi)``
     returns, for each file in the order of ``headers``, the columns of the
-    lines that records lo..hi-1 make there. A column is a numpy array of
-    floats, each cell its ``repr``, or of integers or strings, each cell its
-    ``str``; or a pair ``(texts, index)`` of a list of cell texts and an
-    integer array, each cell ``texts[index[k]]``, for text made once and read
-    many times. A block is formatted column by column, one map per column,
+    lines that records lo..hi-1 make there. A column is a numpy array, its
+    cells formatted by :func:`cell_texts`; or a pair ``(texts, index)`` of a
+    list of cell texts, made by :func:`cell_texts` (or empty), and an integer
+    array, each cell ``texts[index[k]]``, for text made once and read many
+    times. A block is formatted column by column, one map per column,
     joined line by line, and written with one ``write`` per file. Files are
     opened as ``Path.write_text`` opens them, so their bytes equal those of
     the whole text written at once.
@@ -365,8 +373,8 @@ def save_sidecar(dataset: OfflineDataset, path: str | Path) -> None:
 def save_csv(dataset: OfflineDataset, path: str | Path) -> None:
     """Write the cohort CSV plus its sidecar metadata file.
 
-    Floats are written with ``repr`` so that loading reproduces the exact
-    values.
+    Cells are formatted by :func:`cell_texts`, so loading reproduces the
+    exact values.
     """
     write_csv(
         path, cohort_header(dataset.features.shape[1]), dataset.patient, dataset.stage,

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSpace, OfflineDataset, cohort_header, save_sidecar, write_csvs
+from .core import ActionSpace, OfflineDataset, cell_texts, cohort_header, save_sidecar, write_csvs
 from .qlearn import GreedyPolicy
 from .regression import best_over_actions
 
@@ -478,16 +478,16 @@ def save_trajectories_csv(cohort: CancerCohort, path: str | Path, train: str | P
     also the cohort CSV of ``cohort.dataset`` and its sidecar there, the bytes
     :func:`~nearq.core.save_csv` writes, in the same pass.
 
-    Both files are formatted a block of patients at a time, and each cell's
-    text is made once: a state carried forward after death reuses its
-    death-month text, a reward's text is looked up by its bit pattern (so
-    ``-0.0`` keeps its own), and the cohort rows read the text of the block's
-    alive patient-months.
+    Both files are formatted a block of patients at a time, each cell by
+    :func:`~nearq.core.cell_texts`, and each cell's text is made once: a state
+    carried forward after death reuses its death-month text, a dose reuses its
+    grid label's, and the cohort rows read the text of the block's alive
+    patient-months.
     """
     headers = {path: "patient_id,stage,tumor,toxicity,dose,reward,alive"}
     if train is not None:
         headers[train] = cohort_header(2)
-    grid = [repr(v) for v in cohort.action_space.values] + [""]  # dose index -1: no dose
+    grid = cell_texts(np.array(cohort.action_space.values)) + [""]  # dose index -1: no dose
     write_csvs(headers, len(cohort.tumor), lambda lo, hi: _cohort_columns(cohort, grid, lo, hi)[:len(headers)])
     if train is not None:
         save_sidecar(cohort.dataset, train)
@@ -502,11 +502,11 @@ def _cohort_columns(cohort: CancerCohort, grid: list[str], lo: int, hi: int) -> 
     fresh = np.ones_like(alive)
     fresh[:, 1:] = alive[:, :-1]
     latest = np.cumsum(fresh) - 1
-    tumor = _reprs(cohort.tumor[lo:hi][fresh])
-    tox = _reprs(cohort.toxicity[lo:hi][fresh])
+    tumor = cell_texts(cohort.tumor[lo:hi][fresh])
+    tox = cell_texts(cohort.toxicity[lo:hi][fresh])
     rows = np.zeros_like(alive)  # the cells of the cohort rows: alive, at a decision month
     rows[:, :-1] = alive[:, :-1]
-    rewards = _reprs_by_bits(cohort.rewards[lo:hi][rows[:, :-1]])
+    rewards = cell_texts(cohort.rewards[lo:hi][rows[:, :-1]])
     reward_at = np.full(alive.shape, -1)  # -1: the empty text appended next
     reward_at[rows] = np.arange(len(rewards))
     rewards.append("")
@@ -520,16 +520,3 @@ def _cohort_columns(cohort: CancerCohort, grid: list[str], lo: int, hi: int) -> 
          alive.ravel().astype(np.int8)],
         [patient[at], stage[at], (tumor, latest[at]), (tox, latest[at]), dose_at[at], (rewards, reward_at[at])],
     )
-
-
-def _reprs(values: np.ndarray) -> list[str]:
-    return list(map(repr, values.tolist()))
-
-
-def _reprs_by_bits(values: np.ndarray) -> list[str]:
-    """``_reprs(values)``, one ``repr`` per distinct bit pattern (so ``-0.0`` keeps its own text).
-    A dict finds them: ``np.unique`` on the bit patterns would map about 0.6 MB of numpy's
-    integer sort code into a run that sorts no integers otherwise."""
-    bits = values.view(np.uint64).tolist()
-    text = {b: repr(v) for b, v in dict(zip(bits, values.tolist())).items()}
-    return list(map(text.__getitem__, bits))

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OfflineDataset, write_csvs
+from .core import OfflineDataset, write_csv
 from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage
 from .regression import DesignSpec, FittedQ
 
@@ -252,16 +252,8 @@ def policy_set(stack: NearEquivQStack) -> tuple[GreedyPolicy, ...]:
 
 def save_admissible_csv(stack: NearEquivQStack, path: str | Path) -> None:
     """Audit rows ``patient_id,rank,action_index,q_value``, best rank first: one line per entry
-    of the admissible arrays. A sentinel entry's value is written as the text ``0.0``, by no
-    ``repr``."""
+    of the admissible arrays, as plain columns (a sentinel entry reads ``-1`` and ``0.0``)."""
     sets = stack.admissible_sets
     patient = np.repeat(np.arange(sets.counts.size), sets.counts)
     rank = np.arange(patient.size) - (np.cumsum(sets.counts) - sets.counts)[patient] + 1
-
-    def block(lo, hi):
-        admitted = sets.actions[lo:hi] != NO_ACTION
-        # text 0 is every sentinel's; the k-th admitted entry of the block reads text k
-        texts = ["0.0", *map(repr, sets.values[lo:hi][admitted].tolist())]
-        return ([patient[lo:hi], rank[lo:hi], sets.actions[lo:hi], (texts, np.cumsum(admitted) * admitted)],)
-
-    write_csvs({path: "patient_id,rank,action_index,q_value"}, patient.size, block)
+    write_csv(path, "patient_id,rank,action_index,q_value", patient, rank, sets.actions, sets.values)

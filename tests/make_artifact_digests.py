@@ -14,6 +14,7 @@ bytes, and record which files moved and why.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -41,12 +42,30 @@ RUNS = {  # nearq arguments, --out aside
 }
 
 
+def _openblas(symbol: str, restype):
+    """``symbol()`` of the OpenBLAS numpy bundles, or None where it bundles none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        function = getattr(ctypes.CDLL(str(path)), symbol, None)
+        if function is not None:
+            function.argtypes, function.restype = [], restype
+            return function()
+    return None
+
+
 def stamp() -> dict:
-    """What fixes the bits of a floating-point artifact besides the code."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """What fixes the bits of a floating-point artifact besides the code: the numpy build, the
+    OpenBLAS kernels it runs (``OPENBLAS_CORETYPE`` can force another set) and their live thread
+    count, and the SIMD targets numpy dispatches to."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
     return {
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
+        "openblas_core": core.decode() if core is not None else None,
+        "openblas_threads": _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int),
+        "simd": config["SIMD Extensions"]["found"],
         "machine": platform.machine(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }

@@ -41,6 +41,14 @@ def test_action_space_invariants():
         space.index_of(0.25)
 
 
+def test_index_of_is_the_nearest_label_within_tol():
+    close = ActionSpace((0.0, 1e-10))
+    assert close.index_of(1e-10) == 1 and close.index_of(0.0) == 0
+    assert ActionSpace((0.0, 2e-10)).index_of(1e-10) == 0  # an exact tie: the lowest index
+    with pytest.raises(ValueError):
+        close.index_of(2e-9)
+
+
 def test_validate_clean_dataset(single_stage_dataset):
     report = validate(single_stage_dataset)
     assert report.ok

@@ -352,6 +352,12 @@ def test_numpy_integer_is_a_constant_dose(dose):
     assert (as_python.dose_index[as_python.alive[:, :-1]] == PARAMS.action_space.index_of(float(dose))).all()
 
 
+def test_a_constant_dose_resolves_to_the_nearest_grid_dose():
+    # 0.0 is also within index_of's tolerance of the dose 1e-10
+    cohort = simulate_cancer_cohort(CancerParams(dose_grid=(0.0, 1e-10, 1.0)), 1e-10, 3, seed=1)
+    assert (cohort.dose_index[cohort.alive[:, :-1]] == 1).all()
+
+
 def test_cohort_dataset_shape_and_validation():
     cohort = simulate_cancer_cohort(PARAMS, "uniform-random", 500, seed=41)
     ds = cohort.dataset
