@@ -8,8 +8,8 @@ Greedy policies are rolled out in lockstep over decision-path classes,
 numbered across months: each stage decides every policy in one screened argmax
 (exact predictions only of the actions the screen leaves) and one gather,
 refines (without sorting) and steps only the live classes, and a patient who
-dies stays in its death-month class; the five flat per-class arrays it leaves
-are indexed by each policy's paths. Any one policy can be rolled out alone,
+dies stays in its death-month class; per class it keeps only the state, alive
+flag, parent and running reward total. Any one policy can be rolled out alone,
 with no classes (its decision paths never merge): each stage steps its live
 patients straight into the cohort's patient x month arrays.
 Both rollouts share the policy check, the dynamics, and a cohort's initial
@@ -174,8 +174,7 @@ class CancerCohort:
     ``alive[:, t]`` flags patients alive at the start of month t;
     ``dose_index`` (into ``action_space``) and ``rewards`` are -1/0 after
     death. :func:`simulate_cancer_cohort` steps a policy's live patients
-    straight into these arrays, and :meth:`LockstepRollout.cohort` builds them
-    by plain indexing of its class arrays; the dataset's rows are their alive
+    straight into these arrays; the dataset's rows are their alive
     patient-months.
     """
 
@@ -253,8 +252,8 @@ def simulate_cancer_cohort(
     identical cohorts, and calls sharing ``(seed, label)`` share initial states
     and death draws regardless of the policy. Each stage of
     :func:`one_policy_stages` is stored straight into the cohort's patient x
-    month arrays, so a greedy policy's cohort is bitwise the one
-    :func:`simulate_cancer_cohorts` builds for it in any lockstep.
+    month arrays, so a greedy policy's states, alive flags and reward totals are
+    bitwise the ones :func:`simulate_cancer_cohorts` gives it in any lockstep.
     """
     init, stages = one_policy_stages(params, policy, n, seed, label=label)
     months = params.n_stages + 1
@@ -336,21 +335,19 @@ class LockstepRollout:
     """Decision-path class history of a lockstep rollout, one entry per class.
 
     Month t's classes are ids ``starts[t]`` on; each was made at stage t - 1
-    from a live class (``parents``) under a dose index (``doses``) with a
-    reward (``rewards``), and month 0's, the patients, hold -1, -1 and 0.0.
-    ``states`` (C, 2) and ``alive`` hold each class's tumor, toxicity and alive
-    flag. A patient who dies stays in its death-month class, so ``final[j, i]``,
-    the class of policy j's patient i after the last stage, is of any month.
+    from a live class (``parents``), and month 0's, the patients, hold -1.
+    ``states`` (C, 2), ``alive`` and ``totals`` hold each class's tumor,
+    toxicity, alive flag and reward total so far (0.0 at month 0). A patient who
+    dies stays in its death-month class, so ``final[j, i]``, the class of policy
+    j's patient i after the last stage, is of any month and holds its total.
     """
 
     states: np.ndarray
     alive: np.ndarray
     parents: np.ndarray
-    doses: np.ndarray
-    rewards: np.ndarray
+    totals: np.ndarray
     final: np.ndarray
     starts: np.ndarray
-    action_space: ActionSpace
 
     def paths(self, j: int) -> np.ndarray:
         """(n, n_stages + 1) int32: the class of each of policy j's patients at months 0..n_stages."""
@@ -362,22 +359,6 @@ class LockstepRollout:
             path[:, t] = np.where(later >= self.starts[t + 1], self.parents[later], later)
         return path
 
-    @staticmethod
-    def stage_values(path: np.ndarray, per_class: np.ndarray, dead) -> np.ndarray:
-        """(n, n_stages): at stage t, ``per_class`` of the class the stage made on ``path``, or
-        ``dead`` where the path stayed in its class (its patient had died)."""
-        made = path[:, 1:]
-        return np.where(made != path[:, :-1], per_class[made], dead)
-
-    def cohort(self, j: int) -> CancerCohort:
-        """Policy j's full state, alive, dose and reward paths."""
-        path = self.paths(j)
-        arrays = (self.states[path, 0], self.states[path, 1], self.alive[path],
-                  self.stage_values(path, self.doses, -1), self.stage_values(path, self.rewards, 0.0))
-        for arr in arrays:
-            arr.setflags(write=False)
-        return CancerCohort(*arrays, self.action_space)
-
 
 def simulate_cancer_cohorts(
     params: CancerParams,
@@ -388,8 +369,8 @@ def simulate_cancer_cohorts(
     label: str = "train",
     names=None,
 ) -> LockstepRollout:
-    """Roll out greedy policies on one cohort in lockstep; returns the class history, from which
-    ``cohort(j)`` builds policy j's cohort.
+    """Roll out greedy policies on one cohort in lockstep; returns the class history, along whose
+    ``paths(j)`` policy j's states and alive flags, and at whose ``final[j]`` its reward totals, lie.
 
     All policies see the same initial states and death draws (common random
     numbers), so a (policy, patient) pair's trajectory is fixed by its patient
@@ -400,15 +381,16 @@ def simulate_cancer_cohorts(
 
     Every policy must be a :class:`~nearq.qlearn.GreedyPolicy` with a model for
     each stage; any other is refused, named (by ``names``, one per policy),
-    before any draw. The policies decide together: one
-    :func:`~nearq.regression.best_over_actions` call per stage over every live
-    class's state, and one gather reads each policy's actions at its patients'
-    classes. Models from one fit are screened together, one approximate kernel
-    matrix per action and row block and one gemm for all of them, within an
-    error bound that leaves almost every (model, class) one action to predict
-    exactly; the actions come from those exact predictions alone. Exact kernel
-    predictions are row independent (tests pin the interaction-linear ones), so
-    each cohort is bitwise the one the policy gets alone.
+    before any draw. The policies decide together: while any class is live, one
+    :func:`~nearq.regression.best_over_actions` call per stage over every
+    policy's model and every live class's state, and one gather reads each live
+    pair's action at its policy and its class. Models from one fit are screened
+    together, one approximate kernel matrix per action and row block and one
+    gemm for all of them, within an error bound that leaves almost every
+    (model, class) one action to predict exactly; the actions come from those
+    exact predictions alone. Exact kernel predictions are row independent (tests
+    pin the interaction-linear ones), so each policy's states, alive flags and
+    reward totals are bitwise the ones it gets alone.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -429,29 +411,25 @@ def simulate_cancer_cohorts(
 
     # one block per month of each per-class array; month 0's classes are the patients
     states, alive = [init], [np.ones(n, dtype=bool)]
-    parents, doses, rewards = [np.full(n, -1, dtype=np.int32)], [np.full(n, -1)], [np.zeros(n)]
+    parents, totals = [np.full(n, -1, dtype=np.int32)], [np.zeros(n)]
     starts, patient = [0], np.arange(n)
     # cls[j * n + i] is the class of policy j's patient i; pairs, the flat indices of the live
-    # (policy, patient) pairs, ascending, so that each policy's live pairs are one run of it
+    # (policy, patient) pairs, so a pair's policy is pair // n
     cls = np.tile(np.arange(n, dtype=np.int32), len(policies))
     pairs = np.arange(cls.size, dtype=np.int32 if cls.size < 2**31 else np.int64)
     for t in range(n_stages):
         first, here = starts[t], states[t]
         width = len(here) * n_actions
         key_type = np.int32 if width < 2**31 else np.int64
-        counts = np.diff(np.searchsorted(pairs, np.arange(len(policies) + 1) * n))
-        deciding, rows = np.flatnonzero(counts), np.flatnonzero(alive[t])
-        actions = np.empty((0, 0), dtype=key_type)  # once everyone has died, no policy is asked
-        if deciding.size:
-            actions = best_over_actions([policies[j].models[t] for j in deciding], here[rows])[1].astype(key_type)
-        # a pair's key is its class, counted from first, and its action, read in one gather from
-        # its policy's row of actions at its class's position among the live classes
+        actions = np.empty((0, 0), dtype=int)  # once everyone has died, no policy is asked
+        if pairs.size:
+            actions = best_over_actions([policy.models[t] for policy in policies], here[alive[t]])[1]
+        # a pair's key is its class, counted from first, and its action, read in one gather at its
+        # policy's row of actions and its class's position among the live classes
         local = cls[pairs] - first
-        row = np.cumsum(counts > 0) - 1  # of each deciding policy in actions
-        position = np.cumsum(alive[t]) - 1
-        keys = actions.take(np.repeat(row * rows.size, counts) + position[local])
-        del actions, position
-        keys += local.astype(key_type, copy=False) * n_actions
+        keys = local.astype(key_type, copy=False) * n_actions
+        keys += actions[pairs // n, (np.cumsum(alive[t]) - 1)[local]]
+        del actions
         uniq, rank = _refine(keys, width)
         del keys, local
         src, action = np.divmod(uniq, n_actions)
@@ -464,13 +442,12 @@ def simulate_cancer_cohorts(
         states.append(np.column_stack([next_tumor, next_tox]))
         alive.append(~died)
         parents.append((src + first).astype(np.int32))
-        doses.append(action)
-        rewards.append(reward)
+        totals.append(totals[t][src] + reward)
         cls[pairs] = rank + starts[-1]
         pairs = pairs[alive[-1][rank]]
 
-    return LockstepRollout(*(np.concatenate(blocks) for blocks in (states, alive, parents, doses, rewards)),
-                           cls.reshape(len(policies), n), np.array(starts), space)
+    return LockstepRollout(*(np.concatenate(blocks) for blocks in (states, alive, parents, totals)),
+                           cls.reshape(len(policies), n), np.array(starts))
 
 
 def save_trajectories_csv(cohort: CancerCohort, path: str | Path, train: str | Path | None = None) -> None:

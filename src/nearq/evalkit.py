@@ -11,10 +11,10 @@ a state that several reach along one patient and dose history is stepped once,
 and each stage decides them in one screened argmax: models from one fit share
 one approximate kernel matrix per action, and an error bound on it leaves
 almost every (policy, state) one action to predict exactly; their aggregates
-index the per-class arrays along each policy's class paths. Any other policy shares no kernel work, so it is rolled
-out alone with no classes (:func:`nearq.envs.one_policy_stages`) into the two
-patient x month arrays the aggregates read, tumor plus toxicity and the rewards.
-Every result equals the policy's one-policy rollout bit for bit.
+read tumor plus toxicity along each policy's class paths and the reward totals
+at its final classes. Any other policy is rolled out alone with no classes
+(:func:`nearq.envs.one_policy_stages`) into the same two arrays. Every result
+equals the policy's one-policy rollout bit for bit.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ class EvalResult:
     stderr_cum_reward: float
 
 
-def _aggregate(label: str, combined: np.ndarray, rewards: np.ndarray) -> EvalResult:
-    """Result from per-patient paths: tumor plus toxicity (n, months) and rewards (n, stages)."""
+def _aggregate(label: str, combined: np.ndarray, totals: np.ndarray) -> EvalResult:
+    """Result from per-patient tumor plus toxicity paths (n, months) and reward totals (n,), which
+    are whole numbers, so exact in any summation order."""
     n = combined.shape[0]
     mean = combined.mean(axis=0, keepdims=True)  # the mean std would compute, computed once
     sd = combined.std(axis=0, ddof=1, mean=mean) if n > 1 else np.zeros(combined.shape[1])
     mean = mean[0]
-    totals = rewards @ np.ones(rewards.shape[1])  # whole numbers: exact in any order
     total_sd = totals.std(ddof=1) if n > 1 else 0.0
     return EvalResult(
         label=label,
@@ -80,9 +80,9 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
 
     Two or more :class:`~nearq.qlearn.GreedyPolicy` policies share one lockstep
     rollout; every other policy is rolled out alone, with no classes. Only each
-    policy's tumor plus toxicity and reward paths are built. The streams are
-    keyed by the seed alone, so every policy evaluated with a seed gets the same
-    initial states and survival draws, and each result equals the policy's
+    policy's tumor plus toxicity paths and reward totals are built. The streams
+    are keyed by the seed alone, so every policy evaluated with a seed gets the
+    same initial states and survival draws, and each result equals the policy's
     one-policy evaluation bit for bit. Labels must be unique, one per policy.
     Every policy is checked before any rollout: one that cannot be rolled out
     (an unsupported spec, an off-grid dose, a greedy policy short of a stage
@@ -109,24 +109,24 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
 
 def _evaluate_lockstep(params: CancerParams, policies: list, n_test: int, seed: int, labels: list) -> list[EvalResult]:
     """The greedy policies' results from one :func:`~nearq.envs.simulate_cancer_cohorts` rollout,
-    each aggregated from its two paths, indexed from the per-class arrays."""
+    each aggregated from the per-class sums along its paths and the totals at its final classes."""
     rollout = simulate_cancer_cohorts(params, policies, n_test, seed, label="eval", names=labels)
     combined = rollout.states[:, 0] + rollout.states[:, 1]  # per class, all policies
-    paths = (rollout.paths(j) for j in range(len(labels)))  # one policy's paths at a time
-    return [_aggregate(label, combined[path], rollout.stage_values(path, rollout.rewards, 0.0))
-            for label, path in zip(labels, paths)]
+    return [_aggregate(label, combined[rollout.paths(j)], rollout.totals[rollout.final[j]])
+            for j, label in enumerate(labels)]
 
 
 def _evaluate_one(params: CancerParams, label: str, init: np.ndarray, stages) -> EvalResult:
     """One policy's result from its :func:`~nearq.envs.one_policy_stages`, stored straight into
-    the two patient x month arrays the aggregates read: tumor plus toxicity, and the rewards."""
+    the two arrays the aggregates read: tumor plus toxicity, patient x month, and reward totals."""
     n_test = len(init)
-    combined, rewards = np.empty((n_test, params.n_stages + 1)), np.zeros((n_test, params.n_stages))
+    combined, totals = np.empty((n_test, params.n_stages + 1)), np.zeros(n_test)
     combined[:, 0] = init[:, 0] + init[:, 1]
     for t, live, _, tumor, tox, _, reward in stages:
         combined[:, t + 1] = combined[:, t]  # a dead patient's state is carried forward
-        combined[live, t + 1], rewards[live, t] = tumor + tox, reward
-    return _aggregate(label, combined, rewards)
+        combined[live, t + 1] = tumor + tox
+        totals[live] += reward
+    return _aggregate(label, combined, totals)
 
 
 def constant_dose_baselines(params: CancerParams, n_test: int, seed: int) -> list[EvalResult]:
@@ -172,7 +172,7 @@ def blip_surface(model: FittedQ, grid_resolution: int) -> np.ndarray:
         raise ValueError("blip surface is defined for the interaction-linear backend")
     d = model.n_features
     if d < 2:
-        raise ValueError("blip surface needs at least two covariates")
+        raise ValueError(f"blip surface needs at least two covariates, got {d}")
     axis = np.linspace(-1.0, 1.0, grid_resolution)
     g0, g1 = np.meshgrid(axis, axis, indexing="ij")
     x = np.zeros((grid_resolution * grid_resolution, d))
@@ -202,7 +202,7 @@ def estimated_blips(model: FittedQ, features: np.ndarray) -> np.ndarray:
 
 
 def band_stats(model: FittedQ, test_set: OfflineDataset, epsilon: float) -> BandStats:
-    """Misclassification of the greedy rule against sign(x0 + x1).
+    """Misclassification of the greedy rule against sign(x0 + x1), over at least two covariates.
 
     A point is in the band when its estimated blip magnitude is at most
     ``epsilon``; accuracy outside the band is 1.0 when the band covers
@@ -211,6 +211,8 @@ def band_stats(model: FittedQ, test_set: OfflineDataset, epsilon: float) -> Band
     if not epsilon >= 0:  # NaN too
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     _, feats, _, _ = test_set.stage_rows(0)
+    if feats.shape[1] < 2:
+        raise ValueError(f"band stats need at least two covariates, got {feats.shape[1]}")
     blip_hat = estimated_blips(model, feats)
     predicted = np.where(blip_hat > 0, 1.0, -1.0)
     truth = np.where(feats[:, 0] + feats[:, 1] > 0, 1.0, -1.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DatasetError, OfflineDataset
-from .regression import DesignSpec, FittedQ, best_over_actions, fit, fit_columns
+from .regression import DesignSpec, FittedQ, best_over_actions, fit, fit_columns, model_from_dict
 
 
 class StageFitError(RuntimeError):
@@ -146,17 +146,24 @@ def stack_to_dict(stack: QStack) -> dict:
 
 
 def stack_from_dict(payload: dict) -> QStack:
-    from .regression import model_from_dict
-
+    """The stack ``stack_to_dict`` wrote. A payload that is not a JSON object, misses a key or
+    holds a bad model raises ``ValueError`` naming the key, or the model's stage."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"stack: payload must be a JSON object, got {type(payload).__name__}")
     if payload.get("format_version") != 1:
         raise ValueError(f"unsupported stack format version {payload.get('format_version')!r}")
+    listed = payload.get("models")
+    if not isinstance(listed, list):
+        raise ValueError(f"stack: 'models' must list one model per stage, got {type(listed).__name__}")
     models = []
-    for t, model in enumerate(payload["models"]):
+    for t, model in enumerate(listed):
         try:
             models.append(model_from_dict(model))
         except ValueError as err:
             raise ValueError(f"stage {t} {err}") from err
-    stack = QStack(tuple(models), int(payload["horizon"]), tuple(m.action_space for m in models))
-    if list(payload["provenance"]) != list(stack.provenance):
-        raise ValueError(f"stack provenance disagrees with its horizon {stack.horizon}")
+    stack = QStack(tuple(models), len(models) - 1, tuple(m.action_space for m in models))
+    if payload.get("horizon") != stack.horizon:
+        raise ValueError(f"stack: 'horizon' is missing or disagrees with its {len(models)} models")
+    if payload.get("provenance") != list(stack.provenance):
+        raise ValueError(f"stack: 'provenance' is missing or disagrees with its horizon {stack.horizon}")
     return stack

@@ -608,13 +608,15 @@ def _loaded(payload: Mapping, key: str, shape: tuple, where: str) -> np.ndarray:
 
 
 def model_from_dict(payload: Mapping) -> FittedQ:
-    """The model ``to_dict`` wrote. A payload that could not have been fitted (a non-finite or
-    misshapen parameter, a nonpositive bandwidth, a component count other than the number of
-    actions) raises ``ValueError`` naming the component and the key."""
+    """The model ``to_dict`` wrote. A payload that could not have been fitted (not a JSON object,
+    a missing key, a non-finite or misshapen parameter, a nonpositive bandwidth, a component count
+    other than the number of actions) raises ``ValueError`` naming the component and the key."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"model: payload must be a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    space = ActionSpace(tuple(payload["action_values"]))
+    space = ActionSpace(tuple(_loaded(payload, "action_values", (None,), "model")))
     d = payload.get("n_features")
     if type(d) is not int or d < 0:
         raise ValueError(f"model: 'n_features' must be a nonnegative integer, got {d!r}")
@@ -639,7 +641,10 @@ def model_from_dict(payload: Mapping) -> FittedQ:
                 comps.append(("kernel", inputs, weights, float(_loaded(comp, "mean", (), where))))
             else:
                 raise ValueError(f"{where}: unknown 'kind' {kind!r}")
-        return PerActionKernelQ(space, d, bandwidth, tuple(comps), payload.get("meta", {}))
+        meta = payload.get("meta", {})
+        if not isinstance(meta, Mapping):
+            raise ValueError(f"model: 'meta' must be a JSON object, got {type(meta).__name__}")
+        return PerActionKernelQ(space, d, bandwidth, tuple(comps), meta)
     raise ValueError(f"unknown model mode {payload.get('mode')!r}")
 
 

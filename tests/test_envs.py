@@ -187,8 +187,9 @@ def test_cohort_zero_dose_never_shrinks_tumor():
 
 def test_cohort_paths_carry_forward_after_death():
     # greedy stand-ins for the constant doses 0.0, 0.5 and 1.0 and for a policy that stops dosing
-    # after month 1, in one rollout: every cohort's live months replay the scalar reference from
-    # the shared draws, and once a patient dies its state stays, with dose -1 and reward 0.0
+    # after month 1, in one rollout: along each policy's class paths the live months replay the
+    # scalar reference from the shared draws, once a patient dies its state stays, and the reward
+    # total at its final class is the sum of the reference's stage rewards
     n, seed = 80, 23
     schedules = [[dose] * PARAMS.n_stages for dose in (0.0, 0.5, 1.0)] + [[1.0, 1.0] + [0.0] * 4]
     policies = [_stand_in(schedule) for schedule in schedules]
@@ -198,33 +199,31 @@ def test_cohort_paths_carry_forward_after_death():
     assert rollout.alive[rollout.parents[rollout.starts[1]:]].all()  # no dead class is stepped
     deaths = remissions = 0
     for j, schedule in enumerate(schedules):
-        cohort = rollout.cohort(j)
-        tumor, tox, alive = cohort.tumor.tolist(), cohort.toxicity.tolist(), cohort.alive.tolist()
+        path = rollout.paths(j)
+        tumor, tox, alive = rollout.states[path, 0], rollout.states[path, 1], rollout.alive[path]
+        totals = rollout.totals[rollout.final[j]]
         for i in range(n):
-            state = (tumor[i][0], tox[i][0])
-            assert state == tuple(init[i])
+            state, rewards = tuple(init[i]), np.zeros(PARAMS.n_stages)
+            assert state == (tumor[i, 0], tox[i, 0])
             for t in range(PARAMS.n_stages):
-                if not alive[i][t]:
+                if not alive[i, t]:
                     deaths += 1
-                    assert not cohort.alive[i, t:].any()
-                    assert (cohort.tumor[i, t:] == state[0]).all() and (cohort.toxicity[i, t:] == state[1]).all()
-                    assert (cohort.dose_index[i, t:] == -1).all() and (cohort.rewards[i, t:] == 0.0).all()
+                    assert not alive[i, t:].any()
+                    assert (tumor[i, t:] == state[0]).all() and (tox[i, t:] == state[1]).all()
                     break
-                dose = cohort.action_space.label(cohort.dose_index[i, t])
-                assert dose == schedule[t]
-                *state, died, reward = _reference_step(PARAMS, *state, *init[i], dose, death_u[i, t])
-                assert tuple(state) == (tumor[i][t + 1], tox[i][t + 1])
-                assert died == (not alive[i][t + 1])
-                assert reward == cohort.rewards[i, t]
+                *state, died, rewards[t] = _reference_step(PARAMS, *state, *init[i], schedule[t], death_u[i, t])
+                assert tuple(state) == (tumor[i, t + 1], tox[i, t + 1])
+                assert died == (not alive[i, t + 1])
                 remissions += state[0] == 0.0 and not died
+            assert totals[i] == rewards.sum()
     assert deaths > 0 and remissions > 0
     # dose 1.0 and the switch share every class through month 2, then part for patients still alive
     full, stop = rollout.paths(2), rollout.paths(3)
     assert (full[:, :3] == stop[:, :3]).all()
     assert (full[:, 3:] != stop[:, 3:]).any()
-    # each policy alone, with no classes, makes the cohort the lockstep gives it: values, dtypes, flags
+    # each policy alone, with no classes, has the states, alive flags and totals the lockstep gives it
     for j, policy in enumerate(policies):
-        _assert_same_cohort(simulate_cancer_cohort(PARAMS, policy, n, seed), rollout.cohort(j))
+        _assert_lockstep_matches(rollout, j, simulate_cancer_cohort(PARAMS, policy, n, seed))
 
 
 COHORT_ARRAYS = ("tumor", "toxicity", "alive", "dose_index", "rewards")
@@ -240,30 +239,47 @@ def _assert_same_cohort(alone, together):
     assert alone.action_space == together.action_space
 
 
+def _assert_lockstep_matches(rollout, j, cohort):
+    """Policy j's tumor, toxicity and alive flags along its lockstep paths, and its reward totals
+    at its final classes, are bitwise those of ``cohort``."""
+    path = rollout.paths(j)
+    pairs = [(rollout.states[path, 0], cohort.tumor), (rollout.states[path, 1], cohort.toxicity),
+             (rollout.alive[path], cohort.alive), (rollout.totals[rollout.final[j]], cohort.rewards.sum(axis=1))]
+    for name, (together, alone) in zip(("tumor", "toxicity", "alive", "totals"), pairs):
+        assert together.dtype == alone.dtype and together.tobytes() == alone.tobytes(), (j, name)
+
+
+def _counting_best_over_actions(monkeypatch):
+    """The row counts of every ``best_over_actions`` call the rollouts make from here on."""
+    rows = []
+    real_best = nearq.envs.best_over_actions
+
+    def counted_best(models, features):
+        rows.append(features.shape[0])
+        return real_best(models, features)
+
+    monkeypatch.setattr(nearq.envs, "best_over_actions", counted_best)
+    monkeypatch.setattr(nearq.qlearn, "best_over_actions", counted_best)
+    return rows
+
+
 @pytest.mark.parametrize("n", [1, 7])
 def test_everyone_dies_at_stage_zero(monkeypatch, n):
     # a hazard of exp(50) kills every patient in the first month; the later stages step no one
     # and ask no policy, whether it is rolled out alone or, greedy, in a lockstep
     params = CancerParams(hazard_intercept=50.0)
-    shapes = []
-    real_best = nearq.envs.best_over_actions
-
-    def counted_best(models, features):
-        shapes.append(features.shape[0])
-        return real_best(models, features)
+    shapes = _counting_best_over_actions(monkeypatch)
 
     def counted(t, feats):
         shapes.append(feats.shape[0])
         return np.full(feats.shape[0], 3)
 
-    monkeypatch.setattr(nearq.envs, "best_over_actions", counted_best)
-    monkeypatch.setattr(nearq.qlearn, "best_over_actions", counted_best)
     space = params.action_space
     greedy = GreedyPolicy(tuple(InteractionLinearQ(space, np.arange(6.0), 2) for _ in range(params.n_stages)))
     lockstep = [_stand_in([0.3] * params.n_stages), greedy]
     rollout = simulate_cancer_cohorts(params, lockstep, n, seed=4)
     for j, member in enumerate(lockstep):
-        _assert_same_cohort(simulate_cancer_cohort(params, member, n, seed=4), rollout.cohort(j))
+        _assert_lockstep_matches(rollout, j, simulate_cancer_cohort(params, member, n, seed=4))
     for policy in [0.0, np.int64(1), UNIFORM_RANDOM, counted] + lockstep:
         alone = simulate_cancer_cohort(params, policy, n, seed=4)
         assert alone.alive[:, 0].all() and not alone.alive[:, 1:].any()
@@ -271,6 +287,24 @@ def test_everyone_dies_at_stage_zero(monkeypatch, n):
         assert (alone.rewards[:, 0] <= -40.0).all() and (alone.rewards[:, 1:] == 0.0).all()
         assert (alone.tumor[:, 1:] == alone.tumor[:, 1:2]).all()
     assert shapes and min(shapes) == n
+
+
+def test_lockstep_keeps_deciding_after_one_policys_patients_have_all_died(monkeypatch):
+    # under a high hazard, on some seeds the full dose kills every patient of its policy while some
+    # on the half dose still live: the lockstep keeps deciding for the survivors, from every
+    # policy's model, and each policy's states, alive flags and totals stay bitwise those it gets alone
+    params = CancerParams(hazard_intercept=-2.0)
+    policies = [dose_schedule_policy(params.action_space, [dose] * params.n_stages) for dose in (1.0, 0.5)]
+    rows = _counting_best_over_actions(monkeypatch)
+    mixed = 0
+    for seed in range(20):
+        rollout = simulate_cancer_cohorts(params, policies, 10, seed)
+        alive = [rollout.alive[rollout.paths(j)].any(axis=0) for j in range(len(policies))]
+        mixed += (~alive[0] & alive[1]).any()
+        for j, policy in enumerate(policies):
+            _assert_lockstep_matches(rollout, j, simulate_cancer_cohort(params, policy, 10, seed))
+    assert mixed > 0
+    assert rows and min(rows) > 0
 
 
 @pytest.mark.parametrize("answer", [

@@ -8,7 +8,7 @@ import pytest
 
 import nearq.envs
 import nearq.evalkit
-from nearq.core import StageRecord
+from nearq.core import OfflineDataset, StageRecord
 from nearq.envs import CancerParams, ItrConfig, simulate_cancer_cohort, simulate_cancer_cohorts, simulate_itr
 from nearq.evalkit import (
     EvalResult,
@@ -106,20 +106,20 @@ def test_mean_cum_reward_matches_raw_trajectories():
 
 
 def test_one_policy_evaluation_aggregates_its_cohort():
-    # the evaluation stores only tumor plus toxicity and the rewards; its result is bitwise the
-    # aggregate of the full cohort simulate_cancer_cohort builds under the same policy
+    # the evaluation stores only tumor plus toxicity and the reward totals; its result is bitwise
+    # the aggregate of the full cohort simulate_cancer_cohort builds under the same policy
     late = lambda t, feats: np.full(feats.shape[0], 9 if t < 3 else 1)
     for policy in (0.0, 0.7, np.int64(1), "uniform-random", late):
         cohort = simulate_cancer_cohort(PARAMS, policy, 150, seed=11, label="eval")
         assert not cohort.alive[:, -1].all()
-        want = _aggregate("p", cohort.tumor + cohort.toxicity, cohort.rewards)
+        want = _aggregate("p", cohort.tumor + cohort.toxicity, cohort.rewards.sum(axis=1))
         assert evaluate_policy(PARAMS, policy, 150, seed=11, label="p") == want
 
 
 def test_constant_dose_baselines_peak_memory_is_bounded():
-    # 2800 patients: the 11 doses, each rolled out alone, peak at 0.68 MB through the baselines
+    # 2800 patients: the 11 doses, each rolled out alone, peak at 0.58 MB through the baselines
     # and through evaluate_policies alike; a lockstep of 11 greedy stand-ins for the doses
-    # holds every dose's cohort at once, 8.27 MB
+    # holds every dose's classes at once, 8.63 MB
     labels = [repr(d) for d in PARAMS.dose_grid]
     stand_ins = [dose_schedule_policy(PARAMS.action_space, [dose] * PARAMS.n_stages) for dose in PARAMS.dose_grid]
     constant_dose_baselines(PARAMS, 2800, 3)
@@ -209,6 +209,21 @@ def test_band_helpers_reject_a_nan_or_negative_epsilon(epsilon):
         epsilon_band_curve(opt, [opt], epsilon)
 
 
+@pytest.mark.parametrize("n_features", [0, 1])
+def test_band_helpers_refuse_fewer_than_two_covariates(n_features):
+    # the truth sign(x0 + x1) and the surface's (x0, x1) grid need two covariates; fewer is
+    # refused by count, not met with an IndexError
+    rng = np.random.default_rng(3)
+    x, a, y = rng.uniform(-1.0, 1.0, size=(30, n_features)), rng.integers(0, 2, size=30), rng.normal(size=30)
+    model = InteractionLinearQ(two_actions(), np.zeros(2 * n_features + 2), n_features)
+    test_set = OfflineDataset.from_rows(np.arange(30), np.zeros(30, dtype=int), x, a, y, 0,
+                                        (two_actions(),), (n_features,))
+    with pytest.raises(ValueError, match=f"band stats need at least two covariates, got {n_features}"):
+        band_stats(model, test_set, 0.5)
+    with pytest.raises(ValueError, match=f"blip surface needs at least two covariates, got {n_features}"):
+        blip_surface(model, 5)
+
+
 def test_band_stats_counts_are_consistent():
     train = simulate_itr(ItrConfig(800, seed=301))
     test = simulate_itr(ItrConfig(1000, seed=302))
@@ -282,15 +297,19 @@ def test_lockstep_evaluation_equals_one_policy_rollouts(n_train, n_test, seed):
         assert len({r.mean_combined for r in together}) > 1  # the family's decisions differ somewhere
         rollout = simulate_cancer_cohorts(PARAMS, policies, n_test, seed + 1, label="eval")
         for j, (policy, label, result) in enumerate(zip(policies, labels, together)):
-            cohort = rollout.cohort(j)
+            path = rollout.paths(j)
             assert result == evaluate_policy(PARAMS, policy, n_test, seed + 1, label=label)
             # the policy's models on its own rows alone, without the batched argmax the rollout uses
             alone = simulate_cancer_cohort(
                 PARAMS, lambda t, f, p=policy: np.argmax(p.models[t].predict_all_matrix(f), axis=1),
                 n_test, seed + 1, label="eval",
             )
-            for name in ("tumor", "toxicity", "alive", "dose_index", "rewards"):
-                assert np.array_equal(getattr(cohort, name), getattr(alone, name)), (spec.mode, label, name)
+            pairs = {"tumor": (rollout.states[path, 0], alone.tumor),
+                     "toxicity": (rollout.states[path, 1], alone.toxicity),
+                     "alive": (rollout.alive[path], alone.alive),
+                     "totals": (rollout.totals[rollout.final[j]], alone.rewards.sum(axis=1))}
+            for name, (got, want) in pairs.items():
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (spec.mode, label, name)
 
 
 @pytest.mark.parametrize("policies,labels,match", [
@@ -355,18 +374,23 @@ def test_evaluate_policies_routes_by_kind_and_keeps_the_callers_order(monkeypatc
     assert len(locksteps) == 1  # each evaluate_policy above was one policy, rolled out alone
 
 
-def test_aggregate_sums_whole_number_rewards_exactly():
+def test_running_reward_totals_equal_row_sums_exactly():
     # every stage reward is -60 or 0, plus +-5, plus 15 or +-5 (0.0 after death), so each
-    # patient's total is a whole number and the matrix-product sum is bitwise the row sum
+    # patient's total is a whole number: the running total a rollout keeps, stage by stage, is
+    # bitwise the row sum, and the aggregate of either is the same
     values = sorted({s + x + m for s in (-60.0, 0.0) for x in (-5.0, 5.0) for m in (-5.0, 5.0, 15.0)} | {0.0})
     rng = np.random.default_rng(20)
     for n, n_stages in ((1, 1), (2, 6), (2800, 6), (500, 11)):
         rewards = rng.choice(values, size=(n, n_stages))
         combined = rng.uniform(0.0, 4.0, size=(n, n_stages + 1))
-        totals = rewards.sum(axis=1)
-        result = _aggregate("p", combined, rewards)
-        assert result.mean_cum_reward == float(totals.mean())
-        assert result.stderr_cum_reward == (float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
+        running = np.zeros(n)
+        for t in range(n_stages):
+            running += rewards[:, t]
+        row_sums = rewards.sum(axis=1)
+        assert running.tobytes() == row_sums.tobytes()
+        result = _aggregate("p", combined, running)
+        assert result.mean_cum_reward == float(row_sums.mean())
+        assert result.stderr_cum_reward == (float(row_sums.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
 
 
 def test_invalid_actions_name_the_policy_and_stage():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,44 @@ def test_stack_provenance_must_match_its_horizon():
     for payload in (dropped, altered):
         with pytest.raises(ValueError, match="provenance"):
             stack_from_dict(payload)
+
+
+def _without(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+def _with(**items):
+    return lambda payload: {**payload, **items}
+
+
+@pytest.mark.parametrize("loader,change,match", [
+    ("model", _without("action_values"), r"^model: 'action_values' is missing or not numeric"),
+    ("model", _with(action_values=None), r"^model: 'action_values' has shape \(\)"),
+    ("model", _with(meta=[1, 2]), r"^model: 'meta' must be a JSON object, got list"),
+    ("model", lambda p: [p], r"^model: payload must be a JSON object, got list"),
+    ("stack", _without("models"), r"^stack: 'models' must list one model per stage, got NoneType"),
+    ("stack", _with(models=3), r"^stack: 'models' must list one model per stage, got int"),
+    ("stack", _without("horizon"), r"^stack: 'horizon' is missing or disagrees with its 2 models"),
+    ("stack", _without("provenance"), r"^stack: 'provenance' is missing"),
+    ("stack", lambda p: [p], r"^stack: payload must be a JSON object, got list"),
+    ("stack", lambda p: {**p, "models": [p["models"][0], _without("action_values")(p["models"][1])]},
+     r"^stage 1 model: 'action_values' is missing"),
+    ("stack", lambda p: {**p, "models": [[1.0], p["models"][1]]}, r"^stage 0 model: payload must be a JSON object"),
+], ids=["model-no-action-values", "model-null-action-values", "model-list-meta", "model-array", "stack-no-models",
+        "stack-int-models", "stack-no-horizon", "stack-no-provenance", "stack-array", "stack-model-no-actions",
+        "stack-model-array"])
+def test_loaders_refuse_a_malformed_payload_with_a_value_error(tmp_path, loader, change, match):
+    # every malformed payload, read back from JSON, fails with ValueError naming the key (and, in a
+    # stack, the model's stage), never with a KeyError, TypeError or AttributeError
+    from nearq.qlearn import stack_from_dict, stack_to_dict
+    from nearq.regression import load_model
+
+    payload = stack_to_dict(backward_fit(_two_stage_fixture(), DesignSpec.per_action_kernel(ridge=1.0)))
+    path = tmp_path / f"{loader}.json"
+    path.write_text(json.dumps(change(payload["models"][0] if loader == "model" else payload)))
+    load = load_model if loader == "model" else lambda path: stack_from_dict(json.loads(path.read_text()))
+    with pytest.raises(ValueError, match=match):
+        load(path)
 
 
 def test_policy_stage_range_checked():
