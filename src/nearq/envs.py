@@ -386,9 +386,9 @@ def simulate_cancer_cohorts(
     policy's model and every live class's state, and one gather reads each live
     pair's action at its policy and its class. Models from one fit are screened
     together, one approximate kernel matrix per action and row block and one
-    gemm for all of them, within an error bound that leaves almost every
-    (model, class) one action to predict exactly; the actions come from those
-    exact predictions alone. Exact kernel predictions are row independent (tests
+    gemm for all of them, within an error bound that leaves each action only
+    the classes at which some model can take it to predict exactly; the actions
+    come from those exact predictions alone. Exact kernel predictions are row independent (tests
     pin the interaction-linear ones), so each policy's states, alive flags and
     reward totals are bitwise the ones it gets alone.
     """

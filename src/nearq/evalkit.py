@@ -9,10 +9,10 @@ Identical decisions also share computation. :func:`evaluate_policies` rolls
 out two or more greedy policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
 a state that several reach along one patient and dose history is stepped once,
 and each stage decides them in one screened argmax: models from one fit share
-one approximate kernel matrix per action, and an error bound on it leaves
-almost every (policy, state) one action to predict exactly; their aggregates
-read tumor plus toxicity along each policy's class paths and the reward totals
-at its final classes. Any other policy is rolled out alone with no classes
+one approximate kernel matrix per action, and an error bound on it leaves each
+action only the states at which some policy can take it to predict exactly;
+their aggregates read tumor plus toxicity along each policy's class paths and
+the reward totals at its final classes. Any other policy is rolled out alone with no classes
 (:func:`nearq.envs.one_policy_stages`) into the same two arrays. Every result
 equals the policy's one-policy rollout bit for bit.
 """

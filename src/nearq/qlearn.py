@@ -106,8 +106,8 @@ def fit_chains(
 
     ``future`` is the (n_T, m) matrix of final-stage values at the stage-T
     rows. Returns ``stages[t]``, the m stage-t models; column j's stage-t
-    targets add the best value of its stage-(t+1) model, the exact prediction
-    of the one action (almost always) that a screen of all of them leaves.
+    targets add the best value of its stage-(t+1) model, reduced over the
+    exact predictions of the actions that a screen of all of them leaves.
     """
     stages: list = [None] * dataset.horizon
     for t in range(dataset.horizon - 1, -1, -1):

@@ -35,10 +35,11 @@ that model's weights, so it equals that model's call alone.
 :func:`best_over_actions` needs each model's best value and greedy action at
 each row, and it screens the models of one fit together before predicting: a
 BLAS gemm over every action gives approximate values, and a rigorous error
-bound on them (:func:`_screen_bound`) leaves, for almost every (model, row),
-one action that can be the best. Only those are predicted exactly, as above.
-The screened values pick which exact predictions are computed and never reach
-a result, so every value and action is bitwise the one predicting every action
+bound on them (:func:`_screen_bound`) leaves each action only the rows at which
+it can be some model's best. There alone it is predicted exactly, as above, for
+every model of the fit, and the exact values are reduced in action order. The
+screened values pick which exact predictions are computed and never reach a
+result, so every value and action is bitwise the one predicting every action
 gives.
 """
 
@@ -464,12 +465,17 @@ def _screened_best(group, x: np.ndarray, best: np.ndarray, arg: np.ndarray) -> N
     Robust Geometric Predicates, 1997). Each block of rows is screened: per kernel action, one
     approximate kernel matrix (:func:`_screen_kernel`) and one gemm with the group's weights
     give every model's screened value, and a constant action screens as itself. With E per
-    model ``2^20`` times :func:`_screen_bound`, an action whose exact value can be the best
-    screens at least ``max - 2E``: a (model, row) pair needs only those actions exact, and all
-    of them where E or the best screened value is not finite. Almost every pair needs one, its
-    best screened action. Then one :func:`_kernel_predictions` call per kernel action computes
-    it at the rows and models that need it, and a pair needing more reduces them in action
-    order, as :func:`best_over_actions` reduces all of them.
+    model ``2^20`` times :func:`_screen_bound`, an action whose exact value can be a model's
+    best screens at least ``max - 2E``: a (model, row) pair needs only those actions exact, and
+    all of them where E or the best screened value is not finite. A row needs an action where
+    any model needs it. Then, per action, one :func:`_kernel_predictions` call predicts every
+    model at the rows that need it, and each (model, row) reduces the values it gets in action
+    order with strict ``>``, as ``np.argmax`` reduces.
+
+    An action predicted for a pair that does not need it is strictly below the pair's best, so
+    it changes nothing: its exact value is at most its screened value plus E, below the best
+    screened value minus E, which is at most the exact value of the best screened action, and
+    that one is predicted because its row needs it.
     """
     first = group[0]
     n_actions, n, bandwidth = first.action_space.size, x.shape[0], first.bandwidth
@@ -484,11 +490,7 @@ def _screened_best(group, x: np.ndarray, best: np.ndarray, arg: np.ndarray) -> N
                                      -bandwidth * (inputs * inputs).sum(axis=1)])
         kernels[k] = (comps, np.array([comp[2] for comp in comps]), np.array([[comp[3]] for comp in comps]),
                       augmented)
-    small = np.min_scalar_type(n_actions)  # holds an action index and a pair's count of them
-    index = np.arange(n_actions, dtype=small)[:, None, None]
-    rows_need, models_need = np.zeros((n_actions, n), dtype=bool), np.zeros((n_actions, len(group)), dtype=bool)
-    # the models, rows and needed actions (K, A) of the pairs needing more than one, per block
-    ambiguous = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((n_actions, 0), dtype=bool))]
+    rows_need = np.zeros((n_actions, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes E non-finite
         width = np.zeros((len(group), 1))  # 2E
         if kernels:
@@ -512,48 +514,36 @@ def _screened_best(group, x: np.ndarray, best: np.ndarray, arg: np.ndarray) -> N
             if unsure.any():
                 need[:, unsure] = True
             rows_need[:, lo : lo + len(xb)] = need.any(axis=1)
-            models_need |= need.any(axis=2)
-            # a pair needing one action gets its index, the sum of index * need
-            arg[:, lo : lo + len(xb)] = np.add.reduce(need * index, axis=0, dtype=small)
-            j, r = np.nonzero(np.add.reduce(need, axis=0, dtype=small) > 1)
-            if j.size:
-                ambiguous.append((j, r + lo, need[:, j, r]))
-    j, r, need = (np.concatenate(part, axis=-1) for part in zip(*ambiguous))
-    arg[j, r] = -1  # these pairs are reduced apart
-    amb_best, amb_arg = np.full(j.size, -np.inf), np.zeros(j.size, dtype=arg.dtype)
     for k in range(n_actions):
         at = np.flatnonzero(rows_need[k])
         if not at.size:
             continue
-        models = np.flatnonzero(models_need[k])
         if k in constants:
-            exact = np.broadcast_to(constants[k][models], (len(models), len(at)))
+            exact = np.broadcast_to(constants[k], (len(group), len(at)))
         else:
             comps = kernels[k][0]
-            exact = _kernel_predictions(x[at], comps[0][1], bandwidth, [comps[i] for i in models])
-        grid = np.ix_(models, at)
-        sub = best[grid]
-        np.copyto(sub, exact, where=arg[grid] == k)
-        best[grid] = sub
-        sel = np.flatnonzero(need[k])
-        if sel.size:
-            pred = exact[np.searchsorted(models, j[sel]), np.searchsorted(at, r[sel])]
-            amb_arg[sel[pred > amb_best[sel]]] = k
-            amb_best[sel] = np.maximum(amb_best[sel], pred)
-    best[j, r], arg[j, r] = amb_best, amb_arg
+            exact = _kernel_predictions(x[at], comps[0][1], bandwidth, comps)
+        sub, sub_arg = best[:, at], arg[:, at]
+        # strict >, as np.argmax reduces; a NaN, which np.max and np.argmax keep from its first
+        # index on, replaces a number and is never replaced
+        better = ~(exact <= sub) & (sub == sub)
+        np.copyto(sub, exact, where=better)
+        np.copyto(sub_arg, k, where=better)
+        best[:, at], arg[:, at] = sub, sub_arg
 
 
 def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, actions), both (m, n): row j is the best predicted value of ``models[j]`` at each
     feature row and its greedy action index.
 
-    Equal bit for bit to ``models[j].predict_all_matrix(features).max(axis=1)`` and, for finite
-    values, to its ``np.argmax`` (lowest index on exact ties). A feature row with a non-finite
-    value raises ``ValueError`` naming the row. A model listed more than once is evaluated once.
-    Kernel models that share every action's training inputs and bandwidth (the models of one
-    ``fit_columns`` call) form one group, screened block by block (:func:`_screened_best`): only
-    the actions that can be a model's best at a row are predicted exactly. Any other model is a
-    group of its own; an interaction-linear one predicts every action.
+    Equal bit for bit to ``models[j].predict_all_matrix(features).max(axis=1)`` and to its
+    ``np.argmax`` (lowest index on exact ties, the first NaN where there is one). A feature row
+    with a non-finite value raises ``ValueError`` naming the row. A model listed more than once
+    is evaluated once. Kernel models that share every action's training inputs and bandwidth
+    (the models of one ``fit_columns`` call) form one group, screened block by block
+    (:func:`_screened_best`): each action is predicted exactly only at the rows where it can be
+    some model's best. Any other model is a group of its own; an interaction-linear one is
+    reduced as its reference is, ``max`` and ``argmax`` of ``predict_all_matrix``.
     """
     distinct = list({id(model): model for model in models}.values())
     for model in distinct:
@@ -579,10 +569,8 @@ def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndar
         if isinstance(group[0], PerActionKernelQ):
             _screened_best(group, x, best, arg)
             continue
-        for k in range(group[0].action_space.size):
-            pred = group[0].predict_matrix(x, k)
-            arg[0, pred > best[0]] = k
-            np.maximum(best[0], pred, out=best[0])
+        q = group[0].predict_all_matrix(x)
+        best[0], arg[0] = q.max(axis=1), q.argmax(axis=1)
     row = {id(model): j for j, model in enumerate(order)}
     pick = [row[id(model)] for model in models]
     if pick == list(range(len(order))):  # models listed once each, already in group order
@@ -616,7 +604,11 @@ def model_from_dict(payload: Mapping) -> FittedQ:
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    space = ActionSpace(tuple(_loaded(payload, "action_values", (None,), "model")))
+    labels = tuple(_loaded(payload, "action_values", (None,), "model"))
+    try:
+        space = ActionSpace(labels)
+    except ValueError as err:
+        raise ValueError(f"model: 'action_values': {err}") from err
     d = payload.get("n_features")
     if type(d) is not int or d < 0:
         raise ValueError(f"model: 'n_features' must be a nonnegative integer, got {d!r}")

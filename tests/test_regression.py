@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nearq.regression
 from nearq.core import ActionSpace
@@ -427,6 +429,66 @@ def test_screened_argmax_with_an_overflowing_margin_predicts_every_action():
     assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
 
 
+def _drawn_group(seed, n_models, kinds, bandwidth, mirror):
+    """Kernel models of one fit's shape: action k is a constant, an independent kernel, or a kernel
+    tied exactly ("tie") or one ulp above ("ulp") the first kernel action, on a copy of its inputs.
+    With ``mirror``, model 1 is model 0 negated, so it takes model 0's worst action."""
+    rng = np.random.default_rng(seed)
+    shared, base = [], None  # per action: (inputs, weights of each model, means); the first kernel's index
+    for kind in kinds:
+        if kind == "constant":
+            shared.append((None, None, rng.normal(size=n_models)))
+        elif kind == "kernel" or base is None:
+            base = len(shared) if base is None else base
+            c = int(rng.integers(1, 40))
+            shared.append((rng.uniform(0.0, 3.0, size=(c, 2)), rng.normal(size=(n_models, c)),
+                           rng.normal(size=n_models)))
+        else:
+            inputs, weights, means = shared[base]
+            shared.append((inputs.copy(), weights if kind == "tie" else np.nextafter(weights, np.inf), means))
+    if mirror and n_models > 1:
+        shared = [(inputs, None if w is None else np.vstack([w[:1], -w[:1], w[2:]]),
+                   np.concatenate([means[:1], -means[:1], means[2:]])) for inputs, w, means in shared]
+    space = ActionSpace(tuple(float(k) for k in range(len(kinds))))
+    return [PerActionKernelQ(space, 2, bandwidth, tuple(
+        ("constant", float(means[j])) if inputs is None else ("kernel", inputs, weights[j], float(means[j]))
+        for inputs, weights, means in shared)) for j in range(n_models)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(1, 20),
+       kinds=st.lists(st.sampled_from(["kernel", "constant", "tie", "ulp"]), min_size=1, max_size=8),
+       n_rows=st.integers(1, 700), bandwidth=st.sampled_from([0.05, 0.7, 4.0, 1e300]), mirror=st.booleans())
+@example(seed=1, n_models=2, kinds=["kernel", "ulp", "kernel", "constant"], n_rows=300, bandwidth=0.7, mirror=True)
+def test_best_over_actions_equals_the_reference_reduction_property(seed, n_models, kinds, n_rows, bandwidth, mirror):
+    # the screen only picks which actions are predicted exactly at which rows, so values and actions
+    # are bitwise max and np.argmax of every action's prediction, also for an action predicted at a
+    # row because another model of the group needs it there
+    models = _drawn_group(seed, n_models, kinds, bandwidth, mirror)
+    x = np.random.default_rng(seed + 1).uniform(0.0, 3.0, size=(n_rows, 2))
+    values, actions = best_over_actions(models, x)
+    q = [model.predict_all_matrix(x) for model in models]
+    assert np.array_equal(values, np.stack([qa.max(axis=1) for qa in q]))
+    assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
+    if mirror and n_models > 1 and kinds.count("kernel") > 1:  # independent values: best and worst differ
+        assert (actions[0] != actions[1]).all()
+
+
+def test_best_over_actions_keeps_a_nan_value_as_max_and_argmax_do():
+    # a NaN value is the max and its first index the argmax, whichever actions the screen picks
+    models = _near_tie_group("one-ulp", 3)
+    comps = [list(model.components) for model in models]
+    comps[0][2] = ("constant", np.nan)
+    comps[1][1] = (*comps[1][1][:3], np.nan)
+    nan = [PerActionKernelQ(m.action_space, 2, m.bandwidth, tuple(c)) for m, c in zip(models, comps)]
+    x = np.random.default_rng(4).uniform(0.0, 3.0, size=(300, 2))
+    values, actions = best_over_actions(nan, x)
+    q = [model.predict_all_matrix(x) for model in nan]
+    assert np.array_equal(values, np.stack([qa.max(axis=1) for qa in q]), equal_nan=True)
+    assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
+    assert actions[0].tolist() == [2] * 300 and actions[1].tolist() == [1] * 300
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("mode", ["interaction-linear", "per-action-kernel"])
 def test_argmax_over_actions_refuses_a_non_finite_feature_row_naming_it(mode, bad):
@@ -471,8 +533,12 @@ def _bad_payload(mode, change):
     ("per-action-kernel", lambda p, c: c.pop(), "model: 'components'"),
     ("interaction-linear", lambda p, c: p["coef"].__setitem__(3, float("nan")), "model: 'coef'"),
     ("interaction-linear", lambda p, c: p["coef"].pop(), "model: 'coef'"),
+    ("interaction-linear", lambda p, c: p.update(action_values=[0.0, 0.0]),
+     "^model: 'action_values': action labels must be distinct"),
+    ("per-action-kernel", lambda p, c: p.update(action_values=[]),
+     "^model: 'action_values': action space must be nonempty"),
 ], ids=["nan-bandwidth", "negative-bandwidth", "wide-inputs", "short-weights", "nan-mean",
-        "inf-constant", "missing-component", "nan-coef", "short-coef"])
+        "inf-constant", "missing-component", "nan-coef", "short-coef", "repeated-actions", "no-actions"])
 def test_bad_model_payload_fails_at_load_naming_the_component(mode, change, message):
     with pytest.raises(ValueError, match=message):
         model_from_dict(_bad_payload(mode, change))
