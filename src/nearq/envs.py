@@ -12,15 +12,14 @@ dies stays in its death-month class; per class it keeps only the state, alive
 flag, parent and running reward total. Any one policy can be rolled out alone,
 with no classes (its decision paths never merge): each stage steps its live
 patients straight into the cohort's patient x month arrays.
-Both rollouts share the policy check, the dynamics, and a cohort's initial
-states and death draws, drawn once per ``(seed, label)``.
+Both rollouts share the policy check (which draws nothing), the dynamics, and a
+cohort's initial states and death draws, drawn once per ``(seed, label)``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -175,7 +174,8 @@ class CancerCohort:
     ``dose_index`` (into ``action_space``) and ``rewards`` are -1/0 after
     death. :func:`simulate_cancer_cohort` steps a policy's live patients
     straight into these arrays; the dataset's rows are their alive
-    patient-months.
+    patient-months, and an evaluation of a policy rolled out alone aggregates
+    tumor plus toxicity and the row sums of ``rewards``.
     """
 
     tumor: np.ndarray
@@ -198,20 +198,19 @@ class CancerCohort:
         )
 
 
-def _resolve_policy(params: CancerParams, policy, name: str, seed: int, label: str):
-    """Policy ``name`` checked and resolved for a rollout of cohort ``(seed, label)``: a constant
-    dose's action index, or a callable ``(t, states) -> action indices``. A greedy policy must have
-    a model for every stage; "uniform-random" draws from the cohort's dose stream."""
-    space = params.action_space
+def check_policy(params: CancerParams, policy, name: str):
+    """Policy ``name`` checked, with no draw, for a rollout under ``params``: a constant dose's
+    action index, "uniform-random" as is, or a callable ``(t, states) -> action indices``. A greedy
+    policy must have a model for every stage. A policy that cannot be rolled out raises
+    ``ValueError`` naming it."""
     if isinstance(policy, GreedyPolicy) and policy.horizon < params.n_stages - 1:
         raise ValueError(f"policy {name!r} has no model for stage {policy.horizon + 1}"
                          f" of a {params.n_stages}-stage rollout")
     if isinstance(policy, str) and policy == UNIFORM_RANDOM:
-        dose_rng = stream(seed, f"{label}/dose")
-        return lambda t, feats: dose_rng.integers(0, space.size, size=feats.shape[0])
+        return policy
     if isinstance(policy, (int, float, np.integer)) and not isinstance(policy, bool):
         try:
-            return space.index_of(float(policy))
+            return params.action_space.index_of(float(policy))
         except ValueError as err:
             raise ValueError(f"policy {name!r}: {err}") from None
     if callable(policy):
@@ -241,70 +240,56 @@ def simulate_cancer_cohort(
     seed: int,
     *,
     label: str = "train",
+    name: str = "#0",
 ) -> CancerCohort:
     """Roll out n independent trajectories under one policy.
 
-    ``policy`` is the string "uniform-random", a dose value from the grid
-    (constant regime), or a callable ``(t, features_matrix) -> action indices``.
-    Initial tumor and toxicity are iid uniform on ``[params.init_low,
-    params.init_high]``, and all draws come from streams keyed by
-    ``(seed, label/purpose)``, so two calls with the same arguments produce
-    identical cohorts, and calls sharing ``(seed, label)`` share initial states
-    and death draws regardless of the policy. Each stage of
-    :func:`one_policy_stages` is stored straight into the cohort's patient x
-    month arrays, so a greedy policy's states, alive flags and reward totals are
-    bitwise the ones :func:`simulate_cancer_cohorts` gives it in any lockstep.
+    ``policy`` is the string "uniform-random" (drawn from the cohort's dose
+    stream), a dose value from the grid (constant regime), or a callable
+    ``(t, features_matrix) -> action indices``; ``name`` labels it in error
+    messages, and it is checked before any draw. Initial tumor and toxicity are
+    iid uniform on ``[params.init_low, params.init_high]``, and all draws come
+    from streams keyed by ``(seed, label/purpose)``, so two calls with the same
+    arguments produce identical cohorts, and calls sharing ``(seed, label)``
+    share initial states and death draws regardless of the policy.
+
+    One policy's decision paths never merge, so there are no classes: each
+    stage decides and steps the live patients in patient order, from states
+    kept compacted to them, and stores them straight into the cohort's patient
+    x month arrays; the policy is never asked about zero patients. So a greedy
+    policy's states, alive flags and reward totals are bitwise the ones
+    :func:`simulate_cancer_cohorts` gives it in any lockstep.
     """
-    init, stages = one_policy_stages(params, policy, n, seed, label=label)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    decider = check_policy(params, policy, name)
+    space = params.action_space
+    if isinstance(decider, str):  # uniform-random
+        dose_rng = stream(seed, f"{label}/dose")
+        decider = lambda t, feats: dose_rng.integers(0, space.size, size=feats.shape[0])
+    init, death_u = _cohort_draws(seed, label, n, params.n_stages, params.init_low, params.init_high)
+    dose_values = np.asarray(space.values)
     months = params.n_stages + 1
     tumor, tox = np.empty((n, months)), np.empty((n, months))
     alive = np.zeros((n, months), dtype=bool)
     dose_index, rewards = np.full((n, months - 1), -1), np.zeros((n, months - 1))
     tumor[:, 0], tox[:, 0], alive[:, 0] = init[:, 0], init[:, 1], True
-    for t, live, action, next_tumor, next_tox, died, reward in stages:
+    # the live patients, ascending, and their states, kept compacted to them
+    live, now_tumor, now_tox, tumor0, tox0 = np.arange(n), init[:, 0], init[:, 1], init[:, 0], init[:, 1]
+    for t in range(params.n_stages):
         tumor[:, t + 1], tox[:, t + 1] = tumor[:, t], tox[:, t]  # a dead patient's state is carried forward
+        if not live.size:  # everyone has died: the stage steps no one and asks the policy nothing
+            continue
+        action = _decide(decider, name, t, lambda: np.column_stack([now_tumor, now_tox]), dose_values.size)
+        next_tumor, next_tox, died, reward = _step_arrays(
+            params, now_tumor, now_tox, tumor0, tox0, dose_values[action], death_u[live, t])
         tumor[live, t + 1], tox[live, t + 1], alive[live, t + 1] = next_tumor, next_tox, ~died
         dose_index[live, t], rewards[live, t] = action, reward
+        kept = ~died
+        live, now_tumor, now_tox, tumor0, tox0 = (a[kept] for a in (live, next_tumor, next_tox, tumor0, tox0))
     for arr in (tumor, tox, alive, dose_index, rewards):
         arr.setflags(write=False)
-    return CancerCohort(tumor, tox, alive, dose_index, rewards, params.action_space)
-
-
-def one_policy_stages(
-    params: CancerParams, policy, n: int, seed: int, *, label: str = "train", name: str = "#0",
-) -> tuple[np.ndarray, Iterator[tuple]]:
-    """One policy's rollout of cohort ``(seed, label)``, stage by stage: ``(init, stages)``.
-
-    ``init`` holds the (n, 2) initial states. ``stages`` yields, for each stage
-    t, ``(t, live, action, tumor, toxicity, died, reward)``: the patients alive
-    at month t, ascending; their action index (one for all under a constant
-    dose); and their month t + 1 tumor, toxicity, death flag and reward. One
-    policy's decision paths never merge, so there are no classes: each stage
-    decides and steps the live patients in patient order, from states kept
-    compacted to them, with the draws :func:`simulate_cancer_cohorts` uses.
-    ``name`` labels the policy in error messages. The policy is checked before
-    this returns, and it is never asked about zero patients.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    decider = _resolve_policy(params, policy, name, seed, label)
-    init, death_u = _cohort_draws(seed, label, n, params.n_stages, params.init_low, params.init_high)
-    return init, _live_stages(params, decider, name, init, death_u)
-
-
-def _live_stages(params: CancerParams, decider, name: str, init: np.ndarray, death_u: np.ndarray):
-    dose_values = np.asarray(params.action_space.values)
-    live, tumor, tox, tumor0, tox0 = np.arange(len(init)), init[:, 0], init[:, 1], init[:, 0], init[:, 1]
-    for t in range(params.n_stages):
-        if live.size:
-            action = _decide(decider, name, t, lambda: np.column_stack([tumor, tox]), dose_values.size)
-        else:  # everyone has died: the stage steps no one and asks the policy nothing
-            action = live
-        next_tumor, next_tox, died, reward = _step_arrays(
-            params, tumor, tox, tumor0, tox0, dose_values[action], death_u[live, t])
-        yield t, live, action, next_tumor, next_tox, died, reward
-        kept = ~died
-        live, tumor, tox, tumor0, tox0 = (a[kept] for a in (live, next_tumor, next_tox, tumor0, tox0))
+    return CancerCohort(tumor, tox, alive, dose_index, rewards, space)
 
 
 @lru_cache(maxsize=1)
@@ -401,7 +386,7 @@ def simulate_cancer_cohorts(
     for policy, name in zip(policies, names):
         if not isinstance(policy, GreedyPolicy):
             raise ValueError(f"policy {name!r} is not a GreedyPolicy: a lockstep rolls out greedy policies only")
-        _resolve_policy(params, policy, name, seed, label)
+        check_policy(params, policy, name)
     n_stages = params.n_stages
     space = params.action_space
     n_actions = space.size

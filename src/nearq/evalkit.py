@@ -12,9 +12,9 @@ and each stage decides them in one screened argmax: models from one fit share
 one approximate kernel matrix per action, and an error bound on it leaves each
 action only the states at which some policy can take it to predict exactly;
 their aggregates read tumor plus toxicity along each policy's class paths and
-the reward totals at its final classes. Any other policy is rolled out alone with no classes
-(:func:`nearq.envs.one_policy_stages`) into the same two arrays. Every result
-equals the policy's one-policy rollout bit for bit.
+the reward totals at its final classes. Any other policy is aggregated from the
+cohort :func:`nearq.envs.simulate_cancer_cohort` rolls out for it alone, with no
+classes. Every result is bitwise the aggregate of the policy's one-policy cohort.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import OfflineDataset, write_csv
-from .envs import CancerParams, one_policy_stages, simulate_cancer_cohorts
+from .envs import CancerParams, check_policy, simulate_cancer_cohort, simulate_cancer_cohorts
 from .qlearn import GreedyPolicy
 from .regression import FittedQ, InteractionLinearQ
 
@@ -79,10 +79,11 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     """One fresh cohort rolled out under every policy; one result per policy, in the given order.
 
     Two or more :class:`~nearq.qlearn.GreedyPolicy` policies share one lockstep
-    rollout; every other policy is rolled out alone, with no classes. Only each
-    policy's tumor plus toxicity paths and reward totals are built. The streams
-    are keyed by the seed alone, so every policy evaluated with a seed gets the
-    same initial states and survival draws, and each result equals the policy's
+    rollout; every other policy is rolled out alone, into the cohort
+    :func:`~nearq.envs.simulate_cancer_cohort` builds, which is let go of once
+    its tumor plus toxicity paths and reward totals are read. The streams are
+    keyed by the seed alone, so every policy evaluated with a seed gets the same
+    initial states and survival draws, and each result equals the policy's
     one-policy evaluation bit for bit. Labels must be unique, one per policy.
     Every policy is checked before any rollout: one that cannot be rolled out
     (an unsupported spec, an off-grid dose, a greedy policy short of a stage
@@ -94,17 +95,17 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     repeated = sorted({label for i, label in enumerate(labels) if label in labels[:i]})
     if repeated:
         raise ValueError(f"duplicate policy labels: {', '.join(map(repr, repeated))}")
+    for policy, label in zip(policies, labels):  # a bad policy is refused, named, before any rollout
+        check_policy(params, policy, label)
     greedy = [j for j, policy in enumerate(policies) if isinstance(policy, GreedyPolicy)]
     if len(greedy) < 2:  # one policy's decision paths never merge: a lone greedy policy shares nothing
         greedy = []
-    # every other policy is checked here, and a bad one refused, named, before any rollout
-    alone = {j: one_policy_stages(params, policy, n_test, seed, label="eval", name=labels[j])
-             for j, policy in enumerate(policies) if j not in greedy}
     results = {}
     if greedy:
         together = _evaluate_lockstep(params, [policies[j] for j in greedy], n_test, seed, [labels[j] for j in greedy])
         results = dict(zip(greedy, together))
-    return [results[j] if j in results else _evaluate_one(params, labels[j], *alone[j]) for j in range(len(policies))]
+    return [results[j] if j in results else _evaluate_alone(params, policies[j], n_test, seed, labels[j])
+            for j in range(len(policies))]
 
 
 def _evaluate_lockstep(params: CancerParams, policies: list, n_test: int, seed: int, labels: list) -> list[EvalResult]:
@@ -116,16 +117,12 @@ def _evaluate_lockstep(params: CancerParams, policies: list, n_test: int, seed: 
             for j, label in enumerate(labels)]
 
 
-def _evaluate_one(params: CancerParams, label: str, init: np.ndarray, stages) -> EvalResult:
-    """One policy's result from its :func:`~nearq.envs.one_policy_stages`, stored straight into
-    the two arrays the aggregates read: tumor plus toxicity, patient x month, and reward totals."""
-    n_test = len(init)
-    combined, totals = np.empty((n_test, params.n_stages + 1)), np.zeros(n_test)
-    combined[:, 0] = init[:, 0] + init[:, 1]
-    for t, live, _, tumor, tox, _, reward in stages:
-        combined[:, t + 1] = combined[:, t]  # a dead patient's state is carried forward
-        combined[live, t + 1] = tumor + tox
-        totals[live] += reward
+def _evaluate_alone(params: CancerParams, policy, n_test: int, seed: int, label: str) -> EvalResult:
+    """One policy's result from its :func:`~nearq.envs.simulate_cancer_cohort` cohort, which is let
+    go of once its tumor plus toxicity paths and reward totals are read."""
+    cohort = simulate_cancer_cohort(params, policy, n_test, seed, label="eval", name=label)
+    combined, totals = cohort.tumor + cohort.toxicity, cohort.rewards.sum(axis=1)
+    del cohort
     return _aggregate(label, combined, totals)
 
 

@@ -42,6 +42,8 @@ class QStack:
     action_spaces: tuple
 
     def __post_init__(self):
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if len(self.models) != self.horizon + 1:
             raise ValueError("need exactly one model per stage 0..horizon")
 
@@ -155,6 +157,8 @@ def stack_from_dict(payload: dict) -> QStack:
     listed = payload.get("models")
     if not isinstance(listed, list):
         raise ValueError(f"stack: 'models' must list one model per stage, got {type(listed).__name__}")
+    if not listed:
+        raise ValueError("stack: 'models' is empty, but stage 0 needs a model")
     models = []
     for t, model in enumerate(listed):
         try:

@@ -325,6 +325,8 @@ def fit_columns(
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2:
         raise ValueError("features must be a 2d matrix")
+    if spec.mode == MODE_KERNEL and x.shape[1] < 1:
+        raise ValueError(f"the {MODE_KERNEL} backend needs at least one feature column, got {x.shape[1]}")
     n = x.shape[0]
     if n < 1:
         raise ValueError("need at least one training row")
@@ -615,6 +617,8 @@ def model_from_dict(payload: Mapping) -> FittedQ:
     if payload.get("mode") == MODE_LINEAR:
         return InteractionLinearQ(space, _loaded(payload, "coef", (2 * d + 2,), "model"), d)
     if payload.get("mode") == MODE_KERNEL:
+        if d < 1:
+            raise ValueError(f"model: 'n_features' must be >= 1 for the {MODE_KERNEL} backend, got {d}")
         bandwidth = float(_loaded(payload, "bandwidth", (), "model"))
         if bandwidth <= 0:
             raise ValueError(f"model: 'bandwidth' must be positive, got {bandwidth}")

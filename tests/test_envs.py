@@ -16,7 +16,6 @@ from nearq.envs import (
     _refine,
     _reward_arrays,
     _step_arrays,
-    one_policy_stages,
     simulate_cancer_cohort,
     simulate_cancer_cohorts,
     simulate_itr,
@@ -318,7 +317,7 @@ def test_non_integer_action_indices_are_refused_in_both_paths(answer):
         simulate_cancer_cohorts(PARAMS, [_stand_in([0.5] * 6), answer], 10, seed=1, names=["0.5", "odd"])
     named = r"policy 'odd' returned invalid action indices at stage 0"
     with pytest.raises(ValueError, match=named):
-        list(one_policy_stages(PARAMS, answer, 10, seed=1, name="odd")[1])
+        simulate_cancer_cohort(PARAMS, answer, 10, seed=1, name="odd")
     with pytest.raises(ValueError, match="'#0' returned invalid action indices at stage 0"):
         simulate_cancer_cohort(PARAMS, answer, 10, seed=1)
 

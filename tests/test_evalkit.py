@@ -2,9 +2,12 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nearq.envs
 import nearq.evalkit
@@ -117,9 +120,9 @@ def test_one_policy_evaluation_aggregates_its_cohort():
 
 
 def test_constant_dose_baselines_peak_memory_is_bounded():
-    # 2800 patients: the 11 doses, each rolled out alone, peak at 0.58 MB through the baselines
-    # and through evaluate_policies alike; a lockstep of 11 greedy stand-ins for the doses
-    # holds every dose's classes at once, 8.63 MB
+    # 2800 patients: the 11 doses, each rolled out alone into its full cohort, peak at 0.97 MB
+    # through the baselines and through evaluate_policies alike; a lockstep of 11 greedy
+    # stand-ins for the doses holds every dose's classes at once, 8.63 MB
     labels = [repr(d) for d in PARAMS.dose_grid]
     stand_ins = [dose_schedule_policy(PARAMS.action_space, [dose] * PARAMS.n_stages) for dose in PARAMS.dose_grid]
     constant_dose_baselines(PARAMS, 2800, 3)
@@ -285,6 +288,34 @@ def _fitted_family(n_train, seed, spec):
             policies.append(policy)
             labels.append(f"eps{eps}-rank{j}")
     return policies, labels
+
+
+@cache
+def _small_family():
+    policies, labels = _fitted_family(60, 2, CANCER_SPEC)
+    return tuple(zip(labels, policies))[:4]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n_test=st.integers(1, 60), hazard=st.sampled_from([-math.inf, -4.0, -1.0, 6.0]),
+       greedy=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True), order=st.permutations(range(9)))
+@example(seed=7, n_test=1, hazard=6.0, greedy=[0], order=list(range(9)))  # one patient, dead after stage 0
+def test_evaluation_is_the_aggregate_of_each_policys_cohort_property(seed, n_test, hazard, greedy, order):
+    # constants, uniform-random, a callable and one greedy policy (rolled out alone) or two or more
+    # (sharing a lockstep), in any order: each result is bitwise the aggregate of the cohort
+    # simulate_cancer_cohort gives the policy alone
+    params = replace(PARAMS, hazard_intercept=hazard)
+    late = lambda t, feats: np.full(feats.shape[0], 9 if t < 3 else 1)
+    items = [("const-0.0", 0.0), ("const-0.7", 0.7), ("int-1", np.int64(1)), ("random", "uniform-random"),
+             ("late", late)] + [_small_family()[j] for j in greedy]
+    named = dict(items[i] for i in order if i < len(items))
+    results = evaluate_policies(params, named.values(), n_test, seed, named)
+    for (label, policy), result in zip(named.items(), results):
+        cohort = simulate_cancer_cohort(params, policy, n_test, seed, label="eval")
+        if hazard == 6.0:  # everyone dies at stage 0, so every later stage is empty
+            assert not cohort.alive[:, 1:].any()
+        want = _aggregate(label, cohort.tumor + cohort.toxicity, cohort.rewards.sum(axis=1))
+        assert repr(result) == repr(want), label
 
 
 @pytest.mark.parametrize("n_train,n_test", [(60, 40), (300, 400)])

@@ -227,9 +227,12 @@ def _with(**items):
     ("stack", lambda p: {**p, "models": [[1.0], p["models"][1]]}, r"^stage 0 model: payload must be a JSON object"),
     ("stack", lambda p: {**p, "models": [_with(action_values=[1.0, 1.0])(p["models"][0]), p["models"][1]]},
      r"^stage 0 model: 'action_values': action labels must be distinct"),
+    ("stack", lambda p: {"format_version": 1, "models": [], "horizon": -1,
+                         "provenance": [{"stage": -1, "targets": "reward", "source_stage": None}]},
+     r"^stack: 'models' is empty"),
 ], ids=["model-no-action-values", "model-null-action-values", "model-list-meta", "model-array", "stack-no-models",
         "stack-int-models", "stack-no-horizon", "stack-no-provenance", "stack-array", "stack-model-no-actions",
-        "stack-model-array", "stack-model-repeated-actions"])
+        "stack-model-array", "stack-model-repeated-actions", "stack-empty-models"])
 def test_loaders_refuse_a_malformed_payload_with_a_value_error(tmp_path, loader, change, match):
     # every malformed payload, read back from JSON, fails with ValueError naming the key (and, in a
     # stack, the model's stage), never with a KeyError, TypeError or AttributeError

@@ -207,6 +207,15 @@ def test_fit_input_validation():
         fit(DesignSpec.interaction_linear(), np.zeros((2, 1)), np.array([0, 1]), np.array([np.nan, 0.0]), two_actions())
 
 
+def test_kernel_fit_refuses_zero_feature_columns():
+    # an RBF kernel has no distance without a coordinate; the interaction-linear design is [1, a]
+    x, a, y = np.zeros((4, 0)), np.array([0, 1, 0, 1]), np.arange(4.0)
+    with pytest.raises(ValueError, match=r"per-action-kernel backend needs at least one feature column, got 0"):
+        fit(DesignSpec.per_action_kernel(), x, a, y, two_actions())
+    linear = fit(DesignSpec.interaction_linear(ridge=1.0), x, a, y, two_actions())
+    assert linear.predict_all_matrix(np.zeros((3, 0))).shape == (3, 2)
+
+
 def test_fit_rejects_non_finite_features_naming_the_row():
     x = np.zeros((4, 2))
     x[2, 1] = np.nan
@@ -537,8 +546,12 @@ def _bad_payload(mode, change):
      "^model: 'action_values': action labels must be distinct"),
     ("per-action-kernel", lambda p, c: p.update(action_values=[]),
      "^model: 'action_values': action space must be nonempty"),
+    ("per-action-kernel", lambda p, c: [p.update(n_features=0)] + [comp.update(inputs=[[]] * len(comp["inputs"]))
+                                                                  for comp in c if comp["kind"] == "kernel"],
+     r"^model: 'n_features' must be >= 1 for the per-action-kernel backend, got 0"),
 ], ids=["nan-bandwidth", "negative-bandwidth", "wide-inputs", "short-weights", "nan-mean",
-        "inf-constant", "missing-component", "nan-coef", "short-coef", "repeated-actions", "no-actions"])
+        "inf-constant", "missing-component", "nan-coef", "short-coef", "repeated-actions", "no-actions",
+        "kernel-no-features"])
 def test_bad_model_payload_fails_at_load_naming_the_component(mode, change, message):
     with pytest.raises(ValueError, match=message):
         model_from_dict(_bad_payload(mode, change))
