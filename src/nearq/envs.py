@@ -5,15 +5,16 @@ draw stream can be reproduced in isolation; rows of the pre-drawn matrices act
 as independent per-patient streams.
 
 Greedy policies are rolled out in lockstep over decision-path classes,
-numbered across months: each stage decides every policy in one screened argmax
-(exact predictions only of the actions the screen leaves) and one gather,
-refines (without sorting) and steps only the live classes, and a patient who
-dies stays in its death-month class; per class it keeps only the state, alive
-flag, parent and running reward total. Any one policy can be rolled out alone,
-with no classes (its decision paths never merge): each stage steps its live
-patients straight into the cohort's patient x month arrays.
-Both rollouts share the policy check (which draws nothing), the dynamics, and a
-cohort's initial states and death draws, drawn once per ``(seed, label)``.
+numbered across months: each stage decides every policy with a live patient in
+one screened argmax (a pair the screen leaves one candidate action takes it;
+exact predictions only where it leaves two or more) and one gather, refines
+(without sorting) and steps only the live classes, and a patient who dies stays
+in its death-month class; per class it keeps only the state, alive flag, parent
+and running reward total. Any one policy can be rolled out alone, with no
+classes (its decision paths never merge): each stage steps its live patients
+straight into the cohort's patient x month arrays. Both rollouts share the
+policy check (which draws nothing), the dynamics, and a cohort's initial states
+and death draws, drawn once per ``(seed, label)``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import ActionSpace, OfflineDataset, cell_texts, cohort_header, save_sidecar, write_csvs
 from .qlearn import GreedyPolicy
-from .regression import best_over_actions
+from .regression import greedy_actions
 
 RNG_FAMILY = "philox4x64"
 
@@ -367,15 +368,17 @@ def simulate_cancer_cohorts(
     Every policy must be a :class:`~nearq.qlearn.GreedyPolicy` with a model for
     each stage; any other is refused, named (by ``names``, one per policy),
     before any draw. The policies decide together: while any class is live, one
-    :func:`~nearq.regression.best_over_actions` call per stage over every
-    policy's model and every live class's state, and one gather reads each live
-    pair's action at its policy and its class. Models from one fit are screened
-    together, one approximate kernel matrix per action and row block and one
-    gemm for all of them, within an error bound that leaves each action only
-    the classes at which some model can take it to predict exactly; the actions
-    come from those exact predictions alone. Exact kernel predictions are row independent (tests
-    pin the interaction-linear ones), so each policy's states, alive flags and
-    reward totals are bitwise the ones it gets alone.
+    :func:`~nearq.regression.greedy_actions` call per stage over the models of
+    the policies with a live pair (a policy whose patients have all died is not
+    asked) and every live class's state, and one gather reads each live pair's
+    action at its policy's row and its class. Models from one fit are screened
+    together with the arrays the fit stacked, one approximate kernel matrix per
+    action and row block and one gemm for all of them, within an error bound
+    that leaves each (model, class) pair its candidate actions: a lone candidate
+    is the action, and only where two or more remain are they predicted exactly.
+    Exact kernel predictions are row independent (tests pin the
+    interaction-linear ones), so each policy's states, alive flags and reward
+    totals are bitwise the ones it gets alone.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -399,21 +402,27 @@ def simulate_cancer_cohorts(
     parents, totals = [np.full(n, -1, dtype=np.int32)], [np.zeros(n)]
     starts, patient = [0], np.arange(n)
     # cls[j * n + i] is the class of policy j's patient i; pairs, the flat indices of the live
-    # (policy, patient) pairs, so a pair's policy is pair // n
+    # (policy, patient) pairs, ascending, so a pair's policy is pair // n
     cls = np.tile(np.arange(n, dtype=np.int32), len(policies))
     pairs = np.arange(cls.size, dtype=np.int32 if cls.size < 2**31 else np.int64)
     for t in range(n_stages):
         first, here = starts[t], states[t]
         width = len(here) * n_actions
         key_type = np.int32 if width < 2**31 else np.int64
-        actions = np.empty((0, 0), dtype=int)  # once everyone has died, no policy is asked
-        if pairs.size:
-            actions = best_over_actions([policy.models[t] for policy in policies], here[alive[t]])[1]
+        # only the policies with a live pair are asked, one row of actions each: policy j has one
+        # where the ascending pairs hold one in [j n, (j + 1) n); once everyone has died, none is
+        ends = np.arange(len(policies) + 1, dtype=pairs.dtype) * n
+        asked = np.flatnonzero(np.diff(np.searchsorted(pairs, ends)))
+        row = np.zeros(len(policies), dtype=pairs.dtype)
+        row[asked] = np.arange(asked.size)
+        actions = np.empty((0, 0), dtype=int)
+        if asked.size:
+            actions = greedy_actions([policies[j].models[t] for j in asked], here[alive[t]])
         # a pair's key is its class, counted from first, and its action, read in one gather at its
         # policy's row of actions and its class's position among the live classes
         local = cls[pairs] - first
         keys = local.astype(key_type, copy=False) * n_actions
-        keys += actions[pairs // n, (np.cumsum(alive[t]) - 1)[local]]
+        keys += actions[row[pairs // n], (np.cumsum(alive[t]) - 1)[local]]
         del actions
         uniq, rank = _refine(keys, width)
         del keys, local

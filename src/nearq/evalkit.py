@@ -9,10 +9,10 @@ Identical decisions also share computation. :func:`evaluate_policies` rolls
 out two or more greedy policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
 a state that several reach along one patient and dose history is stepped once,
 and each stage decides them in one screened argmax: models from one fit share
-one approximate kernel matrix per action, and an error bound on it leaves each
-action only the states at which some policy can take it to predict exactly;
-their aggregates read tumor plus toxicity along each policy's class paths and
-the reward totals at its final classes. Any other policy is aggregated from the
+one approximate kernel matrix per action, and an error bound on it decides
+every (policy, state) pair it leaves one candidate action, predicting exactly
+only where it leaves two or more; their aggregates read tumor plus toxicity
+along each policy's class paths and the reward totals at its final classes. Any other policy is aggregated from the
 cohort :func:`nearq.envs.simulate_cancer_cohort` rolls out for it alone, with no
 classes. Every result is bitwise the aggregate of the policy's one-policy cohort.
 """
@@ -121,7 +121,8 @@ def _evaluate_alone(params: CancerParams, policy, n_test: int, seed: int, label:
     """One policy's result from its :func:`~nearq.envs.simulate_cancer_cohort` cohort, which is let
     go of once its tumor plus toxicity paths and reward totals are read."""
     cohort = simulate_cancer_cohort(params, policy, n_test, seed, label="eval", name=label)
-    combined, totals = cohort.tumor + cohort.toxicity, cohort.rewards.sum(axis=1)
+    # one gemv rather than a reduction per patient's short row: whole-number rewards sum exactly in any order
+    combined, totals = cohort.tumor + cohort.toxicity, cohort.rewards @ np.ones(params.n_stages)
     del cohort
     return _aggregate(label, combined, totals)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DatasetError, OfflineDataset
-from .regression import DesignSpec, FittedQ, best_over_actions, fit, fit_columns, model_from_dict
+from .regression import DesignSpec, FittedQ, best_over_actions, fit, fit_columns, greedy_actions, model_from_dict
 
 
 class StageFitError(RuntimeError):
@@ -75,7 +75,7 @@ class GreedyPolicy:
         A row with a non-finite value raises ``ValueError`` naming it."""
         if not 0 <= t <= self.horizon:
             raise ValueError(f"stage {t} outside 0..{self.horizon}")
-        return best_over_actions([self.models[t]], features)[1][0]
+        return greedy_actions([self.models[t]], features)[0]
 
 
 def fit_final_stage(dataset: OfflineDataset, spec: DesignSpec) -> FittedQ:

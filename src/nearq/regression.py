@@ -21,7 +21,9 @@ each normal-equation matrix is factorized once and all its columns are solved
 together (Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share
 each action's inputs. Every entry of a solve is one dot product of a contiguous
 row with one column's values, so column j is bitwise equal to a single-column
-fit on it.
+fit on it. The kernel models of one fit also share one :class:`KernelStack`:
+each action's solved (m, C) weights, means and the arrays the screen below
+multiplies, made once by the fit and owned by its models.
 
 Kernel predictions are row independent by construction: squared distances
 are summed elementwise and each prediction is one dot product of its kernel
@@ -33,14 +35,16 @@ for the same reason: a model's row of a stacked call is one dot product with
 that model's weights, so it equals that model's call alone.
 
 :func:`best_over_actions` needs each model's best value and greedy action at
-each row, and it screens the models of one fit together before predicting: a
-BLAS gemm over every action gives approximate values, and a rigorous error
-bound on them (:func:`_screen_bound`) leaves each action only the rows at which
-it can be some model's best. There alone it is predicted exactly, as above, for
-every model of the fit, and the exact values are reduced in action order. The
-screened values pick which exact predictions are computed and never reach a
-result, so every value and action is bitwise the one predicting every action
-gives.
+each row, and :func:`greedy_actions` the action alone. Both screen the models
+of one stack together before predicting: a BLAS gemm over every action gives
+approximate values, and a rigorous error bound on them (:func:`_screen_bound`)
+leaves each (model, row) pair only the candidate actions that can be its best.
+For values, each action is predicted exactly, as above, for every model of the
+stack at the rows where some pair has it as a candidate, and the exact values
+are reduced in action order. For actions alone, a pair with one candidate takes
+it, and only the rows of the pairs with two or more are predicted. The screened
+values pick which exact predictions are computed and never reach a result, so
+every value and action is bitwise the one predicting every action gives.
 """
 
 from __future__ import annotations
@@ -135,18 +139,16 @@ def _rbf(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
 _ROW_BLOCK = 256
 
 
-def _kernel_predictions(x: np.ndarray, inputs: np.ndarray, bandwidth: float, comps) -> np.ndarray:
-    """(len(comps), n) predictions at the rows of ``x`` of kernel components sharing ``inputs``.
+def _kernel_predictions(x: np.ndarray, inputs: np.ndarray, bandwidth: float, weights, means) -> np.ndarray:
+    """(M, n) predictions at the rows of ``x`` of M kernel components sharing ``inputs``, given
+    stacked: their (M, C) weights and (M, 1) means.
 
-    The components are evaluated as one stacked model: their weights form one (M, C) matrix and
-    the kernel matrix is built once, block by block, with one ``np.vecdot`` call per block for all
+    The kernel matrix is built once, block by block, with one ``np.vecdot`` call per block for all
     M components. Each prediction is one dot product of its kernel row with one component's weights
     (not a gemm or gemv, whose blocking makes a row depend on the batch), so it depends on that row
     alone, and a component's row equals the call on that component alone.
     """
-    weights = np.stack([comp[2] for comp in comps])
-    means = np.array([comp[3] for comp in comps])[:, None]
-    out = np.empty((len(comps), x.shape[0]))
+    out = np.empty((len(weights), x.shape[0]))
     for lo in range(0, x.shape[0], _ROW_BLOCK):
         kernel = _rbf(x[lo : lo + _ROW_BLOCK], inputs, bandwidth)
         block = out[:, lo : lo + _ROW_BLOCK]
@@ -257,19 +259,26 @@ class PerActionKernelQ(FittedQ):
         bandwidth: float,
         components: tuple,
         meta: Mapping | None = None,
+        *,
+        stack: tuple | None = None,
     ):
         super().__init__(action_space, n_features)
         self.bandwidth = float(bandwidth)
         # components[k] is ("kernel", inputs, weights, mean) or ("constant", value)
         self.components = tuple(components)
         self.meta = MappingProxyType(dict(meta or {}))
+        # (KernelStack, row): the fit's stacked arrays and this model's row of them (kernel_models),
+        # or by default a stack of this model alone
+        self.stack = stack or (KernelStack(self.bandwidth, [
+            np.array([comp[1]]) if comp[0] == "constant"
+            else (comp[1], np.asarray(comp[2])[None], np.array([comp[3]])) for comp in self.components]), 0)
 
     def predict_matrix(self, features, action_index):
         x = self._check_features(features)
         comp = self.components[self._check_action(action_index)]
         if comp[0] == "constant":
             return np.full(x.shape[0], comp[1], dtype=float)
-        return _kernel_predictions(x, comp[1], self.bandwidth, [comp])[0]
+        return _kernel_predictions(x, comp[1], self.bandwidth, np.asarray(comp[2])[None], np.array([[comp[3]]]))[0]
 
     def to_dict(self):
         comps = []
@@ -365,14 +374,12 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
     bandwidth = spec.kernel_bandwidth
     if bandwidth is None:
         bandwidth = 1.0 / (x.shape[1] + 1)
-    components = [[] for _ in cols]
-    fallback = []
+    actions, fallback = [], []
     for k in range(action_space.size):
         mask = a == k
         if not mask.any():
             # no data for this action anywhere: predict the global target mean
-            for comps, y in zip(components, cols):
-                comps.append(("constant", float(y.mean())))
+            actions.append(np.array([float(y.mean()) for y in cols]))
             fallback.append(k)
             continue
         xa = x[mask]
@@ -383,15 +390,26 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
         xa.setflags(write=False)
         block = cols[:, mask]
         # per contiguous row, bitwise ``row.mean()``: a 2-d reduction may sum in another order
-        means = [float(np.add.reduce(row) / row.size) for row in block]
-        weights = _solve_columns(low, block - np.array(means)[:, None])
+        means = np.array([float(np.add.reduce(row) / row.size) for row in block])
+        weights = _solve_columns(low, block - means[:, None])
         weights.setflags(write=False)
-        for comps, w, mean in zip(components, weights, means):
-            comps.append(("kernel", xa, w, mean))
+        actions.append((xa, weights, means))
     meta = {"mean_fallback_actions": tuple(fallback)} if fallback else {}
+    return kernel_models(action_space, x.shape[1], bandwidth, actions, meta)
+
+
+def kernel_models(action_space: ActionSpace, n_features: int, bandwidth: float, actions: list,
+                  meta: Mapping | None = None) -> tuple[PerActionKernelQ, ...]:
+    """The m per-action kernel models of one :class:`KernelStack`, as a fit makes them. Action k is
+    ``actions[k]``: its m constants, or its kernel's (inputs, (m, C) weights, m means). Model j's
+    component k is ``("constant", value)`` or ``("kernel", inputs, weights[j], mean)``."""
+    stack = KernelStack(float(bandwidth), actions)
     return tuple(
-        PerActionKernelQ(action_space, x.shape[1], bandwidth, tuple(comps), meta)
-        for comps in components
+        PerActionKernelQ(action_space, n_features, bandwidth, tuple(
+            ("constant", float(stack.constants[k][j, 0])) if k in stack.constants
+            else ("kernel", stack.kernels[k][0], stack.kernels[k][1][j], float(stack.kernels[k][2][j, 0]))
+            for k in range(stack.n_actions)), meta, stack=(stack, j))
+        for j in range(stack.n_models)
     )
 
 
@@ -413,12 +431,45 @@ def _screen_kernel(rows: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     return np.exp(product, out=product)
 
 
-def _screen_bound(inputs, weights, means, bandwidth: float, scale) -> np.ndarray:
-    """(M,): per model, a bound on ``|s - e|`` for every kernel action i (``inputs[i]``, the (M, C)
-    ``weights[i]`` and (M, 1) ``means[i]``) at every row whose coordinates are at most ``scale``
-    in magnitude; inf or NaN where it overflows. ``s`` is the screened value, one gemm of the
-    weights with :func:`_screen_kernel` plus the mean, and ``e`` the exact prediction of
-    :func:`_kernel_predictions`, :func:`_rbf` and one ``np.vecdot`` plus the mean.
+class KernelStack:
+    """The arrays the m models of one per-action kernel fit share, stacked in model order: per
+    constant action the (m, 1) values; per kernel action the inputs, the (m, C) weights whose row
+    j is model j's (as :func:`_solve_columns` returns them), the (m, 1) means and the augmented
+    inputs ``-b [-2a, 1, |a|^2]`` of :func:`_screen_kernel`; and the parts of
+    :func:`_screen_bound` that do not depend on the rows. A fit hands one to its models
+    (:func:`kernel_models`); a model built from its components alone makes its own, of one model.
+    It refers to no model.
+
+    ``actions[k]`` is action k's m constants, or its kernel's (inputs, (m, C) weights, m means).
+    """
+
+    def __init__(self, bandwidth: float, actions: list):
+        self.bandwidth, self.n_actions = bandwidth, len(actions)
+        self.n_models = len(actions[0][2] if isinstance(actions[0], tuple) else actions[0])
+        self.constants, self.kernels = {}, {}
+        for k, action in enumerate(actions):
+            if not isinstance(action, tuple):
+                self.constants[k] = np.asarray(action, dtype=float)[:, None]
+                continue
+            inputs, weights, means = action
+            augmented = np.column_stack([2.0 * bandwidth * inputs, np.full(len(inputs), -bandwidth),
+                                         -bandwidth * (inputs * inputs).sum(axis=1)])
+            self.kernels[k] = (inputs, weights, np.asarray(means, dtype=float)[:, None], augmented)
+        kernels = list(self.kernels.values())
+        # per kernel action: the largest input magnitude (A), gamma_{C+1}, and per model the
+        # weights' 1-norm and the mean's magnitude
+        self.reach = np.array([[np.abs(inputs).max(initial=0.0)] for inputs, *_ in kernels])
+        self.roundoff = np.array([[_gamma(len(inputs) + 1)] for inputs, *_ in kernels])
+        self.norms = np.array([np.abs(weights).sum(axis=1) for _, weights, _, _ in kernels])
+        self.sizes = np.array([np.abs(means[:, 0]) for _, _, means, _ in kernels])
+
+
+def _screen_bound(stack: KernelStack, scale) -> np.ndarray:
+    """(m,): per model of ``stack``, a bound on ``|s - e|`` for every kernel action at every row
+    whose coordinates are at most ``scale`` in magnitude; inf or NaN where it overflows. ``s`` is
+    the screened value, one gemm of the weights with :func:`_screen_kernel` plus the mean, and
+    ``e`` the exact prediction of :func:`_kernel_predictions`, :func:`_rbf` and one ``np.vecdot``
+    plus the mean.
 
     Write u for the unit roundoff, ``gamma_n = n u / (1 - n u)``, d for the features, C for the
     inputs, b for the bandwidth, X for ``scale`` and A for the largest input coordinate magnitude.
@@ -446,85 +497,86 @@ def _screen_bound(inputs, weights, means, bandwidth: float, scale) -> np.ndarray
     Hence ``|s - e| <= ||w||_1 (dK + 2 gamma_{C+1} (e^D + 1)) + 2u (|m| + 2 e^D ||w||_1)``, and
     where it is finite, so is every sum of either computation.
     """
-    d = inputs[0].shape[1]
-    reach = np.array([[np.abs(a).max(initial=0.0)] for a in inputs])  # A per action
-    count = np.array([[len(a)] for a in inputs])
-    norms = np.array([np.abs(w).sum(axis=1) for w in weights])  # (actions, M)
-    sizes = np.abs(np.array(means)[:, :, 0])
-    spread = bandwidth * (2 * d * np.square(1 + scale + reach))  # S
+    d = next(iter(stack.kernels.values()))[0].shape[1]
+    spread = stack.bandwidth * (2 * d * np.square(1 + scale + stack.reach))  # S
     drift = _gamma(2 * d + 5) * spread  # D
     grow = np.exp(drift)
     gap = grow * (drift + _EXP_ERROR) + _gamma(d + 3) * spread + _EXP_ERROR  # dK
-    bound = norms * (gap + 2 * _gamma(count + 1) * (grow + 1)) + 2 * _UNIT * (sizes + 2 * grow * norms)
+    bound = stack.norms * (gap + 2 * stack.roundoff * (grow + 1)) + 2 * _UNIT * (stack.sizes + 2 * grow * stack.norms)
     return bound.max(axis=0)
 
 
-def _screened_best(group, x: np.ndarray, best: np.ndarray, arg: np.ndarray) -> None:
-    """Fill ``best`` and ``arg``, (len(group), n), for the kernel models of one fit: bitwise the
-    best value and greedy action that reducing every action's exact prediction gives.
+def _screened_best(stack: KernelStack, rows: list, x: np.ndarray, best: np.ndarray, arg: np.ndarray,
+                   values: bool = True) -> None:
+    """Fill ``best`` and ``arg``, (len(rows), n), for the models ``rows`` of ``stack``: bitwise the
+    best value and greedy action that reducing every action's exact prediction gives. Without
+    ``values``, ``arg`` alone is that, and ``best`` is scratch.
 
     A floating-point filter (Shewchuk, Adaptive Precision Floating-Point Arithmetic and Fast
     Robust Geometric Predicates, 1997). Each block of rows is screened: per kernel action, one
-    approximate kernel matrix (:func:`_screen_kernel`) and one gemm with the group's weights
+    approximate kernel matrix (:func:`_screen_kernel`) and one gemm with the stacked weights
     give every model's screened value, and a constant action screens as itself. With E per
     model ``2^20`` times :func:`_screen_bound`, an action whose exact value can be a model's
-    best screens at least ``max - 2E``: a (model, row) pair needs only those actions exact, and
-    all of them where E or the best screened value is not finite. A row needs an action where
-    any model needs it. Then, per action, one :func:`_kernel_predictions` call predicts every
-    model at the rows that need it, and each (model, row) reduces the values it gets in action
-    order with strict ``>``, as ``np.argmax`` reduces.
+    best screens at least ``max - 2E``: those are a (model, row) pair's candidates, and every
+    action is where E or the best screened value is not finite. With ``values``
+    (:func:`best_over_actions`) every pair is reduced exactly; without (:func:`greedy_actions`),
+    a pair with one candidate takes it, and only the pairs with two or more are. A row needs an
+    action where any pair reduced exactly has it as a candidate. Then, per action, one
+    :func:`_kernel_predictions` call predicts every model at the rows that need it, and each
+    (model, row) reduces the values it gets in action order with strict ``>``, as ``np.argmax``
+    reduces.
 
-    An action predicted for a pair that does not need it is strictly below the pair's best, so
-    it changes nothing: its exact value is at most its screened value plus E, below the best
-    screened value minus E, which is at most the exact value of the best screened action, and
-    that one is predicted because its row needs it.
+    Every other action's exact value is at most its screened value plus E, below the best
+    screened value minus E, which is at most the exact value of the best screened action, a
+    candidate. So a lone candidate is the argmax. And an action predicted for a pair that does
+    not have it as a candidate is strictly below the pair's best, so it changes nothing; a
+    decided pair's best is set to inf, which none of its exact values (finite, as E is) replaces.
     """
-    first = group[0]
-    n_actions, n, bandwidth = first.action_space.size, x.shape[0], first.bandwidth
-    constants, kernels = {}, {}  # by action: the models' (M, 1) constants; the kernel's arrays
-    for k in range(n_actions):
-        comps = [model.components[k] for model in group]
-        if comps[0][0] == "constant":
-            constants[k] = np.array([[comp[1]] for comp in comps])
-            continue
-        inputs = comps[0][1]
-        augmented = np.column_stack([2.0 * bandwidth * inputs, np.full(len(inputs), -bandwidth),
-                                     -bandwidth * (inputs * inputs).sum(axis=1)])
-        kernels[k] = (comps, np.array([comp[2] for comp in comps]), np.array([[comp[3]] for comp in comps]),
-                      augmented)
+    n_actions, n, m = stack.n_actions, x.shape[0], len(rows)
+    every = rows == list(range(stack.n_models))  # the whole fit in order: its arrays as they are
+    constants = {k: v if every else v[rows] for k, v in stack.constants.items()}
+    kernels = {k: (inputs, weights if every else weights[rows], means if every else means[rows], augmented)
+               for k, (inputs, weights, means, augmented) in stack.kernels.items()}
+    tally = np.array([np.ones(n_actions), np.arange(n_actions)])  # a pair's candidate count and index sum
     rows_need = np.zeros((n_actions, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes E non-finite
-        width = np.zeros((len(group), 1))  # 2E
+        width = np.zeros((m, 1))  # 2E
         if kernels:
-            comps, weights, means, _ = zip(*kernels.values())
-            bound = _screen_bound([c[0][1] for c in comps], weights, means, bandwidth, np.abs(x).max(initial=0.0))
-            width[:, 0] = 2 * _SLACK * bound
+            width[:, 0] = 2 * _SLACK * _screen_bound(stack, np.abs(x).max(initial=0.0))[rows]
         for lo in range(0, n, _ROW_BLOCK):
             xb = x[lo : lo + _ROW_BLOCK]
-            rows = np.column_stack([xb, (xb * xb).sum(axis=1), np.ones(len(xb))])
-            screens = np.empty((n_actions, len(group), len(xb)))
-            for k, values in constants.items():
-                screens[k] = values
+            block = slice(lo, lo + len(xb))
+            augmented_rows = np.column_stack([xb, (xb * xb).sum(axis=1), np.ones(len(xb))])
+            screens = np.empty((n_actions, m, len(xb)))
+            for k, constant in constants.items():
+                screens[k] = constant
             for k, (_, weights, means, augmented) in kernels.items():
-                np.matmul(weights, _screen_kernel(rows, augmented).T, out=screens[k])
+                np.matmul(weights, _screen_kernel(augmented_rows, augmented).T, out=screens[k])
                 screens[k] += means
             floor = screens.max(axis=0)
             floor -= width
             need = screens >= floor
-            del screens  # before the next block's are made
             unsure = ~np.isfinite(floor)
             if unsure.any():
                 need[:, unsure] = True
-            rows_need[:, lo : lo + len(xb)] = need.any(axis=1)
+            if not values:
+                np.copyto(screens, need)  # the candidates as 0 and 1, in place: the gemm casts nothing
+                count, index = (tally @ screens.reshape(n_actions, -1)).reshape(2, m, len(xb))
+                alone = count == 1
+                arg[:, block] = index * alone  # a lone candidate; 0, as with values, for the rest
+                best[:, block][alone] = np.inf
+                need &= ~alone
+            del screens  # before the next block's are made
+            rows_need[:, block] = need.any(axis=1)
     for k in range(n_actions):
         at = np.flatnonzero(rows_need[k])
         if not at.size:
             continue
         if k in constants:
-            exact = np.broadcast_to(constants[k], (len(group), len(at)))
+            exact = np.broadcast_to(constants[k], (m, len(at)))
         else:
-            comps = kernels[k][0]
-            exact = _kernel_predictions(x[at], comps[0][1], bandwidth, comps)
+            inputs, weights, means, _ = kernels[k]
+            exact = _kernel_predictions(x[at], inputs, stack.bandwidth, weights, means)
         sub, sub_arg = best[:, at], arg[:, at]
         # strict >, as np.argmax reduces; a NaN, which np.max and np.argmax keep from its first
         # index on, replaces a number and is never replaced
@@ -534,19 +586,9 @@ def _screened_best(group, x: np.ndarray, best: np.ndarray, arg: np.ndarray) -> N
         best[:, at], arg[:, at] = sub, sub_arg
 
 
-def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, actions), both (m, n): row j is the best predicted value of ``models[j]`` at each
-    feature row and its greedy action index.
-
-    Equal bit for bit to ``models[j].predict_all_matrix(features).max(axis=1)`` and to its
-    ``np.argmax`` (lowest index on exact ties, the first NaN where there is one). A feature row
-    with a non-finite value raises ``ValueError`` naming the row. A model listed more than once
-    is evaluated once. Kernel models that share every action's training inputs and bandwidth
-    (the models of one ``fit_columns`` call) form one group, screened block by block
-    (:func:`_screened_best`): each action is predicted exactly only at the rows where it can be
-    some model's best. Any other model is a group of its own; an interaction-linear one is
-    reduced as its reference is, ``max`` and ``argmax`` of ``predict_all_matrix``.
-    """
+def _over_actions(models, features: np.ndarray, values: bool):
+    """(best, arg, pick) for :func:`best_over_actions` and :func:`greedy_actions`: rows of each
+    distinct model, grouped, and the row of each listed model (``None``: the rows in order)."""
     distinct = list({id(model): model for model in models}.values())
     for model in distinct:
         model._check_features(features)
@@ -554,30 +596,51 @@ def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndar
     bad_rows = ~np.isfinite(x).all(axis=1)
     if bad_rows.any():
         raise ValueError(f"features contain non-finite values (row {int(bad_rows.argmax())})")
-    groups: dict = {}
+    groups: dict = {}  # a kernel model's fit, or the model itself
     for model in distinct:
-        key = id(model)
-        if isinstance(model, PerActionKernelQ):
-            key = (model.bandwidth, tuple(id(comp[1]) if comp[0] == "kernel" else None
-                                          for comp in model.components))
-        groups.setdefault(key, []).append(model)
+        groups.setdefault(model.stack[0] if isinstance(model, PerActionKernelQ) else model, []).append(model)
     order = [model for group in groups.values() for model in group]
-    values = np.full((len(order), x.shape[0]), -np.inf)
-    actions = np.zeros(values.shape, dtype=int)
+    best = np.full((len(order), x.shape[0]), -np.inf)
+    arg = np.zeros(best.shape, dtype=int)
     lo = 0
-    for group in groups.values():
-        best, arg = values[lo : lo + len(group)], actions[lo : lo + len(group)]
+    for key, group in groups.items():
+        rows = slice(lo, lo + len(group))
         lo += len(group)
-        if isinstance(group[0], PerActionKernelQ):
-            _screened_best(group, x, best, arg)
+        if isinstance(key, KernelStack):
+            _screened_best(key, [model.stack[1] for model in group], x, best[rows], arg[rows], values)
             continue
-        q = group[0].predict_all_matrix(x)
-        best[0], arg[0] = q.max(axis=1), q.argmax(axis=1)
+        q = key.predict_all_matrix(x)
+        best[rows][0], arg[rows][0] = q.max(axis=1), q.argmax(axis=1)
     row = {id(model): j for j, model in enumerate(order)}
     pick = [row[id(model)] for model in models]
-    if pick == list(range(len(order))):  # models listed once each, already in group order
-        return values, actions
-    return values[pick], actions[pick]
+    return best, arg, None if pick == list(range(len(order))) else pick
+
+
+def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, actions), both (m, n): row j is the best predicted value of ``models[j]`` at each
+    feature row and its greedy action index.
+
+    Equal bit for bit to ``models[j].predict_all_matrix(features).max(axis=1)`` and to its
+    ``np.argmax`` (lowest index on exact ties, the first NaN where there is one). A feature row
+    with a non-finite value raises ``ValueError`` naming the row. A model listed more than once
+    is evaluated once. Kernel models of one :class:`KernelStack` (the models of one
+    ``fit_columns`` call; a model built from its components has its own) form one group,
+    screened block by block with the stack's arrays (:func:`_screened_best`): each action is
+    predicted exactly only at the rows where it can be some model's best. Any other model is a
+    group of its own; an interaction-linear one is reduced as its reference is, ``max`` and
+    ``argmax`` of ``predict_all_matrix``. :func:`greedy_actions` gives the actions alone, with
+    fewer exact predictions.
+    """
+    best, arg, pick = _over_actions(models, features, values=True)
+    return (best, arg) if pick is None else (best[pick], arg[pick])
+
+
+def greedy_actions(models, features: np.ndarray) -> np.ndarray:
+    """``best_over_actions(models, features)[1]``, bit for bit, from the same screen, which decides
+    every (model, row) pair with one candidate action: only the pairs with two or more are
+    predicted exactly, with the rest of the group at their rows. Greedy decisions need no values."""
+    _, arg, pick = _over_actions(models, features, values=False)
+    return arg if pick is None else arg[pick]
 
 
 # --- model serialization ------------------------------------------------------

@@ -383,6 +383,21 @@ def _snapshot(out):
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
+def test_a_run_repeated_after_another_in_process_writes_the_same_bytes(tmp_path):
+    # seed 21, then seed 22, then seed 21 again in one process: the two seed-21 runs write the
+    # same bytes, so nothing of one run's fits (their stacked weights and screen arrays) reaches
+    # the next run's decisions
+    runs = {}
+    for name, seed in (("a", "21"), ("b", "22"), ("a-again", "21")):
+        out = tmp_path / name
+        assert _run("cancer", "--n-train", "80", "--n-test", "20", "--seed", seed, "--epsilon", "0.9",
+                    "--out", str(out)) == 0
+        runs[name] = {path: data for path, data in _snapshot(out).items() if path != "run.meta"}
+    assert max(_numeric_columns(tmp_path / "a" / "admissible_eps0.9.csv")["rank"]) > 1
+    assert runs["a"] == runs["a-again"]
+    assert all(runs["a"][path] != runs["b"][path] for path in ("qstack.json", "curves_eps0.9.csv"))
+
+
 def test_reused_out_holds_only_the_second_runs_files(tmp_path):
     out = tmp_path / "run"
     assert _run(*CANCER_SMALL, "--seed", "3", "--epsilon", "0.1", "--out", str(out)) == 0

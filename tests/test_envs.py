@@ -248,17 +248,20 @@ def _assert_lockstep_matches(rollout, j, cohort):
         assert together.dtype == alone.dtype and together.tobytes() == alone.tobytes(), (j, name)
 
 
-def _counting_best_over_actions(monkeypatch):
-    """The row counts of every ``best_over_actions`` call the rollouts make from here on."""
+def _counting_greedy_actions(monkeypatch, asked=None):
+    """The row counts of every ``greedy_actions`` call the rollouts make from here on, the lockstep's
+    and a greedy policy's alone; ``asked`` gets each call's models."""
     rows = []
-    real_best = nearq.envs.best_over_actions
+    real_greedy = nearq.envs.greedy_actions
 
-    def counted_best(models, features):
+    def counted_greedy(models, features):
         rows.append(features.shape[0])
-        return real_best(models, features)
+        if asked is not None:
+            asked.append(list(models))
+        return real_greedy(models, features)
 
-    monkeypatch.setattr(nearq.envs, "best_over_actions", counted_best)
-    monkeypatch.setattr(nearq.qlearn, "best_over_actions", counted_best)
+    monkeypatch.setattr(nearq.envs, "greedy_actions", counted_greedy)
+    monkeypatch.setattr(nearq.qlearn, "greedy_actions", counted_greedy)
     return rows
 
 
@@ -267,7 +270,7 @@ def test_everyone_dies_at_stage_zero(monkeypatch, n):
     # a hazard of exp(50) kills every patient in the first month; the later stages step no one
     # and ask no policy, whether it is rolled out alone or, greedy, in a lockstep
     params = CancerParams(hazard_intercept=50.0)
-    shapes = _counting_best_over_actions(monkeypatch)
+    shapes = _counting_greedy_actions(monkeypatch)
 
     def counted(t, feats):
         shapes.append(feats.shape[0])
@@ -290,16 +293,26 @@ def test_everyone_dies_at_stage_zero(monkeypatch, n):
 
 def test_lockstep_keeps_deciding_after_one_policys_patients_have_all_died(monkeypatch):
     # under a high hazard, on some seeds the full dose kills every patient of its policy while some
-    # on the half dose still live: the lockstep keeps deciding for the survivors, from every
-    # policy's model, and each policy's states, alive flags and totals stay bitwise those it gets alone
+    # on the half dose still live: the lockstep keeps deciding for the survivors, from the models of
+    # the policies with a live patient only, and each policy's states, alive flags and totals stay
+    # bitwise those it gets alone
     params = CancerParams(hazard_intercept=-2.0)
     policies = [dose_schedule_policy(params.action_space, [dose] * params.n_stages) for dose in (1.0, 0.5)]
-    rows = _counting_best_over_actions(monkeypatch)
+    asked = []
+    rows = _counting_greedy_actions(monkeypatch, asked)
     mixed = 0
     for seed in range(20):
+        asked.clear()
         rollout = simulate_cancer_cohorts(params, policies, 10, seed)
         alive = [rollout.alive[rollout.paths(j)].any(axis=0) for j in range(len(policies))]
         mixed += (~alive[0] & alive[1]).any()
+        # stage t asks policy j's model exactly when j has a patient alive at month t
+        assert [[policy.models[t] in models for policy in policies] for t, models in enumerate(asked)] == \
+            [[bool(alive[j][t]) for j in range(len(policies))] for t in range(len(asked))]
+        if seed == 5:  # the full dose's patients have all died by month 3; the half dose's have not
+            assert not alive[0][3:].any() and alive[1][3:].all()
+            assert len(asked) == params.n_stages
+            assert all(policies[0].models[t] not in asked[t] for t in range(3, params.n_stages))
         for j, policy in enumerate(policies):
             _assert_lockstep_matches(rollout, j, simulate_cancer_cohort(params, policy, 10, seed))
     assert mixed > 0

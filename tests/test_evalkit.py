@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import nearq.envs
 import nearq.evalkit
+import nearq.qlearn
 from nearq.core import OfflineDataset, StageRecord
 from nearq.envs import CancerParams, ItrConfig, simulate_cancer_cohort, simulate_cancer_cohorts, simulate_itr
 from nearq.evalkit import (
@@ -109,8 +110,8 @@ def test_mean_cum_reward_matches_raw_trajectories():
 
 
 def test_one_policy_evaluation_aggregates_its_cohort():
-    # the evaluation stores only tumor plus toxicity and the reward totals; its result is bitwise
-    # the aggregate of the full cohort simulate_cancer_cohort builds under the same policy
+    # a policy evaluated alone is rolled out into the full cohort simulate_cancer_cohort builds
+    # under it, so its result is bitwise that cohort's aggregate
     late = lambda t, feats: np.full(feats.shape[0], 9 if t < 3 else 1)
     for policy in (0.0, 0.7, np.int64(1), "uniform-random", late):
         cohort = simulate_cancer_cohort(PARAMS, policy, 150, seed=11, label="eval")
@@ -442,7 +443,11 @@ def test_greedy_policy_without_a_stage_model_is_named_before_any_kernel_work(mon
     def refuse(*args, **kwargs):
         raise AssertionError("a greedy decision started")
 
-    monkeypatch.setattr(nearq.envs, "best_over_actions", refuse)
+    monkeypatch.setattr(nearq.envs, "greedy_actions", refuse)
+    monkeypatch.setattr(nearq.qlearn, "greedy_actions", refuse)
+    # the lockstep's decisions go through the refusal, so the check below is made before any
+    with pytest.raises(AssertionError, match="a greedy decision started"):
+        evaluate_policies(PARAMS, policies[:2], 30, 1, labels[:2])
     with pytest.raises(ValueError, match=r"policy 'eps0.1-short' has no model for stage 3"):
         evaluate_policies(PARAMS, [policies[0], truncated], 30, 1, ["opt", "eps0.1-short"])
 

@@ -17,6 +17,8 @@ from nearq.regression import (
     _rbf,
     _solve_columns,
     best_over_actions,
+    greedy_actions,
+    kernel_models,
     load_model,
     model_from_dict,
     save_model,
@@ -336,7 +338,7 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
     listed = [model, model, other] + columns
     probe = np.random.default_rng(9).normal(size=(600, 2))  # three row blocks
     alone = [best_over_actions([m], probe) for m in listed]
-    counts = {"_rbf": 0, "screens": 0, "exact_calls": 0, "components": 0, "linear": 0, "vecdot": 0}
+    counts = {"_rbf": 0, "screens": 0, "exact_calls": 0, "components": 0, "exact": 0, "linear": 0, "vecdot": 0}
     rbf, screen, kernel_predictions = (nearq.regression._rbf, nearq.regression._screen_kernel,
                                        nearq.regression._kernel_predictions)
     linear = InteractionLinearQ.predict_matrix
@@ -350,10 +352,11 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
         counts["screens"] += 1
         return screen(*args)
 
-    def counted_kernel_predictions(x, inputs, bandwidth, comps):
+    def counted_kernel_predictions(x, inputs, bandwidth, weights, means):
         counts["exact_calls"] += 1
-        counts["components"] += len(comps)
-        return kernel_predictions(x, inputs, bandwidth, comps)
+        counts["components"] += len(weights)
+        counts["exact"] += len(weights) * len(x)
+        return kernel_predictions(x, inputs, bandwidth, weights, means)
 
     def counted_linear(self, *args):
         counts["linear"] += 1
@@ -371,25 +374,43 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
     got = best_over_actions(listed, probe)
     for together, want in zip(got, zip(*alone)):
         assert np.array_equal(together, np.concatenate(want))
+    valued = dict(counts)
+    counts.update((name, 0) for name in counts)
+    assert np.array_equal(greedy_actions(listed, probe), got[1])
     # rows 0 and 1 come from one computation, and the models of one fit are one stacked model:
     # one screen per (row block, kernel action) of each fit, whatever m is, then at most one
     # exact call per (fit, kernel action), each model at most once, with one kernel matrix and
-    # one vecdot per row block of the rows it predicts
+    # one vecdot per row block of the rows it predicts; the actions alone come from the same
+    # screens and predict only where a pair keeps two or more candidate actions
     if mode == "per-action-kernel":
         kernel_actions = sum(comp[0] == "kernel" for comp in model.components)
         fits, blocks = 3, 3  # model, other, columns; 600 rows in blocks of 256
-        assert counts["screens"] == fits * kernel_actions * blocks
-        assert 0 < counts["exact_calls"] <= fits * kernel_actions
-        assert counts["components"] <= (2 + len(columns)) * kernel_actions
-        assert counts["_rbf"] == counts["vecdot"] <= counts["exact_calls"] * blocks
+        assert valued["screens"] == counts["screens"] == fits * kernel_actions * blocks
+        assert 0 < valued["exact_calls"] <= fits * kernel_actions
+        assert counts["exact_calls"] <= valued["exact_calls"]
+        assert counts["components"] <= valued["components"] <= (2 + len(columns)) * kernel_actions
+        assert counts["exact"] < valued["exact"] / 10
+        for used in (valued, counts):
+            assert used["_rbf"] == used["vecdot"] <= used["exact_calls"] * blocks
     else:
-        assert counts["linear"] == (2 + len(columns)) * space.size
-        assert counts["vecdot"] == counts["screens"] == counts["exact_calls"] == 0
+        assert valued["linear"] == counts["linear"] == (2 + len(columns)) * space.size
+        assert valued["vecdot"] == valued["screens"] == valued["exact_calls"] == counts["screens"] == 0
+
+
+def _one_fit(models, bandwidth=None):
+    """Kernel ``models`` whose actions have one kind and one inputs array each, rebuilt as the
+    models of one fit: sharing one stack (``kernel_models``), at ``bandwidth`` if given."""
+    first, actions = models[0], []
+    for k, comp in enumerate(models[0].components):
+        comps = [model.components[k] for model in models]
+        actions.append(np.array([c[1] for c in comps]) if comp[0] == "constant" else
+                       (comp[1], np.array([c[2] for c in comps]), np.array([c[3] for c in comps])))
+    return kernel_models(first.action_space, first.n_features, bandwidth or first.bandwidth, actions)
 
 
 def _near_tie_group(case, n_models, seed=5):
-    """Kernel models of one fit's shape (each action's inputs one shared array) whose actions tie,
-    or nearly tie, by construction."""
+    """Kernel models of one fit (each action's inputs one shared array, one stack) whose actions
+    tie, or nearly tie, by construction."""
     rng = np.random.default_rng(seed)
     inputs = [rng.uniform(0.0, 3.0, size=(c, 2)) for c in (30, 45, 20)]
     twin = inputs[1].copy()  # equal inputs in another array, as a fit never shares them
@@ -405,7 +426,7 @@ def _near_tie_group(case, n_models, seed=5):
             tied = [("constant", mean), ("kernel", twin, np.zeros(45), mean)]
         comps = (low, *tied, ("kernel", inputs[2], rng.normal(size=20), -1e3))
         models.append(PerActionKernelQ(ActionSpace((0.0, 0.3, 0.6, 0.9)), 2, 0.7, comps))
-    return models
+    return _one_fit(models)
 
 
 @pytest.mark.parametrize("n_rows", [1, 255, 257, 700])
@@ -420,6 +441,7 @@ def test_screened_argmax_matches_the_reference_at_near_ties(case, n_models, n_ro
     q = [model.predict_all_matrix(x) for model in models]
     assert np.array_equal(values, np.stack([qa.max(axis=1) for qa in q]))
     assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
+    assert np.array_equal(greedy_actions(models, x), actions)
     if case != "one-ulp":
         assert set(np.unique(actions)) <= {1}  # every row's tie goes to the lower index
     else:
@@ -430,18 +452,20 @@ def test_screened_argmax_with_an_overflowing_margin_predicts_every_action():
     # a huge bandwidth overflows the screening bound: every action is predicted exactly, and
     # the screen's overflow raises no warning (the suite turns warnings into errors)
     models = _near_tie_group("one-ulp", 3)
-    huge = [PerActionKernelQ(m.action_space, 2, 1e300, m.components) for m in models]
+    huge = _one_fit(models, 1e300)
     x = np.random.default_rng(2).uniform(0.0, 3.0, size=(300, 2))
     values, actions = best_over_actions(huge, x)
     q = [model.predict_all_matrix(x) for model in huge]
     assert np.array_equal(values, np.stack([qa.max(axis=1) for qa in q]))
     assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
+    assert np.array_equal(greedy_actions(huge, x), actions)
 
 
-def _drawn_group(seed, n_models, kinds, bandwidth, mirror):
-    """Kernel models of one fit's shape: action k is a constant, an independent kernel, or a kernel
-    tied exactly ("tie") or one ulp above ("ulp") the first kernel action, on a copy of its inputs.
-    With ``mirror``, model 1 is model 0 negated, so it takes model 0's worst action."""
+def _drawn_group(seed, n_models, kinds, bandwidth, mirror, nan=False):
+    """Kernel models of one fit (one stack): action k is a constant, an independent kernel, or a
+    kernel tied exactly ("tie") or one ulp above ("ulp") the first kernel action, on a copy of its
+    inputs. With ``mirror``, model 1 is model 0 negated, so it takes model 0's worst action; with
+    ``nan``, the last model's last action has a NaN value (a NaN constant or mean)."""
     rng = np.random.default_rng(seed)
     shared, base = [], None  # per action: (inputs, weights of each model, means); the first kernel's index
     for kind in kinds:
@@ -458,10 +482,12 @@ def _drawn_group(seed, n_models, kinds, bandwidth, mirror):
     if mirror and n_models > 1:
         shared = [(inputs, None if w is None else np.vstack([w[:1], -w[:1], w[2:]]),
                    np.concatenate([means[:1], -means[:1], means[2:]])) for inputs, w, means in shared]
+    if nan:
+        inputs, weights, means = shared[-1]
+        shared[-1] = (inputs, weights, np.concatenate([means[:-1], [np.nan]]))
     space = ActionSpace(tuple(float(k) for k in range(len(kinds))))
-    return [PerActionKernelQ(space, 2, bandwidth, tuple(
-        ("constant", float(means[j])) if inputs is None else ("kernel", inputs, weights[j], float(means[j]))
-        for inputs, weights, means in shared)) for j in range(n_models)]
+    return kernel_models(space, 2, bandwidth, [means if inputs is None else (inputs, weights, means)
+                                               for inputs, weights, means in shared])
 
 
 @settings(max_examples=60, deadline=None)
@@ -483,6 +509,26 @@ def test_best_over_actions_equals_the_reference_reduction_property(seed, n_model
         assert (actions[0] != actions[1]).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(1, 20),
+       kinds=st.lists(st.sampled_from(["kernel", "constant", "tie", "ulp"]), min_size=1, max_size=8),
+       n_rows=st.integers(1, 700), bandwidth=st.sampled_from([0.05, 0.7, 4.0, 1e300]), mirror=st.booleans(),
+       nan=st.booleans())
+@example(seed=1, n_models=2, kinds=["kernel", "ulp", "kernel", "constant"], n_rows=300, bandwidth=0.7, mirror=True,
+         nan=False)
+@example(seed=1, n_models=3, kinds=["kernel", "tie", "kernel"], n_rows=300, bandwidth=0.7, mirror=True, nan=True)
+def test_greedy_actions_equals_the_reference_argmax_property(seed, n_models, kinds, n_rows, bandwidth, mirror, nan):
+    # a pair the screen leaves one candidate takes it, and the rest reduce their candidates'
+    # exact predictions: every action is bitwise np.argmax of every action's prediction, also at
+    # exact ties, one-ulp gaps, a mirrored model's worst action and a NaN value
+    models = _drawn_group(seed, n_models, kinds, bandwidth, mirror, nan)
+    x = np.random.default_rng(seed + 1).uniform(0.0, 3.0, size=(n_rows, 2))
+    actions = greedy_actions(models, x)
+    assert np.array_equal(actions, np.stack([np.argmax(model.predict_all_matrix(x), axis=1) for model in models]))
+    if mirror and not nan and n_models > 1 and kinds.count("kernel") > 1:  # independent values: best and worst differ
+        assert (actions[0] != actions[1]).all()
+
+
 def test_best_over_actions_keeps_a_nan_value_as_max_and_argmax_do():
     # a NaN value is the max and its first index the argmax, whichever actions the screen picks
     models = _near_tie_group("one-ulp", 3)
@@ -490,11 +536,13 @@ def test_best_over_actions_keeps_a_nan_value_as_max_and_argmax_do():
     comps[0][2] = ("constant", np.nan)
     comps[1][1] = (*comps[1][1][:3], np.nan)
     nan = [PerActionKernelQ(m.action_space, 2, m.bandwidth, tuple(c)) for m, c in zip(models, comps)]
+    nan = nan[:1] + list(_one_fit(nan[1:]))  # models 1 and 2 screened together
     x = np.random.default_rng(4).uniform(0.0, 3.0, size=(300, 2))
     values, actions = best_over_actions(nan, x)
     q = [model.predict_all_matrix(x) for model in nan]
     assert np.array_equal(values, np.stack([qa.max(axis=1) for qa in q]), equal_nan=True)
     assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
+    assert np.array_equal(greedy_actions(nan, x), actions)
     assert actions[0].tolist() == [2] * 300 and actions[1].tolist() == [1] * 300
 
 
@@ -566,21 +614,20 @@ def test_kernel_rows_do_not_depend_on_the_batch(n_rows, n_inputs):
     rng = np.random.default_rng(n_rows * 7919 + n_inputs)
     x = rng.uniform(0.0, 4.0, size=(n_rows, 2))
     inputs = rng.uniform(0.0, 4.0, size=(n_inputs, 2))
-    comps = [("kernel", inputs, rng.normal(size=n_inputs), mean) for mean in (0.5, -3.0)]
+    weights, means = rng.normal(size=(2, n_inputs)), np.array([[0.5], [-3.0]])
     kernel = _rbf(x, inputs, 2.0)
-    values = _kernel_predictions(x, inputs, 2.0, comps)
+    values = _kernel_predictions(x, inputs, 2.0, weights, means)
     subsets = [np.arange(n_rows)[::-1], np.arange(0, n_rows, 3), np.array([n_rows - 1]),
                np.sort(rng.choice(n_rows, size=max(1, n_rows // 2), replace=False))]
     for rows in subsets:
         assert np.array_equal(kernel[rows], _rbf(x[rows], inputs, 2.0))
-        assert np.array_equal(values[:, rows], _kernel_predictions(x[rows], inputs, 2.0, comps))
+        assert np.array_equal(values[:, rows], _kernel_predictions(x[rows], inputs, 2.0, weights, means))
     # a block of the batch is the matching rows of the whole kernel matrix
-    assert np.array_equal(values[1], np.vecdot(kernel, comps[1][2]) + comps[1][3])
+    assert np.array_equal(values[1], np.vecdot(kernel, weights[1]) + means[1, 0])
     # a component's row of a stacked call equals the call on that component alone
     for size in (1, 2, 15):
-        stacked = [("kernel", inputs, rng.normal(size=n_inputs), float(rng.normal()))
-                   for _ in range(size)]
-        together = _kernel_predictions(x, inputs, 2.0, stacked)
-        for row, comp in zip(together, stacked):
-            assert np.array_equal(row, _kernel_predictions(x, inputs, 2.0, [comp])[0])
-            assert np.array_equal(row, np.vecdot(kernel, comp[2]) + comp[3])
+        weights, means = rng.normal(size=(size, n_inputs)), rng.normal(size=(size, 1))
+        together = _kernel_predictions(x, inputs, 2.0, weights, means)
+        for j, row in enumerate(together):
+            assert np.array_equal(row, _kernel_predictions(x, inputs, 2.0, weights[j : j + 1], means[j : j + 1])[0])
+            assert np.array_equal(row, np.vecdot(kernel, weights[j]) + means[j, 0])
