@@ -31,6 +31,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -203,11 +204,18 @@ def _staged(out: Path):
     open with a header row. An existing ``out`` is moved aside, the staged
     directory renamed in, and the old one deleted. Any exception removes the
     staged directory and leaves ``out`` as it was.
+
+    Both siblings are made by ``tempfile.mkdtemp``, so no name an earlier run
+    left behind can block this one. The staged directory then gets the mode
+    ``mkdir`` gives, as it becomes ``out``; the old one is an empty placeholder
+    that ``out`` replaces when it is renamed onto it.
     """
-    stage = out.with_name(f"{out.name}.partial-{os.getpid()}")
-    old = out.with_name(f"{out.name}.old-{os.getpid()}")
-    stage.mkdir(parents=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f"{out.name}.partial-", dir=out.parent))
     try:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        stage.chmod(0o777 & ~umask)
         yield stage
         for path in stage.iterdir():
             if path.stat().st_size == 0:
@@ -218,7 +226,12 @@ def _staged(out: Path):
                         raise ValueError(f"artifact has no CSV header: {path.name}")
         moved = out.exists()
         if moved:
-            out.rename(old)
+            old = Path(tempfile.mkdtemp(prefix=f"{out.name}.old-", dir=out.parent))
+            try:
+                out.rename(old)
+            except BaseException:
+                old.rmdir()
+                raise
         try:
             stage.rename(out)
         except BaseException:

@@ -175,6 +175,7 @@ class OfflineDataset:
         self.action_spaces = action_spaces
         self.feature_dims = feature_dims
         self.n_patients = int(self.patient[-1]) + 1 if len(self.patient) else 0
+        self._stage_rows = {}  # t: stage_rows(t), made on first call
 
     def __eq__(self, other):
         if not isinstance(other, OfflineDataset):
@@ -197,15 +198,18 @@ class OfflineDataset:
         """Regression rows for stage t over patients holding a stage-t record.
 
         Returns read-only ``(patient_idx, features, action_idx, rewards)`` in
-        patient order.
+        patient order, gathered on the first call for t and the same arrays
+        on every later one.
         """
         if not 0 <= t <= self.horizon:
             raise ValueError(f"stage {t} outside 0..{self.horizon}")
-        at = self.stage == t
-        out = (self.patient[at], self.features[at], self.actions[at], self.rewards[at])
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+        if t not in self._stage_rows:
+            at = self.stage == t
+            out = (self.patient[at], self.features[at], self.actions[at], self.rewards[at])
+            for arr in out:
+                arr.setflags(write=False)
+            self._stage_rows[t] = out
+        return self._stage_rows[t]
 
 
 @dataclass
@@ -310,7 +314,18 @@ CSV_BLOCK_ROWS = 128  # records formatted per block: a writer holds one block's 
 def cell_texts(values: np.ndarray) -> list[str]:
     """The CSV text of each entry of the numpy array ``values``: a float's ``repr``, the shortest
     text that reads back to the same double, and an integer's or a string's ``str``. This is the
-    one rule by which an artifact's values become text."""
+    one rule by which an artifact's values become text.
+
+    An integer array that spans fewer values than it has entries, such as a block's patient or
+    stage column, is formatted once per value of its span and each entry read from that table."""
+    if values.dtype.kind in "iu" and values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < values.size - 1:
+            table = list(map(str, range(lo, hi + 1)))
+            # each entry's offset from the minimum, below 2**bits: exact as the unsigned integer
+            # of the same width, though the signed subtraction may wrap
+            offsets = (values - values.min()).view(f"u{values.dtype.itemsize}")
+            return list(map(table.__getitem__, offsets.tolist()))
     return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
 
 

@@ -257,21 +257,33 @@ class PerActionKernelQ(FittedQ):
         action_space: ActionSpace,
         n_features: int,
         bandwidth: float,
-        components: tuple,
+        components: tuple | None,
         meta: Mapping | None = None,
         *,
         stack: tuple | None = None,
     ):
         super().__init__(action_space, n_features)
         self.bandwidth = float(bandwidth)
-        # components[k] is ("kernel", inputs, weights, mean) or ("constant", value)
-        self.components = tuple(components)
         self.meta = MappingProxyType(dict(meta or {}))
         # (KernelStack, row): the fit's stacked arrays and this model's row of them (kernel_models),
-        # or by default a stack of this model alone
+        # or by default a stack of this model alone, made from its components
+        self._components = None if components is None else tuple(components)
         self.stack = stack or (KernelStack(self.bandwidth, [
             np.array([comp[1]]) if comp[0] == "constant"
-            else (comp[1], np.asarray(comp[2])[None], np.array([comp[3]])) for comp in self.components]), 0)
+            else (comp[1], np.asarray(comp[2])[None], np.array([comp[3]])) for comp in self._components]), 0)
+
+    @property
+    def components(self) -> tuple:
+        """Per action k, ``("kernel", inputs, weights, mean)`` or ``("constant", value)``. A fitted
+        model's are made on first read from its row of the stack: the inputs and its weights are
+        views of the stack's arrays, shared with the fit's other models."""
+        if self._components is None:
+            stack, j = self.stack
+            self._components = tuple(
+                ("constant", float(stack.constants[k][j, 0])) if k in stack.constants
+                else ("kernel", stack.kernels[k][0], stack.kernels[k][1][j], float(stack.kernels[k][2][j, 0]))
+                for k in range(stack.n_actions))
+        return self._components
 
     def predict_matrix(self, features, action_index):
         x = self._check_features(features)
@@ -385,12 +397,14 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
         xa = x[mask]
         gram = _rbf(xa, xa, bandwidth)
         if spec.ridge > 0:
-            gram = gram + spec.ridge * np.eye(gram.shape[0])
+            # in place, bitwise ``gram + ridge * eye``: the diagonal is 1.0 and no entry is -0.0
+            gram.flat[:: len(xa) + 1] += spec.ridge
         low = _factor_spd(gram, f"kernel fit for action {k}")
         xa.setflags(write=False)
-        block = cols[:, mask]
-        # per contiguous row, bitwise ``row.mean()``: a 2-d reduction may sum in another order
-        means = np.array([float(np.add.reduce(row) / row.size) for row in block])
+        # contiguous rows, each summed pairwise as ``row.mean()`` sums it; over the strided block
+        # the reduction would run down the columns, adding each row's entries in sequence
+        block = np.ascontiguousarray(cols[:, mask])
+        means = np.add.reduce(block, axis=1) / block.shape[1]
         weights = _solve_columns(low, block - means[:, None])
         weights.setflags(write=False)
         actions.append((xa, weights, means))
@@ -401,16 +415,12 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
 def kernel_models(action_space: ActionSpace, n_features: int, bandwidth: float, actions: list,
                   meta: Mapping | None = None) -> tuple[PerActionKernelQ, ...]:
     """The m per-action kernel models of one :class:`KernelStack`, as a fit makes them. Action k is
-    ``actions[k]``: its m constants, or its kernel's (inputs, (m, C) weights, m means). Model j's
-    component k is ``("constant", value)`` or ``("kernel", inputs, weights[j], mean)``."""
+    ``actions[k]``: its m constants, or its kernel's (inputs, (m, C) weights, m means). Model j
+    holds the stack and its row j; its component k, made on first read, is ``("constant", value)``
+    or ``("kernel", inputs, weights[j], mean)``."""
     stack = KernelStack(float(bandwidth), actions)
-    return tuple(
-        PerActionKernelQ(action_space, n_features, bandwidth, tuple(
-            ("constant", float(stack.constants[k][j, 0])) if k in stack.constants
-            else ("kernel", stack.kernels[k][0], stack.kernels[k][1][j], float(stack.kernels[k][2][j, 0]))
-            for k in range(stack.n_actions)), meta, stack=(stack, j))
-        for j in range(stack.n_models)
-    )
+    return tuple(PerActionKernelQ(action_space, n_features, bandwidth, None, meta, stack=(stack, j))
+                 for j in range(stack.n_models))
 
 
 _UNIT = 2.0**-53  # unit roundoff of float64

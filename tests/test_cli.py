@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import stat
 import tempfile
 from pathlib import Path
 
@@ -408,6 +409,24 @@ def test_reused_out_holds_only_the_second_runs_files(tmp_path):
     ])
     assert "seed=4" in (out / "run.meta").read_text().splitlines()
     assert list(tmp_path.iterdir()) == [out]
+
+
+def test_siblings_left_by_a_killed_run_with_this_pid_do_not_block_the_next(tmp_path):
+    # a killed run whose pid this process now holds left both of its staging siblings behind
+    out = tmp_path / "run"
+    stale = [out.with_name(f"run.{kind}-{os.getpid()}") for kind in ("partial", "old")]
+    for path in stale:
+        path.mkdir()
+        (path / "trajectories.csv").write_text("left behind\n")
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for seed in ("3", "4"):  # the second run also moves the first one's out aside
+        assert _run(*CANCER_SMALL, "--seed", seed, "--epsilon", "0.1", "--out", str(out)) == 0
+        assert "seed=" + seed in (out / "run.meta").read_text().splitlines()
+        # out has the mode mkdir gives a directory, not mkdtemp's 0700
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == sorted([out, plain, *stale])
+    assert all((path / "trajectories.csv").read_text() == "left behind\n" for path in stale)
 
 
 @pytest.mark.parametrize("failing, message", [

@@ -106,6 +106,22 @@ def test_records_round_trip_through_the_patients_view():
         assert not any(arr.flags.writeable for arr in got)
 
 
+def test_repeated_stage_rows_calls_return_the_masked_rows_read_only():
+    ds = simulate_cancer_cohort(CancerParams(), "uniform-random", 200, seed=43).dataset
+    first = {t: ds.stage_rows(t) for t in reversed(range(ds.horizon + 1))}
+    for t in range(ds.horizon + 1):
+        at = ds.stage == t
+        for _ in range(2):
+            got = ds.stage_rows(t)
+            assert all(arr is kept for arr, kept in zip(got, first[t], strict=True))
+            for arr, whole in zip(got, (ds.patient, ds.features, ds.actions, ds.rewards)):
+                assert arr.dtype == whole.dtype and arr.shape == whole[at].shape
+                assert arr.tobytes() == whole[at].tobytes()
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+
+
 def test_validate_degenerate_action_support_still_fits():
     ds = make_dataset([[((0.0,), 1, 1.0)], [((1.0,), 1, 2.0)]], horizon=0)
     report = validate(ds)

@@ -273,6 +273,74 @@ def test_fit_columns_kernel_models_share_inputs_per_action():
         assert all(model.components[k][1] is inputs for model in models)
 
 
+def _wide_columns(seed=12, n=700, m=5):
+    """Two observed actions of about 350 rows each, a third never observed, and targets of mixed
+    magnitudes: a sum of one action's targets in sequence differs from the pairwise sum."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    a = rng.integers(0, 2, size=n)
+    y = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=(n, m))
+    return x, a, y, ActionSpace((0.0, 0.5, 1.0))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_fitted_components_are_views_of_the_stack_row_and_equal_a_rebuilt_models():
+    x, a, y, space = _wide_columns()
+    models = fit_columns(DesignSpec.per_action_kernel(ridge=0.3), x, a, y, space)
+    stack = models[0].stack[0]
+    for j, model in enumerate(models):
+        assert model.stack == (stack, j)
+        comps = model.components
+        assert model.components is comps  # made on first read, then kept
+        with pytest.raises(AttributeError):
+            model.components = comps
+        assert comps[2] == ("constant", float(stack.constants[2][j, 0]))
+        for k in (0, 1):
+            inputs, weights, means, _ = stack.kernels[k]
+            kind, comp_inputs, comp_weights, comp_mean = comps[k]
+            assert kind == "kernel" and comp_inputs is inputs is models[-1].components[k][1]
+            assert np.shares_memory(comp_weights, weights) and not comp_weights.flags.writeable
+            assert _bits(comp_weights) == _bits(weights[j]) and _bits(comp_mean) == _bits(means[j])
+        # a model rebuilt from the components, with a stack of its own, is the same model
+        rebuilt = PerActionKernelQ(space, model.n_features, model.bandwidth, comps, model.meta)
+        for k, (inputs, weights, means, augmented) in rebuilt.stack[0].kernels.items():
+            want = stack.kernels[k]
+            assert _bits(weights) == _bits(want[1][j]) and _bits(means) == _bits(want[2][j])
+            assert _bits(augmented) == _bits(want[3])
+        assert rebuilt.to_dict() == model.to_dict() == model_from_dict(model.to_dict()).to_dict()
+        got, want = best_over_actions([model], x), best_over_actions([rebuilt], x)
+        assert _bits(got[0]) == _bits(want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_kernel_means_are_each_rows_pairwise_mean_over_a_strided_block():
+    x, a, y, space = _wide_columns()
+    cols = np.ascontiguousarray(y.T)
+    models = fit_columns(DesignSpec.per_action_kernel(ridge=0.3), x, a, y, space)
+    for k in (0, 1):
+        block = cols[:, a == k]
+        assert not block.flags.c_contiguous  # as the fit gathers it
+        want = [float(np.add.reduce(row) / row.size) for row in block]
+        assert _bits([model.components[k][3] for model in models]) == _bits(want)
+        # the data tells the two orders apart: summed in sequence, some row's mean differs
+        assert any(sum(row.tolist()) / row.size != mean for row, mean in zip(block, want))
+
+
+def test_kernel_weights_equal_the_reference_solve_bitwise():
+    x, a, y, space = _wide_columns()
+    cols = np.ascontiguousarray(y.T)
+    bandwidth, ridge = 0.4, 0.3
+    models = fit_columns(DesignSpec.per_action_kernel(bandwidth, ridge), x, a, y, space)
+    for k in (0, 1):
+        xa, block = x[a == k], cols[:, a == k]
+        low = _factor_spd(_rbf(xa, xa, bandwidth) + ridge * np.eye(len(xa)), "reference")
+        means = np.array([float(np.add.reduce(row) / row.size) for row in block])
+        want = _solve_columns(low, block - means[:, None])
+        assert _bits(models[0].stack[0].kernels[k][1]) == _bits(want)
+
+
 def test_fit_columns_rejects_bad_target_shapes():
     x, a, y, space = _three_action_columns()
     spec = DesignSpec.per_action_kernel()

@@ -156,6 +156,30 @@ def test_every_written_float_is_its_repr(tmp_path_factory, values, last_alive):
         _assert_cohort_files(out, _cohort_holding(values, last_alive))
 
 
+@st.composite
+def integer_arrays(draw):
+    """An int8, int64 or uint64 array whose values span up to 400 integers from any start."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int64", "uint64"])))
+    info = np.iinfo(dtype)
+    lo = draw(st.integers(int(info.min), int(info.max)))
+    width = draw(st.integers(0, min(int(info.max) - lo, 400)))
+    return np.array(draw(st.lists(st.integers(lo, lo + width), max_size=300)), dtype=dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=integer_arrays())
+@example(values=np.array([], dtype=np.int64))
+@example(values=np.array([-7], dtype=np.int8))
+@example(values=np.full(5, -3, dtype=np.int64))
+@example(values=np.array([-10**18, 0, 10**18, 3], dtype=np.int64))  # wider span than length
+@example(values=np.tile(np.arange(-100, 101, dtype=np.int8), 2))  # int8 differences wrap
+@example(values=np.tile(np.arange(-128, 128, dtype=np.int8), 2))  # every int8
+@example(values=np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64))
+@example(values=np.repeat(np.arange(-5, 40), 7)[::-3])  # a strided view
+def test_integer_cells_are_the_str_of_each_value(values):
+    assert nearq.core.cell_texts(values) == list(map(str, values.tolist()))
+
+
 @pytest.mark.parametrize("n_rows", SIZES)
 def test_save_blip_csv_matches_the_whole_file_formatter_at_block_boundaries(tmp_path, n_rows):
     grid = np.random.default_rng(n_rows).normal(size=(n_rows, 3))
