@@ -15,13 +15,17 @@ Three commands:
 and their checks, and ``run.meta``: an option a command does not read exits 2.
 
 ``itr`` and ``cancer`` write into a fresh sibling of ``--out``
-(``<out>.partial-<pid>``), which replaces ``--out`` whole once every artifact
-is written and checked. A failed run therefore leaves ``--out`` as it was, and
-a successful one leaves no file of an earlier run. ``run.meta`` marks a nearq
-output directory: a run refuses, before any work, an ``--out`` that is a file
-or a non-empty directory without ``run.meta``. ``run.meta`` holds ``key=<JSON>``
-lines: every option the run read, as ``--config`` takes it, so they repeat the
-run; timings live only there so repeated runs give bitwise-identical CSVs.
+(``<out>.partial-XXXXXXXX``, named by ``tempfile.mkdtemp``), which replaces
+``--out`` whole once every artifact is written and checked; an existing
+``--out`` is first moved aside to ``<out>.old-XXXXXXXX`` and deleted after. A
+failed run therefore leaves ``--out`` as it was, and a successful one leaves no
+file of an earlier run. A process killed outright (SIGKILL) runs no cleanup,
+so it can leave those siblings behind; nothing removes them later.
+``run.meta`` marks a nearq output directory: a run refuses, before any work,
+an ``--out`` that is a file or a non-empty directory without ``run.meta``.
+``run.meta`` holds ``key=<JSON>`` lines: every option the run read, as
+``--config`` takes it, so they repeat the run; timings live only there so
+repeated runs give bitwise-identical CSVs.
 """
 
 from __future__ import annotations
@@ -274,7 +278,8 @@ def _distinct_numbers(value) -> bool:
 
 
 _NUMBER = _Kind("a number", _is_number, float, {"type": float})
-_NUMBERS = _Kind("a nonempty list of distinct numbers", _distinct_numbers, lambda v: tuple(map(float, v)),
+# + 0.0 turns a tolerance of -0.0 into 0.0, which it equals, so no file name or run.meta reads "-0.0"
+_NUMBERS = _Kind("a nonempty list of distinct numbers", _distinct_numbers, lambda v: tuple(float(x) + 0.0 for x in v),
                  {"type": float, "action": "append"})
 _PATH = _Kind("a string without NUL characters", lambda v: isinstance(v, (str, Path)) and "\0" not in str(v), Path,
               {"type": Path})

@@ -6,11 +6,10 @@ as independent per-patient streams.
 
 Greedy policies are rolled out in lockstep over decision-path classes,
 numbered across months: each stage decides every policy with a live patient in
-one screened argmax (a pair the screen leaves one candidate action takes it;
-exact predictions only where it leaves two or more) and one gather, refines
-(without sorting) and steps only the live classes, and a patient who dies stays
-in its death-month class; per class it keeps only the state, alive flag, parent
-and running reward total. Any one policy can be rolled out alone, with no
+one :func:`~nearq.regression.greedy_actions` call (bitwise each model's argmax,
+row independent) and one gather, refines (without sorting) and steps only the
+live classes, and a patient who dies stays in its death-month class; per class
+it keeps only the state, alive flag, parent and running reward total. Any one policy can be rolled out alone, with no
 classes (its decision paths never merge): each stage steps its live patients
 straight into the cohort's patient x month arrays. Both rollouts share the
 policy check (which draws nothing), the dynamics, and a cohort's initial states
@@ -371,12 +370,8 @@ def simulate_cancer_cohorts(
     :func:`~nearq.regression.greedy_actions` call per stage over the models of
     the policies with a live pair (a policy whose patients have all died is not
     asked) and every live class's state, and one gather reads each live pair's
-    action at its policy's row and its class. Models from one fit are screened
-    together with the arrays the fit stacked, one approximate kernel matrix per
-    action and row block and one gemm for all of them, within an error bound
-    that leaves each (model, class) pair its candidate actions: a lone candidate
-    is the action, and only where two or more remain are they predicted exactly.
-    Exact kernel predictions are row independent (tests pin the
+    action at its policy's row and its class. Those actions are bitwise each
+    model's ``np.argmax`` of its predictions and row independent (tests pin the
     interaction-linear ones), so each policy's states, alive flags and reward
     totals are bitwise the ones it gets alone.
     """

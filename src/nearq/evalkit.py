@@ -8,12 +8,11 @@ make the same decisions produce the same trajectories.
 Identical decisions also share computation. :func:`evaluate_policies` rolls
 out two or more greedy policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
 a state that several reach along one patient and dose history is stepped once,
-and each stage decides them in one screened argmax: models from one fit share
-one approximate kernel matrix per action, and an error bound on it decides
-every (policy, state) pair it leaves one candidate action, predicting exactly
-only where it leaves two or more; their aggregates read tumor plus toxicity
-along each policy's class paths and the reward totals at its final classes. Any other policy is aggregated from the
-cohort :func:`nearq.envs.simulate_cancer_cohort` rolls out for it alone, with no
+and each stage decides them in one :func:`nearq.regression.greedy_actions` call
+(bitwise each model's argmax, row independent); their aggregates read tumor plus
+toxicity along each policy's class paths and the reward totals at its final
+classes. Any other policy is aggregated from the cohort
+:func:`nearq.envs.simulate_cancer_cohort` rolls out for it alone, with no
 classes. Every result is bitwise the aggregate of the policy's one-policy cohort.
 """
 

@@ -108,8 +108,9 @@ def fit_chains(
 
     ``future`` is the (n_T, m) matrix of final-stage values at the stage-T
     rows. Returns ``stages[t]``, the m stage-t models; column j's stage-t
-    targets add the best value of its stage-(t+1) model, reduced over the
-    exact predictions of the actions that a screen of all of them leaves.
+    targets add the best value of its stage-(t+1) model
+    (:func:`~nearq.regression.best_over_actions`: bitwise the max of its
+    predictions, row independent).
     """
     stages: list = [None] * dataset.horizon
     for t in range(dataset.horizon - 1, -1, -1):

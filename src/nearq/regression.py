@@ -21,9 +21,9 @@ each normal-equation matrix is factorized once and all its columns are solved
 together (Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share
 each action's inputs. Every entry of a solve is one dot product of a contiguous
 row with one column's values, so column j is bitwise equal to a single-column
-fit on it. The kernel models of one fit also share one :class:`KernelStack`:
+fit on it. The kernel models of one fit are the rows of one :class:`KernelStack`:
 each action's solved (m, C) weights, means and the arrays the screen below
-multiplies, made once by the fit and owned by its models.
+multiplies, made once by the fit.
 
 Kernel predictions are row independent by construction: squared distances
 are summed elementwise and each prediction is one dot product of its kernel
@@ -250,47 +250,37 @@ class InteractionLinearQ(FittedQ):
 
 
 class PerActionKernelQ(FittedQ):
+    """Model ``row`` of a per-action kernel fit's :class:`KernelStack` (``stack``), whose action
+    space, feature count, bandwidth and ``meta`` it shares. Made by :func:`kernel_models` alone."""
+
     mode = MODE_KERNEL
 
-    def __init__(
-        self,
-        action_space: ActionSpace,
-        n_features: int,
-        bandwidth: float,
-        components: tuple | None,
-        meta: Mapping | None = None,
-        *,
-        stack: tuple | None = None,
-    ):
-        super().__init__(action_space, n_features)
-        self.bandwidth = float(bandwidth)
-        self.meta = MappingProxyType(dict(meta or {}))
-        # (KernelStack, row): the fit's stacked arrays and this model's row of them (kernel_models),
-        # or by default a stack of this model alone, made from its components
-        self._components = None if components is None else tuple(components)
-        self.stack = stack or (KernelStack(self.bandwidth, [
-            np.array([comp[1]]) if comp[0] == "constant"
-            else (comp[1], np.asarray(comp[2])[None], np.array([comp[3]])) for comp in self._components]), 0)
+    def __init__(self, stack: KernelStack, row: int):
+        super().__init__(stack.action_space, stack.n_features)
+        self.stack, self.row = stack, row
+        self.bandwidth, self.meta = stack.bandwidth, stack.meta
+        self._components = None
 
     @property
     def components(self) -> tuple:
-        """Per action k, ``("kernel", inputs, weights, mean)`` or ``("constant", value)``. A fitted
-        model's are made on first read from its row of the stack: the inputs and its weights are
-        views of the stack's arrays, shared with the fit's other models."""
+        """Per action k, ``("kernel", inputs, weights, mean)`` or ``("constant", value)``, made on
+        first read from the model's row of the stack: the inputs and its weights are views of the
+        stack's arrays, shared with the fit's other models."""
         if self._components is None:
-            stack, j = self.stack
+            stack, j = self.stack, self.row
             self._components = tuple(
                 ("constant", float(stack.constants[k][j, 0])) if k in stack.constants
                 else ("kernel", stack.kernels[k][0], stack.kernels[k][1][j], float(stack.kernels[k][2][j, 0]))
-                for k in range(stack.n_actions))
+                for k in range(self.action_space.size))
         return self._components
 
     def predict_matrix(self, features, action_index):
         x = self._check_features(features)
-        comp = self.components[self._check_action(action_index)]
-        if comp[0] == "constant":
-            return np.full(x.shape[0], comp[1], dtype=float)
-        return _kernel_predictions(x, comp[1], self.bandwidth, np.asarray(comp[2])[None], np.array([[comp[3]]]))[0]
+        k, j = self._check_action(action_index), self.row
+        if k in self.stack.constants:
+            return np.full(x.shape[0], self.stack.constants[k][j, 0])
+        inputs, weights, means, _ = self.stack.kernels[k]
+        return _kernel_predictions(x, inputs, self.bandwidth, weights[j : j + 1], means[j : j + 1])[0]
 
     def to_dict(self):
         comps = []
@@ -414,13 +404,12 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
 
 def kernel_models(action_space: ActionSpace, n_features: int, bandwidth: float, actions: list,
                   meta: Mapping | None = None) -> tuple[PerActionKernelQ, ...]:
-    """The m per-action kernel models of one :class:`KernelStack`, as a fit makes them. Action k is
-    ``actions[k]``: its m constants, or its kernel's (inputs, (m, C) weights, m means). Model j
-    holds the stack and its row j; its component k, made on first read, is ``("constant", value)``
-    or ``("kernel", inputs, weights[j], mean)``."""
-    stack = KernelStack(float(bandwidth), actions)
-    return tuple(PerActionKernelQ(action_space, n_features, bandwidth, None, meta, stack=(stack, j))
-                 for j in range(stack.n_models))
+    """The m per-action kernel models of one :class:`KernelStack`, the one way a kernel model is
+    made. Action k is ``actions[k]``: its m constants, or its kernel's (inputs, (m, C) weights, m
+    means). Model j is the stack's row j; its component k, made on first read, is
+    ``("constant", value)`` or ``("kernel", inputs, weights[j], mean)``."""
+    stack = KernelStack(action_space, n_features, bandwidth, actions, meta)
+    return tuple(PerActionKernelQ(stack, j) for j in range(stack.n_models))
 
 
 _UNIT = 2.0**-53  # unit roundoff of float64
@@ -445,16 +434,18 @@ class KernelStack:
     """The arrays the m models of one per-action kernel fit share, stacked in model order: per
     constant action the (m, 1) values; per kernel action the inputs, the (m, C) weights whose row
     j is model j's (as :func:`_solve_columns` returns them), the (m, 1) means and the augmented
-    inputs ``-b [-2a, 1, |a|^2]`` of :func:`_screen_kernel`; and the parts of
-    :func:`_screen_bound` that do not depend on the rows. A fit hands one to its models
-    (:func:`kernel_models`); a model built from its components alone makes its own, of one model.
-    It refers to no model.
+    inputs ``-b [-2a, 1, |a|^2]`` of :func:`_screen_kernel`; the parts of :func:`_screen_bound`
+    that do not depend on the rows; and the fit's action space, feature count, bandwidth and
+    ``meta`` (its mean-fallback actions). Its models are its rows (:func:`kernel_models`); it
+    refers to no model.
 
     ``actions[k]`` is action k's m constants, or its kernel's (inputs, (m, C) weights, m means).
     """
 
-    def __init__(self, bandwidth: float, actions: list):
-        self.bandwidth, self.n_actions = bandwidth, len(actions)
+    def __init__(self, action_space: ActionSpace, n_features: int, bandwidth: float, actions: list,
+                 meta: Mapping | None = None):
+        self.action_space, self.n_features, self.bandwidth = action_space, int(n_features), float(bandwidth)
+        self.meta = MappingProxyType(dict(meta or {}))
         self.n_models = len(actions[0][2] if isinstance(actions[0], tuple) else actions[0])
         self.constants, self.kernels = {}, {}
         for k, action in enumerate(actions):
@@ -507,7 +498,7 @@ def _screen_bound(stack: KernelStack, scale) -> np.ndarray:
     Hence ``|s - e| <= ||w||_1 (dK + 2 gamma_{C+1} (e^D + 1)) + 2u (|m| + 2 e^D ||w||_1)``, and
     where it is finite, so is every sum of either computation.
     """
-    d = next(iter(stack.kernels.values()))[0].shape[1]
+    d = stack.n_features
     spread = stack.bandwidth * (2 * d * np.square(1 + scale + stack.reach))  # S
     drift = _gamma(2 * d + 5) * spread  # D
     grow = np.exp(drift)
@@ -542,7 +533,7 @@ def _screened_best(stack: KernelStack, rows: list, x: np.ndarray, best: np.ndarr
     not have it as a candidate is strictly below the pair's best, so it changes nothing; a
     decided pair's best is set to inf, which none of its exact values (finite, as E is) replaces.
     """
-    n_actions, n, m = stack.n_actions, x.shape[0], len(rows)
+    n_actions, n, m = stack.action_space.size, x.shape[0], len(rows)
     every = rows == list(range(stack.n_models))  # the whole fit in order: its arrays as they are
     constants = {k: v if every else v[rows] for k, v in stack.constants.items()}
     kernels = {k: (inputs, weights if every else weights[rows], means if every else means[rows], augmented)
@@ -608,7 +599,7 @@ def _over_actions(models, features: np.ndarray, values: bool):
         raise ValueError(f"features contain non-finite values (row {int(bad_rows.argmax())})")
     groups: dict = {}  # a kernel model's fit, or the model itself
     for model in distinct:
-        groups.setdefault(model.stack[0] if isinstance(model, PerActionKernelQ) else model, []).append(model)
+        groups.setdefault(model.stack if isinstance(model, PerActionKernelQ) else model, []).append(model)
     order = [model for group in groups.values() for model in group]
     best = np.full((len(order), x.shape[0]), -np.inf)
     arg = np.zeros(best.shape, dtype=int)
@@ -617,7 +608,7 @@ def _over_actions(models, features: np.ndarray, values: bool):
         rows = slice(lo, lo + len(group))
         lo += len(group)
         if isinstance(key, KernelStack):
-            _screened_best(key, [model.stack[1] for model in group], x, best[rows], arg[rows], values)
+            _screened_best(key, [model.row for model in group], x, best[rows], arg[rows], values)
             continue
         q = key.predict_all_matrix(x)
         best[rows][0], arg[rows][0] = q.max(axis=1), q.argmax(axis=1)
@@ -634,12 +625,12 @@ def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndar
     ``np.argmax`` (lowest index on exact ties, the first NaN where there is one). A feature row
     with a non-finite value raises ``ValueError`` naming the row. A model listed more than once
     is evaluated once. Kernel models of one :class:`KernelStack` (the models of one
-    ``fit_columns`` call; a model built from its components has its own) form one group,
-    screened block by block with the stack's arrays (:func:`_screened_best`): each action is
-    predicted exactly only at the rows where it can be some model's best. Any other model is a
-    group of its own; an interaction-linear one is reduced as its reference is, ``max`` and
-    ``argmax`` of ``predict_all_matrix``. :func:`greedy_actions` gives the actions alone, with
-    fewer exact predictions.
+    ``fit_columns`` call; a loaded model has its own) form one group, screened block by block
+    with the stack's arrays (:func:`_screened_best`): each action is predicted exactly only at
+    the rows where it can be some model's best. Any other model is a group of its own; an
+    interaction-linear one is reduced as its reference is, ``max`` and ``argmax`` of
+    ``predict_all_matrix``. :func:`greedy_actions` gives the actions alone, with fewer exact
+    predictions.
     """
     best, arg, pick = _over_actions(models, features, values=True)
     return (best, arg) if pick is None else (best[pick], arg[pick])
@@ -698,22 +689,22 @@ def model_from_dict(payload: Mapping) -> FittedQ:
         listed = payload.get("components")
         if not isinstance(listed, (list, tuple)) or len(listed) != space.size:
             raise ValueError(f"model: 'components' must list one component per action ({space.size})")
-        comps = []
+        actions = []  # as kernel_models takes them, of one model
         for k, comp in enumerate(listed):
             where = f"model component {k}"
             kind = comp.get("kind") if isinstance(comp, Mapping) else None
             if kind == "constant":
-                comps.append(("constant", float(_loaded(comp, "value", (), where))))
+                actions.append(_loaded(comp, "value", (), where)[None])
             elif kind == "kernel":
                 inputs = _loaded(comp, "inputs", (None, d), where)
                 weights = _loaded(comp, "weights", (len(inputs),), where)
-                comps.append(("kernel", inputs, weights, float(_loaded(comp, "mean", (), where))))
+                actions.append((inputs, weights[None], _loaded(comp, "mean", (), where)[None]))
             else:
                 raise ValueError(f"{where}: unknown 'kind' {kind!r}")
         meta = payload.get("meta", {})
         if not isinstance(meta, Mapping):
             raise ValueError(f"model: 'meta' must be a JSON object, got {type(meta).__name__}")
-        return PerActionKernelQ(space, d, bandwidth, tuple(comps), meta)
+        return kernel_models(space, d, bandwidth, actions, meta)[0]
     raise ValueError(f"unknown model mode {payload.get('mode')!r}")
 
 

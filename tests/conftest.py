@@ -3,7 +3,7 @@ import pytest
 
 from nearq.core import ActionSpace, OfflineDataset, PatientTrajectory, StageRecord
 from nearq.qlearn import GreedyPolicy, stage_targets
-from nearq.regression import FittedQ, PerActionKernelQ, best_over_actions
+from nearq.regression import FittedQ, best_over_actions, kernel_models
 
 
 class TableQ(FittedQ):
@@ -31,12 +31,20 @@ def classical_targets(dataset, t, next_model):
     return stage_targets(dataset, t, best_over_actions([next_model], feats_next)[0].T)[:, 0]
 
 
+def kernel_model(space: ActionSpace, n_features: int, bandwidth: float, comps, meta=None):
+    """The per-action kernel model of ``comps``, per action ``("constant", value)`` or
+    ``("kernel", inputs, weights, mean)``: the one row of a stack of its own, as a loaded model is."""
+    actions = [np.array([comp[1]]) if comp[0] == "constant"
+               else (comp[1], np.asarray(comp[2])[None], np.array([comp[3]])) for comp in comps]
+    return kernel_models(space, n_features, bandwidth, actions, meta)[0]
+
+
 def dose_schedule_policy(space: ActionSpace, doses) -> GreedyPolicy:
     """A greedy stand-in for a dose schedule: it gives ``doses[t]`` at stage t. Each stage's model
     is a per-action kernel model whose components are all constants, the wanted dose's the highest."""
     def model(dose):
         want = space.index_of(dose)
-        return PerActionKernelQ(space, 2, 1.0, tuple(("constant", float(k == want)) for k in range(space.size)))
+        return kernel_model(space, 2, 1.0, [("constant", float(k == want)) for k in range(space.size)])
 
     return GreedyPolicy(tuple(model(dose) for dose in doses))
 

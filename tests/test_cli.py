@@ -141,6 +141,22 @@ def test_config_file_with_cli_override(tmp_path):
     assert load_csv(out / "train.csv").n_patients == 70
 
 
+@pytest.mark.parametrize("command,names", [
+    ("itr", ["band_stats_eps0.0.csv"]),
+    ("cancer", ["curves_eps0.0.csv", "band_eps0.0.csv", "admissible_eps0.0.csv"]),
+])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_a_tolerance_of_negative_zero_is_written_as_zero(tmp_path, command, names, via):
+    # -0.0 equals 0.0 and every negative tolerance is refused, so no artifact reads as one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilons": [-0.0]}))
+    given = ["--epsilon", "-0.0"] if via == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "run"
+    assert _run(command, *given, "--n-train", "40", "--n-test", "20", "--out", str(out)) == 0
+    assert sorted(path.name for path in out.glob("*_eps*")) == sorted(names)
+    assert "epsilons=[0.0]" in (out / "run.meta").read_text().splitlines()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"volume": 11}))

@@ -8,7 +8,6 @@ from nearq.core import ActionSpace
 from nearq.regression import (
     DesignSpec,
     InteractionLinearQ,
-    PerActionKernelQ,
     RankDeficientError,
     fit,
     fit_columns,
@@ -24,7 +23,7 @@ from nearq.regression import (
     save_model,
 )
 
-from conftest import two_actions
+from conftest import kernel_model, two_actions
 
 TRUE_COEF = np.zeros(22)
 TRUE_COEF[0] = 1.0          # intercept
@@ -290,9 +289,9 @@ def _bits(values) -> bytes:
 def test_fitted_components_are_views_of_the_stack_row_and_equal_a_rebuilt_models():
     x, a, y, space = _wide_columns()
     models = fit_columns(DesignSpec.per_action_kernel(ridge=0.3), x, a, y, space)
-    stack = models[0].stack[0]
+    stack = models[0].stack
     for j, model in enumerate(models):
-        assert model.stack == (stack, j)
+        assert model.stack is stack and model.row == j
         comps = model.components
         assert model.components is comps  # made on first read, then kept
         with pytest.raises(AttributeError):
@@ -305,14 +304,48 @@ def test_fitted_components_are_views_of_the_stack_row_and_equal_a_rebuilt_models
             assert np.shares_memory(comp_weights, weights) and not comp_weights.flags.writeable
             assert _bits(comp_weights) == _bits(weights[j]) and _bits(comp_mean) == _bits(means[j])
         # a model rebuilt from the components, with a stack of its own, is the same model
-        rebuilt = PerActionKernelQ(space, model.n_features, model.bandwidth, comps, model.meta)
-        for k, (inputs, weights, means, augmented) in rebuilt.stack[0].kernels.items():
+        rebuilt = kernel_model(space, model.n_features, model.bandwidth, comps, model.meta)
+        for k, (inputs, weights, means, augmented) in rebuilt.stack.kernels.items():
             want = stack.kernels[k]
             assert _bits(weights) == _bits(want[1][j]) and _bits(means) == _bits(want[2][j])
             assert _bits(augmented) == _bits(want[3])
         assert rebuilt.to_dict() == model.to_dict() == model_from_dict(model.to_dict()).to_dict()
         got, want = best_over_actions([model], x), best_over_actions([rebuilt], x)
         assert _bits(got[0]) == _bits(want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_columns=st.integers(1, 4), n_observed=st.integers(1, 4),
+       unobserved=st.integers(0, 4), ridge=st.sampled_from([1e-3, 0.3, 2.0]),
+       bandwidth=st.sampled_from([None, 0.05, 0.7, 4.0]))
+def test_a_loaded_kernel_model_predicts_the_bits_of_its_fitted_row_property(seed, n_columns, n_observed, unobserved,
+                                                                             ridge, bandwidth):
+    # a fitted model is row j of its fit's stack, a loaded one the one row of a stack of its own:
+    # the same values and actions alone, and in one call that screens several stacks at once
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_observed, 80))
+    skip = unobserved % (n_observed + 1)  # the unobserved action: a constant fallback
+    a = rng.permutation(np.arange(n) % n_observed)
+    a += a >= skip
+    x, y = rng.normal(size=(n, 2)), rng.normal(size=(n, n_columns))
+    space = ActionSpace(tuple(float(k) for k in range(n_observed + 1)))
+    fitted = fit_columns(DesignSpec.per_action_kernel(bandwidth, ridge), x, a, y, space)
+    loaded = [model_from_dict(model.to_dict()) for model in fitted]
+    assert fitted[0].meta["mean_fallback_actions"] == (skip,)
+    probe = rng.normal(size=(int(rng.integers(1, 300)), 2))
+    for got, want in zip(loaded, fitted):
+        assert got.stack is not want.stack and got.row == 0
+        assert _bits(got.predict_all_matrix(probe)) == _bits(want.predict_all_matrix(probe))
+        (got_values, got_actions), (want_values, want_actions) = (best_over_actions([m], probe) for m in (got, want))
+        assert _bits(got_values) == _bits(want_values) and np.array_equal(got_actions, want_actions)
+        assert np.array_equal(greedy_actions([got], probe), want_actions)
+    mixed = [model for pair in zip(fitted, loaded) for model in pair]
+    values, actions = best_over_actions(mixed, probe)
+    q = [model.predict_all_matrix(probe) for model in fitted]
+    assert _bits(values[0::2]) == _bits(values[1::2]) == _bits([qa.max(axis=1) for qa in q])
+    assert np.array_equal(actions[0::2], actions[1::2])
+    assert np.array_equal(actions[0::2], [np.argmax(qa, axis=1) for qa in q])
+    assert np.array_equal(greedy_actions(mixed, probe), actions)
 
 
 def test_kernel_means_are_each_rows_pairwise_mean_over_a_strided_block():
@@ -338,7 +371,7 @@ def test_kernel_weights_equal_the_reference_solve_bitwise():
         low = _factor_spd(_rbf(xa, xa, bandwidth) + ridge * np.eye(len(xa)), "reference")
         means = np.array([float(np.add.reduce(row) / row.size) for row in block])
         want = _solve_columns(low, block - means[:, None])
-        assert _bits(models[0].stack[0].kernels[k][1]) == _bits(want)
+        assert _bits(models[0].stack.kernels[k][1]) == _bits(want)
 
 
 def test_fit_columns_rejects_bad_target_shapes():
@@ -393,7 +426,7 @@ def test_argmax_over_actions_matches_greedy_argmax(mode):
     want = np.stack([np.argmax(model.predict_all_matrix(probe), axis=1) for model in models])
     assert np.array_equal(got, want)
     # exact ties go to the lowest index, as in np.argmax
-    tied = PerActionKernelQ(space, 2, 1.0, (("constant", 1.0),) * space.size)
+    tied = kernel_model(space, 2, 1.0, (("constant", 1.0),) * space.size)
     assert best_over_actions([tied], probe)[1].tolist() == [[0] * 15]
 
 
@@ -493,7 +526,7 @@ def _near_tie_group(case, n_models, seed=5):
         else:  # a constant fallback equal to a kernel value: zero weights leave the bare mean
             tied = [("constant", mean), ("kernel", twin, np.zeros(45), mean)]
         comps = (low, *tied, ("kernel", inputs[2], rng.normal(size=20), -1e3))
-        models.append(PerActionKernelQ(ActionSpace((0.0, 0.3, 0.6, 0.9)), 2, 0.7, comps))
+        models.append(kernel_model(ActionSpace((0.0, 0.3, 0.6, 0.9)), 2, 0.7, comps))
     return _one_fit(models)
 
 
@@ -603,7 +636,7 @@ def test_best_over_actions_keeps_a_nan_value_as_max_and_argmax_do():
     comps = [list(model.components) for model in models]
     comps[0][2] = ("constant", np.nan)
     comps[1][1] = (*comps[1][1][:3], np.nan)
-    nan = [PerActionKernelQ(m.action_space, 2, m.bandwidth, tuple(c)) for m, c in zip(models, comps)]
+    nan = [kernel_model(m.action_space, 2, m.bandwidth, c) for m, c in zip(models, comps)]
     nan = nan[:1] + list(_one_fit(nan[1:]))  # models 1 and 2 screened together
     x = np.random.default_rng(4).uniform(0.0, 3.0, size=(300, 2))
     values, actions = best_over_actions(nan, x)
