@@ -277,8 +277,8 @@ def _distinct_numbers(value) -> bool:
     return _list_of(_is_number)(value) and len(value) > 0 and len(set(value)) == len(value)
 
 
-_NUMBER = _Kind("a number", _is_number, float, {"type": float})
-# + 0.0 turns a tolerance of -0.0 into 0.0, which it equals, so no file name or run.meta reads "-0.0"
+# + 0.0 turns a value of -0.0 into 0.0, which it equals, so no file name or run.meta reads "-0.0"
+_NUMBER = _Kind("a number", _is_number, lambda v: float(v) + 0.0, {"type": float})
 _NUMBERS = _Kind("a nonempty list of distinct numbers", _distinct_numbers, lambda v: tuple(float(x) + 0.0 for x in v),
                  {"type": float, "action": "append"})
 _PATH = _Kind("a string without NUL characters", lambda v: isinstance(v, (str, Path)) and "\0" not in str(v), Path,

@@ -33,6 +33,9 @@ class SchemaError(ValueError):
         self.row = row
 
 
+GRID_TOL = 1e-9  # how far a value may lie from the action label ActionSpace.index_of resolves it to
+
+
 @dataclass(frozen=True)
 class ActionSpace:
     """Finite ordered set of action labels (doses or numeric codes).
@@ -60,11 +63,11 @@ class ActionSpace:
     def label(self, index: int) -> float:
         return self.values[index]
 
-    def index_of(self, value: float, tol: float = 1e-9) -> int:
-        """Index of the label closest to ``value`` within ``tol``, the lowest one on an exact tie."""
+    def index_of(self, value: float) -> int:
+        """Index of the label closest to ``value`` within ``GRID_TOL``, the lowest one on an exact tie."""
         gaps = [abs(v - float(value)) for v in self.values]
         k = min(range(len(gaps)), key=gaps.__getitem__)
-        if gaps[k] <= tol:
+        if gaps[k] <= GRID_TOL:
             return k
         raise ValueError(f"action value {value!r} is not on the grid {self.values}")
 

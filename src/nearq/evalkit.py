@@ -5,15 +5,13 @@ data. Within one comparison run all policies see identical initial states and
 identical monthly survival draws (common random numbers), so two policies that
 make the same decisions produce the same trajectories.
 
-Identical decisions also share computation. :func:`evaluate_policies` rolls
-out two or more greedy policies together (:func:`nearq.envs.simulate_cancer_cohorts`):
+Policies are routed by kind. :func:`evaluate_policies` rolls out every greedy
+policy, a lone one too, in one lockstep (:func:`nearq.envs.simulate_cancer_cohorts`):
 a state that several reach along one patient and dose history is stepped once,
 and each stage decides them in one :func:`nearq.regression.greedy_actions` call
-(bitwise each model's argmax, row independent); their aggregates read tumor plus
-toxicity along each policy's class paths and the reward totals at its final
-classes. Any other policy is aggregated from the cohort
-:func:`nearq.envs.simulate_cancer_cohort` rolls out for it alone, with no
-classes. Every result is bitwise the aggregate of the policy's one-policy cohort.
+(bitwise each model's argmax, row independent). Any other policy is aggregated
+from the cohort :func:`nearq.envs.simulate_cancer_cohort` rolls out for it alone.
+Every result is bitwise the aggregate of the policy's one-policy cohort.
 """
 
 from __future__ import annotations
@@ -77,10 +75,9 @@ def evaluate_policy(
 def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, labels) -> list[EvalResult]:
     """One fresh cohort rolled out under every policy; one result per policy, in the given order.
 
-    Two or more :class:`~nearq.qlearn.GreedyPolicy` policies share one lockstep
-    rollout; every other policy is rolled out alone, into the cohort
-    :func:`~nearq.envs.simulate_cancer_cohort` builds, which is let go of once
-    its tumor plus toxicity paths and reward totals are read. The streams are
+    Policies are routed by kind alone: every :class:`~nearq.qlearn.GreedyPolicy`
+    shares one lockstep rollout, and every other policy is rolled out alone, into
+    the cohort :func:`~nearq.envs.simulate_cancer_cohort` builds. The streams are
     keyed by the seed alone, so every policy evaluated with a seed gets the same
     initial states and survival draws, and each result equals the policy's
     one-policy evaluation bit for bit. Labels must be unique, one per policy.
@@ -97,8 +94,6 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
     for policy, label in zip(policies, labels):  # a bad policy is refused, named, before any rollout
         check_policy(params, policy, label)
     greedy = [j for j, policy in enumerate(policies) if isinstance(policy, GreedyPolicy)]
-    if len(greedy) < 2:  # one policy's decision paths never merge: a lone greedy policy shares nothing
-        greedy = []
     results = {}
     if greedy:
         together = _evaluate_lockstep(params, [policies[j] for j in greedy], n_test, seed, [labels[j] for j in greedy])

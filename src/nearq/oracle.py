@@ -32,13 +32,13 @@ TRANSITIONS = (
 )
 
 
-def state_features(s: int, n_states: int = N_STATES) -> tuple[float, ...]:
+def state_features(s: int) -> tuple[float, ...]:
     """Drop-first indicator coding; state 0 maps to the all-zero vector."""
-    return tuple(1.0 if s == j else 0.0 for j in range(1, n_states))
+    return tuple(1.0 if s == j else 0.0 for j in range(1, N_STATES))
 
 
-def _decode_state(features, n_states: int = N_STATES) -> int:
-    for j in range(1, n_states):
+def _decode_state(features) -> int:
+    for j in range(1, N_STATES):
         if features[j - 1] == 1.0:
             return j
     return 0
@@ -64,20 +64,20 @@ def build_fixture_dataset() -> OfflineDataset:
 
 @dataclass(frozen=True)
 class DpTables:
-    """Reference value tables, shape (n_states, n_actions) per stage."""
+    """Reference value tables, shape (N_STATES, n_actions) per stage."""
 
     q0: np.ndarray
     q1: np.ndarray
 
 
-def dp_oracle(dataset: OfflineDataset, n_states: int = N_STATES) -> DpTables:
+def dp_oracle(dataset: OfflineDataset) -> DpTables:
     """Backward value tables by direct counting, no regression involved."""
     n_actions = dataset.action_spaces[0].size
-    sums1 = np.zeros((n_states, n_actions))
-    counts1 = np.zeros((n_states, n_actions))
+    sums1 = np.zeros((N_STATES, n_actions))
+    counts1 = np.zeros((N_STATES, n_actions))
     for p in dataset.patients:
         rec = p.stages[1]
-        s = _decode_state(rec.covariates, n_states)
+        s = _decode_state(rec.covariates)
         sums1[s, rec.action_index] += rec.reward
         counts1[s, rec.action_index] += 1
     if (counts1 == 0).any():
@@ -85,12 +85,12 @@ def dp_oracle(dataset: OfflineDataset, n_states: int = N_STATES) -> DpTables:
     q1 = sums1 / counts1
     v1 = q1.max(axis=1)
 
-    sums0 = np.zeros((n_states, n_actions))
-    counts0 = np.zeros((n_states, n_actions))
+    sums0 = np.zeros((N_STATES, n_actions))
+    counts0 = np.zeros((N_STATES, n_actions))
     for p in dataset.patients:
         rec0 = p.stages[0]
-        s0 = _decode_state(rec0.covariates, n_states)
-        s1 = _decode_state(p.stages[1].covariates, n_states)
+        s0 = _decode_state(rec0.covariates)
+        s1 = _decode_state(p.stages[1].covariates)
         sums0[s0, rec0.action_index] += rec0.reward + v1[s1]
         counts0[s0, rec0.action_index] += 1
     if (counts0 == 0).any():
@@ -99,11 +99,11 @@ def dp_oracle(dataset: OfflineDataset, n_states: int = N_STATES) -> DpTables:
     return DpTables(q0=q0, q1=q1)
 
 
-def max_discrepancy(stack: QStack, tables: DpTables, n_states: int = N_STATES) -> float:
+def max_discrepancy(stack: QStack, tables: DpTables) -> float:
     """Largest |fitted value - reference value| over all (state, action, stage)."""
     worst = 0.0
-    for s in range(n_states):
-        feats = np.array(state_features(s, n_states))
+    for s in range(N_STATES):
+        feats = np.array(state_features(s))
         for a in range(stack.action_spaces[0].size):
             worst = max(worst, abs(stack.models[0].predict(feats, a) - tables.q0[s, a]))
             worst = max(worst, abs(stack.models[1].predict(feats, a) - tables.q1[s, a]))

@@ -34,17 +34,17 @@ bits with the batch's size and the row's position. They are model independent
 for the same reason: a model's row of a stacked call is one dot product with
 that model's weights, so it equals that model's call alone.
 
-:func:`best_over_actions` needs each model's best value and greedy action at
-each row, and :func:`greedy_actions` the action alone. Both screen the models
-of one stack together before predicting: a BLAS gemm over every action gives
-approximate values, and a rigorous error bound on them (:func:`_screen_bound`)
-leaves each (model, row) pair only the candidate actions that can be its best.
-For values, each action is predicted exactly, as above, for every model of the
-stack at the rows where some pair has it as a candidate, and the exact values
-are reduced in action order. For actions alone, a pair with one candidate takes
-it, and only the rows of the pairs with two or more are predicted. The screened
-values pick which exact predictions are computed and never reach a result, so
-every value and action is bitwise the one predicting every action gives.
+:func:`best_over_actions` gives each listed model's best value and greedy action
+at each row, and :func:`greedy_actions` the action alone. Each reduces the
+:class:`KernelStack` of the listed kernel models once and whole, and each listed
+model takes its row. The stack is screened before anything is predicted: a BLAS
+gemm over every action gives approximate values, and a rigorous error bound on
+them (:func:`_screen_bound`) leaves each (model, row) pair only the candidate
+actions that can be its best. Only those are predicted exactly, as above, and
+reduced in action order; for actions alone, a pair with one candidate takes it.
+The screened values pick which exact predictions are computed and never reach a
+result, so every value and action is bitwise the one predicting every action
+gives.
 """
 
 from __future__ import annotations
@@ -507,11 +507,10 @@ def _screen_bound(stack: KernelStack, scale) -> np.ndarray:
     return bound.max(axis=0)
 
 
-def _screened_best(stack: KernelStack, rows: list, x: np.ndarray, best: np.ndarray, arg: np.ndarray,
-                   values: bool = True) -> None:
-    """Fill ``best`` and ``arg``, (len(rows), n), for the models ``rows`` of ``stack``: bitwise the
-    best value and greedy action that reducing every action's exact prediction gives. Without
-    ``values``, ``arg`` alone is that, and ``best`` is scratch.
+def _screened_best(stack: KernelStack, x: np.ndarray, values: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(best, arg), both (m, n): per model of ``stack`` and row of ``x``, bitwise the best value and
+    greedy action that reducing every action's exact prediction gives. Without ``values``, ``arg``
+    alone is that, and ``best`` is scratch.
 
     A floating-point filter (Shewchuk, Adaptive Precision Floating-Point Arithmetic and Fast
     Robust Geometric Predicates, 1997). Each block of rows is screened: per kernel action, one
@@ -533,33 +532,28 @@ def _screened_best(stack: KernelStack, rows: list, x: np.ndarray, best: np.ndarr
     not have it as a candidate is strictly below the pair's best, so it changes nothing; a
     decided pair's best is set to inf, which none of its exact values (finite, as E is) replaces.
     """
-    n_actions, n, m = stack.action_space.size, x.shape[0], len(rows)
-    every = rows == list(range(stack.n_models))  # the whole fit in order: its arrays as they are
-    constants = {k: v if every else v[rows] for k, v in stack.constants.items()}
-    kernels = {k: (inputs, weights if every else weights[rows], means if every else means[rows], augmented)
-               for k, (inputs, weights, means, augmented) in stack.kernels.items()}
+    n_actions, n, m = stack.action_space.size, x.shape[0], stack.n_models
+    best, arg = np.full((m, n), -np.inf), np.zeros((m, n), dtype=int)
     tally = np.array([np.ones(n_actions), np.arange(n_actions)])  # a pair's candidate count and index sum
     rows_need = np.zeros((n_actions, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes E non-finite
         width = np.zeros((m, 1))  # 2E
-        if kernels:
-            width[:, 0] = 2 * _SLACK * _screen_bound(stack, np.abs(x).max(initial=0.0))[rows]
+        if stack.kernels:
+            width[:, 0] = 2 * _SLACK * _screen_bound(stack, np.abs(x).max(initial=0.0))
         for lo in range(0, n, _ROW_BLOCK):
             xb = x[lo : lo + _ROW_BLOCK]
             block = slice(lo, lo + len(xb))
             augmented_rows = np.column_stack([xb, (xb * xb).sum(axis=1), np.ones(len(xb))])
             screens = np.empty((n_actions, m, len(xb)))
-            for k, constant in constants.items():
+            for k, constant in stack.constants.items():
                 screens[k] = constant
-            for k, (_, weights, means, augmented) in kernels.items():
+            for k, (_, weights, means, augmented) in stack.kernels.items():
                 np.matmul(weights, _screen_kernel(augmented_rows, augmented).T, out=screens[k])
                 screens[k] += means
             floor = screens.max(axis=0)
             floor -= width
             need = screens >= floor
-            unsure = ~np.isfinite(floor)
-            if unsure.any():
-                need[:, unsure] = True
+            need[:, ~np.isfinite(floor)] = True
             if not values:
                 np.copyto(screens, need)  # the candidates as 0 and 1, in place: the gemm casts nothing
                 count, index = (tally @ screens.reshape(n_actions, -1)).reshape(2, m, len(xb))
@@ -573,10 +567,10 @@ def _screened_best(stack: KernelStack, rows: list, x: np.ndarray, best: np.ndarr
         at = np.flatnonzero(rows_need[k])
         if not at.size:
             continue
-        if k in constants:
-            exact = np.broadcast_to(constants[k], (m, len(at)))
+        if k in stack.constants:
+            exact = np.broadcast_to(stack.constants[k], (m, len(at)))
         else:
-            inputs, weights, means, _ = kernels[k]
+            inputs, weights, means, _ = stack.kernels[k]
             exact = _kernel_predictions(x[at], inputs, stack.bandwidth, weights, means)
         sub, sub_arg = best[:, at], arg[:, at]
         # strict >, as np.argmax reduces; a NaN, which np.max and np.argmax keep from its first
@@ -585,36 +579,32 @@ def _screened_best(stack: KernelStack, rows: list, x: np.ndarray, best: np.ndarr
         np.copyto(sub, exact, where=better)
         np.copyto(sub_arg, k, where=better)
         best[:, at], arg[:, at] = sub, sub_arg
+    return best, arg
 
 
-def _over_actions(models, features: np.ndarray, values: bool):
-    """(best, arg, pick) for :func:`best_over_actions` and :func:`greedy_actions`: rows of each
-    distinct model, grouped, and the row of each listed model (``None``: the rows in order)."""
-    distinct = list({id(model): model for model in models}.values())
-    for model in distinct:
+def _over_actions(models, features: np.ndarray, values: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(best, arg) for :func:`best_over_actions` and :func:`greedy_actions`: each kernel model's
+    stack, or other model, reduced once, whole, and row j gathered from ``models[j]``'s row."""
+    for model in models:
         model._check_features(features)
     x = np.asarray(features, dtype=float)
     bad_rows = ~np.isfinite(x).all(axis=1)
     if bad_rows.any():
         raise ValueError(f"features contain non-finite values (row {int(bad_rows.argmax())})")
-    groups: dict = {}  # a kernel model's fit, or the model itself
-    for model in distinct:
-        groups.setdefault(model.stack if isinstance(model, PerActionKernelQ) else model, []).append(model)
-    order = [model for group in groups.values() for model in group]
-    best = np.full((len(order), x.shape[0]), -np.inf)
-    arg = np.zeros(best.shape, dtype=int)
-    lo = 0
-    for key, group in groups.items():
-        rows = slice(lo, lo + len(group))
-        lo += len(group)
-        if isinstance(key, KernelStack):
-            _screened_best(key, [model.row for model in group], x, best[rows], arg[rows], values)
-            continue
-        q = key.predict_all_matrix(x)
-        best[rows][0], arg[rows][0] = q.max(axis=1), q.argmax(axis=1)
-    row = {id(model): j for j, model in enumerate(order)}
-    pick = [row[id(model)] for model in models]
-    return best, arg, None if pick == list(range(len(order))) else pick
+    best, arg = np.empty((len(models), x.shape[0])), np.empty((len(models), x.shape[0]), dtype=int)
+    reduced = {}  # per kernel model's stack, or other model: the (best, arg) of each of its rows
+    for j, model in enumerate(models):
+        kernel = isinstance(model, PerActionKernelQ)
+        key = model.stack if kernel else model
+        if key not in reduced:
+            if kernel:
+                reduced[key] = _screened_best(key, x, values)
+            else:
+                q = key.predict_all_matrix(x)
+                reduced[key] = q.max(axis=1)[None], q.argmax(axis=1)[None]
+        row = model.row if kernel else 0
+        best[j], arg[j] = reduced[key][0][row], reduced[key][1][row]
+    return best, arg
 
 
 def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -622,26 +612,21 @@ def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndar
     feature row and its greedy action index.
 
     Equal bit for bit to ``models[j].predict_all_matrix(features).max(axis=1)`` and to its
-    ``np.argmax`` (lowest index on exact ties, the first NaN where there is one). A feature row
-    with a non-finite value raises ``ValueError`` naming the row. A model listed more than once
-    is evaluated once. Kernel models of one :class:`KernelStack` (the models of one
-    ``fit_columns`` call; a loaded model has its own) form one group, screened block by block
-    with the stack's arrays (:func:`_screened_best`): each action is predicted exactly only at
-    the rows where it can be some model's best. Any other model is a group of its own; an
-    interaction-linear one is reduced as its reference is, ``max`` and ``argmax`` of
-    ``predict_all_matrix``. :func:`greedy_actions` gives the actions alone, with fewer exact
-    predictions.
+    ``np.argmax`` (lowest index on exact ties, the first NaN where there is one), and row
+    independent. A feature row with a non-finite value raises ``ValueError`` naming the row. The
+    :class:`KernelStack` of the listed kernel models (the models of one ``fit_columns`` call; a
+    loaded model has its own) is reduced once, whole (:func:`_screened_best`), and each listed
+    model takes its row; any other model is reduced once, as its reference is.
+    :func:`greedy_actions` gives the actions alone, with fewer exact predictions.
     """
-    best, arg, pick = _over_actions(models, features, values=True)
-    return (best, arg) if pick is None else (best[pick], arg[pick])
+    return _over_actions(models, features, values=True)
 
 
 def greedy_actions(models, features: np.ndarray) -> np.ndarray:
     """``best_over_actions(models, features)[1]``, bit for bit, from the same screen, which decides
     every (model, row) pair with one candidate action: only the pairs with two or more are
-    predicted exactly, with the rest of the group at their rows. Greedy decisions need no values."""
-    _, arg, pick = _over_actions(models, features, values=False)
-    return arg if pick is None else arg[pick]
+    predicted exactly. Greedy decisions need no values."""
+    return _over_actions(models, features, values=False)[1]
 
 
 # --- model serialization ------------------------------------------------------

@@ -157,6 +157,16 @@ def test_a_tolerance_of_negative_zero_is_written_as_zero(tmp_path, command, name
     assert "epsilons=[0.0]" in (out / "run.meta").read_text().splitlines()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_a_ridge_of_negative_zero_is_recorded_as_zero(tmp_path, via):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ridge": -0.0}))
+    given = ["--ridge", "-0.0"] if via == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "run"
+    assert _run("cancer", *given, "--n-train", "40", "--n-test", "20", "--out", str(out)) == 0
+    assert "ridge=0.0" in (out / "run.meta").read_text().splitlines()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"volume": 11}))

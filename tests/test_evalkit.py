@@ -379,8 +379,8 @@ def test_evaluate_policies_refuses_a_bad_policy_before_the_lockstep(monkeypatch,
 
 
 def test_evaluate_policies_routes_by_kind_and_keeps_the_callers_order(monkeypatch):
-    # only the greedy policies (two or more) share the lockstep; every other policy is rolled
-    # out alone, and each result is bitwise its one-policy evaluation
+    # every greedy policy shares the lockstep; every other policy is rolled out alone, and each
+    # result is bitwise its one-policy evaluation
     family, _ = _fitted_family(60, 2, CANCER_SPEC)
     other_fit, _ = _fitted_family(60, 8, LINEAR_SPEC)
     late = lambda t, feats: np.full(feats.shape[0], 9 if t < 3 else 1)
@@ -403,7 +403,8 @@ def test_evaluate_policies_routes_by_kind_and_keeps_the_callers_order(monkeypatc
         assert result == evaluate_policy(PARAMS, policy, 120, 5, label=label)
     by_label = dict(zip(named, results))
     assert replace(by_label["random-a"], label="random-b") == by_label["random-b"]
-    assert len(locksteps) == 1  # each evaluate_policy above was one policy, rolled out alone
+    # each evaluate_policy above was one policy: a greedy one, a lone lockstep of its own
+    assert len(locksteps) == 5
 
 
 def test_running_reward_totals_equal_row_sums_exactly():

@@ -594,12 +594,16 @@ def _drawn_group(seed, n_models, kinds, bandwidth, mirror, nan=False):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(1, 20),
        kinds=st.lists(st.sampled_from(["kernel", "constant", "tie", "ulp"]), min_size=1, max_size=8),
-       n_rows=st.integers(1, 700), bandwidth=st.sampled_from([0.05, 0.7, 4.0, 1e300]), mirror=st.booleans())
-@example(seed=1, n_models=2, kinds=["kernel", "ulp", "kernel", "constant"], n_rows=300, bandwidth=0.7, mirror=True)
-def test_best_over_actions_equals_the_reference_reduction_property(seed, n_models, kinds, n_rows, bandwidth, mirror):
+       n_rows=st.integers(1, 700), bandwidth=st.sampled_from([0.05, 0.7, 4.0, 1e300]), mirror=st.booleans(),
+       listing=st.lists(st.integers(0, 19), min_size=1, max_size=8))
+@example(seed=1, n_models=2, kinds=["kernel", "ulp", "kernel", "constant"], n_rows=300, bandwidth=0.7, mirror=True,
+         listing=[1, 0, 1])
+def test_best_over_actions_equals_the_reference_reduction_property(seed, n_models, kinds, n_rows, bandwidth, mirror,
+                                                                   listing):
     # the screen only picks which actions are predicted exactly at which rows, so values and actions
     # are bitwise max and np.argmax of every action's prediction, also for an action predicted at a
-    # row because another model of the group needs it there
+    # row because another model of the group needs it there; a listing of some of the group's
+    # models, in any order and with repeats, gets each listed model's own row
     models = _drawn_group(seed, n_models, kinds, bandwidth, mirror)
     x = np.random.default_rng(seed + 1).uniform(0.0, 3.0, size=(n_rows, 2))
     values, actions = best_over_actions(models, x)
@@ -608,26 +612,36 @@ def test_best_over_actions_equals_the_reference_reduction_property(seed, n_model
     assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
     if mirror and n_models > 1 and kinds.count("kernel") > 1:  # independent values: best and worst differ
         assert (actions[0] != actions[1]).all()
+    listed = [j % n_models for j in listing]
+    values, actions = best_over_actions([models[j] for j in listed], x)
+    assert np.array_equal(values, np.stack([q[j].max(axis=1) for j in listed]))
+    assert np.array_equal(actions, np.stack([np.argmax(q[j], axis=1) for j in listed]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(1, 20),
        kinds=st.lists(st.sampled_from(["kernel", "constant", "tie", "ulp"]), min_size=1, max_size=8),
        n_rows=st.integers(1, 700), bandwidth=st.sampled_from([0.05, 0.7, 4.0, 1e300]), mirror=st.booleans(),
-       nan=st.booleans())
+       nan=st.booleans(), listing=st.lists(st.integers(0, 19), min_size=1, max_size=8))
 @example(seed=1, n_models=2, kinds=["kernel", "ulp", "kernel", "constant"], n_rows=300, bandwidth=0.7, mirror=True,
-         nan=False)
-@example(seed=1, n_models=3, kinds=["kernel", "tie", "kernel"], n_rows=300, bandwidth=0.7, mirror=True, nan=True)
-def test_greedy_actions_equals_the_reference_argmax_property(seed, n_models, kinds, n_rows, bandwidth, mirror, nan):
+         nan=False, listing=[1, 0, 1])
+@example(seed=1, n_models=3, kinds=["kernel", "tie", "kernel"], n_rows=300, bandwidth=0.7, mirror=True, nan=True,
+         listing=[2, 0])
+def test_greedy_actions_equals_the_reference_argmax_property(seed, n_models, kinds, n_rows, bandwidth, mirror, nan,
+                                                             listing):
     # a pair the screen leaves one candidate takes it, and the rest reduce their candidates'
     # exact predictions: every action is bitwise np.argmax of every action's prediction, also at
-    # exact ties, one-ulp gaps, a mirrored model's worst action and a NaN value
+    # exact ties, one-ulp gaps, a mirrored model's worst action and a NaN value; a listing of some
+    # of the group's models, in any order and with repeats, gets each listed model's own row
     models = _drawn_group(seed, n_models, kinds, bandwidth, mirror, nan)
     x = np.random.default_rng(seed + 1).uniform(0.0, 3.0, size=(n_rows, 2))
     actions = greedy_actions(models, x)
-    assert np.array_equal(actions, np.stack([np.argmax(model.predict_all_matrix(x), axis=1) for model in models]))
+    want = [np.argmax(model.predict_all_matrix(x), axis=1) for model in models]
+    assert np.array_equal(actions, np.stack(want))
     if mirror and not nan and n_models > 1 and kinds.count("kernel") > 1:  # independent values: best and worst differ
         assert (actions[0] != actions[1]).all()
+    listed = [j % n_models for j in listing]
+    assert np.array_equal(greedy_actions([models[j] for j in listed], x), np.stack([want[j] for j in listed]))
 
 
 def test_best_over_actions_keeps_a_nan_value_as_max_and_argmax_do():
