@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -334,15 +335,19 @@ class LockstepRollout:
     final: np.ndarray
     starts: np.ndarray
 
+    def ancestors(self) -> Iterator[np.ndarray]:
+        """Per month from n_stages back to 0, each class's class at that month: its ancestor, or
+        itself if it is of that month or an earlier one, where its patient died."""
+        here = np.arange(len(self.parents))
+        yield here
+        for start in self.starts[:0:-1]:  # each month's first class, last month first: it and later ones step back
+            here = here.copy()
+            here[start:] = self.parents[here[start:]]
+            yield here
+
     def paths(self, j: int) -> np.ndarray:
-        """(n, n_stages + 1) int32: the class of each of policy j's patients at months 0..n_stages."""
-        n_stages = len(self.starts) - 1
-        path = np.empty((self.final.shape[1], n_stages + 1), dtype=np.int32)
-        path[:, n_stages] = self.final[j]
-        for t in range(n_stages - 1, -1, -1):
-            later = path[:, t + 1]
-            path[:, t] = np.where(later >= self.starts[t + 1], self.parents[later], later)
-        return path
+        """(n, n_stages + 1): the class of each of policy j's patients at months 0..n_stages."""
+        return np.column_stack([ancestor[self.final[j]] for ancestor in self.ancestors()][::-1])
 
 
 def simulate_cancer_cohorts(

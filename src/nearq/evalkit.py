@@ -9,9 +9,12 @@ Policies are routed by kind. :func:`evaluate_policies` rolls out every greedy
 policy, a lone one too, in one lockstep (:func:`nearq.envs.simulate_cancer_cohorts`):
 a state that several reach along one patient and dose history is stepped once,
 and each stage decides them in one :func:`nearq.regression.greedy_actions` call
-(bitwise each model's argmax, row independent). Any other policy is aggregated
-from the cohort :func:`nearq.envs.simulate_cancer_cohort` rolls out for it alone.
-Every result is bitwise the aggregate of the policy's one-policy cohort.
+(bitwise each model's argmax, row independent). Each month's statistics of
+every greedy policy then come from one (n, policies) block of the patients'
+values. Any other policy is aggregated from the cohort
+:func:`nearq.envs.simulate_cancer_cohort` rolls out for it alone. Every result is
+bitwise the aggregate of the policy's one-policy cohort: numpy reduces a block's
+rows in sequence, as it reduces one policy's patient x month paths.
 """
 
 from __future__ import annotations
@@ -44,20 +47,30 @@ class EvalResult:
 
 
 def _aggregate(label: str, combined: np.ndarray, totals: np.ndarray) -> EvalResult:
-    """Result from per-patient tumor plus toxicity paths (n, months) and reward totals (n,), which
-    are whole numbers, so exact in any summation order."""
-    n = combined.shape[0]
-    mean = combined.mean(axis=0, keepdims=True)  # the mean std would compute, computed once
-    sd = combined.std(axis=0, ddof=1, mean=mean) if n > 1 else np.zeros(combined.shape[1])
-    mean = mean[0]
-    total_sd = totals.std(ddof=1) if n > 1 else 0.0
-    return EvalResult(
-        label=label,
-        mean_combined=tuple(float(v) for v in mean),
-        stderr_combined=tuple(float(v) for v in sd / np.sqrt(n)),
-        mean_cum_reward=float(totals.mean()),
-        stderr_cum_reward=float(total_sd / np.sqrt(n)),
-    )
+    """Result from per-patient tumor plus toxicity paths (n, months) and reward totals (n,)."""
+    mean, sd = _monthly(combined)
+    return _results([label], mean[:, None], sd[:, None], totals[None])[0]
+
+
+def _monthly(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a C-ordered (n, k >= 2) block, its mean and sample standard deviation (0 for
+    one row). The reduction over axis 0 adds the rows in sequence, so a column's statistics are the
+    same bits whatever columns share the block."""
+    mean = block.mean(axis=0, keepdims=True)  # the mean std would compute, computed once
+    sd = block.std(axis=0, ddof=1, mean=mean) if len(block) > 1 else np.zeros(block.shape[1])
+    return mean[0], sd
+
+
+def _results(labels: list, mean: np.ndarray, sd: np.ndarray, totals: np.ndarray) -> list[EvalResult]:
+    """Result j from column j of the monthly means and standard deviations (months, k) and row j of
+    the reward totals (k, n). Totals are whole numbers, so their sums are exact in any order; each
+    row's deviations are summed as the row's alone would be."""
+    n = totals.shape[1]
+    total_mean = totals.mean(axis=1, keepdims=True)
+    total_sd = totals.std(axis=1, ddof=1, mean=total_mean) if n > 1 else np.zeros(len(totals))
+    stderr, total_stderr = sd / np.sqrt(n), total_sd / np.sqrt(n)
+    return [EvalResult(label, tuple(mean[:, j].tolist()), tuple(stderr[:, j].tolist()), float(total_mean[j, 0]),
+                       float(total_stderr[j])) for j, label in enumerate(labels)]
 
 
 def evaluate_policy(
@@ -103,12 +116,20 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
 
 
 def _evaluate_lockstep(params: CancerParams, policies: list, n_test: int, seed: int, labels: list) -> list[EvalResult]:
-    """The greedy policies' results from one :func:`~nearq.envs.simulate_cancer_cohorts` rollout,
-    each aggregated from the per-class sums along its paths and the totals at its final classes."""
+    """The greedy policies' results from one :func:`~nearq.envs.simulate_cancer_cohorts` rollout:
+    each month's statistics of every policy from one (n, policies) block, the per-class sums at its
+    patients' classes that month, and the totals at their final classes."""
     rollout = simulate_cancer_cohorts(params, policies, n_test, seed, label="eval", names=labels)
     combined = rollout.states[:, 0] + rollout.states[:, 1]  # per class, all policies
-    return [_aggregate(label, combined[rollout.paths(j)], rollout.totals[rollout.final[j]])
-            for j, label in enumerate(labels)]
+    # numpy reads an (n, 1) block as 1-D and sums it pairwise, unlike one policy's (n, months) paths
+    # in _aggregate: a lone policy's block holds its column twice
+    final = rollout.final if len(policies) > 1 else rollout.final[[0, 0]]
+    at = np.ascontiguousarray(final.T, dtype=np.intp)  # (n, policies): each pair's final class
+    months = len(rollout.starts)
+    mean, sd = np.empty((months, len(final))), np.empty((months, len(final)))
+    for t, ancestor in zip(range(months - 1, -1, -1), rollout.ancestors()):
+        mean[t], sd[t] = _monthly(combined[ancestor][at])
+    return _results(labels, mean, sd, rollout.totals[final])
 
 
 def _evaluate_alone(params: CancerParams, policy, n_test: int, seed: int, label: str) -> EvalResult:

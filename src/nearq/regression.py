@@ -22,8 +22,9 @@ together (Rasmussen & Williams 2006, Alg. 2.1), and the kernel models share
 each action's inputs. Every entry of a solve is one dot product of a contiguous
 row with one column's values, so column j is bitwise equal to a single-column
 fit on it. The kernel models of one fit are the rows of one :class:`KernelStack`:
-each action's solved (m, C) weights, means and the arrays the screen below
-multiplies, made once by the fit.
+each action's (m, C + 1) coefficients, every model's solved weights and then its
+mean, stored once, and the arrays the screen below multiplies, made once by the
+fit.
 
 Kernel predictions are row independent by construction: squared distances
 are summed elementwise and each prediction is one dot product of its kernel
@@ -36,11 +37,12 @@ that model's weights, so it equals that model's call alone.
 
 :func:`best_over_actions` gives each listed model's best value and greedy action
 at each row, and :func:`greedy_actions` the action alone. Each reduces the
-:class:`KernelStack` of the listed kernel models once and whole, and each listed
-model takes its row. The stack is screened before anything is predicted: a BLAS
-gemm over every action gives approximate values, and a rigorous error bound on
-them (:func:`_screen_bound`) leaves each (model, row) pair only the candidate
-actions that can be its best. Only those are predicted exactly, as above, and
+:class:`KernelStack` of the listed kernel models once and whole, and gathers the
+listed models' rows with one index per stack. The stack is screened before
+anything is predicted: per action, one BLAS gemm of the coefficients with an
+approximate kernel gives approximate values, means included, and a rigorous
+error bound on them (:func:`_screen_bound`) leaves each (model, row) pair only
+the candidate actions that can be its best. Only those are predicted exactly, as above, and
 reduced in action order; for actions alone, a pair with one candidate takes it.
 The screened values pick which exact predictions are computed and never reach a
 result, so every value and action is bitwise the one predicting every action
@@ -270,7 +272,7 @@ class PerActionKernelQ(FittedQ):
             stack, j = self.stack, self.row
             self._components = tuple(
                 ("constant", float(stack.constants[k][j, 0])) if k in stack.constants
-                else ("kernel", stack.kernels[k][0], stack.kernels[k][1][j], float(stack.kernels[k][2][j, 0]))
+                else ("kernel", stack.kernels[k][0], stack.kernels[k][1][j, :-1], float(stack.kernels[k][1][j, -1]))
                 for k in range(self.action_space.size))
         return self._components
 
@@ -279,8 +281,9 @@ class PerActionKernelQ(FittedQ):
         k, j = self._check_action(action_index), self.row
         if k in self.stack.constants:
             return np.full(x.shape[0], self.stack.constants[k][j, 0])
-        inputs, weights, means, _ = self.stack.kernels[k]
-        return _kernel_predictions(x, inputs, self.bandwidth, weights[j : j + 1], means[j : j + 1])[0]
+        inputs, coefficients, _ = self.stack.kernels[k]
+        row = coefficients[j : j + 1]
+        return _kernel_predictions(x, inputs, self.bandwidth, row[:, :-1], row[:, -1:])[0]
 
     def to_dict(self):
         comps = []
@@ -377,11 +380,12 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
     if bandwidth is None:
         bandwidth = 1.0 / (x.shape[1] + 1)
     actions, fallback = [], []
+    overall = cols.mean(axis=1)  # each row's pairwise mean, as ``row.mean()`` sums it
     for k in range(action_space.size):
         mask = a == k
         if not mask.any():
             # no data for this action anywhere: predict the global target mean
-            actions.append(np.array([float(y.mean()) for y in cols]))
+            actions.append(overall)
             fallback.append(k)
             continue
         xa = x[mask]
@@ -424,20 +428,23 @@ def _gamma(n):
 
 def _screen_kernel(rows: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Approximate kernel matrix of augmented rows ``[x, |x|^2, 1]`` and augmented inputs
-    ``-b [-2a, 1, |a|^2]``, with b the bandwidth: ``exp`` of one gemm, within
-    :func:`_screen_bound` of :func:`_rbf`."""
+    ``-b [-2a, 1, |a|^2]``, with b the bandwidth, and a last zero input: ``exp`` of one gemm, within
+    :func:`_screen_bound` of :func:`_rbf`, and a last column of ``exp(0) = 1`` where ``|x|^2`` is
+    finite."""
     product = rows @ inputs.T
     return np.exp(product, out=product)
 
 
 class KernelStack:
     """The arrays the m models of one per-action kernel fit share, stacked in model order: per
-    constant action the (m, 1) values; per kernel action the inputs, the (m, C) weights whose row
-    j is model j's (as :func:`_solve_columns` returns them), the (m, 1) means and the augmented
-    inputs ``-b [-2a, 1, |a|^2]`` of :func:`_screen_kernel`; the parts of :func:`_screen_bound`
-    that do not depend on the rows; and the fit's action space, feature count, bandwidth and
-    ``meta`` (its mean-fallback actions). Its models are its rows (:func:`kernel_models`); it
-    refers to no model.
+    constant action the (m, 1) values; per kernel action ``kernels[k]``: the (C, d) inputs, the
+    read-only (m, C + 1) coefficients whose row j is model j's weights (as :func:`_solve_columns`
+    solves them) and then its mean, and the (C + 1, d + 2) augmented inputs of
+    :func:`_screen_kernel`, ``-b [-2a, 1, |a|^2]`` and a zero row, so that one gemm of the
+    coefficients with the screened kernel adds the mean; the parts of :func:`_screen_bound` that
+    do not depend on the rows; and the fit's action space, feature count, bandwidth and ``meta``
+    (its mean-fallback actions). Its models are its rows (:func:`kernel_models`); it refers to no
+    model. Exact predictions read the weights and means as views of the coefficients.
 
     ``actions[k]`` is action k's m constants, or its kernel's (inputs, (m, C) weights, m means).
     """
@@ -453,33 +460,38 @@ class KernelStack:
                 self.constants[k] = np.asarray(action, dtype=float)[:, None]
                 continue
             inputs, weights, means = action
-            augmented = np.column_stack([2.0 * bandwidth * inputs, np.full(len(inputs), -bandwidth),
-                                         -bandwidth * (inputs * inputs).sum(axis=1)])
-            self.kernels[k] = (inputs, weights, np.asarray(means, dtype=float)[:, None], augmented)
+            coefficients = np.column_stack([weights, means])
+            coefficients.setflags(write=False)
+            augmented = np.zeros((len(inputs) + 1, inputs.shape[1] + 2))
+            augmented[:-1, :-2] = 2.0 * bandwidth * inputs
+            augmented[:-1, -2] = -bandwidth
+            augmented[:-1, -1] = -bandwidth * (inputs * inputs).sum(axis=1)
+            self.kernels[k] = (inputs, coefficients, augmented)
         kernels = list(self.kernels.values())
         # per kernel action: the largest input magnitude (A), gamma_{C+1}, and per model the
         # weights' 1-norm and the mean's magnitude
-        self.reach = np.array([[np.abs(inputs).max(initial=0.0)] for inputs, *_ in kernels])
-        self.roundoff = np.array([[_gamma(len(inputs) + 1)] for inputs, *_ in kernels])
-        self.norms = np.array([np.abs(weights).sum(axis=1) for _, weights, _, _ in kernels])
-        self.sizes = np.array([np.abs(means[:, 0]) for _, _, means, _ in kernels])
+        self.reach = np.array([[np.abs(inputs).max(initial=0.0)] for inputs, _, _ in kernels])
+        self.roundoff = np.array([[_gamma(len(inputs) + 1)] for inputs, _, _ in kernels])
+        self.norms = np.array([np.abs(coefficients[:, :-1]).sum(axis=1) for _, coefficients, _ in kernels])
+        self.sizes = np.array([np.abs(coefficients[:, -1]) for _, coefficients, _ in kernels])
 
 
 def _screen_bound(stack: KernelStack, scale) -> np.ndarray:
     """(m,): per model of ``stack``, a bound on ``|s - e|`` for every kernel action at every row
     whose coordinates are at most ``scale`` in magnitude; inf or NaN where it overflows. ``s`` is
-    the screened value, one gemm of the weights with :func:`_screen_kernel` plus the mean, and
-    ``e`` the exact prediction of :func:`_kernel_predictions`, :func:`_rbf` and one ``np.vecdot``
-    plus the mean.
+    the screened value, one gemm of the coefficients (the weights w, then the mean m) with
+    :func:`_screen_kernel`, and ``e`` the exact prediction of :func:`_kernel_predictions`,
+    :func:`_rbf` and one ``np.vecdot`` plus the mean.
 
     Write u for the unit roundoff, ``gamma_n = n u / (1 - n u)``, d for the features, C for the
     inputs, b for the bandwidth, X for ``scale`` and A for the largest input coordinate magnitude.
     ``R = 2d (1 + X + A)^2`` is at least 1, X, 2A and twice every squared distance, ``|x|^2`` and
     ``|a|^2``, so R bounds every entry of the augmented rows, and ``S = bR`` every entry of the
     augmented inputs and twice the magnitudes a gemm product sums. Where S is finite no exponent
-    overflows, and the exact one, ``t = -b |x - a|^2``, is at most 0. Higham's dot-product error bound, ``gamma_n`` times the
-    sum of the products' magnitudes, holds in any summation order, so for BLAS too (Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    overflows, the exact one, ``t = -b |x - a|^2``, is at most 0, and the zero input's exponent is
+    exactly 0, so the screened kernel's last column is exactly 1. Higham's dot-product error bound,
+    ``gamma_n`` times the sum of the products' magnitudes, holds in any summation order, so for BLAS
+    too (Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
 
     * Screened exponent: the entries ``|x|^2``, ``2ba`` and ``b |a|^2`` carry up to
       ``gamma_{d+1}``, and the gemm of length d + 2 adds ``gamma_{d+2}``: its error is
@@ -491,19 +503,22 @@ def _screen_bound(stack: KernelStack, scale) -> np.ndarray:
       is within ``e^D (D + eta)`` of ``e^t`` and an exact one within ``gamma_{d+3} S + eta``:
       they differ by at most ``dK = e^D (D + eta) + gamma_{d+3} S + eta``, and are at most
       ``e^D (1 + eta)`` and ``1 + eta`` in size.
-    * The gemm and the vecdot with weights w then err by at most ``gamma_C ||w||_1`` times their
-      largest kernel entry.
-    * Each side adds the mean m once, within u of a sum at most ``|m| + 2 e^D ||w||_1``.
+    * The gemm with the coefficients sums C + 1 products, the last, ``m * 1``, exact: it errs by
+      at most ``gamma_{C+1} (||w||_1 e^D (1 + eta) + |m|)``.
+    * The vecdot sums C products and errs by at most ``gamma_C ||w||_1 (1 + eta)``; adding the
+      mean then errs by at most u of a sum at most ``|m| + (1 + gamma_C) (1 + eta) ||w||_1``,
+      which is at most ``|m| + 2 ||w||_1``.
 
-    Hence ``|s - e| <= ||w||_1 (dK + 2 gamma_{C+1} (e^D + 1)) + 2u (|m| + 2 e^D ||w||_1)``, and
-    where it is finite, so is every sum of either computation.
+    With ``1 + eta <= 2`` and ``gamma_C <= gamma_{C+1}``, ``|s - e| <= ||w||_1 (dK + 2 gamma_{C+1}
+    (e^D + 1) + 2u) + (gamma_{C+1} + u) |m|``, and where it is finite, so is every sum of either
+    computation.
     """
     d = stack.n_features
     spread = stack.bandwidth * (2 * d * np.square(1 + scale + stack.reach))  # S
     drift = _gamma(2 * d + 5) * spread  # D
     grow = np.exp(drift)
     gap = grow * (drift + _EXP_ERROR) + _gamma(d + 3) * spread + _EXP_ERROR  # dK
-    bound = stack.norms * (gap + 2 * stack.roundoff * (grow + 1)) + 2 * _UNIT * (stack.sizes + 2 * grow * stack.norms)
+    bound = stack.norms * (gap + 2 * stack.roundoff * (grow + 1) + 2 * _UNIT) + (stack.roundoff + _UNIT) * stack.sizes
     return bound.max(axis=0)
 
 
@@ -514,13 +529,14 @@ def _screened_best(stack: KernelStack, x: np.ndarray, values: bool) -> tuple[np.
 
     A floating-point filter (Shewchuk, Adaptive Precision Floating-Point Arithmetic and Fast
     Robust Geometric Predicates, 1997). Each block of rows is screened: per kernel action, one
-    approximate kernel matrix (:func:`_screen_kernel`) and one gemm with the stacked weights
-    give every model's screened value, and a constant action screens as itself. With E per
-    model ``2^20`` times :func:`_screen_bound`, an action whose exact value can be a model's
-    best screens at least ``max - 2E``: those are a (model, row) pair's candidates, and every
-    action is where E or the best screened value is not finite. With ``values``
-    (:func:`best_over_actions`) every pair is reduced exactly; without (:func:`greedy_actions`),
-    a pair with one candidate takes it, and only the pairs with two or more are. A row needs an
+    approximate kernel matrix (:func:`_screen_kernel`) and one gemm with the stacked coefficients
+    give every model's screened value, its mean included, and a constant action screens as
+    itself. With E per model ``2^20`` times :func:`_screen_bound`, an action whose exact value can
+    be a model's best screens at least ``max - 2E``: those are a (model, row) pair's candidates,
+    and every action is where E or the best screened value is not finite (a NaN screened value
+    too, as at a row whose ``|x|^2`` overflows). With ``values`` (:func:`best_over_actions`) every
+    pair is reduced exactly; without (:func:`greedy_actions`), a pair with one candidate takes it,
+    and only the pairs with two or more are. A row needs an
     action where any pair reduced exactly has it as a candidate. Then, per action, one
     :func:`_kernel_predictions` call predicts every model at the rows that need it, and each
     (model, row) reduces the values it gets in action order with strict ``>``, as ``np.argmax``
@@ -540,23 +556,21 @@ def _screened_best(stack: KernelStack, x: np.ndarray, values: bool) -> tuple[np.
         width = np.zeros((m, 1))  # 2E
         if stack.kernels:
             width[:, 0] = 2 * _SLACK * _screen_bound(stack, np.abs(x).max(initial=0.0))
+        rows = np.column_stack([x, (x * x).sum(axis=1), np.ones(n)])  # augmented, as _screen_kernel takes them
         for lo in range(0, n, _ROW_BLOCK):
-            xb = x[lo : lo + _ROW_BLOCK]
-            block = slice(lo, lo + len(xb))
-            augmented_rows = np.column_stack([xb, (xb * xb).sum(axis=1), np.ones(len(xb))])
-            screens = np.empty((n_actions, m, len(xb)))
+            block = slice(lo, min(lo + _ROW_BLOCK, n))
+            screens = np.empty((n_actions, m, block.stop - lo))
             for k, constant in stack.constants.items():
                 screens[k] = constant
-            for k, (_, weights, means, augmented) in stack.kernels.items():
-                np.matmul(weights, _screen_kernel(augmented_rows, augmented).T, out=screens[k])
-                screens[k] += means
+            for k, (_, coefficients, augmented) in stack.kernels.items():
+                np.matmul(coefficients, _screen_kernel(rows[block], augmented).T, out=screens[k])
             floor = screens.max(axis=0)
             floor -= width
             need = screens >= floor
             need[:, ~np.isfinite(floor)] = True
             if not values:
                 np.copyto(screens, need)  # the candidates as 0 and 1, in place: the gemm casts nothing
-                count, index = (tally @ screens.reshape(n_actions, -1)).reshape(2, m, len(xb))
+                count, index = (tally @ screens.reshape(n_actions, -1)).reshape(2, m, -1)
                 alone = count == 1
                 arg[:, block] = index * alone  # a lone candidate; 0, as with values, for the rest
                 best[:, block][alone] = np.inf
@@ -570,8 +584,8 @@ def _screened_best(stack: KernelStack, x: np.ndarray, values: bool) -> tuple[np.
         if k in stack.constants:
             exact = np.broadcast_to(stack.constants[k], (m, len(at)))
         else:
-            inputs, weights, means, _ = stack.kernels[k]
-            exact = _kernel_predictions(x[at], inputs, stack.bandwidth, weights, means)
+            inputs, coefficients, _ = stack.kernels[k]
+            exact = _kernel_predictions(x[at], inputs, stack.bandwidth, coefficients[:, :-1], coefficients[:, -1:])
         sub, sub_arg = best[:, at], arg[:, at]
         # strict >, as np.argmax reduces; a NaN, which np.max and np.argmax keep from its first
         # index on, replaces a number and is never replaced
@@ -582,29 +596,39 @@ def _screened_best(stack: KernelStack, x: np.ndarray, values: bool) -> tuple[np.
     return best, arg
 
 
-def _over_actions(models, features: np.ndarray, values: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(best, arg) for :func:`best_over_actions` and :func:`greedy_actions`: each kernel model's
-    stack, or other model, reduced once, whole, and row j gathered from ``models[j]``'s row."""
-    for model in models:
+def _over_actions(models, features: np.ndarray, values: bool) -> list[np.ndarray]:
+    """``[best, arg]`` for :func:`best_over_actions`, ``[arg]`` for :func:`greedy_actions`: each
+    kernel model's stack, or other model, checked and reduced once, whole, and its listed rows
+    gathered with one index (none when they are all its rows, in order)."""
+    listed = {}  # per kernel model's stack, or other model: a model of it, its positions and rows
+    for j, model in enumerate(models):
+        kernel = isinstance(model, PerActionKernelQ)
+        _, at, rows = listed.setdefault(model.stack if kernel else model, (model, [], []))
+        at.append(j)
+        rows.append(model.row if kernel else 0)
+    for model, _, _ in listed.values():
         model._check_features(features)
     x = np.asarray(features, dtype=float)
     bad_rows = ~np.isfinite(x).all(axis=1)
     if bad_rows.any():
         raise ValueError(f"features contain non-finite values (row {int(bad_rows.argmax())})")
-    best, arg = np.empty((len(models), x.shape[0])), np.empty((len(models), x.shape[0]), dtype=int)
-    reduced = {}  # per kernel model's stack, or other model: the (best, arg) of each of its rows
-    for j, model in enumerate(models):
-        kernel = isinstance(model, PerActionKernelQ)
-        key = model.stack if kernel else model
-        if key not in reduced:
-            if kernel:
-                reduced[key] = _screened_best(key, x, values)
-            else:
-                q = key.predict_all_matrix(x)
-                reduced[key] = q.max(axis=1)[None], q.argmax(axis=1)[None]
-        row = model.row if kernel else 0
-        best[j], arg[j] = reduced[key][0][row], reduced[key][1][row]
-    return best, arg
+    gathered = []  # per stack or other model: its positions, and its arrays at its listed rows
+    for key, (_, at, rows) in listed.items():
+        if isinstance(key, KernelStack):
+            reduced = _screened_best(key, x, values)
+        else:
+            q = key.predict_all_matrix(x)
+            reduced = q.max(axis=1)[None], q.argmax(axis=1)[None]
+        whole = rows == list(range(len(reduced[1])))  # every row in order, as the commands list a stack
+        gathered.append((at, [array if whole else array[rows] for array in (reduced if values else reduced[1:])]))
+    if len(gathered) == 1:  # one stack or model, as in every call the commands make
+        return gathered[0][1]
+    shape = (len(models), x.shape[0])
+    out = ([np.empty(shape)] if values else []) + [np.empty(shape, dtype=int)]
+    for at, parts in gathered:
+        for full, part in zip(out, parts):
+            full[at] = part
+    return out
 
 
 def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -619,14 +643,14 @@ def best_over_actions(models, features: np.ndarray) -> tuple[np.ndarray, np.ndar
     model takes its row; any other model is reduced once, as its reference is.
     :func:`greedy_actions` gives the actions alone, with fewer exact predictions.
     """
-    return _over_actions(models, features, values=True)
+    return tuple(_over_actions(models, features, values=True))
 
 
 def greedy_actions(models, features: np.ndarray) -> np.ndarray:
     """``best_over_actions(models, features)[1]``, bit for bit, from the same screen, which decides
     every (model, row) pair with one candidate action: only the pairs with two or more are
     predicted exactly. Greedy decisions need no values."""
-    return _over_actions(models, features, values=False)[1]
+    return _over_actions(models, features, values=False)[0]
 
 
 # --- model serialization ------------------------------------------------------

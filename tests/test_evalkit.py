@@ -301,10 +301,12 @@ def _small_family():
 @given(seed=st.integers(0, 2**64 - 1), n_test=st.integers(1, 60), hazard=st.sampled_from([-math.inf, -4.0, -1.0, 6.0]),
        greedy=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True), order=st.permutations(range(9)))
 @example(seed=7, n_test=1, hazard=6.0, greedy=[0], order=list(range(9)))  # one patient, dead after stage 0
+# a lone greedy policy, whose monthly statistics numpy would sum pairwise from a block of one column
+@example(seed=0, n_test=8, hazard=-math.inf, greedy=[0], order=list(range(9)))
 def test_evaluation_is_the_aggregate_of_each_policys_cohort_property(seed, n_test, hazard, greedy, order):
-    # constants, uniform-random, a callable and one greedy policy (rolled out alone) or two or more
-    # (sharing a lockstep), in any order: each result is bitwise the aggregate of the cohort
-    # simulate_cancer_cohort gives the policy alone
+    # constants, uniform-random, a callable and one to four greedy policies (sharing a lockstep), in
+    # any order: each result is bitwise the aggregate of the cohort simulate_cancer_cohort gives the
+    # policy alone
     params = replace(PARAMS, hazard_intercept=hazard)
     late = lambda t, feats: np.full(feats.shape[0], 9 if t < 3 else 1)
     items = [("const-0.0", 0.0), ("const-0.7", 0.7), ("int-1", np.int64(1)), ("random", "uniform-random"),
@@ -456,7 +458,7 @@ def test_greedy_policy_without_a_stage_model_is_named_before_any_kernel_work(mon
 def test_evaluation_peak_memory_is_bounded():
     # nearq cancer 500 train / 2800 test, seed 2: opt and ranks 2..m of the four default
     # tolerances (22 policies), evaluated on eval seed 3. The peak falls in the batched argmax:
-    # 3.10 MB with the class ids and live-pair indices the rollout needs held through it, 3.59 MB
+    # 2.84 MB with the class ids and live-pair indices the rollout needs held through it, 3.59 MB
     # when each live pair's class and key arrays are held too, 3.44 MB when every dead class was
     # carried forward each month. Holding every policy's cohort: 15 MB.
     train = simulate_cancer_cohort(PARAMS, "uniform-random", 500, 2, label="train").dataset

@@ -298,17 +298,18 @@ def test_fitted_components_are_views_of_the_stack_row_and_equal_a_rebuilt_models
             model.components = comps
         assert comps[2] == ("constant", float(stack.constants[2][j, 0]))
         for k in (0, 1):
-            inputs, weights, means, _ = stack.kernels[k]
+            inputs, coefficients, _ = stack.kernels[k]
+            weights, means = coefficients[:, :-1], coefficients[:, -1]  # each row: the weights, then the mean
             kind, comp_inputs, comp_weights, comp_mean = comps[k]
             assert kind == "kernel" and comp_inputs is inputs is models[-1].components[k][1]
             assert np.shares_memory(comp_weights, weights) and not comp_weights.flags.writeable
             assert _bits(comp_weights) == _bits(weights[j]) and _bits(comp_mean) == _bits(means[j])
         # a model rebuilt from the components, with a stack of its own, is the same model
         rebuilt = kernel_model(space, model.n_features, model.bandwidth, comps, model.meta)
-        for k, (inputs, weights, means, augmented) in rebuilt.stack.kernels.items():
+        for k, (inputs, coefficients, augmented) in rebuilt.stack.kernels.items():
             want = stack.kernels[k]
-            assert _bits(weights) == _bits(want[1][j]) and _bits(means) == _bits(want[2][j])
-            assert _bits(augmented) == _bits(want[3])
+            assert _bits(coefficients[:, :-1]) == _bits(want[1][j, :-1]) and _bits(coefficients[:, -1]) == _bits(want[1][j, -1])
+            assert _bits(augmented) == _bits(want[2])
         assert rebuilt.to_dict() == model.to_dict() == model_from_dict(model.to_dict()).to_dict()
         got, want = best_over_actions([model], x), best_over_actions([rebuilt], x)
         assert _bits(got[0]) == _bits(want[0]) and np.array_equal(got[1], want[1])
@@ -361,6 +362,21 @@ def test_kernel_means_are_each_rows_pairwise_mean_over_a_strided_block():
         assert any(sum(row.tolist()) / row.size != mean for row, mean in zip(block, want))
 
 
+def test_unobserved_actions_fall_back_to_each_columns_mean():
+    rng = np.random.default_rng(5)
+    n, m = 300, 5
+    x = rng.normal(size=(n, 2))
+    y = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=(n, m))
+    a = 2 * rng.integers(0, 2, size=n)  # actions 0 and 2 observed, 1 and 3 never
+    models = fit_columns(DesignSpec.per_action_kernel(ridge=0.3), x, a, y, ActionSpace((0.0, 0.5, 1.0, 1.5)))
+    assert models[0].meta["mean_fallback_actions"] == (1, 3)
+    for j, model in enumerate(models):
+        want = float(y[:, j].mean())
+        for k in (1, 3):
+            assert model.components[k] == ("constant", want)
+            assert _bits(model.predict_matrix(x, k)) == _bits(np.full(n, want))
+
+
 def test_kernel_weights_equal_the_reference_solve_bitwise():
     x, a, y, space = _wide_columns()
     cols = np.ascontiguousarray(y.T)
@@ -371,7 +387,7 @@ def test_kernel_weights_equal_the_reference_solve_bitwise():
         low = _factor_spd(_rbf(xa, xa, bandwidth) + ridge * np.eye(len(xa)), "reference")
         means = np.array([float(np.add.reduce(row) / row.size) for row in block])
         want = _solve_columns(low, block - means[:, None])
-        assert _bits(models[0].stack.kernels[k][1]) == _bits(want)
+        assert _bits(models[0].stack.kernels[k][1][:, :-1]) == _bits(want)
 
 
 def test_fit_columns_rejects_bad_target_shapes():
@@ -560,6 +576,23 @@ def test_screened_argmax_with_an_overflowing_margin_predicts_every_action():
     assert np.array_equal(values, np.stack([qa.max(axis=1) for qa in q]))
     assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
     assert np.array_equal(greedy_actions(huge, x), actions)
+
+
+def test_screened_argmax_at_rows_whose_squared_norm_overflows_predicts_every_action():
+    # |x|^2 overflows at the far rows, so their screened values are NaN (the mean's column of the
+    # screened kernel is inf * 0 there) and the bound is not finite: every action is a candidate.
+    # The exact predictions' kernels underflow to 0 there, leaving each action's mean
+    models = _near_tie_group("one-ulp", 3)
+    x = np.random.default_rng(4).uniform(0.0, 3.0, size=(300, 2))
+    x[::7] = 1e154  # each square is finite, their sum not
+    with np.errstate(over="ignore"):  # the exact squared distances overflow at the far rows too
+        assert not np.isfinite((x * x).sum(axis=1)[::7]).any()
+        values, actions = best_over_actions(models, x)
+        q = [model.predict_all_matrix(x) for model in models]
+        assert np.array_equal(greedy_actions(models, x), actions)
+    assert np.array_equal(values, np.stack([qa.max(axis=1) for qa in q]))
+    assert np.array_equal(actions, np.stack([np.argmax(qa, axis=1) for qa in q]))
+    assert np.isfinite(values).all()
 
 
 def _drawn_group(seed, n_models, kinds, bandwidth, mirror, nan=False):
