@@ -64,7 +64,7 @@ from .evalkit import (
     save_band_csv,
     save_band_stats_csv,
     save_blip_csv,
-    save_results_csv,
+    save_results_csvs,
 )
 from .nearequiv import (
     ABSOLUTE,
@@ -72,10 +72,10 @@ from .nearequiv import (
     EpsilonConfig,
     fit_tolerances,
     policy_set,
-    save_admissible_csv,
+    save_admissible_csvs,
 )
 from .oracle import build_fixture_dataset, dp_oracle, max_discrepancy
-from .qlearn import backward_fit, greedy_policy, stack_to_dict
+from .qlearn import backward_fit, greedy_policy, save_stack
 from .regression import MODE_KERNEL, MODE_LINEAR, DesignSpec, save_model
 
 DEFAULT_EPSILONS = (0.1, 0.3, 0.5, 0.9)
@@ -170,7 +170,8 @@ def cmd_cancer(cfg: RunConfig) -> int:
         t0 = time.perf_counter()
         stack, ne_stacks = fit_tolerances(train, spec, cfg.tolerances())
         fit_seconds = time.perf_counter() - t0
-        (stage / "qstack.json").write_text(json.dumps(stack_to_dict(stack)))
+        save_stack(stack, stage / "qstack.json", cohort.texts)
+        del cohort  # with its texts, which no later writer reads: the evaluation need not hold them
 
         eval_seed = cfg.seed + 1
         baselines = constant_dose_baselines(params, cfg.n_test, eval_seed)
@@ -182,14 +183,18 @@ def cmd_cancer(cfg: RunConfig) -> int:
                 named[f"eps{eps}-rank{j}"] = policy
         learned = dict(zip(named, evaluate_policies(params, named.values(), cfg.n_test, eval_seed, named)))
         opt_result = learned["opt"]
+        curves = {}
         for eps, ne_stack in zip(cfg.epsilons, ne_stacks):
             ne_results = [replace(opt_result, label=f"eps{eps}-rank1")] + [
                 learned[f"eps{eps}-rank{j}"] for j in range(2, ne_stack.m + 1)
             ]
-            band = epsilon_band_curve(opt_result, ne_results, eps)
-            save_results_csv(baselines + [opt_result] + ne_results, stage / f"curves_eps{eps}.csv")
-            save_band_csv(band, stage / f"band_eps{eps}.csv")
-            save_admissible_csv(ne_stack, stage / f"admissible_eps{eps}.csv")
+            curves[stage / f"curves_eps{eps}.csv"] = baselines + [opt_result] + ne_results
+            save_band_csv(epsilon_band_curve(opt_result, ne_results, eps), stage / f"band_eps{eps}.csv")
+        # each family of files is written at once, so that its files share one text table
+        save_results_csvs(curves)
+        save_admissible_csvs({
+            stage / f"admissible_eps{eps}.csv": ne_stack for eps, ne_stack in zip(cfg.epsilons, ne_stacks)
+        })
         (stage / "run.meta").write_text(_meta_lines(cfg, fit_seconds))
     return 0
 

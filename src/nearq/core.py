@@ -332,6 +332,41 @@ def cell_texts(values: np.ndarray) -> list[str]:
     return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
 
 
+class FloatTexts:
+    """The :func:`cell_texts` text of each distinct float64 value of ``arrays``, made once.
+
+    Values are told apart by their bits, so ``-0.0`` and ``0.0``, and NaNs of
+    different payloads, are different values. ``keys`` holds the distinct bit
+    patterns as int64, ascending, and ``texts[k]`` the text of the value whose
+    bits are ``keys[k]``; ``columns[i]`` is ``arrays[i]`` as a ``(texts, index)``
+    column of :func:`write_csvs`, its index in the shape of the array.
+    """
+
+    def __init__(self, *arrays: np.ndarray):
+        flat = [np.ascontiguousarray(a, dtype=np.float64).reshape(-1) for a in arrays]
+        bits = np.concatenate([np.empty(0, dtype=np.int64), *(a.view(np.int64) for a in flat)])
+        self.keys, inverse = np.unique(bits, return_inverse=True)
+        self.texts = cell_texts(self.keys.view(np.float64))
+        ends = np.cumsum([a.size for a in flat])
+        self.columns = [(self.texts, index.reshape(np.shape(a)))
+                        for a, index in zip(arrays, np.split(inverse, ends[:-1]))]
+
+    def texts_of(self, values: np.ndarray) -> list[str]:
+        """``cell_texts`` of the float array ``values``, flattened: each entry's text is read from the
+        table where its bits are a key, and formatted where they are not."""
+        bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
+        at = np.searchsorted(self.keys, bits)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == bits[found]
+        texts = [""] * found.size
+        if found.any():
+            texts = list(map(self.texts.__getitem__, np.where(found, at, 0).tolist()))
+        missed = np.flatnonzero(~found)
+        for k, text in zip(missed.tolist(), cell_texts(bits[missed].view(np.float64))):
+            texts[k] = text
+        return texts
+
+
 def _cells(column) -> list[str]:
     """The cell texts of one block column (see :func:`write_csvs`)."""
     if isinstance(column, tuple):
@@ -349,10 +384,11 @@ def write_csvs(headers: dict, n: int, block) -> None:
     cells formatted by :func:`cell_texts`; or a pair ``(texts, index)`` of a
     list of cell texts, made by :func:`cell_texts` (or empty), and an integer
     array, each cell ``texts[index[k]]``, for text made once and read many
-    times. A block is formatted column by column, one map per column,
-    joined line by line, and written with one ``write`` per file. Files are
-    opened as ``Path.write_text`` opens them, so their bytes equal those of
-    the whole text written at once.
+    times, such as a column of :class:`FloatTexts`, whose texts outlive the
+    blocks and may serve several files. A block is formatted column by column,
+    one map per column, joined line by line, and written with one ``write``
+    per file. Files are opened as ``Path.write_text`` opens them, so their
+    bytes equal those of the whole text written at once.
     """
     with ExitStack() as stack:
         files = [stack.enter_context(Path(path).open("w")) for path in headers]
@@ -365,11 +401,22 @@ def write_csvs(headers: dict, n: int, block) -> None:
                     fh.write("\n".join(lines) + "\n")
 
 
-def write_csv(path: str | Path, header: str, *columns: np.ndarray) -> None:
-    """Write ``header``, then one line per entry of the equal-length numpy ``columns``,
-    ``CSV_BLOCK_ROWS`` lines a block (see :func:`write_csvs`); a column of text cells is a
-    numpy string array."""
-    write_csvs({path: header}, len(columns[0]), lambda lo, hi: ([column[lo:hi] for column in columns],))
+def _rows(column, lo: int, hi: int):
+    """Entries lo..hi-1 of a column of :func:`write_csvs`."""
+    if isinstance(column, tuple):
+        texts, index = column
+        return texts, index[lo:hi]
+    return column[lo:hi]
+
+
+def write_csv(path: str | Path, header: str, *columns) -> None:
+    """Write ``header``, then one line per entry of the equal-length ``columns``,
+    ``CSV_BLOCK_ROWS`` lines a block (see :func:`write_csvs`). A column is a numpy array (one of
+    text cells is a numpy string array) or a ``(texts, index)`` pair, such as a column of
+    :class:`FloatTexts` whose text serves several files, one line per entry of ``index``."""
+    first = columns[0]
+    n = len(first[1] if isinstance(first, tuple) else first)
+    write_csvs({path: header}, n, lambda lo, hi: ([_rows(column, lo, hi) for column in columns],))
 
 
 def cohort_header(d: int) -> str:

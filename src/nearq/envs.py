@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ActionSpace, OfflineDataset, cell_texts, cohort_header, save_sidecar, write_csvs
+from .core import ActionSpace, FloatTexts, OfflineDataset, cell_texts, cohort_header, save_sidecar, write_csvs
 from .qlearn import GreedyPolicy
 from .regression import greedy_actions
 
@@ -167,7 +167,8 @@ UNIFORM_RANDOM = "uniform-random"
 
 @dataclass(frozen=True)
 class CancerCohort:
-    """Simulated cohort: the full state paths; the offline dataset is built on first read.
+    """Simulated cohort: the full state paths; the offline dataset and the cell texts are built on
+    first read.
 
     Paths have one column per month 0..n_stages; once a patient dies the
     state columns stop changing (the death-month state is carried forward).
@@ -197,6 +198,14 @@ class CancerCohort:
             self.dose_index[patient, stage], self.rewards[patient, stage],
             n_stages - 1, (self.action_space,) * n_stages, (2,) * n_stages,
         )
+
+    @cached_property
+    def texts(self) -> FloatTexts:
+        """The cell texts of the tumor, toxicity and reward arrays, each distinct value's made once,
+        on first read and kept with the cohort. The trajectories and cohort CSVs read every state and
+        reward cell here, and a stack fitted on the cohort reads each kernel input, a training
+        row's state (:func:`~nearq.qlearn.save_stack`)."""
+        return FloatTexts(self.tumor, self.toxicity, self.rewards)
 
 
 def check_policy(params: CancerParams, policy, name: str):
@@ -345,10 +354,6 @@ class LockstepRollout:
             here[start:] = self.parents[here[start:]]
             yield here
 
-    def paths(self, j: int) -> np.ndarray:
-        """(n, n_stages + 1): the class of each of policy j's patients at months 0..n_stages."""
-        return np.column_stack([ancestor[self.final[j]] for ancestor in self.ancestors()][::-1])
-
 
 def simulate_cancer_cohorts(
     params: CancerParams,
@@ -360,7 +365,8 @@ def simulate_cancer_cohorts(
     names=None,
 ) -> LockstepRollout:
     """Roll out greedy policies on one cohort in lockstep; returns the class history, along whose
-    ``paths(j)`` policy j's states and alive flags, and at whose ``final[j]`` its reward totals, lie.
+    ancestors of ``final[j]`` policy j's states and alive flags, and at whose ``final[j]`` its reward
+    totals, lie.
 
     All policies see the same initial states and death draws (common random
     numbers), so a (policy, patient) pair's trajectory is fixed by its patient
@@ -449,11 +455,12 @@ def save_trajectories_csv(cohort: CancerCohort, path: str | Path, train: str | P
     also the cohort CSV of ``cohort.dataset`` and its sidecar there, the bytes
     :func:`~nearq.core.save_csv` writes, in the same pass.
 
-    Both files are formatted a block of patients at a time, each cell by
-    :func:`~nearq.core.cell_texts`, and each cell's text is made once: a state
-    carried forward after death reuses its death-month text, a dose reuses its
-    grid label's, and the cohort rows read the text of the block's alive
-    patient-months.
+    Both files are written a block of patients at a time, and no float is
+    formatted here: every state and reward cell reads the text of its value in
+    ``cohort.texts``, made once per cohort by :func:`~nearq.core.cell_texts`, so a
+    state carried forward after death and a value the training rows repeat
+    reuse one text, which the fitted stack's writer reads again. A dose reads
+    its grid label's text.
     """
     headers = {path: "patient_id,stage,tumor,toxicity,dose,reward,alive"}
     if train is not None:
@@ -468,26 +475,20 @@ def _cohort_columns(cohort: CancerCohort, grid: list[str], lo: int, hi: int) -> 
     """The trajectories columns of patients lo..hi-1, then the cohort CSV columns of their rows."""
     alive = cohort.alive[lo:hi]
     n, months = alive.shape
-    # month t's state is new where the patient was alive at month t - 1, and month 0's always;
-    # otherwise it was carried forward, and so is its text. latest: each (flat) cell's newest new cell
-    fresh = np.ones_like(alive)
-    fresh[:, 1:] = alive[:, :-1]
-    latest = np.cumsum(fresh) - 1
-    tumor = cell_texts(cohort.tumor[lo:hi][fresh])
-    tox = cell_texts(cohort.toxicity[lo:hi][fresh])
+    (texts, tumor), (_, tox), (_, reward) = cohort.texts.columns
+    tumor, tox = tumor[lo:hi].ravel(), tox[lo:hi].ravel()
     rows = np.zeros_like(alive)  # the cells of the cohort rows: alive, at a decision month
     rows[:, :-1] = alive[:, :-1]
-    rewards = cell_texts(cohort.rewards[lo:hi][rows[:, :-1]])
-    reward_at = np.full(alive.shape, -1)  # -1: the empty text appended next
-    reward_at[rows] = np.arange(len(rewards))
-    rewards.append("")
+    rewards = list(map(texts.__getitem__, reward[lo:hi][rows[:, :-1]].tolist())) + [""]
+    reward_at = np.full(alive.shape, -1)  # -1: the empty text appended last
+    reward_at[rows] = np.arange(len(rewards) - 1)
     dose_at = np.full(alive.shape, -1)
     dose_at[:, :-1] = cohort.dose_index[lo:hi]
     patient, stage = np.repeat(np.arange(lo, hi), months), np.tile(np.arange(months), n)
     at = np.flatnonzero(rows)
     dose_at, reward_at = dose_at.ravel(), reward_at.ravel()
     return (
-        [patient, stage, (tumor, latest), (tox, latest), (grid, dose_at), (rewards, reward_at),
+        [patient, stage, (texts, tumor), (texts, tox), (grid, dose_at), (rewards, reward_at),
          alive.ravel().astype(np.int8)],
-        [patient[at], stage[at], (tumor, latest[at]), (tox, latest[at]), dose_at[at], (rewards, reward_at[at])],
+        [patient[at], stage[at], (texts, tumor[at]), (texts, tox[at]), dose_at[at], (rewards, reward_at[at])],
     )

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
-from .core import OfflineDataset, write_csv
+from .core import FloatTexts, OfflineDataset, write_csv
 from .envs import CancerParams, check_policy, simulate_cancer_cohort, simulate_cancer_cohorts
 from .qlearn import GreedyPolicy
 from .regression import FittedQ, InteractionLinearQ
@@ -251,14 +252,30 @@ def band_stats(model: FittedQ, test_set: OfflineDataset, epsilon: float) -> Band
 
 
 def save_results_csv(results: list[EvalResult], path: str | Path) -> None:
-    months = [len(res.mean_combined) for res in results]
-    write_csv(
-        path, "policy_label,month,mean_combined,stderr_combined,mean_cum_reward",
-        np.repeat([res.label for res in results], months), np.array([t for k in months for t in range(k)]),
-        np.array([v for res in results for v in res.mean_combined], dtype=float),
-        np.array([v for res in results for v in res.stderr_combined], dtype=float),
-        np.repeat(np.array([res.mean_cum_reward for res in results], dtype=float), months),
-    )
+    """Evaluation curves ``policy_label,month,mean_combined,stderr_combined,mean_cum_reward``, one
+    line per result and month."""
+    save_results_csvs({path: results})
+
+
+def save_results_csvs(files: Mapping[str | Path, list[EvalResult]]) -> None:
+    """The curves CSV of :func:`save_results_csv` of each ``path: results`` entry. The files share
+    one :class:`~nearq.core.FloatTexts` of their float cells, so a curve that several files hold,
+    such as a baseline's, and a reward total repeated on each month's line are formatted once."""
+    months = [[len(res.mean_combined) for res in results] for results in files.values()]
+    floats = [
+        array for results, counts in zip(files.values(), months) for array in (
+            np.array([v for res in results for v in res.mean_combined], dtype=float),
+            np.array([v for res in results for v in res.stderr_combined], dtype=float),
+            np.repeat(np.array([res.mean_cum_reward for res in results], dtype=float), counts),
+        )
+    ]
+    columns = iter(FloatTexts(*floats).columns)
+    for (path, results), counts in zip(files.items(), months):
+        write_csv(
+            path, "policy_label,month,mean_combined,stderr_combined,mean_cum_reward",
+            np.repeat([res.label for res in results], counts), np.array([t for k in counts for t in range(k)]),
+            next(columns), next(columns), next(columns),
+        )
 
 
 def save_band_csv(band: BandCurve, path: str | Path) -> None:
@@ -267,7 +284,10 @@ def save_band_csv(band: BandCurve, path: str | Path) -> None:
 
 
 def save_blip_csv(grid: np.ndarray, path: str | Path) -> None:
-    write_csv(path, "x0,x1,blip", *np.asarray(grid, dtype=float).T)
+    """Blip rows ``x0,x1,blip``: the two grid columns, which repeat few values, share one
+    :class:`~nearq.core.FloatTexts`."""
+    x0, x1, blip = np.asarray(grid, dtype=float).T
+    write_csv(path, "x0,x1,blip", *FloatTexts(x0, x1).columns, blip)
 
 
 def save_band_stats_csv(stats: list[BandStats], path: str | Path) -> None:

@@ -30,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
-from .core import OfflineDataset, write_csv
+from .core import FloatTexts, OfflineDataset, write_csv
 from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage
 from .regression import DesignSpec, FittedQ
 
@@ -253,7 +254,16 @@ def policy_set(stack: NearEquivQStack) -> tuple[GreedyPolicy, ...]:
 def save_admissible_csv(stack: NearEquivQStack, path: str | Path) -> None:
     """Audit rows ``patient_id,rank,action_index,q_value``, best rank first: one line per entry
     of the admissible arrays, as plain columns (a sentinel entry reads ``-1`` and ``0.0``)."""
-    sets = stack.admissible_sets
-    patient = np.repeat(np.arange(sets.counts.size), sets.counts)
-    rank = np.arange(patient.size) - (np.cumsum(sets.counts) - sets.counts)[patient] + 1
-    write_csv(path, "patient_id,rank,action_index,q_value", patient, rank, sets.actions, sets.values)
+    save_admissible_csvs({path: stack})
+
+
+def save_admissible_csvs(stacks: Mapping[str | Path, NearEquivQStack]) -> None:
+    """The audit CSV of :func:`save_admissible_csv` of each ``path: stack`` entry. The files share
+    one :class:`~nearq.core.FloatTexts` of their q values, so a value that several tolerances admit,
+    such as each patient's best final-stage value, is formatted once."""
+    values = FloatTexts(*(stack.admissible_sets.values for stack in stacks.values())).columns
+    for (path, stack), q_values in zip(stacks.items(), values):
+        sets = stack.admissible_sets
+        patient = np.repeat(np.arange(sets.counts.size), sets.counts)
+        rank = np.arange(patient.size) - (np.cumsum(sets.counts) - sets.counts)[patient] + 1
+        write_csv(path, "patient_id,rank,action_index,q_value", patient, rank, sets.actions, q_values)

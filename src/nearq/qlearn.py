@@ -17,11 +17,13 @@ Classical Q-learning is its column 0: :func:`backward_fit` is
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .core import DatasetError, OfflineDataset
+from .core import DatasetError, FloatTexts, OfflineDataset
 from .regression import DesignSpec, FittedQ, best_over_actions, fit, fit_columns, greedy_actions, model_from_dict
 
 
@@ -146,6 +148,15 @@ def stack_to_dict(stack: QStack) -> dict:
         "models": [m.to_dict() for m in stack.models],
         "provenance": list(stack.provenance),
     }
+
+
+def save_stack(stack: QStack, path: str | Path, known: FloatTexts) -> None:
+    """Write ``json.dumps(stack_to_dict(stack))`` to ``path``, byte for byte, each model's text made
+    by its :meth:`~nearq.regression.FittedQ.to_json`, which reads the text of each kernel input, a
+    training row's state, from ``known``. The one writer of a run's ``qstack.json``."""
+    models = ", ".join(model.to_json(known) for model in stack.models)
+    Path(path).write_text(f'{{"format_version": 1, "horizon": {stack.horizon}, "models": [{models}], '
+                          f'"provenance": {json.dumps(list(stack.provenance))}}}')
 
 
 def stack_from_dict(payload: dict) -> QStack:

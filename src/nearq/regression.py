@@ -54,13 +54,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .core import ActionSpace
+from .core import ActionSpace, FloatTexts, cell_texts
 
 MODE_LINEAR = "interaction-linear"
 MODE_KERNEL = "per-action-kernel"
@@ -205,6 +206,10 @@ class FittedQ:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
+    def to_json(self, known: FloatTexts) -> str:
+        """``json.dumps(self.to_dict())``; a kernel model reads its inputs' texts from ``known``."""
+        return json.dumps(self.to_dict())
+
 
 class InteractionLinearQ(FittedQ):
     mode = MODE_LINEAR
@@ -285,29 +290,45 @@ class PerActionKernelQ(FittedQ):
         row = coefficients[j : j + 1]
         return _kernel_predictions(x, inputs, self.bandwidth, row[:, :-1], row[:, -1:])[0]
 
-    def to_dict(self):
-        comps = []
-        for comp in self.components:
-            if comp[0] == "constant":
-                comps.append({"kind": "constant", "value": comp[1]})
-            else:
-                comps.append(
-                    {
-                        "kind": "kernel",
-                        "inputs": comp[1].tolist(),
-                        "weights": comp[2].tolist(),
-                        "mean": comp[3],
-                    }
-                )
+    def _head(self) -> dict:
+        """The entries of :meth:`to_dict` before its components."""
         return {
             "format_version": FORMAT_VERSION,
             "mode": self.mode,
             "action_values": list(self.action_space.values),
             "n_features": self.n_features,
             "bandwidth": self.bandwidth,
-            "components": comps,
-            "meta": dict(self.meta),
         }
+
+    def to_dict(self):
+        comps = [
+            {"kind": "constant", "value": comp[1]} if comp[0] == "constant"
+            else {"kind": "kernel", "inputs": comp[1].tolist(), "weights": comp[2].tolist(), "mean": comp[3]}
+            for comp in self.components
+        ]
+        return {**self._head(), "components": comps, "meta": dict(self.meta)}
+
+    def to_json(self, known: FloatTexts) -> str:
+        """``json.dumps(self.to_dict())``, byte for byte, for a model of finite values, which ``json``
+        writes by their ``repr``: the weights, means and constants are formatted by
+        :func:`~nearq.core.cell_texts`, and each kernel input's text is read from ``known`` by its
+        bits, or formatted if it is not there (:meth:`~nearq.core.FloatTexts.texts_of`)."""
+        d = self.n_features
+        kernels = [comp for comp in self.components if comp[0] == "kernel"]
+        # one lookup of the model's inputs and one format of its weights, taken in component order:
+        # rows groups each d consecutive input texts into one row
+        inputs = iter(known.texts_of(np.concatenate([np.empty((0, d)), *(comp[1] for comp in kernels)])))
+        rows = map(", ".join, zip(*[inputs] * d))
+        weights = iter(cell_texts(np.concatenate([np.empty(0), *(comp[2] for comp in kernels)])))
+        scalars = iter(cell_texts(np.array([comp[-1] for comp in self.components])))
+        comps = [
+            f'{{"kind": "constant", "value": {next(scalars)}}}' if comp[0] == "constant" else
+            f'{{"kind": "kernel", "inputs": [[{"], [".join(islice(rows, len(comp[1])))}]], '
+            f'"weights": [{", ".join(islice(weights, len(comp[2])))}], "mean": {next(scalars)}}}'
+            for comp in self.components
+        ]
+        return (f'{json.dumps(self._head())[:-1]}, "components": [{", ".join(comps)}], '
+                f'"meta": {json.dumps(dict(self.meta))}}}')
 
 
 def fit(

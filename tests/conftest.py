@@ -49,6 +49,12 @@ def dose_schedule_policy(space: ActionSpace, doses) -> GreedyPolicy:
     return GreedyPolicy(tuple(model(dose) for dose in doses))
 
 
+def lockstep_paths(rollout, j: int) -> np.ndarray:
+    """(n, n_stages + 1): the class of each of policy j's patients at months 0..n_stages of a
+    :class:`~nearq.envs.LockstepRollout`."""
+    return np.column_stack([ancestor[rollout.final[j]] for ancestor in rollout.ancestors()][::-1])
+
+
 def two_actions() -> ActionSpace:
     return ActionSpace((-1.0, 1.0))
 

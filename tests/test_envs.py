@@ -24,7 +24,7 @@ from nearq.envs import (
 from nearq.qlearn import GreedyPolicy
 from nearq.regression import InteractionLinearQ
 
-from conftest import dose_schedule_policy
+from conftest import dose_schedule_policy, lockstep_paths
 
 PARAMS = CancerParams()
 
@@ -198,7 +198,7 @@ def test_cohort_paths_carry_forward_after_death():
     assert rollout.alive[rollout.parents[rollout.starts[1]:]].all()  # no dead class is stepped
     deaths = remissions = 0
     for j, schedule in enumerate(schedules):
-        path = rollout.paths(j)
+        path = lockstep_paths(rollout, j)
         tumor, tox, alive = rollout.states[path, 0], rollout.states[path, 1], rollout.alive[path]
         totals = rollout.totals[rollout.final[j]]
         for i in range(n):
@@ -217,7 +217,7 @@ def test_cohort_paths_carry_forward_after_death():
             assert totals[i] == rewards.sum()
     assert deaths > 0 and remissions > 0
     # dose 1.0 and the switch share every class through month 2, then part for patients still alive
-    full, stop = rollout.paths(2), rollout.paths(3)
+    full, stop = lockstep_paths(rollout, 2), lockstep_paths(rollout, 3)
     assert (full[:, :3] == stop[:, :3]).all()
     assert (full[:, 3:] != stop[:, 3:]).any()
     # each policy alone, with no classes, has the states, alive flags and totals the lockstep gives it
@@ -241,7 +241,7 @@ def _assert_same_cohort(alone, together):
 def _assert_lockstep_matches(rollout, j, cohort):
     """Policy j's tumor, toxicity and alive flags along its lockstep paths, and its reward totals
     at its final classes, are bitwise those of ``cohort``."""
-    path = rollout.paths(j)
+    path = lockstep_paths(rollout, j)
     pairs = [(rollout.states[path, 0], cohort.tumor), (rollout.states[path, 1], cohort.toxicity),
              (rollout.alive[path], cohort.alive), (rollout.totals[rollout.final[j]], cohort.rewards.sum(axis=1))]
     for name, (together, alone) in zip(("tumor", "toxicity", "alive", "totals"), pairs):
@@ -304,7 +304,7 @@ def test_lockstep_keeps_deciding_after_one_policys_patients_have_all_died(monkey
     for seed in range(20):
         asked.clear()
         rollout = simulate_cancer_cohorts(params, policies, 10, seed)
-        alive = [rollout.alive[rollout.paths(j)].any(axis=0) for j in range(len(policies))]
+        alive = [rollout.alive[lockstep_paths(rollout, j)].any(axis=0) for j in range(len(policies))]
         mixed += (~alive[0] & alive[1]).any()
         # stage t asks policy j's model exactly when j has a patient alive at month t
         assert [[policy.models[t] in models for policy in policies] for t, models in enumerate(asked)] == \

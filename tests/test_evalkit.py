@@ -29,7 +29,7 @@ from nearq.nearequiv import EpsilonConfig, fit_tolerances, policy_set
 from nearq.qlearn import GreedyPolicy, backward_fit, greedy_policy
 from nearq.regression import DesignSpec, InteractionLinearQ
 
-from conftest import dose_schedule_policy, two_actions
+from conftest import dose_schedule_policy, lockstep_paths, two_actions
 
 PARAMS = CancerParams()
 NO_DEATH = CancerParams(hazard_intercept=-math.inf)  # zero hazard: every patient survives
@@ -331,7 +331,7 @@ def test_lockstep_evaluation_equals_one_policy_rollouts(n_train, n_test, seed):
         assert len({r.mean_combined for r in together}) > 1  # the family's decisions differ somewhere
         rollout = simulate_cancer_cohorts(PARAMS, policies, n_test, seed + 1, label="eval")
         for j, (policy, label, result) in enumerate(zip(policies, labels, together)):
-            path = rollout.paths(j)
+            path = lockstep_paths(rollout, j)
             assert result == evaluate_policy(PARAMS, policy, n_test, seed + 1, label=label)
             # the policy's models on its own rows alone, without the batched argmax the rollout uses
             alone = simulate_cancer_cohort(

@@ -20,6 +20,7 @@ from nearq.nearequiv import (
     fit_tolerances,
     policy_set,
     save_admissible_csv,
+    save_admissible_csvs,
     select_and_pad,
 )
 from nearq.qlearn import backward_fit, greedy_policy, stage_targets
@@ -406,6 +407,10 @@ def test_save_admissible_csv_matches_the_whole_file_formatter(tmp_path, monkeypa
     for k, stack in enumerate(stacks):
         save_admissible_csv(stack, tmp_path / f"audit{k}.csv")
         assert (tmp_path / f"audit{k}.csv").read_text() == admissible_text(stack.admissible_sets)
+    # every file at once, their q values read from one text table
+    save_admissible_csvs({tmp_path / f"shared{k}.csv": stack for k, stack in enumerate(stacks)})
+    for k, stack in enumerate(stacks):
+        assert (tmp_path / f"shared{k}.csv").read_text() == admissible_text(stack.admissible_sets)
 
 
 def test_a_cancer_run_never_builds_the_admissible_rows(tmp_path, monkeypatch):
