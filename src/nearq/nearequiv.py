@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import FloatTexts, OfflineDataset, write_csv
+from .core import FloatTexts, OfflineDataset, cell_texts, write_csv
 from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage
 from .regression import DesignSpec, FittedQ
 
@@ -260,10 +260,18 @@ def save_admissible_csv(stack: NearEquivQStack, path: str | Path) -> None:
 def save_admissible_csvs(stacks: Mapping[str | Path, NearEquivQStack]) -> None:
     """The audit CSV of :func:`save_admissible_csv` of each ``path: stack`` entry. The files share
     one :class:`~nearq.core.FloatTexts` of their q values, so a value that several tolerances admit,
-    such as each patient's best final-stage value, is formatted once."""
-    values = FloatTexts(*(stack.admissible_sets.values for stack in stacks.values())).columns
-    for (path, stack), q_values in zip(stacks.items(), values):
-        sets = stack.admissible_sets
+    such as each patient's best final-stage value, is formatted once, and one table of the texts of
+    the integers from -1 on, from which every patient id, rank and action index is read."""
+    family = [stack.admissible_sets for stack in stacks.values()]
+    values = FloatTexts(*(sets.values for sets in family)).columns
+    offsets = []  # per file: its patient ids, ranks and action indices, each plus 1, its offset in the table
+    for sets in family:
         patient = np.repeat(np.arange(sets.counts.size), sets.counts)
         rank = np.arange(patient.size) - (np.cumsum(sets.counts) - sets.counts)[patient] + 1
-        write_csv(path, "patient_id,rank,action_index,q_value", patient, rank, sets.actions, q_values)
+        offsets.append([column + 1 for column in (patient, rank, sets.actions)])
+    # the texts of -1 (the sentinel action, at offset 0) up to the largest entry of any column, an
+    # action index or a rank where a cohort has fewer patients than actions
+    top = max((int(column.max(initial=0)) for columns in offsets for column in columns), default=0)
+    table = cell_texts(np.arange(-1, top))
+    for path, columns, q_values in zip(stacks, offsets, values):
+        write_csv(path, "patient_id,rank,action_index,q_value", *((table, c) for c in columns), q_values)

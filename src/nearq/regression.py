@@ -9,7 +9,8 @@ Two designs are provided:
 * ``per-action-kernel``: one RBF kernel ridge regressor per action
   (``Q(h, a) = model_a(h)``); the action never enters the kernel. Targets are
   centered per action (an unpenalized intercept), so predictions shrink toward
-  the action's mean target rather than toward zero.
+  the action's mean target rather than toward zero. An action with no training
+  rows is a regressor with no inputs, which predicts the mean of every target.
 
 Both solve regularized normal equations through a symmetric positive definite
 factorization, so fitting is deterministic: identical inputs give bitwise
@@ -270,24 +271,22 @@ class PerActionKernelQ(FittedQ):
 
     @property
     def components(self) -> tuple:
-        """Per action k, ``("kernel", inputs, weights, mean)`` or ``("constant", value)``, made on
-        first read from the model's row of the stack: the inputs and its weights are views of the
-        stack's arrays, shared with the fit's other models."""
+        """Per action k, as the file format writes it: ``("kernel", inputs, weights, mean)``, or
+        ``("constant", mean)`` for an action with no inputs, which predicts its mean. Made on first
+        read from the model's row of the stack: the inputs and its weights are views of the stack's
+        arrays, shared with the fit's other models."""
         if self._components is None:
-            stack, j = self.stack, self.row
+            j = self.row
             self._components = tuple(
-                ("constant", float(stack.constants[k][j, 0])) if k in stack.constants
-                else ("kernel", stack.kernels[k][0], stack.kernels[k][1][j, :-1], float(stack.kernels[k][1][j, -1]))
-                for k in range(self.action_space.size))
+                ("kernel", inputs, coefficients[j, :-1], float(coefficients[j, -1])) if len(inputs)
+                else ("constant", float(coefficients[j, -1]))
+                for inputs, coefficients, _ in self.stack.kernels)
         return self._components
 
     def predict_matrix(self, features, action_index):
         x = self._check_features(features)
-        k, j = self._check_action(action_index), self.row
-        if k in self.stack.constants:
-            return np.full(x.shape[0], self.stack.constants[k][j, 0])
-        inputs, coefficients, _ = self.stack.kernels[k]
-        row = coefficients[j : j + 1]
+        inputs, coefficients, _ = self.stack.kernels[self._check_action(action_index)]
+        row = coefficients[self.row : self.row + 1]
         return _kernel_predictions(x, inputs, self.bandwidth, row[:, :-1], row[:, -1:])[0]
 
     def _head(self) -> dict:
@@ -310,16 +309,15 @@ class PerActionKernelQ(FittedQ):
 
     def to_json(self, known: FloatTexts) -> str:
         """``json.dumps(self.to_dict())``, byte for byte, for a model of finite values, which ``json``
-        writes by their ``repr``: the weights, means and constants are formatted by
+        writes by their ``repr``: the weights and means are formatted by
         :func:`~nearq.core.cell_texts`, and each kernel input's text is read from ``known`` by its
         bits, or formatted if it is not there (:meth:`~nearq.core.FloatTexts.texts_of`)."""
-        d = self.n_features
-        kernels = [comp for comp in self.components if comp[0] == "kernel"]
-        # one lookup of the model's inputs and one format of its weights, taken in component order:
-        # rows groups each d consecutive input texts into one row
-        inputs = iter(known.texts_of(np.concatenate([np.empty((0, d)), *(comp[1] for comp in kernels)])))
+        d, j, actions = self.n_features, self.row, self.stack.kernels
+        # one lookup of the model's inputs and one format of its weights, taken in action order (an
+        # action with no inputs adds none): rows groups each d consecutive input texts into one row
+        inputs = iter(known.texts_of(np.concatenate([inputs for inputs, _, _ in actions])))
         rows = map(", ".join, zip(*[inputs] * d))
-        weights = iter(cell_texts(np.concatenate([np.empty(0), *(comp[2] for comp in kernels)])))
+        weights = iter(cell_texts(np.concatenate([coefficients[j, :-1] for _, coefficients, _ in actions])))
         scalars = iter(cell_texts(np.array([comp[-1] for comp in self.components])))
         comps = [
             f'{{"kind": "constant", "value": {next(scalars)}}}' if comp[0] == "constant" else
@@ -371,9 +369,7 @@ def fit_columns(
         raise ValueError("need at least one target column")
     if a.min(initial=0) < 0 or a.max(initial=0) >= action_space.size:
         raise ValueError("action index outside the action space")
-    bad_rows = ~np.isfinite(x).all(axis=1)
-    if bad_rows.any():
-        raise ValueError(f"features contain non-finite values (row {int(bad_rows.argmax())})")
+    _check_finite_rows(x)
     if not np.isfinite(y).all():
         raise ValueError("targets contain non-finite values")
 
@@ -381,6 +377,13 @@ def fit_columns(
     if spec.mode == MODE_LINEAR:
         return _fit_interaction_linear(spec, x, a, cols, action_space)
     return _fit_per_action_kernel(spec, x, a, cols, action_space)
+
+
+def _check_finite_rows(x: np.ndarray) -> None:
+    """Refuse a feature matrix with a non-finite value, naming its first such row."""
+    bad_rows = ~np.isfinite(x).all(axis=1)
+    if bad_rows.any():
+        raise ValueError(f"features contain non-finite values (row {int(bad_rows.argmax())})")
 
 
 def _fit_interaction_linear(spec, x, a, cols, action_space) -> tuple[InteractionLinearQ, ...]:
@@ -405,8 +408,8 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
     for k in range(action_space.size):
         mask = a == k
         if not mask.any():
-            # no data for this action anywhere: predict the global target mean
-            actions.append(overall)
+            # no data for this action anywhere: no inputs, so it predicts the global target mean
+            actions.append((np.empty((0, x.shape[1])), np.empty((len(cols), 0)), overall))
             fallback.append(k)
             continue
         xa = x[mask]
@@ -430,9 +433,10 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
 def kernel_models(action_space: ActionSpace, n_features: int, bandwidth: float, actions: list,
                   meta: Mapping | None = None) -> tuple[PerActionKernelQ, ...]:
     """The m per-action kernel models of one :class:`KernelStack`, the one way a kernel model is
-    made. Action k is ``actions[k]``: its m constants, or its kernel's (inputs, (m, C) weights, m
-    means). Model j is the stack's row j; its component k, made on first read, is
-    ``("constant", value)`` or ``("kernel", inputs, weights[j], mean)``."""
+    made. Action k is ``actions[k]``, its kernel's (C, d) inputs, (m, C) weights and m means; an
+    action with C = 0 inputs predicts its means. Model j is the stack's row j; its component k,
+    made on first read, is ``("kernel", inputs, weights[j], mean)``, or ``("constant", mean)``
+    where C = 0 (:attr:`PerActionKernelQ.components`)."""
     stack = KernelStack(action_space, n_features, bandwidth, actions, meta)
     return tuple(PerActionKernelQ(stack, j) for j in range(stack.n_models))
 
@@ -458,47 +462,45 @@ def _screen_kernel(rows: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 class KernelStack:
     """The arrays the m models of one per-action kernel fit share, stacked in model order: per
-    constant action the (m, 1) values; per kernel action ``kernels[k]``: the (C, d) inputs, the
-    read-only (m, C + 1) coefficients whose row j is model j's weights (as :func:`_solve_columns`
-    solves them) and then its mean, and the (C + 1, d + 2) augmented inputs of
-    :func:`_screen_kernel`, ``-b [-2a, 1, |a|^2]`` and a zero row, so that one gemm of the
-    coefficients with the screened kernel adds the mean; the parts of :func:`_screen_bound` that
-    do not depend on the rows; and the fit's action space, feature count, bandwidth and ``meta``
-    (its mean-fallback actions). Its models are its rows (:func:`kernel_models`); it refers to no
-    model. Exact predictions read the weights and means as views of the coefficients.
+    action k, ``kernels[k]``: the (C, d) inputs, the read-only (m, C + 1) coefficients whose row j
+    is model j's weights (as :func:`_solve_columns` solves them) and then its mean, and the
+    (C + 1, d + 2) augmented inputs of :func:`_screen_kernel`, ``-b [-2a, 1, |a|^2]`` and a zero
+    row, so that one gemm of the coefficients with the screened kernel adds the mean; the parts of
+    :func:`_screen_bound` that do not depend on the rows; and the fit's action space, feature
+    count, bandwidth and ``meta`` (its mean-fallback actions). Its models are its rows
+    (:func:`kernel_models`); it refers to no model. Exact predictions read the weights and means as
+    views of the coefficients.
 
-    ``actions[k]`` is action k's m constants, or its kernel's (inputs, (m, C) weights, m means).
+    ``actions[k]`` is action k's (C, d) inputs, (m, C) weights and m means. An action never
+    observed has C = 0: kernel ridge regression with no inputs predicts its unpenalized mean, so
+    its coefficients are its means alone, its augmented inputs the zero row, and every pass below
+    treats it as any other action (both give its mean, the exact one as ``0.0 + mean``).
     """
 
     def __init__(self, action_space: ActionSpace, n_features: int, bandwidth: float, actions: list,
                  meta: Mapping | None = None):
         self.action_space, self.n_features, self.bandwidth = action_space, int(n_features), float(bandwidth)
         self.meta = MappingProxyType(dict(meta or {}))
-        self.n_models = len(actions[0][2] if isinstance(actions[0], tuple) else actions[0])
-        self.constants, self.kernels = {}, {}
-        for k, action in enumerate(actions):
-            if not isinstance(action, tuple):
-                self.constants[k] = np.asarray(action, dtype=float)[:, None]
-                continue
-            inputs, weights, means = action
+        self.n_models = len(actions[0][2])
+        self.kernels = []
+        for inputs, weights, means in actions:
             coefficients = np.column_stack([weights, means])
             coefficients.setflags(write=False)
             augmented = np.zeros((len(inputs) + 1, inputs.shape[1] + 2))
             augmented[:-1, :-2] = 2.0 * bandwidth * inputs
             augmented[:-1, -2] = -bandwidth
             augmented[:-1, -1] = -bandwidth * (inputs * inputs).sum(axis=1)
-            self.kernels[k] = (inputs, coefficients, augmented)
-        kernels = list(self.kernels.values())
-        # per kernel action: the largest input magnitude (A), gamma_{C+1}, and per model the
-        # weights' 1-norm and the mean's magnitude
-        self.reach = np.array([[np.abs(inputs).max(initial=0.0)] for inputs, _, _ in kernels])
-        self.roundoff = np.array([[_gamma(len(inputs) + 1)] for inputs, _, _ in kernels])
-        self.norms = np.array([np.abs(coefficients[:, :-1]).sum(axis=1) for _, coefficients, _ in kernels])
-        self.sizes = np.array([np.abs(coefficients[:, -1]) for _, coefficients, _ in kernels])
+            self.kernels.append((inputs, coefficients, augmented))
+        # per action: the largest input magnitude (A), gamma_{C+1}, and per model the weights'
+        # 1-norm and the mean's magnitude
+        self.reach = np.array([[np.abs(inputs).max(initial=0.0)] for inputs, _, _ in self.kernels])
+        self.roundoff = np.array([[_gamma(len(inputs) + 1)] for inputs, _, _ in self.kernels])
+        self.norms = np.array([np.abs(coefficients[:, :-1]).sum(axis=1) for _, coefficients, _ in self.kernels])
+        self.sizes = np.array([np.abs(coefficients[:, -1]) for _, coefficients, _ in self.kernels])
 
 
 def _screen_bound(stack: KernelStack, scale) -> np.ndarray:
-    """(m,): per model of ``stack``, a bound on ``|s - e|`` for every kernel action at every row
+    """(m,): per model of ``stack``, a bound on ``|s - e|`` for every action at every row
     whose coordinates are at most ``scale`` in magnitude; inf or NaN where it overflows. ``s`` is
     the screened value, one gemm of the coefficients (the weights w, then the mean m) with
     :func:`_screen_kernel`, and ``e`` the exact prediction of :func:`_kernel_predictions`,
@@ -533,6 +535,11 @@ def _screen_bound(stack: KernelStack, scale) -> np.ndarray:
     With ``1 + eta <= 2`` and ``gamma_C <= gamma_{C+1}``, ``|s - e| <= ||w||_1 (dK + 2 gamma_{C+1}
     (e^D + 1) + 2u) + (gamma_{C+1} + u) |m|``, and where it is finite, so is every sum of either
     computation.
+
+    An action with C = 0 inputs has ``||w||_1 = 0`` and ``A = 0``, so its term is
+    ``(gamma_1 + u) |m|``, and it holds: ``s = m * exp(0)`` and ``e = 0.0 + m`` both equal m.
+    Where a factor overflows, ``0 * inf`` makes its term NaN, as overflow makes every other bound
+    not finite.
     """
     d = stack.n_features
     spread = stack.bandwidth * (2 * d * np.square(1 + scale + stack.reach))  # S
@@ -549,15 +556,15 @@ def _screened_best(stack: KernelStack, x: np.ndarray, values: bool) -> tuple[np.
     alone is that, and ``best`` is scratch.
 
     A floating-point filter (Shewchuk, Adaptive Precision Floating-Point Arithmetic and Fast
-    Robust Geometric Predicates, 1997). Each block of rows is screened: per kernel action, one
+    Robust Geometric Predicates, 1997). Each block of rows is screened: per action, one
     approximate kernel matrix (:func:`_screen_kernel`) and one gemm with the stacked coefficients
-    give every model's screened value, its mean included, and a constant action screens as
-    itself. With E per model ``2^20`` times :func:`_screen_bound`, an action whose exact value can
-    be a model's best screens at least ``max - 2E``: those are a (model, row) pair's candidates,
-    and every action is where E or the best screened value is not finite (a NaN screened value
-    too, as at a row whose ``|x|^2`` overflows). With ``values`` (:func:`best_over_actions`) every
-    pair is reduced exactly; without (:func:`greedy_actions`), a pair with one candidate takes it,
-    and only the pairs with two or more are. A row needs an
+    give every model's screened value, its mean included; an action with no inputs screens as its
+    mean times ``exp(0)``, its mean exactly. With E per model ``2^20`` times :func:`_screen_bound`,
+    an action whose exact value can be a model's best screens at least ``max - 2E``: those are a
+    (model, row) pair's candidates, and every action is where E or the best screened value is not
+    finite (a NaN screened value too, as at a row whose ``|x|^2`` overflows). With ``values``
+    (:func:`best_over_actions`) every pair is reduced exactly; without (:func:`greedy_actions`), a
+    pair with one candidate takes it, and only the pairs with two or more are. A row needs an
     action where any pair reduced exactly has it as a candidate. Then, per action, one
     :func:`_kernel_predictions` call predicts every model at the rows that need it, and each
     (model, row) reduces the values it gets in action order with strict ``>``, as ``np.argmax``
@@ -574,16 +581,12 @@ def _screened_best(stack: KernelStack, x: np.ndarray, values: bool) -> tuple[np.
     tally = np.array([np.ones(n_actions), np.arange(n_actions)])  # a pair's candidate count and index sum
     rows_need = np.zeros((n_actions, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes E non-finite
-        width = np.zeros((m, 1))  # 2E
-        if stack.kernels:
-            width[:, 0] = 2 * _SLACK * _screen_bound(stack, np.abs(x).max(initial=0.0))
+        width = 2 * _SLACK * _screen_bound(stack, np.abs(x).max(initial=0.0))[:, None]  # 2E
         rows = np.column_stack([x, (x * x).sum(axis=1), np.ones(n)])  # augmented, as _screen_kernel takes them
         for lo in range(0, n, _ROW_BLOCK):
             block = slice(lo, min(lo + _ROW_BLOCK, n))
             screens = np.empty((n_actions, m, block.stop - lo))
-            for k, constant in stack.constants.items():
-                screens[k] = constant
-            for k, (_, coefficients, augmented) in stack.kernels.items():
+            for k, (_, coefficients, augmented) in enumerate(stack.kernels):
                 np.matmul(coefficients, _screen_kernel(rows[block], augmented).T, out=screens[k])
             floor = screens.max(axis=0)
             floor -= width
@@ -602,11 +605,8 @@ def _screened_best(stack: KernelStack, x: np.ndarray, values: bool) -> tuple[np.
         at = np.flatnonzero(rows_need[k])
         if not at.size:
             continue
-        if k in stack.constants:
-            exact = np.broadcast_to(stack.constants[k], (m, len(at)))
-        else:
-            inputs, coefficients, _ = stack.kernels[k]
-            exact = _kernel_predictions(x[at], inputs, stack.bandwidth, coefficients[:, :-1], coefficients[:, -1:])
+        inputs, coefficients, _ = stack.kernels[k]
+        exact = _kernel_predictions(x[at], inputs, stack.bandwidth, coefficients[:, :-1], coefficients[:, -1:])
         sub, sub_arg = best[:, at], arg[:, at]
         # strict >, as np.argmax reduces; a NaN, which np.max and np.argmax keep from its first
         # index on, replaces a number and is never replaced
@@ -630,9 +630,7 @@ def _over_actions(models, features: np.ndarray, values: bool) -> list[np.ndarray
     for model, _, _ in listed.values():
         model._check_features(features)
     x = np.asarray(features, dtype=float)
-    bad_rows = ~np.isfinite(x).all(axis=1)
-    if bad_rows.any():
-        raise ValueError(f"features contain non-finite values (row {int(bad_rows.argmax())})")
+    _check_finite_rows(x)
     gathered = []  # per stack or other model: its positions, and its arrays at its listed rows
     for key, (_, at, rows) in listed.items():
         if isinstance(key, KernelStack):
@@ -723,14 +721,16 @@ def model_from_dict(payload: Mapping) -> FittedQ:
         for k, comp in enumerate(listed):
             where = f"model component {k}"
             kind = comp.get("kind") if isinstance(comp, Mapping) else None
-            if kind == "constant":
-                actions.append(_loaded(comp, "value", (), where)[None])
+            if kind == "constant":  # an action with no inputs
+                inputs, weights = np.empty((0, d)), np.empty(0)
+                mean = _loaded(comp, "value", (), where)
             elif kind == "kernel":
                 inputs = _loaded(comp, "inputs", (None, d), where)
                 weights = _loaded(comp, "weights", (len(inputs),), where)
-                actions.append((inputs, weights[None], _loaded(comp, "mean", (), where)[None]))
+                mean = _loaded(comp, "mean", (), where)
             else:
                 raise ValueError(f"{where}: unknown 'kind' {kind!r}")
+            actions.append((inputs, weights[None], mean[None]))
         meta = payload.get("meta", {})
         if not isinstance(meta, Mapping):
             raise ValueError(f"model: 'meta' must be a JSON object, got {type(meta).__name__}")

@@ -32,9 +32,10 @@ def classical_targets(dataset, t, next_model):
 
 
 def kernel_model(space: ActionSpace, n_features: int, bandwidth: float, comps, meta=None):
-    """The per-action kernel model of ``comps``, per action ``("constant", value)`` or
-    ``("kernel", inputs, weights, mean)``: the one row of a stack of its own, as a loaded model is."""
-    actions = [np.array([comp[1]]) if comp[0] == "constant"
+    """The per-action kernel model of ``comps``, per action ``("constant", value)``, an action with no
+    inputs, or ``("kernel", inputs, weights, mean)``: the one row of a stack of its own, as a loaded
+    model is."""
+    actions = [(np.empty((0, n_features)), np.empty((1, 0)), np.array([comp[1]])) if comp[0] == "constant"
                else (comp[1], np.asarray(comp[2])[None], np.array([comp[3]])) for comp in comps]
     return kernel_models(space, n_features, bandwidth, actions, meta)[0]
 

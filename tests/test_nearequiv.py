@@ -403,6 +403,12 @@ def test_save_admissible_csv_matches_the_whole_file_formatter(tmp_path, monkeypa
     final, tied, _ = _tied_selection_case()
     stacks += tuple(replace(stacks[0], admissible_sets=select_and_pad(final, tied, cfg).admissible)
                     for cfg in SELECTION_CFGS)
+    # fewer patients than actions: one patient admits all 12 tied actions, the other stops early
+    final, space = _stub_final([[1.0] * 12])
+    few = make_dataset([[((0.0,), 0, 0.0), ((0.0,), 0, 0.0)], [((0.0,), 0, 0.0)]], horizon=1, action_space=space)
+    few = select_and_pad(final, few, EpsilonConfig(0.0)).admissible
+    assert few.counts.tolist() == [12, 1] and few.actions.max() == 11
+    stacks += (replace(stacks[0], admissible_sets=few),)
     assert max(stack.m for stack in stacks) > 1
     for k, stack in enumerate(stacks):
         save_admissible_csv(stack, tmp_path / f"audit{k}.csv")

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nearq.regression
-from nearq.core import ActionSpace
+from nearq.core import ActionSpace, FloatTexts
 from nearq.regression import (
     DesignSpec,
     InteractionLinearQ,
@@ -296,7 +298,8 @@ def test_fitted_components_are_views_of_the_stack_row_and_equal_a_rebuilt_models
         assert model.components is comps  # made on first read, then kept
         with pytest.raises(AttributeError):
             model.components = comps
-        assert comps[2] == ("constant", float(stack.constants[2][j, 0]))
+        assert stack.kernels[2][0].shape == (0, 2)  # the unobserved action: no inputs, its mean
+        assert comps[2] == ("constant", float(stack.kernels[2][1][j, -1]))
         for k in (0, 1):
             inputs, coefficients, _ = stack.kernels[k]
             weights, means = coefficients[:, :-1], coefficients[:, -1]  # each row: the weights, then the mean
@@ -306,7 +309,7 @@ def test_fitted_components_are_views_of_the_stack_row_and_equal_a_rebuilt_models
             assert _bits(comp_weights) == _bits(weights[j]) and _bits(comp_mean) == _bits(means[j])
         # a model rebuilt from the components, with a stack of its own, is the same model
         rebuilt = kernel_model(space, model.n_features, model.bandwidth, comps, model.meta)
-        for k, (inputs, coefficients, augmented) in rebuilt.stack.kernels.items():
+        for k, (inputs, coefficients, augmented) in enumerate(rebuilt.stack.kernels):
             want = stack.kernels[k]
             assert _bits(coefficients[:, :-1]) == _bits(want[1][j, :-1]) and _bits(coefficients[:, -1]) == _bits(want[1][j, -1])
             assert _bits(augmented) == _bits(want[2])
@@ -375,6 +378,27 @@ def test_unobserved_actions_fall_back_to_each_columns_mean():
         for k in (1, 3):
             assert model.components[k] == ("constant", want)
             assert _bits(model.predict_matrix(x, k)) == _bits(np.full(n, want))
+
+
+@pytest.mark.parametrize("value", [-0.0, 0.0, 5e-324, -2.5, 1.7976931348623157e308])
+def test_an_action_with_no_inputs_predicts_zero_plus_its_value_and_writes_the_value(value):
+    # a "constant" component is a kernel with no inputs: its exact prediction is 0.0 + value, so a
+    # loaded -0.0 predicts 0.0, while the file keeps the value's own bits
+    kernel = ("kernel", np.array([[0.5, -1.0]]), np.array([0.25]), -1.0)
+    payload = kernel_model(ActionSpace((0.0, 1.0)), 2, 0.7, [("constant", value), kernel]).to_dict()
+    model = model_from_dict(payload)
+    assert model.stack.kernels[0][0].shape == (0, 2) and model.components[0] == ("constant", value)
+    probe = np.random.default_rng(2).normal(size=(300, 2))
+    got = model.predict_matrix(probe, 0)
+    assert _bits(got) == _bits(np.full(300, 0.0 + value))
+    q = model.predict_all_matrix(probe)
+    values, actions = best_over_actions([model], probe)
+    assert _bits(values) == _bits(q.max(axis=1)[None]) and np.array_equal(actions, q.argmax(axis=1)[None])
+    written = model.to_dict()["components"][0]
+    assert written == {"kind": "constant", "value": value}
+    assert np.copysign(1.0, written["value"]) == np.copysign(1.0, value)
+    text = model.to_json(FloatTexts())
+    assert text == json.dumps(model.to_dict()) and f'{{"kind": "constant", "value": {value!r}}}' in text
 
 
 def test_kernel_weights_equal_the_reference_solve_bitwise():
@@ -495,17 +519,17 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
     counts.update((name, 0) for name in counts)
     assert np.array_equal(greedy_actions(listed, probe), got[1])
     # rows 0 and 1 come from one computation, and the models of one fit are one stacked model:
-    # one screen per (row block, kernel action) of each fit, whatever m is, then at most one
-    # exact call per (fit, kernel action), each model at most once, with one kernel matrix and
-    # one vecdot per row block of the rows it predicts; the actions alone come from the same
-    # screens and predict only where a pair keeps two or more candidate actions
+    # one screen per (row block, action) of each fit, whatever m is, the unobserved action with no
+    # inputs too, then at most one exact call per (fit, action), each model at most once, with one
+    # kernel matrix and one vecdot per row block of the rows it predicts; the actions alone come
+    # from the same screens and predict only where a pair keeps two or more candidate actions
     if mode == "per-action-kernel":
-        kernel_actions = sum(comp[0] == "kernel" for comp in model.components)
+        assert [comp[0] for comp in model.components] == ["kernel", "kernel", "constant"]
         fits, blocks = 3, 3  # model, other, columns; 600 rows in blocks of 256
-        assert valued["screens"] == counts["screens"] == fits * kernel_actions * blocks
-        assert 0 < valued["exact_calls"] <= fits * kernel_actions
+        assert valued["screens"] == counts["screens"] == fits * space.size * blocks
+        assert 0 < valued["exact_calls"] <= fits * space.size
         assert counts["exact_calls"] <= valued["exact_calls"]
-        assert counts["components"] <= valued["components"] <= (2 + len(columns)) * kernel_actions
+        assert counts["components"] <= valued["components"] <= (2 + len(columns)) * space.size
         assert counts["exact"] < valued["exact"] / 10
         for used in (valued, counts):
             assert used["_rbf"] == used["vecdot"] <= used["exact_calls"] * blocks
@@ -515,13 +539,12 @@ def test_argmax_over_actions_evaluates_a_repeated_model_once(monkeypatch, mode):
 
 
 def _one_fit(models, bandwidth=None):
-    """Kernel ``models`` whose actions have one kind and one inputs array each, rebuilt as the
-    models of one fit: sharing one stack (``kernel_models``), at ``bandwidth`` if given."""
+    """Kernel ``models`` whose actions have one inputs array each, rebuilt as the models of one fit:
+    sharing one stack (``kernel_models``), at ``bandwidth`` if given."""
     first, actions = models[0], []
-    for k, comp in enumerate(models[0].components):
-        comps = [model.components[k] for model in models]
-        actions.append(np.array([c[1] for c in comps]) if comp[0] == "constant" else
-                       (comp[1], np.array([c[2] for c in comps]), np.array([c[3] for c in comps])))
+    for k, (inputs, _, _) in enumerate(first.stack.kernels):
+        coefficients = np.array([model.stack.kernels[k][1][model.row] for model in models])
+        actions.append((inputs, coefficients[:, :-1], coefficients[:, -1]))
     return kernel_models(first.action_space, first.n_features, bandwidth or first.bandwidth, actions)
 
 
@@ -596,15 +619,15 @@ def test_screened_argmax_at_rows_whose_squared_norm_overflows_predicts_every_act
 
 
 def _drawn_group(seed, n_models, kinds, bandwidth, mirror, nan=False):
-    """Kernel models of one fit (one stack): action k is a constant, an independent kernel, or a
-    kernel tied exactly ("tie") or one ulp above ("ulp") the first kernel action, on a copy of its
-    inputs. With ``mirror``, model 1 is model 0 negated, so it takes model 0's worst action; with
-    ``nan``, the last model's last action has a NaN value (a NaN constant or mean)."""
+    """Kernel models of one fit (one stack): action k is a constant (a kernel with no inputs), an
+    independent kernel, or a kernel tied exactly ("tie") or one ulp above ("ulp") the first kernel
+    action, on a copy of its inputs. With ``mirror``, model 1 is model 0 negated, so it takes model
+    0's worst action; with ``nan``, the last model's last action has a NaN mean."""
     rng = np.random.default_rng(seed)
     shared, base = [], None  # per action: (inputs, weights of each model, means); the first kernel's index
     for kind in kinds:
         if kind == "constant":
-            shared.append((None, None, rng.normal(size=n_models)))
+            shared.append((np.empty((0, 2)), np.empty((n_models, 0)), rng.normal(size=n_models)))
         elif kind == "kernel" or base is None:
             base = len(shared) if base is None else base
             c = int(rng.integers(1, 40))
@@ -614,14 +637,13 @@ def _drawn_group(seed, n_models, kinds, bandwidth, mirror, nan=False):
             inputs, weights, means = shared[base]
             shared.append((inputs.copy(), weights if kind == "tie" else np.nextafter(weights, np.inf), means))
     if mirror and n_models > 1:
-        shared = [(inputs, None if w is None else np.vstack([w[:1], -w[:1], w[2:]]),
+        shared = [(inputs, np.vstack([w[:1], -w[:1], w[2:]]),
                    np.concatenate([means[:1], -means[:1], means[2:]])) for inputs, w, means in shared]
     if nan:
         inputs, weights, means = shared[-1]
         shared[-1] = (inputs, weights, np.concatenate([means[:-1], [np.nan]]))
     space = ActionSpace(tuple(float(k) for k in range(len(kinds))))
-    return kernel_models(space, 2, bandwidth, [means if inputs is None else (inputs, weights, means)
-                                               for inputs, weights, means in shared])
+    return kernel_models(space, 2, bandwidth, shared)
 
 
 @settings(max_examples=60, deadline=None)
@@ -631,6 +653,8 @@ def _drawn_group(seed, n_models, kinds, bandwidth, mirror, nan=False):
        listing=st.lists(st.integers(0, 19), min_size=1, max_size=8))
 @example(seed=1, n_models=2, kinds=["kernel", "ulp", "kernel", "constant"], n_rows=300, bandwidth=0.7, mirror=True,
          listing=[1, 0, 1])
+@example(seed=3, n_models=1, kinds=["constant"] * 11, n_rows=300, bandwidth=1.0, mirror=False,
+         listing=[0])  # a dose_schedule_policy model: every action a constant
 def test_best_over_actions_equals_the_reference_reduction_property(seed, n_models, kinds, n_rows, bandwidth, mirror,
                                                                    listing):
     # the screen only picks which actions are predicted exactly at which rows, so values and actions
@@ -658,6 +682,8 @@ def test_best_over_actions_equals_the_reference_reduction_property(seed, n_model
        nan=st.booleans(), listing=st.lists(st.integers(0, 19), min_size=1, max_size=8))
 @example(seed=1, n_models=2, kinds=["kernel", "ulp", "kernel", "constant"], n_rows=300, bandwidth=0.7, mirror=True,
          nan=False, listing=[1, 0, 1])
+@example(seed=3, n_models=1, kinds=["constant"] * 11, n_rows=300, bandwidth=1.0, mirror=False, nan=False,
+         listing=[0])  # a dose_schedule_policy model: every action a constant
 @example(seed=1, n_models=3, kinds=["kernel", "tie", "kernel"], n_rows=300, bandwidth=0.7, mirror=True, nan=True,
          listing=[2, 0])
 def test_greedy_actions_equals_the_reference_argmax_property(seed, n_models, kinds, n_rows, bandwidth, mirror, nan,
