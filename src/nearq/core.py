@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -339,7 +338,8 @@ class FloatTexts:
     different payloads, are different values. ``keys`` holds the distinct bit
     patterns as int64, ascending, and ``texts[k]`` the text of the value whose
     bits are ``keys[k]``; ``columns[i]`` is ``arrays[i]`` as a ``(texts, index)``
-    column of :func:`write_csvs`, its index in the shape of the array.
+    column of :func:`write_csv`, its index in the shape of the array, so a 2-D
+    array's row is one record, a line per entry.
     """
 
     def __init__(self, *arrays: np.ndarray):
@@ -367,56 +367,45 @@ class FloatTexts:
         return texts
 
 
-def _cells(column) -> list[str]:
-    """The cell texts of one block column (see :func:`write_csvs`)."""
+def _cells(column, block: slice) -> list[str]:
+    """The cell texts of the ``block`` of records of a column of :func:`write_csv`, raveled: a 2-D
+    column's record is one line per entry of its row."""
     if isinstance(column, tuple):
         texts, index = column
-        return list(map(texts.__getitem__, index.tolist()))
-    return cell_texts(column)
-
-
-def write_csvs(headers: dict, n: int, block) -> None:
-    """Write one CSV file per ``path: header`` entry of ``headers`` in one pass over ``n`` records.
-
-    Records are formatted ``CSV_BLOCK_ROWS`` at a time: ``block(lo, hi)``
-    returns, for each file in the order of ``headers``, the columns of the
-    lines that records lo..hi-1 make there. A column is a numpy array, its
-    cells formatted by :func:`cell_texts`; or a pair ``(texts, index)`` of a
-    list of cell texts, made by :func:`cell_texts` (or empty), and an integer
-    array, each cell ``texts[index[k]]``, for text made once and read many
-    times, such as a column of :class:`FloatTexts`, whose texts outlive the
-    blocks and may serve several files. A block is formatted column by column,
-    one map per column, joined line by line, and written with one ``write``
-    per file. Files are opened as ``Path.write_text`` opens them, so their
-    bytes equal those of the whole text written at once.
-    """
-    with ExitStack() as stack:
-        files = [stack.enter_context(Path(path).open("w")) for path in headers]
-        for fh, header in zip(files, headers.values()):
-            fh.write(header + "\n")
-        for lo in range(0, n, CSV_BLOCK_ROWS):
-            for fh, columns in zip(files, block(lo, min(lo + CSV_BLOCK_ROWS, n)), strict=True):
-                lines = list(map(",".join, zip(*map(_cells, columns), strict=True)))
-                if lines:
-                    fh.write("\n".join(lines) + "\n")
-
-
-def _rows(column, lo: int, hi: int):
-    """Entries lo..hi-1 of a column of :func:`write_csvs`."""
-    if isinstance(column, tuple):
-        texts, index = column
-        return texts, index[lo:hi]
-    return column[lo:hi]
+        return list(map(texts.__getitem__, index[block].ravel().tolist()))
+    return cell_texts(column[block].ravel())
 
 
 def write_csv(path: str | Path, header: str, *columns) -> None:
-    """Write ``header``, then one line per entry of the equal-length ``columns``,
-    ``CSV_BLOCK_ROWS`` lines a block (see :func:`write_csvs`). A column is a numpy array (one of
-    text cells is a numpy string array) or a ``(texts, index)`` pair, such as a column of
-    :class:`FloatTexts` whose text serves several files, one line per entry of ``index``."""
-    first = columns[0]
-    n = len(first[1] if isinstance(first, tuple) else first)
-    write_csvs({path: header}, n, lambda lo, hi: ([_rows(column, lo, hi) for column in columns],))
+    """Write ``header``, then the records of ``columns``: the one CSV writer every artifact goes
+    through, each artifact one call over whole columns.
+
+    A column is a numpy array, its cells formatted by :func:`cell_texts` (a column of text cells is
+    a numpy string array); or a pair ``(texts, index)`` of a list of cell texts, made by
+    :func:`cell_texts` (or empty), and an integer array, each cell ``texts[index[k]]``, for text
+    made once and read many times, such as a column of :class:`FloatTexts`, whose texts outlive
+    the file and may serve several. The columns (of a pair, its ``index``) share one shape: a
+    record is one entry along the first axis, one line, or in 2-D columns one line per entry of
+    its row, such as a patient's months. Columns of different shapes, a 2-D one beside a 1-D one
+    of the same length too, raise ``ValueError`` before the file is opened, rather than misalign
+    lines.
+
+    Records are formatted ``CSV_BLOCK_ROWS`` at a time, column by column, one map per column, joined
+    line by line and written with one ``write``, so the writer holds one block's text, never the
+    file's. The file is opened as ``Path.write_text`` opens it, so its bytes equal those of the
+    whole text written at once.
+    """
+    shapes = {np.shape(column[1] if isinstance(column, tuple) else column) for column in columns}
+    if len(shapes) != 1:
+        raise ValueError(f"{path}: columns of shapes {sorted(shapes)}, where one shape is expected")
+    n = shapes.pop()[0]
+    with Path(path).open("w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            lines = list(map(",".join, zip(*(_cells(column, block) for column in columns), strict=True)))
+            if lines:
+                fh.write("\n".join(lines) + "\n")
 
 
 def cohort_header(d: int) -> str:

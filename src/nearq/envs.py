@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ActionSpace, FloatTexts, OfflineDataset, cell_texts, cohort_header, save_sidecar, write_csvs
+from .core import ActionSpace, FloatTexts, OfflineDataset, cell_texts, cohort_header, save_sidecar, write_csv
 from .qlearn import GreedyPolicy
 from .regression import greedy_actions
 
@@ -202,9 +202,11 @@ class CancerCohort:
     @cached_property
     def texts(self) -> FloatTexts:
         """The cell texts of the tumor, toxicity and reward arrays, each distinct value's made once,
-        on first read and kept with the cohort. The trajectories and cohort CSVs read every state and
-        reward cell here, and a stack fitted on the cohort reads each kernel input, a training
-        row's state (:func:`~nearq.qlearn.save_stack`)."""
+        on first read and kept with the cohort. Its columns index the (patients, months) arrays:
+        :func:`save_trajectories_csv` writes them whole as 2-D columns of
+        :func:`~nearq.core.write_csv`, a record per patient, and the cohort CSV reads them at its
+        rows' (patient, stage); a stack fitted on the cohort reads each kernel input, a training
+        row's state, here by its bits (:func:`~nearq.qlearn.save_stack`)."""
         return FloatTexts(self.tumor, self.toxicity, self.rewards)
 
 
@@ -451,44 +453,34 @@ def simulate_cancer_cohorts(
 
 
 def save_trajectories_csv(cohort: CancerCohort, path: str | Path, train: str | Path | None = None) -> None:
-    """Per-month state log ``patient_id,stage,tumor,toxicity,dose,reward,alive``; with ``train``,
-    also the cohort CSV of ``cohort.dataset`` and its sidecar there, the bytes
-    :func:`~nearq.core.save_csv` writes, in the same pass.
+    """Per-month state log ``patient_id,stage,tumor,toxicity,dose,reward,alive``, one record per
+    patient, a line per month; with ``train``, also the cohort CSV of ``cohort.dataset`` and its
+    sidecar there, the bytes :func:`~nearq.core.save_csv` writes. Each file is one
+    :func:`~nearq.core.write_csv` call over whole columns.
 
-    Both files are written a block of patients at a time, and no float is
-    formatted here: every state and reward cell reads the text of its value in
-    ``cohort.texts``, made once per cohort by :func:`~nearq.core.cell_texts`, so a
-    state carried forward after death and a value the training rows repeat
-    reuse one text, which the fitted stack's writer reads again. A dose reads
-    its grid label's text.
+    No float is formatted here: every state and reward cell reads the text of
+    its value in ``cohort.texts``, made once per cohort by
+    :func:`~nearq.core.cell_texts`, so a state carried forward after death and a
+    value the training rows repeat reuse one text, which the fitted stack's
+    writer reads again. A dose reads its grid label's text. A month that is not
+    a training row (after death, or the last) has an empty dose and reward.
     """
-    headers = {path: "patient_id,stage,tumor,toxicity,dose,reward,alive"}
-    if train is not None:
-        headers[train] = cohort_header(2)
-    grid = cell_texts(np.array(cohort.action_space.values)) + [""]  # dose index -1: no dose
-    write_csvs(headers, len(cohort.tumor), lambda lo, hi: _cohort_columns(cohort, grid, lo, hi)[:len(headers)])
-    if train is not None:
-        save_sidecar(cohort.dataset, train)
-
-
-def _cohort_columns(cohort: CancerCohort, grid: list[str], lo: int, hi: int) -> tuple[list, list]:
-    """The trajectories columns of patients lo..hi-1, then the cohort CSV columns of their rows."""
-    alive = cohort.alive[lo:hi]
-    n, months = alive.shape
+    n, months = cohort.alive.shape
     (texts, tumor), (_, tox), (_, reward) = cohort.texts.columns
-    tumor, tox = tumor[lo:hi].ravel(), tox[lo:hi].ravel()
-    rows = np.zeros_like(alive)  # the cells of the cohort rows: alive, at a decision month
-    rows[:, :-1] = alive[:, :-1]
-    rewards = list(map(texts.__getitem__, reward[lo:hi][rows[:, :-1]].tolist())) + [""]
-    reward_at = np.full(alive.shape, -1)  # -1: the empty text appended last
-    reward_at[rows] = np.arange(len(rewards) - 1)
-    dose_at = np.full(alive.shape, -1)
-    dose_at[:, :-1] = cohort.dose_index[lo:hi]
-    patient, stage = np.repeat(np.arange(lo, hi), months), np.tile(np.arange(months), n)
-    at = np.flatnonzero(rows)
-    dose_at, reward_at = dose_at.ravel(), reward_at.ravel()
-    return (
-        [patient, stage, (texts, tumor), (texts, tox), (grid, dose_at), (rewards, reward_at),
-         alive.ravel().astype(np.int8)],
-        [patient[at], stage[at], (texts, tumor[at]), (texts, tox[at]), dose_at[at], (rewards, reward_at[at])],
+    # a month that is not a training row reads the empty text appended to the reward texts and to
+    # the dose grid's (a dose index is -1 after death)
+    reward_at = np.full((n, months), len(texts))
+    np.copyto(reward_at[:, :-1], reward, where=cohort.alive[:, :-1])
+    dose_at = np.full((n, months), -1)
+    dose_at[:, :-1] = cohort.dose_index
+    write_csv(
+        path, "patient_id,stage,tumor,toxicity,dose,reward,alive",
+        np.broadcast_to(np.arange(n)[:, None], (n, months)), np.broadcast_to(np.arange(months), (n, months)),
+        (texts, tumor), (texts, tox), (cell_texts(np.array(cohort.action_space.values)) + [""], dose_at),
+        (texts + [""], reward_at), cohort.alive.view(np.int8),
     )
+    if train is not None:
+        ds = cohort.dataset
+        write_csv(train, cohort_header(2), ds.patient, ds.stage, (texts, tumor[ds.patient, ds.stage]),
+                  (texts, tox[ds.patient, ds.stage]), ds.actions, (texts, reward[ds.patient, ds.stage]))
+        save_sidecar(ds, train)

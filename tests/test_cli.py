@@ -497,20 +497,22 @@ def test_writer_failing_part_way_leaves_the_previous_out_untouched(tmp_path, mon
     out = tmp_path / "run"
     assert _run(*command, "--seed", "3", "--epsilon", "0.3", "--out", str(out)) == 0
     before = _snapshot(out)
-    write_csvs = nearq.core.write_csvs
+    write_csv = nearq.core.write_csv
 
-    def failing_after_one_block(headers, n, block):
-        write_csvs(headers, nearq.core.CSV_BLOCK_ROWS, block)
-        lines = [len(columns[0]) for columns in block(0, nearq.core.CSV_BLOCK_ROWS)]
-        assert [len(Path(path).read_text().splitlines()) for path in headers] == [1 + k for k in lines]
-        assert lines[0] >= nearq.core.CSV_BLOCK_ROWS
+    def failing_after_one_block(path, header, *columns):
+        block_rows = nearq.core.CSV_BLOCK_ROWS
+        block = [(c[0], c[1][:block_rows]) if isinstance(c, tuple) else c[:block_rows] for c in columns]
+        write_csv(path, header, *block)
+        lines = np.size(block[0][1] if isinstance(block[0], tuple) else block[0])
+        assert len(Path(path).read_text().splitlines()) == 1 + lines
+        assert lines >= block_rows
         raise OSError("injected failure after one block")
 
     # the first artifact of either command is the training cohort: core.save_csv writes it for itr,
-    # envs.save_trajectories_csv writes it with trajectories.csv for cancer
+    # envs.save_trajectories_csv writes trajectories.csv (a record per patient, a line per month) for cancer
     monkeypatch.setattr(nearq.core, "CSV_BLOCK_ROWS", 8)
-    monkeypatch.setattr(nearq.core, "write_csvs", failing_after_one_block)
-    monkeypatch.setattr(nearq.envs, "write_csvs", failing_after_one_block)
+    monkeypatch.setattr(nearq.core, "write_csv", failing_after_one_block)
+    monkeypatch.setattr(nearq.envs, "write_csv", failing_after_one_block)
     assert _run(*command, "--seed", "5", "--epsilon", "0.5", "--out", str(out)) == 1
     assert "injected failure after one block" in capsys.readouterr().err
     assert _snapshot(out) == before

@@ -97,8 +97,9 @@ def _first(cohort, n_patients):
 
 
 def _assert_cohort_files(tmp_path, cohort):
-    """trajectories.csv and train.csv written in one pass equal the whole-file formatters, and
-    train.csv with its sidecar equals what save_csv writes for the cohort's dataset."""
+    """trajectories.csv and train.csv, written by one save_trajectories_csv call (one write_csv call
+    each), equal the whole-file formatters, and train.csv with its sidecar equals what save_csv
+    writes for the cohort's dataset."""
     save_trajectories_csv(cohort, tmp_path / "trajectories.csv", train=tmp_path / "train.csv")
     save_csv(cohort.dataset, tmp_path / "alone.csv")
     assert (tmp_path / "trajectories.csv").read_bytes() == trajectories_text(cohort).encode()
@@ -120,6 +121,46 @@ def test_one_pass_cohort_files_when_everyone_dies_at_stage_zero(tmp_path, n_pati
     cohort = simulate_cancer_cohort(CancerParams(hazard_intercept=50.0), UNIFORM_RANDOM, n_patients, seed=3)
     assert not cohort.alive[:, 1:].any()
     _assert_cohort_files(tmp_path, cohort)
+
+
+def records_text(values, texts, index):
+    """Whole-file reference of 2-D columns: record i is one line ``i,j,values[i, j],texts[index[i, j]]``
+    per entry j of its row."""
+    lines = ["record,entry,value,text"]
+    for i, (row, at) in enumerate(zip(values.tolist(), index.tolist())):
+        lines.extend(f"{i},{j},{v!r},{texts[k]}" for j, (v, k) in enumerate(zip(row, at)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block_rows", [3, C])
+@pytest.mark.parametrize("n_records", EDGES)
+def test_2d_columns_match_the_whole_file_formatter_at_block_boundaries(tmp_path, monkeypatch, n_records,
+                                                                       block_rows):
+    # a record of 3 lines, as trajectories.csv writes a patient's months: a 2-D float array, a (texts,
+    # 2-D index) column that is not contiguous, and broadcast record and entry numbers
+    monkeypatch.setattr(nearq.core, "CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(n_records)
+    values = rng.normal(size=(n_records, 3))
+    values[::5, 1] = -0.0
+    ((texts, index),) = FloatTexts(rng.choice([-1.5, -0.0, 0.0, 0.25, 5e-324], size=(n_records, 3))).columns
+    index = index[:, ::-1]
+    write_csv(tmp_path / "records.csv", "record,entry,value,text",
+              np.broadcast_to(np.arange(n_records)[:, None], (n_records, 3)), np.broadcast_to(np.arange(3), (n_records, 3)),
+              values, (texts, index))
+    assert (tmp_path / "records.csv").read_bytes() == records_text(values, texts, index).encode()
+
+
+@pytest.mark.parametrize("columns", [
+    (np.zeros((5, 2)), np.arange(5)),  # a 2-D column beside a 1-D one of the same length
+    (np.arange(5), (["a", "b"], np.zeros((5, 2), dtype=int))),  # a 2-D index beside a 1-D column
+    (np.zeros((5, 2)), np.zeros((5, 3))),  # records of different line counts
+    (np.arange(5), np.arange(6)),  # a longer column after a shorter one
+    (np.arange(6), (["a"], np.zeros(5, dtype=int))),
+], ids=["2d-beside-1d", "2d-index-beside-1d", "different-widths", "longer-second", "shorter-second"])
+def test_columns_of_different_shapes_raise_before_the_file_is_opened(tmp_path, columns):
+    with pytest.raises(ValueError, match="one shape is expected"):
+        write_csv(tmp_path / "bad.csv", "a,b", *columns)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
@@ -322,6 +363,17 @@ def test_save_csv_peak_memory_is_bounded_by_the_block(tmp_path):
     ds = _cohort(20_000, d=10)
     save_csv(ds, tmp_path / "warm.csv")
     assert _traced_peak_mb(lambda: save_csv(ds, tmp_path / "cohort.csv")) < 4.0
+
+
+def test_cohort_files_peak_memory_is_bounded_by_the_block(tmp_path, cancer_cohort):
+    # 3,000 patients: trajectories.csv and train.csv, one write_csv call each over whole columns, peak
+    # near 0.82 MB (the dose and reward index arrays, the reward texts with the blank, one block's
+    # text); formatted whole (a block as large as the file) near 4.9 MB
+    cohort = _first(cancer_cohort, 3000)
+    save_trajectories_csv(cohort, tmp_path / "warm.csv", train=tmp_path / "warm_train.csv")  # builds texts, dataset
+    peak = _traced_peak_mb(
+        lambda: save_trajectories_csv(cohort, tmp_path / "trajectories.csv", train=tmp_path / "train.csv"))
+    assert peak < 1.0
 
 
 def test_itr_run_peak_memory_is_bounded(tmp_path):
