@@ -337,7 +337,8 @@ class FloatTexts:
     Values are told apart by their bits, so ``-0.0`` and ``0.0``, and NaNs of
     different payloads, are different values. ``keys`` holds the distinct bit
     patterns as int64, ascending, and ``texts[k]`` the text of the value whose
-    bits are ``keys[k]``; ``columns[i]`` is ``arrays[i]`` as a ``(texts, index)``
+    bits are ``keys[k]``; one more text ends the list, the empty one, so an index
+    of -1 reads a blank cell. ``columns[i]`` is ``arrays[i]`` as a ``(texts, index)``
     column of :func:`write_csv`, its index in the shape of the array, so a 2-D
     array's row is one record, a line per entry.
     """
@@ -347,6 +348,7 @@ class FloatTexts:
         bits = np.concatenate([np.empty(0, dtype=np.int64), *(a.view(np.int64) for a in flat)])
         self.keys, inverse = np.unique(bits, return_inverse=True)
         self.texts = cell_texts(self.keys.view(np.float64))
+        self.texts.append("")
         ends = np.cumsum([a.size for a in flat])
         self.columns = [(self.texts, index.reshape(np.shape(a)))
                         for a, index in zip(arrays, np.split(inverse, ends[:-1]))]
@@ -384,11 +386,11 @@ def write_csv(path: str | Path, header: str, *columns) -> None:
     a numpy string array); or a pair ``(texts, index)`` of a list of cell texts, made by
     :func:`cell_texts` (or empty), and an integer array, each cell ``texts[index[k]]``, for text
     made once and read many times, such as a column of :class:`FloatTexts`, whose texts outlive
-    the file and may serve several. The columns (of a pair, its ``index``) share one shape: a
-    record is one entry along the first axis, one line, or in 2-D columns one line per entry of
-    its row, such as a patient's months. Columns of different shapes, a 2-D one beside a 1-D one
-    of the same length too, raise ``ValueError`` before the file is opened, rather than misalign
-    lines.
+    the file and may serve several, and whose index -1 reads the empty text, a blank cell. The
+    columns (of a pair, its ``index``) share one shape: a record is one entry along the first
+    axis, one line, or in 2-D columns one line per entry of its row, such as a patient's months.
+    Columns of different shapes, a 2-D one beside a 1-D one of the same length too, raise
+    ``ValueError`` before the file is opened, rather than misalign lines.
 
     Records are formatted ``CSV_BLOCK_ROWS`` at a time, column by column, one map per column, joined
     line by line and written with one ``write``, so the writer holds one block's text, never the

@@ -467,9 +467,9 @@ def save_trajectories_csv(cohort: CancerCohort, path: str | Path, train: str | P
     """
     n, months = cohort.alive.shape
     (texts, tumor), (_, tox), (_, reward) = cohort.texts.columns
-    # a month that is not a training row reads the empty text appended to the reward texts and to
-    # the dose grid's (a dose index is -1 after death)
-    reward_at = np.full((n, months), len(texts))
+    # a month that is not a training row reads an empty text at index -1: the one that ends the
+    # cohort's texts, and the one appended to the dose grid's
+    reward_at = np.full((n, months), -1)
     np.copyto(reward_at[:, :-1], reward, where=cohort.alive[:, :-1])
     dose_at = np.full((n, months), -1)
     dose_at[:, :-1] = cohort.dose_index
@@ -477,7 +477,7 @@ def save_trajectories_csv(cohort: CancerCohort, path: str | Path, train: str | P
         path, "patient_id,stage,tumor,toxicity,dose,reward,alive",
         np.broadcast_to(np.arange(n)[:, None], (n, months)), np.broadcast_to(np.arange(months), (n, months)),
         (texts, tumor), (texts, tox), (cell_texts(np.array(cohort.action_space.values)) + [""], dose_at),
-        (texts + [""], reward_at), cohort.alive.view(np.int8),
+        (texts, reward_at), cohort.alive.view(np.int8),
     )
     if train is not None:
         ds = cohort.dataset

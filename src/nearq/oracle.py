@@ -1,16 +1,17 @@
 """Tabular fixture and brute-force dynamic-programming reference.
 
-The fixture is a two-stage decision process on a handful of states with two
-actions, encoded so that the interaction-linear backend is saturated (it can
-represent any table of cell values exactly). The reference values are computed
-by direct counting over the dataset: cell means at the last stage, then cell
-means of reward plus best next value. Backward fitting must reproduce these
-values to solver precision.
+:func:`dp_oracle` computes reference values by direct counting over a tabular
+dataset, with no regression: walking stages T..0 backward, each (state, action)
+cell's value is the mean of its rows' reward plus the best stage-(t+1) value of
+the patient's next state (none where the trajectory ends at t). States are in
+drop-first indicator coding, ``feature_dims[0] + 1`` of them, state 0 the
+all-zero vector. With 2 actions and every (stage, state, action) cell visited,
+the interaction-linear backend is saturated (it represents any table of cell
+values exactly), so backward fitting must reproduce these values to solver
+precision. The fixture is one such problem: 3 states, 2 stages.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +38,6 @@ def state_features(s: int) -> tuple[float, ...]:
     return tuple(1.0 if s == j else 0.0 for j in range(1, N_STATES))
 
 
-def _decode_state(features) -> int:
-    for j in range(1, N_STATES):
-        if features[j - 1] == 1.0:
-            return j
-    return 0
-
-
 def build_fixture_dataset() -> OfflineDataset:
     """Every (state, action) cell visited at both stages, 24 trajectories."""
     patients = []
@@ -62,49 +56,33 @@ def build_fixture_dataset() -> OfflineDataset:
     return OfflineDataset(tuple(patients), 1, (ACTIONS, ACTIONS), (N_STATES - 1, N_STATES - 1))
 
 
-@dataclass(frozen=True)
-class DpTables:
-    """Reference value tables, shape (N_STATES, n_actions) per stage."""
-
-    q0: np.ndarray
-    q1: np.ndarray
-
-
-def dp_oracle(dataset: OfflineDataset) -> DpTables:
-    """Backward value tables by direct counting, no regression involved."""
-    n_actions = dataset.action_spaces[0].size
-    sums1 = np.zeros((N_STATES, n_actions))
-    counts1 = np.zeros((N_STATES, n_actions))
-    for p in dataset.patients:
-        rec = p.stages[1]
-        s = _decode_state(rec.covariates)
-        sums1[s, rec.action_index] += rec.reward
-        counts1[s, rec.action_index] += 1
-    if (counts1 == 0).any():
-        raise ValueError("fixture must cover every final-stage cell")
-    q1 = sums1 / counts1
-    v1 = q1.max(axis=1)
-
-    sums0 = np.zeros((N_STATES, n_actions))
-    counts0 = np.zeros((N_STATES, n_actions))
-    for p in dataset.patients:
-        rec0 = p.stages[0]
-        s0 = _decode_state(rec0.covariates)
-        s1 = _decode_state(p.stages[1].covariates)
-        sums0[s0, rec0.action_index] += rec0.reward + v1[s1]
-        counts0[s0, rec0.action_index] += 1
-    if (counts0 == 0).any():
-        raise ValueError("fixture must cover every first-stage cell")
-    q0 = sums0 / counts0
-    return DpTables(q0=q0, q1=q1)
+def dp_oracle(dataset: OfflineDataset) -> list[np.ndarray]:
+    """Backward value tables by direct counting: ``tables[t]`` is stage t's (states, actions) table.
+    A stage with an unvisited (state, action) cell raises ``ValueError`` naming the stage."""
+    n_states = dataset.feature_dims[0] + 1
+    tables: list = [None] * (dataset.horizon + 1)
+    # each patient's best stage-(t+1) value: 0 for one whose trajectory ends before t+1, as no
+    # later stage holds a row of theirs
+    best = np.zeros(dataset.n_patients)
+    for t in range(dataset.horizon, -1, -1):
+        idx, feats, actions, rewards = dataset.stage_rows(t)
+        hot = feats == 1.0
+        states = np.where(hot.any(axis=1), hot.argmax(axis=1) + 1, 0)
+        sums = np.zeros((n_states, dataset.action_spaces[t].size))
+        counts = np.zeros_like(sums)
+        np.add.at(sums, (states, actions), rewards + best[idx])
+        np.add.at(counts, (states, actions), 1.0)
+        if (counts == 0).any():
+            raise ValueError(f"dataset must cover every (state, action) cell at stage {t}")
+        tables[t] = sums / counts
+        best[idx] = tables[t].max(axis=1)[states]
+    return tables
 
 
-def max_discrepancy(stack: QStack, tables: DpTables) -> float:
-    """Largest |fitted value - reference value| over all (state, action, stage)."""
+def max_discrepancy(stack: QStack, tables) -> float:
+    """Largest |fitted value - reference value| over all (stage, state, action)."""
     worst = 0.0
-    for s in range(N_STATES):
-        feats = np.array(state_features(s))
-        for a in range(stack.action_spaces[0].size):
-            worst = max(worst, abs(stack.models[0].predict(feats, a) - tables.q0[s, a]))
-            worst = max(worst, abs(stack.models[1].predict(feats, a) - tables.q1[s, a]))
+    for model, table in zip(stack.models, tables, strict=True):
+        states = np.eye(table.shape[0])[:, 1:]  # each state's drop-first coding
+        worst = max(worst, float(np.abs(model.predict_all_matrix(states) - table).max()))
     return worst

@@ -118,7 +118,7 @@ def test_oracle_command(tmp_path, capsys, monkeypatch):
 
     def perturbed_oracle(dataset):
         tables = dp_oracle(dataset)
-        tables.q0[0, 0] += 1.0
+        tables[0][0, 0] += 1.0
         return tables
 
     monkeypatch.setattr(nearq.cli, "dp_oracle", perturbed_oracle)

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nearq.core import DatasetError
+from nearq.core import DatasetError, OfflineDataset
 from nearq.envs import ItrConfig, simulate_itr
 from nearq.oracle import build_fixture_dataset, dp_oracle, max_discrepancy
 from nearq.qlearn import (
@@ -106,6 +108,55 @@ def test_backward_fit_matches_dp_reference():
     stack = backward_fit(ds, LINEAR)
     tables = dp_oracle(ds)
     assert max_discrepancy(stack, tables) < 1e-8
+
+
+@st.composite
+def tabular_problems(draw):
+    """A tabular dataset of 2 actions visiting every (stage, state, action) cell: 2-6 states in
+    drop-first coding, horizon 1-3, rewards k/4, next states at random, and trajectories that may end
+    before the horizon. A trajectory through each cell comes first, then random ones."""
+    n_states, horizon = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def trajectory(cell=(0, None, None)):
+        t, s, a = cell
+        t_end = rnd.randint(t, horizon) if rnd.random() < 0.3 else horizon  # some end early
+        stages = [(rnd.randrange(n_states), rnd.randrange(2)) for _ in range(t_end + 1)]
+        if s is not None:
+            stages[t] = (s, a)
+        return [([float(s == j) for j in range(1, n_states)], a, rnd.randint(-8, 8) / 4) for s, a in stages]
+
+    cells = [(t, s, a) for t in range(horizon + 1) for s in range(n_states) for a in range(2)]
+    extra = draw(st.integers(0, 2 * n_states))
+    return make_dataset([trajectory(cell) for cell in cells] + [trajectory() for _ in range(extra)],
+                        horizon, n_features=n_states - 1)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(ds=tabular_problems())
+def test_backward_fit_matches_dp_reference_on_drawn_tabular_problems(ds):
+    # the interaction-linear design is saturated for 2 actions with every cell visited, so the fit
+    # reproduces the counted tables to solver precision, at any horizon and state count
+    stack = backward_fit(ds, LINEAR)
+    tables = dp_oracle(ds)
+    assert len(tables) == ds.horizon + 1
+    assert max_discrepancy(stack, tables) < 1e-8
+    policy = greedy_policy(stack)
+    for t, table in enumerate(tables):
+        decided = np.abs(table[:, 0] - table[:, 1]) > 1e-9
+        states = np.eye(table.shape[0])[:, 1:]
+        assert np.array_equal(policy(t, states)[decided], table.argmax(axis=1)[decided])
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_dp_oracle_names_the_stage_of_an_unvisited_cell(t):
+    ds = build_fixture_dataset()
+    actions = ds.actions.copy()
+    actions[(ds.stage == t) & (ds.features == 0.0).all(axis=1)] = 1  # state 0 never takes action 0 at t
+    ds = OfflineDataset.from_rows(ds.patient, ds.stage, ds.features, actions, ds.rewards,
+                                  ds.horizon, ds.action_spaces, ds.feature_dims)
+    with pytest.raises(ValueError, match=rf"every \(state, action\) cell at stage {t}$"):
+        dp_oracle(ds)
 
 
 def test_backward_fit_composes_public_pieces():
