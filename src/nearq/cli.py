@@ -75,7 +75,7 @@ from .nearequiv import (
     save_admissible_csvs,
 )
 from .oracle import build_fixture_dataset, dp_oracle, max_discrepancy
-from .qlearn import backward_fit, greedy_policy, save_stack
+from .qlearn import backward_fit, save_stack
 from .regression import MODE_KERNEL, MODE_LINEAR, DesignSpec, save_model
 
 DEFAULT_EPSILONS = (0.1, 0.3, 0.5, 0.9)
@@ -177,7 +177,7 @@ def cmd_cancer(cfg: RunConfig) -> int:
         baselines = constant_dose_baselines(params, cfg.n_test, eval_seed)
         # one lockstep rollout for every learned policy; the rank-1 chains are the
         # classical ones, so their curve is opt's
-        named = {"opt": greedy_policy(stack)}
+        named = {"opt": stack}
         for eps, ne_stack in zip(cfg.epsilons, ne_stacks):
             for j, policy in enumerate(policy_set(ne_stack)[1:], start=2):
                 named[f"eps{eps}-rank{j}"] = policy

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import ActionSpace, FloatTexts, OfflineDataset, cell_texts, cohort_header, save_sidecar, write_csv
-from .qlearn import GreedyPolicy
+from .qlearn import QStack
 from .regression import greedy_actions
 
 RNG_FAMILY = "philox4x64"
@@ -215,7 +215,7 @@ def check_policy(params: CancerParams, policy, name: str):
     action index, "uniform-random" as is, or a callable ``(t, states) -> action indices``. A greedy
     policy must have a model for every stage. A policy that cannot be rolled out raises
     ``ValueError`` naming it."""
-    if isinstance(policy, GreedyPolicy) and policy.horizon < params.n_stages - 1:
+    if isinstance(policy, QStack) and policy.horizon < params.n_stages - 1:
         raise ValueError(f"policy {name!r} has no model for stage {policy.horizon + 1}"
                          f" of a {params.n_stages}-stage rollout")
     if isinstance(policy, str) and policy == UNIFORM_RANDOM:
@@ -377,7 +377,7 @@ def simulate_cancer_cohorts(
     action), without sorting (:func:`_refine`), and steps each new class once;
     a dead patient's class is never keyed, stepped or stored again.
 
-    Every policy must be a :class:`~nearq.qlearn.GreedyPolicy` with a model for
+    Every policy must be a :class:`~nearq.qlearn.QStack` with a model for
     each stage; any other is refused, named (by ``names``, one per policy),
     before any draw. The policies decide together: while any class is live, one
     :func:`~nearq.regression.greedy_actions` call per stage over the models of
@@ -395,8 +395,8 @@ def simulate_cancer_cohorts(
     if len(names) != len(policies):
         raise ValueError(f"{len(names)} names for {len(policies)} policies")
     for policy, name in zip(policies, names):
-        if not isinstance(policy, GreedyPolicy):
-            raise ValueError(f"policy {name!r} is not a GreedyPolicy: a lockstep rolls out greedy policies only")
+        if not isinstance(policy, QStack):
+            raise ValueError(f"policy {name!r} is not a QStack: a lockstep rolls out greedy policies only")
         check_policy(params, policy, name)
     n_stages = params.n_stages
     space = params.action_space

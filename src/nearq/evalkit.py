@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import FloatTexts, OfflineDataset, write_csv
 from .envs import CancerParams, check_policy, simulate_cancer_cohort, simulate_cancer_cohorts
-from .qlearn import GreedyPolicy
+from .qlearn import QStack
 from .regression import FittedQ, InteractionLinearQ
 
 
@@ -89,7 +89,7 @@ def evaluate_policy(
 def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, labels) -> list[EvalResult]:
     """One fresh cohort rolled out under every policy; one result per policy, in the given order.
 
-    Policies are routed by kind alone: every :class:`~nearq.qlearn.GreedyPolicy`
+    Policies are routed by kind alone: every :class:`~nearq.qlearn.QStack`
     shares one lockstep rollout, and every other policy is rolled out alone, into
     the cohort :func:`~nearq.envs.simulate_cancer_cohort` builds. The streams are
     keyed by the seed alone, so every policy evaluated with a seed gets the same
@@ -107,7 +107,7 @@ def evaluate_policies(params: CancerParams, policies, n_test: int, seed: int, la
         raise ValueError(f"duplicate policy labels: {', '.join(map(repr, repeated))}")
     for policy, label in zip(policies, labels):  # a bad policy is refused, named, before any rollout
         check_policy(params, policy, label)
-    greedy = [j for j, policy in enumerate(policies) if isinstance(policy, GreedyPolicy)]
+    greedy = [j for j, policy in enumerate(policies) if isinstance(policy, QStack)]
     results = {}
     if greedy:
         together = _evaluate_lockstep(params, [policies[j] for j in greedy], n_test, seed, [labels[j] for j in greedy])

@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import FloatTexts, OfflineDataset, cell_texts, write_csv
-from .qlearn import GreedyPolicy, QStack, StageFitError, fit_chains, fit_final_stage
+from .qlearn import QStack, StageFitError, fit_chains, fit_final_stage
 from .regression import DesignSpec, FittedQ
 
 RELATIVE = "relative"
@@ -182,7 +182,6 @@ class NearEquivQStack:
     admissible_sets: AdmissibleSet
     padding_log: np.ndarray
     horizon: int
-    action_spaces: tuple
 
     @property
     def m(self) -> int:
@@ -214,17 +213,13 @@ def fit_tolerances(
             [q_final.max(axis=1, keepdims=True)] + [sel.padded[idx_final, 1:] for sel in selections]
         )
         stages = fit_chains(dataset, spec, future)
-    classical = QStack(
-        tuple(stage[0] for stage in stages) + (final_model,), t_final, dataset.action_spaces
-    )
+    classical = QStack(tuple(stage[0] for stage in stages) + (final_model,))
     stacks, first = [], 1  # first: the column of the next tolerance's rank-2 chain
     for sel in selections:
         columns = (0, *range(first, first + sel.m - 1))
         first += sel.m - 1
         chains = tuple(tuple(stage[j] for stage in stages) for j in columns)
-        stacks.append(NearEquivQStack(
-            final_model, chains, sel.admissible, sel.padding_counts, t_final, dataset.action_spaces
-        ))
+        stacks.append(NearEquivQStack(final_model, chains, sel.admissible, sel.padding_counts, t_final))
     return classical, tuple(stacks)
 
 
@@ -239,16 +234,14 @@ def backward_fit_near_equiv(
     return fit_tolerances(dataset, spec, (cfg,))[1][0]
 
 
-def policy_set(stack: NearEquivQStack) -> tuple[GreedyPolicy, ...]:
-    """The m near-equivalent greedy strategies, rank 1 first.
+def policy_set(stack: NearEquivQStack) -> tuple[QStack, ...]:
+    """The m near-equivalent greedy strategies, rank 1 first, each a :class:`~nearq.qlearn.QStack`
+    that ``save_stack`` can write and ``stack_from_dict`` read back.
 
     Every member shares the final-stage rule (there is a single final model);
     members differ at earlier stages through their column chains.
     """
-    return tuple(
-        GreedyPolicy(tuple(chain) + (stack.final_model,))
-        for chain in stack.column_models
-    )
+    return tuple(QStack(chain + (stack.final_model,)) for chain in stack.column_models)
 
 
 def save_admissible_csv(stack: NearEquivQStack, path: str | Path) -> None:

@@ -3,7 +3,8 @@
 The final-stage model regresses the stage-T reward on stage-T features and
 action. Earlier stages regress the pseudo-outcome, the observed stage reward
 plus the best predicted value at the next stage, fitted in order T, T-1, .., 0.
-Greedy policies pick the argmax action, lowest index on exact ties.
+A fitted :class:`QStack`, one model per stage, is its own greedy policy: it
+picks the argmax action, lowest index on exact ties.
 
 Patients whose trajectory ended before a stage contribute nothing to that
 stage's fit. A patient whose trajectory ends exactly at stage t has no future
@@ -18,12 +19,11 @@ Classical Q-learning is its column 0: :func:`backward_fit` is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import DatasetError, FloatTexts, OfflineDataset
+from .core import DatasetError, FloatTexts, OfflineDataset, _is_int
 from .regression import DesignSpec, FittedQ, best_over_actions, fit, fit_columns, greedy_actions, model_from_dict
 
 
@@ -35,19 +35,17 @@ class StageFitError(RuntimeError):
         super().__init__(f"regression failed at stage {stage}")
 
 
-@dataclass(frozen=True)
 class QStack:
-    """One fitted model per stage 0..T."""
+    """One fitted model per stage 0..T, and the stagewise greedy policy over them."""
 
-    models: tuple[FittedQ, ...]
-    horizon: int
-    action_spaces: tuple
+    def __init__(self, models: tuple[FittedQ, ...]):
+        self.models = tuple(models)
+        if not self.models:
+            raise ValueError("a stack needs a model for stage 0")
 
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        if len(self.models) != self.horizon + 1:
-            raise ValueError("need exactly one model per stage 0..horizon")
+    @property
+    def horizon(self) -> int:
+        return len(self.models) - 1
 
     @property
     def provenance(self) -> tuple[dict, ...]:
@@ -56,17 +54,6 @@ class QStack:
             {"stage": t, "targets": "pseudo-outcome", "source_stage": t + 1}
             for t in range(self.horizon)
         ) + ({"stage": self.horizon, "targets": "reward", "source_stage": None},)
-
-
-class GreedyPolicy:
-    """Stagewise greedy rules over a sequence of fitted models, one per stage."""
-
-    def __init__(self, models: tuple[FittedQ, ...]):
-        self.models = tuple(models)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.models) - 1
 
     def decide(self, t: int, features: np.ndarray) -> int:
         """Greedy action index at stage t for one feature vector."""
@@ -134,8 +121,9 @@ def backward_fit(dataset: OfflineDataset, spec: DesignSpec) -> QStack:
     return fit_tolerances(dataset, spec, ())[0]
 
 
-def greedy_policy(stack: QStack) -> GreedyPolicy:
-    return GreedyPolicy(stack.models)
+def greedy_policy(stack: QStack) -> QStack:
+    """The stack itself: a fitted stack is its own greedy policy."""
+    return stack
 
 
 # --- stack serialization ------------------------------------------------------
@@ -164,7 +152,7 @@ def stack_from_dict(payload: dict) -> QStack:
     holds a bad model raises ``ValueError`` naming the key, or the model's stage."""
     if not isinstance(payload, dict):
         raise ValueError(f"stack: payload must be a JSON object, got {type(payload).__name__}")
-    if payload.get("format_version") != 1:
+    if not _is_int(payload.get("format_version")) or payload["format_version"] != 1:
         raise ValueError(f"unsupported stack format version {payload.get('format_version')!r}")
     listed = payload.get("models")
     if not isinstance(listed, list):
@@ -177,8 +165,8 @@ def stack_from_dict(payload: dict) -> QStack:
             models.append(model_from_dict(model))
         except ValueError as err:
             raise ValueError(f"stage {t} {err}") from err
-    stack = QStack(tuple(models), len(models) - 1, tuple(m.action_space for m in models))
-    if payload.get("horizon") != stack.horizon:
+    stack = QStack(models)
+    if not _is_int(payload.get("horizon")) or payload["horizon"] != stack.horizon:
         raise ValueError(f"stack: 'horizon' is missing or disagrees with its {len(models)} models")
     if payload.get("provenance") != list(stack.provenance):
         raise ValueError(f"stack: 'provenance' is missing or disagrees with its horizon {stack.horizon}")

@@ -62,7 +62,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import ActionSpace, FloatTexts, cell_texts
+from .core import ActionSpace, FloatTexts, _is_int, _is_number, _list_of, cell_texts
 
 MODE_LINEAR = "interaction-linear"
 MODE_KERNEL = "per-action-kernel"
@@ -696,9 +696,11 @@ def model_from_dict(payload: Mapping) -> FittedQ:
     if not isinstance(payload, Mapping):
         raise ValueError(f"model: payload must be a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     labels = tuple(_loaded(payload, "action_values", (None,), "model"))
+    if not _list_of(_is_number)(payload["action_values"]):
+        raise ValueError(f"model: 'action_values' must be a list of numbers, got {payload['action_values']!r}")
     try:
         space = ActionSpace(labels)
     except ValueError as err:
@@ -712,8 +714,8 @@ def model_from_dict(payload: Mapping) -> FittedQ:
         if d < 1:
             raise ValueError(f"model: 'n_features' must be >= 1 for the {MODE_KERNEL} backend, got {d}")
         bandwidth = float(_loaded(payload, "bandwidth", (), "model"))
-        if bandwidth <= 0:
-            raise ValueError(f"model: 'bandwidth' must be positive, got {bandwidth}")
+        if not _is_number(payload["bandwidth"]) or bandwidth <= 0:
+            raise ValueError(f"model: 'bandwidth' must be a positive number, got {payload['bandwidth']!r}")
         listed = payload.get("components")
         if not isinstance(listed, (list, tuple)) or len(listed) != space.size:
             raise ValueError(f"model: 'components' must list one component per action ({space.size})")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nearq.core import ActionSpace, OfflineDataset, PatientTrajectory, StageRecord
-from nearq.qlearn import GreedyPolicy, stage_targets
+from nearq.qlearn import QStack, stage_targets
 from nearq.regression import FittedQ, best_over_actions, kernel_models
 
 
@@ -40,14 +40,14 @@ def kernel_model(space: ActionSpace, n_features: int, bandwidth: float, comps, m
     return kernel_models(space, n_features, bandwidth, actions, meta)[0]
 
 
-def dose_schedule_policy(space: ActionSpace, doses) -> GreedyPolicy:
+def dose_schedule_policy(space: ActionSpace, doses) -> QStack:
     """A greedy stand-in for a dose schedule: it gives ``doses[t]`` at stage t. Each stage's model
     is a per-action kernel model whose components are all constants, the wanted dose's the highest."""
     def model(dose):
         want = space.index_of(dose)
         return kernel_model(space, 2, 1.0, [("constant", float(k == want)) for k in range(space.size)])
 
-    return GreedyPolicy(tuple(model(dose) for dose in doses))
+    return QStack(tuple(model(dose) for dose in doses))
 
 
 def lockstep_paths(rollout, j: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Every name the benchmark scripts import from ``nearq``, or read on a ``RunConfig``, still resolves.
+"""Every name the benchmark scripts import from ``nearq``, or read on a ``RunConfig`` or a
+``NearEquivQStack``, still resolves.
 
 ``bench/`` lies outside the test paths, so without this check a change to
 ``src/`` could break ``bench/run.py`` or ``bench/traced.py`` with no failing test.
@@ -11,6 +12,9 @@ import sys
 from pathlib import Path
 
 from nearq.cli import build_parser, config_from_args
+from nearq.envs import UNIFORM_RANDOM, CancerParams, simulate_cancer_cohort
+from nearq.nearequiv import EpsilonConfig, fit_tolerances
+from nearq.regression import DesignSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -50,11 +54,11 @@ def test_bench_scripts_import_only_names_that_exist():
     assert not missing, missing
 
 
-def _config_reads():
-    """(script, name) for each ``cfg.<name>`` read in bench/*.py; ``cfg`` is a RunConfig there."""
+def _attribute_reads(variable: str):
+    """(script, name) for each ``<variable>.<name>`` read in bench/*.py."""
     for path in sorted(BENCH.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == variable:
                 yield path.name, node.attr
 
 
@@ -68,7 +72,7 @@ def _bench_run_module(monkeypatch):
 
 
 def test_bench_config_reads_resolve_for_every_workload(monkeypatch, tmp_path):
-    reads = set(_config_reads())
+    reads = set(_attribute_reads("cfg"))  # cfg is a RunConfig there
     assert "traced.py" in {script for script, _ in reads}
     run = _bench_run_module(monkeypatch)
     for name, workload in run.WORKLOADS.items():
@@ -77,3 +81,12 @@ def test_bench_config_reads_resolve_for_every_workload(monkeypatch, tmp_path):
             cfg = config_from_args(build_parser().parse_args(argv))
             missing = sorted(f"{script}: cfg.{attr}" for script, attr in reads if not hasattr(cfg, attr))
             assert not missing, (name, missing)
+
+
+def test_bench_near_equiv_stack_reads_resolve():
+    reads = set(_attribute_reads("ne_stack"))  # ne_stack is a NearEquivQStack there
+    assert {attr for _, attr in reads} >= {"m", "horizon", "padding_log", "final_model", "column_models"}
+    train = simulate_cancer_cohort(CancerParams(), UNIFORM_RANDOM, 30, 1).dataset
+    ne_stack = fit_tolerances(train, DesignSpec.interaction_linear(), (EpsilonConfig(0.5),))[1][0]
+    missing = sorted(f"{script}: ne_stack.{attr}" for script, attr in reads if not hasattr(ne_stack, attr))
+    assert not missing, missing

@@ -21,7 +21,7 @@ from nearq.envs import (
     simulate_itr,
     stream,
 )
-from nearq.qlearn import GreedyPolicy
+from nearq.qlearn import QStack
 from nearq.regression import InteractionLinearQ
 
 from conftest import dose_schedule_policy, lockstep_paths
@@ -277,7 +277,7 @@ def test_everyone_dies_at_stage_zero(monkeypatch, n):
         return np.full(feats.shape[0], 3)
 
     space = params.action_space
-    greedy = GreedyPolicy(tuple(InteractionLinearQ(space, np.arange(6.0), 2) for _ in range(params.n_stages)))
+    greedy = QStack(tuple(InteractionLinearQ(space, np.arange(6.0), 2) for _ in range(params.n_stages)))
     lockstep = [_stand_in([0.3] * params.n_stages), greedy]
     rollout = simulate_cancer_cohorts(params, lockstep, n, seed=4)
     for j, member in enumerate(lockstep):
@@ -326,7 +326,7 @@ def test_lockstep_keeps_deciding_after_one_policys_patients_have_all_died(monkey
 ], ids=["float", "bool", "float-list"])
 def test_non_integer_action_indices_are_refused_in_both_paths(answer):
     # the lockstep takes greedy policies only, so it refuses the callable by name
-    with pytest.raises(ValueError, match=r"policy 'odd' is not a GreedyPolicy"):
+    with pytest.raises(ValueError, match=r"policy 'odd' is not a QStack"):
         simulate_cancer_cohorts(PARAMS, [_stand_in([0.5] * 6), answer], 10, seed=1, names=["0.5", "odd"])
     named = r"policy 'odd' returned invalid action indices at stage 0"
     with pytest.raises(ValueError, match=named):
@@ -343,7 +343,7 @@ def test_lockstep_refuses_a_non_greedy_policy_before_any_draw(monkeypatch, polic
 
     _cohort_draws.cache_clear()
     monkeypatch.setattr(nearq.envs, "stream", refuse)
-    with pytest.raises(ValueError, match=r"policy 'other' is not a GreedyPolicy"):
+    with pytest.raises(ValueError, match=r"policy 'other' is not a QStack"):
         simulate_cancer_cohorts(PARAMS, [_stand_in([0.5] * 6), policy], 10, seed=1, names=["0.5", "other"])
 
 

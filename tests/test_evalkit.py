@@ -26,7 +26,7 @@ from nearq.evalkit import (
     evaluate_policy,
 )
 from nearq.nearequiv import EpsilonConfig, fit_tolerances, policy_set
-from nearq.qlearn import GreedyPolicy, backward_fit, greedy_policy
+from nearq.qlearn import QStack, backward_fit, greedy_policy
 from nearq.regression import DesignSpec, InteractionLinearQ
 
 from conftest import dose_schedule_policy, lockstep_paths, two_actions
@@ -400,7 +400,7 @@ def test_evaluate_policies_routes_by_kind_and_keeps_the_callers_order(monkeypatc
     results = evaluate_policies(PARAMS, named.values(), 120, 5, named)
     assert [r.label for r in results] == list(named)
     assert len(locksteps) == 1
-    assert [id(p) for p in locksteps[0]] == [id(p) for p in named.values() if isinstance(p, GreedyPolicy)]
+    assert [id(p) for p in locksteps[0]] == [id(p) for p in named.values() if isinstance(p, QStack)]
     for (label, policy), result in zip(named.items(), results):
         assert result == evaluate_policy(PARAMS, policy, 120, 5, label=label)
     by_label = dict(zip(named, results))
@@ -441,7 +441,7 @@ def test_invalid_actions_name_the_policy_and_stage():
 
 def test_greedy_policy_without_a_stage_model_is_named_before_any_kernel_work(monkeypatch):
     policies, labels = _fitted_family(60, 2, CANCER_SPEC)
-    truncated = GreedyPolicy(policies[1].models[:3])  # stages 0..2 of a 6-stage rollout
+    truncated = QStack(policies[1].models[:3])  # stages 0..2 of a 6-stage rollout
 
     def refuse(*args, **kwargs):
         raise AssertionError("a greedy decision started")

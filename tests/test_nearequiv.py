@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from nearq.nearequiv import (
     save_admissible_csvs,
     select_and_pad,
 )
-from nearq.qlearn import backward_fit, greedy_policy, stage_targets
+from nearq.qlearn import backward_fit, greedy_policy, save_stack, stack_from_dict, stack_to_dict, stage_targets
 from nearq.regression import DesignSpec, FittedQ, best_over_actions, fit
 
 from conftest import TableQ, classical_targets, make_dataset, two_actions
@@ -300,6 +301,23 @@ def test_policy_set_shares_final_model_and_length():
     assert len(policies) == stack.m
     for policy in policies:
         assert policy.models[-1] is stack.final_model
+
+
+def test_policy_set_members_round_trip_as_stacks(tmp_path):
+    cohort = simulate_cancer_cohort(CancerParams(), "uniform-random", 80, 3)
+    ds = cohort.dataset
+    policies = policy_set(backward_fit_near_equiv(ds, KERNEL, EpsilonConfig(0.5)))
+    assert len(policies) >= 2
+    for j, member in enumerate(policies):
+        path = tmp_path / f"rank{j + 1}.json"
+        save_stack(member, path, cohort.texts)
+        text = path.read_text()
+        assert text == json.dumps(stack_to_dict(member))
+        loaded = stack_from_dict(json.loads(text))
+        assert json.dumps(stack_to_dict(loaded)) == text
+        for t in range(ds.horizon + 1):
+            feats = ds.stage_rows(t)[1]
+            assert np.array_equal(loaded(t, feats), member(t, feats))
 
 
 def test_monotone_m_in_epsilon():

@@ -9,7 +9,7 @@ from nearq.core import DatasetError, OfflineDataset
 from nearq.envs import ItrConfig, simulate_itr
 from nearq.oracle import build_fixture_dataset, dp_oracle, max_discrepancy
 from nearq.qlearn import (
-    GreedyPolicy,
+    QStack,
     StageFitError,
     backward_fit,
     fit_final_stage,
@@ -182,7 +182,7 @@ def test_backward_fit_composes_public_pieces():
 
 def test_greedy_tie_break_and_argmax():
     model = TableQ(two_actions(), 1, {(0.0,): [0.5, 0.5], (1.0,): [0.1, 0.9]})
-    policy = GreedyPolicy((model,))
+    policy = QStack((model,))
     assert policy.decide(0, np.array([0.0])) == 0  # exact tie -> lowest index
     assert policy.decide(0, np.array([1.0])) == 1
 
@@ -194,7 +194,7 @@ def test_greedy_invariant_to_constant_shift():
     shifted[0] += 123.456
     m1 = InteractionLinearQ(two_actions(), coef, 2)
     m2 = InteractionLinearQ(two_actions(), shifted, 2)
-    p1, p2 = GreedyPolicy((m1,)), GreedyPolicy((m2,))
+    p1, p2 = QStack((m1,)), QStack((m2,))
     for _ in range(50):
         x = rng.normal(size=2)
         assert p1.decide(0, x) == p2.decide(0, x)
@@ -215,6 +215,11 @@ def test_greedy_action_on_positive_blip_region():
     x = np.zeros(10)
     x[0], x[1] = 0.5, 0.3  # true effect 2*(x0+x1) = 1.6 > 0
     assert greedy_policy(stack).decide(0, x) == 1
+
+
+def test_a_stack_is_its_own_greedy_policy():
+    stack = backward_fit(_two_stage_fixture(), DesignSpec.per_action_kernel(ridge=1.0))
+    assert greedy_policy(stack) is stack
 
 
 def test_stack_serialization_round_trip():
@@ -281,9 +286,18 @@ def _with(**items):
     ("stack", lambda p: {"format_version": 1, "models": [], "horizon": -1,
                          "provenance": [{"stage": -1, "targets": "reward", "source_stage": None}]},
      r"^stack: 'models' is empty"),
+    ("model", _with(format_version=True), r"^unsupported model format version True$"),
+    ("model", _with(format_version=1.0), r"^unsupported model format version 1\.0$"),
+    ("model", _with(bandwidth=True), r"^model: 'bandwidth' must be a positive number, got True$"),
+    ("model", _with(action_values=[False, True]), r"^model: 'action_values' must be a list of numbers"),
+    ("stack", _with(horizon=True), r"^stack: 'horizon' is missing or disagrees with its 2 models"),
+    ("stack", _with(horizon=1.0), r"^stack: 'horizon' is missing or disagrees with its 2 models"),
+    ("stack", _with(format_version=True), r"^unsupported stack format version True$"),
 ], ids=["model-no-action-values", "model-null-action-values", "model-list-meta", "model-array", "stack-no-models",
         "stack-int-models", "stack-no-horizon", "stack-no-provenance", "stack-array", "stack-model-no-actions",
-        "stack-model-array", "stack-model-repeated-actions", "stack-empty-models"])
+        "stack-model-array", "stack-model-repeated-actions", "stack-empty-models", "model-bool-version",
+        "model-float-version", "model-bool-bandwidth", "model-bool-action-values", "stack-bool-horizon",
+        "stack-float-horizon", "stack-bool-version"])
 def test_loaders_refuse_a_malformed_payload_with_a_value_error(tmp_path, loader, change, match):
     # every malformed payload, read back from JSON, fails with ValueError naming the key (and, in a
     # stack, the model's stage), never with a KeyError, TypeError or AttributeError
@@ -300,6 +314,8 @@ def test_loaders_refuse_a_malformed_payload_with_a_value_error(tmp_path, loader,
 
 def test_policy_stage_range_checked():
     model = InteractionLinearQ(two_actions(), np.zeros(4), 1)
-    policy = GreedyPolicy((model,))
+    policy = QStack((model,))
     with pytest.raises(ValueError):
         policy.decide(1, np.array([0.0]))
+    with pytest.raises(ValueError, match="stage 0"):
+        QStack(())
