@@ -281,8 +281,8 @@ def history_features(trajectory: PatientTrajectory, t: int) -> np.ndarray:
 # --- cohort CSV IO ----------------------------------------------------------
 #
 # One row per patient-stage: patient_id,stage,cov_0..cov_{d-1},action_index,reward
-# A sidecar JSON (<path>.meta.json) carries horizon, feature dims and action
-# labels; without it the horizon is inferred as the maximum stage and actions
+# A sidecar JSON (<path>.meta.json) carries its format version (1), horizon, feature
+# dims and action labels; without it the horizon is inferred as the maximum stage and actions
 # as integer codes 0..max_index, at most MAX_ACTION_CODES of them.
 
 _SIDECAR_SUFFIX = ".meta.json"
@@ -304,6 +304,7 @@ def _list_of(fits):
 
 
 _SIDECAR_KEYS = (
+    ("format_version", "the integer 1", lambda value: _is_int(value) and value == 1),
     ("horizon", "a nonnegative integer", lambda value: _is_int(value) and value >= 0),
     ("feature_dims", "a list of integers", _list_of(_is_int)),
     ("action_values", "a list of lists of numbers", _list_of(_list_of(_is_number))),
@@ -313,13 +314,161 @@ _SIDECAR_KEYS = (
 CSV_BLOCK_ROWS = 128  # records formatted per block: a writer holds one block's text, never the file's
 
 
+# --- float text ---------------------------------------------------------------
+#
+# repr(x) of a float64 x is the shortest decimal that reads back to x, of those the one nearest x,
+# ties to even digits; for 1e-4 <= |x| < 1e15 it writes that decimal in fixed notation, at most 15
+# digits before the point. _fixed_texts makes those texts for a whole array at once, exactly, in
+# uint64 arithmetic, finding the shortest digits as Ryu does (Adams, "Ryu: Fast Float-to-String
+# Conversion", PLDI 2018):
+#
+# - |x| = f 2**e, f the 53-bit significand. With k = 17 - floor(log10 |x|), X = floor(|x| 10**k) has
+#   17 to 19 digits (below 1 the floor of log10 may be one off), and X = floor(4 f 5**k / 2**sh)
+#   with sh = 2 - e - k >= 2 in the range: one 55 x 49-bit product, taken in 32-bit halves.
+# - The decimals that read back to x lie within half an ulp, 2 5**k / 2**sh, of |x| 10**k. As
+#   sh >= 2 neither end is an integer, so both ends are strict: within them lie the integers
+#   L + 1 .. H. (Below a power of two, f = 2**52, the next double down is nearer and the lower
+#   end is half as far; but a power of two in the range has at most 15 significant digits, and no
+#   other decimal of as few comes within half an ulp of it, so both ends give it the same text.)
+# - r, the largest power of ten with a multiple in L + 1 .. H, gives the shortest digits M: M 10**r
+#   is the multiple nearest |x| 10**k, ties to even M, inside as every nearer one is.
+#
+# Each text is then laid out in five little-endian words, 40 bytes: the integer part as 16 digits,
+# then ten times the s fraction digits as 24, which end at byte 22 of those and leave byte 0 for
+# '.' and byte 23 for ','. A byte is its digit plus the value's frame (_FRAMES): ASCII '0' over the
+# integer digits from the first significant one and over the s fraction digits (one, a 0, where
+# s < 1), a zero byte over the rest, whose digits are zero, and the sign in byte 0. Dropping the
+# zero bytes leaves the texts, each ended by ','.
+
+FLOAT_KERNEL_MIN_SIZE = 512  # float64 entries from which cell_texts is faster by _fixed_texts than by repr
+_FIXED_PASS = 2048  # values per _fixed_texts call: its temporaries stay in cache
+
+_U64 = np.uint64
+_POW5 = np.array([5**k for k in range(23)], dtype=np.uint64)
+_POW10 = np.array([10**r for r in range(20)], dtype=np.uint64)
+_POW10_FLOAT = np.array([10.0**j for j in range(-4, 16)])  # exact from 1.0 on
+# [s + 19]: 10**s for s fraction digits, 0 for none (10**19 at s = 20, where the integer part is 0)
+_SPLIT = np.array([0] * 20 + [10 ** min(s, 19) for s in range(1, 21)], dtype=np.uint64)
+_FRAMES = np.frombuffer(b"".join(
+    (sign + b"\0" * (15 - n_int) + b"0" * n_int + b"." + b"\0" * (22 - n_frac) + b"0" * n_frac + b",")
+    for sign in (b"\0", b"-") for n_int in range(16) for n_frac in range(21)
+), dtype="<u8").reshape(-1, 5)  # [(negative * 16 + integer digits) * 21 + fraction digits]
+
+
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each ``v < 10**8`` as its bytes 0..7 in little-endian order, the most
+    significant first: ``v`` split by 10**4, then each half by 100 and each quarter by 10, by
+    multiply-shift within the lanes of the word."""
+    hi = v * _U64(0xD1B71759)
+    hi >>= _U64(45)  # v // 10**4
+    w = v - hi * _U64(10_000)
+    w <<= _U64(32)
+    w |= hi
+    q = w * _U64(5243)  # each 32-bit lane // 100
+    q >>= _U64(19)
+    q &= _U64(0x0000007F0000007F)
+    q *= _U64(100 * 2**16 - 1)
+    w <<= _U64(16)
+    w -= q
+    np.multiply(w, _U64(103), out=q)  # each 16-bit lane // 10
+    q >>= _U64(10)
+    q &= _U64(0x000F000F000F000F)
+    q *= _U64(10 * 2**8 - 1)
+    w <<= _U64(8)
+    w -= q
+    return w
+
+
+def _fixed_texts(x: np.ndarray) -> list[str]:
+    """``repr`` of each entry of the float64 array ``x``, each finite with 1e-4 <= |x| < 1e15."""
+    ax = np.abs(x)
+    bits = ax.view(np.uint64)
+    f = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    m = np.searchsorted(_POW10_FLOAT, ax, side="right") - 5  # floor(log10 |x|), exact from 1.0 on
+    k = 17 - m
+    sh = (1077 - (bits >> _U64(52)).astype(np.int64) - k).astype(np.uint64)  # 2 - e - k
+    p5 = _POW5[k]
+    # P = 4 f 5**k = hi64 2**64 + lo64, from the 32-bit halves of 4 f and 5**k
+    a0, a1 = (f << _U64(2)) & _U64(2**32 - 1), f >> _U64(30)
+    b0, b1 = p5 & _U64(2**32 - 1), p5 >> _U64(32)
+    low = a0 * b0
+    mid = a0 * b1 + a1 * b0
+    lo64 = low + (mid << _U64(32))
+    hi64 = a1 * b1 + (mid >> _U64(32)) + (lo64 < low)
+    X = (hi64 << (_U64(64) - sh)) | (lo64 >> sh)
+    rest = ((lo64 << (_U64(64) - sh)) >> (_U64(64) - sh)).view(np.int64)  # P mod 2**sh
+    half_ulp = (p5 << _U64(1)).view(np.int64)
+    H = X + ((rest + half_ulp) >> sh.view(np.int64)).view(np.uint64)
+    L = X + ((rest - half_ulp) >> sh.view(np.int64)).view(np.uint64)
+    # H - L < 10**4 integers hold a multiple of 10**g, g = floor(log10(H - L)), and at most one of
+    # 10**(g + 1), c 10**(g + 1) with c = H // 10**(g + 1): r is g + 1 and the trailing zeros of c
+    # where that one is above L, else g. c < 10**19 has at most 18 trailing zeros, counted by
+    # halving steps where there are any
+    span = H - L
+    g = (span >= _U64(10)).astype(np.int64) + (span >= _U64(100)) + (span >= _U64(1000))
+    p = _POW10[g + 1]
+    c = H // p
+    inside = c * p > L
+    r = g + inside
+    more = np.flatnonzero(inside & (c % _U64(10) == 0))
+    if more.size:
+        c, zeros = c[more], 0
+        for step in (16, 8, 4, 2, 1):
+            whole = c % _POW10[step] == 0
+            c = np.where(whole, c // _POW10[step], c)
+            zeros += whole * step
+        r[more] += zeros
+    p = _POW10[r]
+    q, rem = np.divmod(X, p)
+    # twice the remainder of |x| 10**k / 10**r past q, its fraction's half bit added, against 10**r
+    twice = rem * _U64(2) + ((rest.view(np.uint64) >> (sh - _U64(1))) & _U64(1))
+    sticky = (lo64 << (_U64(65) - sh)) != 0  # P mod 2**(sh - 1) != 0
+    M = q + ((twice > p) | ((twice == p) & (sticky | (q & _U64(1) == 1))))
+    s = k - r  # fraction digits
+    # the integer part of |x| is its text's: an integer between the two would be a double (below 2**53
+    # every integer is) within half an ulp of x
+    ipart = np.floor(ax).astype(np.uint64)
+    split = _SPLIT[s + 19]
+    fpart = (M - ipart * split) * (split > 0)
+    digits = np.empty((x.size, 5), dtype=np.uint64)
+    digits[:, 0], digits[:, 1] = np.divmod(ipart, _U64(10**8))
+    digits[:, 2], low16 = np.divmod(fpart * _U64(10), _U64(10**16))
+    digits[:, 3], digits[:, 4] = np.divmod(low16, _U64(10**8))
+    words = _digits8(digits)
+    words += _FRAMES.take(((x < 0) * 16 + np.maximum(m + 1, 1)) * 21 + np.maximum(s, 1), axis=0)
+    return words.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii").split(",")[:-1]
+
+
+def _float_texts(x: np.ndarray) -> list[str]:
+    """``repr`` of each entry of the float64 array ``x``: by :func:`_fixed_texts`, ``_FIXED_PASS``
+    values at a time, where 1e-4 <= |x| < 1e15, and by ``repr`` elsewhere."""
+    x = x.reshape(-1)
+    fixed = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e15)
+    inside = x if fixed.all() else x[fixed]
+    texts = []
+    for lo in range(0, inside.size, _FIXED_PASS):
+        texts += _fixed_texts(inside[lo:lo + _FIXED_PASS])
+    if inside is x:
+        return texts
+    merged = np.empty(x.size, dtype=object)
+    merged[fixed] = texts
+    merged[~fixed] = list(map(repr, x[~fixed].tolist()))
+    return merged.tolist()
+
+
 def cell_texts(values: np.ndarray) -> list[str]:
     """The CSV text of each entry of the numpy array ``values``: a float's ``repr``, the shortest
     text that reads back to the same double, and an integer's or a string's ``str``. This is the
     one rule by which an artifact's values become text.
 
-    An integer array that spans fewer values than it has entries, such as a block's patient or
-    stage column, is formatted once per value of its span and each entry read from that table."""
+    A float64 array of ``FLOAT_KERNEL_MIN_SIZE`` entries or more has the texts of its finite
+    entries with 1e-4 <= |x| < 1e15, which ``repr`` writes in fixed notation, made at once from
+    their bits, exactly as ``repr`` makes them (:func:`_fixed_texts`); below that size a call is
+    faster through ``repr``. An integer array that spans fewer values than it has entries, such as a
+    block's patient or stage column, is formatted once per value of its span and each entry read
+    from that table."""
+    if values.dtype == np.float64 and values.size >= FLOAT_KERNEL_MIN_SIZE:
+        return _float_texts(values)
     if values.dtype.kind in "iu" and values.size:
         lo, hi = int(values.min()), int(values.max())
         if hi - lo < values.size - 1:
@@ -369,13 +518,25 @@ class FloatTexts:
         return texts
 
 
-def _cells(column, block: slice) -> list[str]:
-    """The cell texts of the ``block`` of records of a column of :func:`write_csv`, raveled: a 2-D
-    column's record is one line per entry of its row."""
-    if isinstance(column, tuple):
-        texts, index = column
-        return list(map(texts.__getitem__, index[block].ravel().tolist()))
-    return cell_texts(column[block].ravel())
+def _block_cells(columns, block: slice) -> list[list[str]]:
+    """The cell texts of the ``block`` of records of each column of :func:`write_csv`, raveled: a 2-D
+    column's record is one line per entry of its row. The float64 arrays' cells are made by one
+    :func:`cell_texts` call, a pair's read from its texts, and another array's made by a call of its
+    own."""
+    cells = [column if isinstance(column, tuple) else column[block].ravel() for column in columns]
+    floats = [k for k, part in enumerate(cells) if not isinstance(part, tuple) and part.dtype == np.float64]
+    if floats:
+        size = cells[floats[0]].size
+        texts = cell_texts(np.concatenate([cells[k] for k in floats]))
+        for j, k in enumerate(floats):
+            cells[k] = texts[j * size:(j + 1) * size]
+    for k, part in enumerate(cells):
+        if isinstance(part, tuple):
+            texts, index = part
+            cells[k] = list(map(texts.__getitem__, index[block].ravel().tolist()))
+        elif isinstance(part, np.ndarray):
+            cells[k] = cell_texts(part)
+    return cells
 
 
 def write_csv(path: str | Path, header: str, *columns) -> None:
@@ -392,10 +553,12 @@ def write_csv(path: str | Path, header: str, *columns) -> None:
     Columns of different shapes, a 2-D one beside a 1-D one of the same length too, raise
     ``ValueError`` before the file is opened, rather than misalign lines.
 
-    Records are formatted ``CSV_BLOCK_ROWS`` at a time, column by column, one map per column, joined
-    line by line and written with one ``write``, so the writer holds one block's text, never the
-    file's. The file is opened as ``Path.write_text`` opens it, so its bytes equal those of the
-    whole text written at once.
+    Records are formatted ``CSV_BLOCK_ROWS`` at a time: the block's float64 columns by one
+    :func:`cell_texts` call over all their cells (1,408 in a block of an itr cohort file, past
+    ``FLOAT_KERNEL_MIN_SIZE``), each other column by one map. The block's cells are joined line by
+    line and written with one ``write``, so the writer holds one block's text, never the file's.
+    The file is opened as ``Path.write_text`` opens it, so its bytes equal those of the whole text
+    written at once.
     """
     shapes = {np.shape(column[1] if isinstance(column, tuple) else column) for column in columns}
     if len(shapes) != 1:
@@ -404,8 +567,7 @@ def write_csv(path: str | Path, header: str, *columns) -> None:
     with Path(path).open("w") as fh:
         fh.write(header + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            block = slice(lo, lo + CSV_BLOCK_ROWS)
-            lines = list(map(",".join, zip(*(_cells(column, block) for column in columns), strict=True)))
+            lines = list(map(",".join, zip(*_block_cells(columns, slice(lo, lo + CSV_BLOCK_ROWS)), strict=True)))
             if lines:
                 fh.write("\n".join(lines) + "\n")
 

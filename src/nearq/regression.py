@@ -426,7 +426,7 @@ def _fit_per_action_kernel(spec, x, a, cols, action_space) -> tuple[PerActionKer
         weights = _solve_columns(low, block - means[:, None])
         weights.setflags(write=False)
         actions.append((xa, weights, means))
-    meta = {"mean_fallback_actions": tuple(fallback)} if fallback else {}
+    meta = {"mean_fallback_actions": fallback} if fallback else {}
     return kernel_models(action_space, x.shape[1], bandwidth, actions, meta)
 
 
@@ -675,8 +675,13 @@ def greedy_actions(models, features: np.ndarray) -> np.ndarray:
 # --- model serialization ------------------------------------------------------
 
 
+_NUMBERS = ("a number", "a list of numbers", "a list of lists of numbers")
+
+
 def _loaded(payload: Mapping, key: str, shape: tuple, where: str) -> np.ndarray:
-    """``payload[key]`` as a finite float array of ``shape`` (``None``: any length)."""
+    """``payload[key]`` as a finite float array of ``shape`` (``None``: any length), read from JSON
+    numbers alone, each an int or a float and never a bool or a string, in lists nested as deep as
+    ``shape`` is long."""
     try:
         value = np.asarray(payload[key], dtype=float)
     except (KeyError, TypeError, ValueError) as err:
@@ -684,6 +689,11 @@ def _loaded(payload: Mapping, key: str, shape: tuple, where: str) -> np.ndarray:
     if value.ndim != len(shape) or any(n not in (None, got) for n, got in zip(shape, value.shape)):
         want = "(" + ", ".join("*" if n is None else str(n) for n in shape) + ")"
         raise ValueError(f"{where}: {key!r} has shape {value.shape}, expected {want}")
+    fits = _is_number
+    for _ in shape:
+        fits = _list_of(fits)
+    if not fits(payload[key]):
+        raise ValueError(f"{where}: {key!r} must be {_NUMBERS[len(shape)]}")
     if not np.isfinite(value).all():
         raise ValueError(f"{where}: {key!r} has non-finite values")
     return value
@@ -699,8 +709,6 @@ def model_from_dict(payload: Mapping) -> FittedQ:
     if not _is_int(version) or version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     labels = tuple(_loaded(payload, "action_values", (None,), "model"))
-    if not _list_of(_is_number)(payload["action_values"]):
-        raise ValueError(f"model: 'action_values' must be a list of numbers, got {payload['action_values']!r}")
     try:
         space = ActionSpace(labels)
     except ValueError as err:
@@ -713,9 +721,9 @@ def model_from_dict(payload: Mapping) -> FittedQ:
     if payload.get("mode") == MODE_KERNEL:
         if d < 1:
             raise ValueError(f"model: 'n_features' must be >= 1 for the {MODE_KERNEL} backend, got {d}")
-        bandwidth = float(_loaded(payload, "bandwidth", (), "model"))
-        if not _is_number(payload["bandwidth"]) or bandwidth <= 0:
-            raise ValueError(f"model: 'bandwidth' must be a positive number, got {payload['bandwidth']!r}")
+        bandwidth = payload.get("bandwidth")
+        if not _is_number(bandwidth) or not 0 < bandwidth < math.inf:
+            raise ValueError(f"model: 'bandwidth' must be a positive number, got {bandwidth!r}")
         listed = payload.get("components")
         if not isinstance(listed, (list, tuple)) or len(listed) != space.size:
             raise ValueError(f"model: 'components' must list one component per action ({space.size})")

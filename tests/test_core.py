@@ -130,7 +130,7 @@ def test_validate_degenerate_action_support_still_fits():
     # the stage still fits; unobserved actions fall back to the target mean
     idx, feats, actions, rewards = ds.stage_rows(0)
     model = fit(DesignSpec.per_action_kernel(ridge=1.0), feats, actions, rewards, two_actions())
-    assert model.meta["mean_fallback_actions"] == (0,)
+    assert model.meta["mean_fallback_actions"] == [0]
     assert model.predict(np.array([0.5]), 0) == pytest.approx(1.5)
 
 
@@ -345,7 +345,7 @@ def test_csv_malformed_sidecar_json_is_schema_error(tmp_path):
     assert "bad.csv.meta.json" in str(err.value)
 
 
-@pytest.mark.parametrize("key", ["horizon", "feature_dims", "action_values"])
+@pytest.mark.parametrize("key", ["horizon", "feature_dims", "action_values", "format_version"])
 def test_csv_sidecar_missing_key_is_schema_error(tmp_path, key):
     path = tmp_path / "bad.csv"
     path.write_text("patient_id,stage,cov_0,action_index,reward\n0,0,1.0,0,2.0\n")
@@ -367,6 +367,10 @@ def test_csv_sidecar_missing_key_is_schema_error(tmp_path, key):
     ("action_values", 3),
     ("action_values", [3]),
     ("action_values", [["-1", 1.0]]),
+    ("format_version", True),
+    ("format_version", 2),
+    ("format_version", "1"),
+    ("format_version", 1.0),
 ], ids=lambda v: json.dumps(v))
 def test_csv_sidecar_value_of_the_wrong_type_is_schema_error(tmp_path, key, value):
     path = tmp_path / "bad.csv"

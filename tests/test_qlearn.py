@@ -238,6 +238,21 @@ def test_stack_serialization_round_trip():
         )
 
 
+def test_a_fitted_stack_and_its_json_load_give_equal_dicts():
+    # actions no patient got at a stage fall back to the mean and are listed in the model's meta, a
+    # list after a fit as after a load from JSON
+    from nearq.envs import UNIFORM_RANDOM, CancerParams, simulate_cancer_cohort
+    from nearq.qlearn import stack_from_dict, stack_to_dict
+
+    ds = simulate_cancer_cohort(CancerParams(), UNIFORM_RANDOM, 40, seed=3).dataset
+    actions = np.minimum(ds.actions, ds.action_spaces[0].size - 2)  # the highest dose is never given
+    ds = OfflineDataset.from_rows(ds.patient, ds.stage, ds.features, actions, ds.rewards, ds.horizon,
+                                  ds.action_spaces, ds.feature_dims)
+    fitted = stack_to_dict(backward_fit(ds, DesignSpec.per_action_kernel(ridge=1.0)))
+    assert all(model["meta"]["mean_fallback_actions"] for model in fitted["models"])
+    assert stack_to_dict(stack_from_dict(json.loads(json.dumps(fitted)))) == fitted
+
+
 def test_stack_load_names_the_stage_of_a_bad_model():
     from nearq.qlearn import stack_from_dict, stack_to_dict
 

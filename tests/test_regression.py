@@ -104,7 +104,7 @@ def test_kernel_unseen_action_falls_back_to_global_mean():
     a = np.array([1, 1, 1])
     y = np.array([1.0, 2.0, 6.0])
     model = fit(DesignSpec.per_action_kernel(), x, a, y, two_actions())
-    assert model.meta["mean_fallback_actions"] == (0,)
+    assert model.meta["mean_fallback_actions"] == [0]
     assert model.predict(np.array([5.0]), 0) == pytest.approx(3.0)
 
 
@@ -262,7 +262,7 @@ def test_fit_columns_column_equals_single_column_fit_bitwise(mode):
     for j, model in enumerate(models):
         _assert_models_bitwise_equal(model, fit(spec, x, a, y[:, j], space))
     if mode == "per-action-kernel":
-        assert models[0].meta["mean_fallback_actions"] == (2,)
+        assert models[0].meta["mean_fallback_actions"] == [2]
 
 
 def test_fit_columns_kernel_models_share_inputs_per_action():
@@ -335,7 +335,7 @@ def test_a_loaded_kernel_model_predicts_the_bits_of_its_fitted_row_property(seed
     space = ActionSpace(tuple(float(k) for k in range(n_observed + 1)))
     fitted = fit_columns(DesignSpec.per_action_kernel(bandwidth, ridge), x, a, y, space)
     loaded = [model_from_dict(model.to_dict()) for model in fitted]
-    assert fitted[0].meta["mean_fallback_actions"] == (skip,)
+    assert fitted[0].meta["mean_fallback_actions"] == [skip]
     probe = rng.normal(size=(int(rng.integers(1, 300)), 2))
     for got, want in zip(loaded, fitted):
         assert got.stack is not want.stack and got.row == 0
@@ -372,7 +372,7 @@ def test_unobserved_actions_fall_back_to_each_columns_mean():
     y = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=(n, m))
     a = 2 * rng.integers(0, 2, size=n)  # actions 0 and 2 observed, 1 and 3 never
     models = fit_columns(DesignSpec.per_action_kernel(ridge=0.3), x, a, y, ActionSpace((0.0, 0.5, 1.0, 1.5)))
-    assert models[0].meta["mean_fallback_actions"] == (1, 3)
+    assert models[0].meta["mean_fallback_actions"] == [1, 3]
     for j, model in enumerate(models):
         want = float(y[:, j].mean())
         for k in (1, 3):
@@ -771,9 +771,22 @@ def _bad_payload(mode, change):
     ("per-action-kernel", lambda p, c: [p.update(n_features=0)] + [comp.update(inputs=[[]] * len(comp["inputs"]))
                                                                   for comp in c if comp["kind"] == "kernel"],
      r"^model: 'n_features' must be >= 1 for the per-action-kernel backend, got 0"),
+    # JSON numbers alone: a string or a bool that numpy would read as a number is refused
+    ("per-action-kernel", lambda p, c: c[1].update(mean="1.5"), "^model component 1: 'mean' must be a number$"),
+    ("per-action-kernel", lambda p, c: c[1].update(mean=True), "^model component 1: 'mean' must be a number$"),
+    ("per-action-kernel", lambda p, c: c[0]["inputs"][0].__setitem__(0, True),
+     "^model component 0: 'inputs' must be a list of lists of numbers$"),
+    ("per-action-kernel", lambda p, c: c[1]["weights"].__setitem__(0, "0.5"),
+     "^model component 1: 'weights' must be a list of numbers$"),
+    ("per-action-kernel", lambda p, c: c.__setitem__(0, {"kind": "constant", "value": "2.0"}),
+     "^model component 0: 'value' must be a number$"),
+    ("interaction-linear", lambda p, c: p.update(coef=list(map(str, p["coef"]))),
+     "^model: 'coef' must be a list of numbers$"),
+    ("interaction-linear", lambda p, c: p["coef"].__setitem__(0, False), "^model: 'coef' must be a list of numbers$"),
 ], ids=["nan-bandwidth", "negative-bandwidth", "wide-inputs", "short-weights", "nan-mean",
         "inf-constant", "missing-component", "nan-coef", "short-coef", "repeated-actions", "no-actions",
-        "kernel-no-features"])
+        "kernel-no-features", "string-mean", "bool-mean", "bool-input", "string-weight", "string-constant",
+        "string-coef", "bool-coef"])
 def test_bad_model_payload_fails_at_load_naming_the_component(mode, change, message):
     with pytest.raises(ValueError, match=message):
         model_from_dict(_bad_payload(mode, change))

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 import nearq.core
 from nearq.cli import main
-from nearq.core import CSV_BLOCK_ROWS, ActionSpace, FloatTexts, OfflineDataset, cell_texts, save_csv, write_csv
+from nearq.core import (
+    CSV_BLOCK_ROWS,
+    FLOAT_KERNEL_MIN_SIZE,
+    ActionSpace,
+    FloatTexts,
+    OfflineDataset,
+    cell_texts,
+    save_csv,
+    write_csv,
+)
 from nearq.envs import UNIFORM_RANDOM, CancerCohort, CancerParams, simulate_cancer_cohort, save_trajectories_csv
 from nearq.evalkit import EvalResult, save_blip_csv, save_results_csvs
 from nearq.qlearn import backward_fit, save_stack, stack_from_dict, stack_to_dict
@@ -269,6 +278,43 @@ def test_float_texts_give_each_entry_the_cell_text_of_that_entry_alone(arrays, p
     for known in (table, FloatTexts(*arrays[1:]), FloatTexts()):
         for values in (probe, *arrays):
             assert known.texts_of(values) == cell_texts(values.reshape(-1))
+
+
+def _binades(rng, size, lo, hi):
+    """Doubles of random sign and significand whose binary exponents run from ``lo`` to ``hi``."""
+    significand = rng.integers(2**52, 2**53, size).astype(float)
+    return rng.choice([-1.0, 1.0], size) * np.ldexp(significand, rng.integers(lo, hi + 1, size) - 52)
+
+
+_POWERS = np.array([2.0**j for j in range(-14, 51)] + [10.0**j for j in range(-4, 16)])
+_POWERS = np.concatenate([_POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, math.inf)])
+# the ends of the fixed-notation range, 1e-4 and 1e15, and the 16 doubles on each side of them
+_ENDS = (np.array([1e-4, 1e15]).view(np.int64)[:, None] + np.arange(-16, 17)).ravel().view(np.float64)
+_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan])
+
+FIXED_RANGE_FAMILIES = {
+    "bit patterns": lambda rng, n: rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64),
+    "exponents of the range": lambda rng, n: _binades(rng, n, -14, 49),
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
+    "scaled normals": lambda rng, n: rng.normal(size=n) * 10.0 ** rng.integers(-4, 16, n),
+    "decimals": lambda rng, n: np.round(rng.uniform(-1000.0, 1000.0, n), rng.integers(0, 6)),
+    "integers": lambda rng, n: rng.integers(-10**15 + 1, 10**15, n).astype(float),
+    "powers of 2 and 10 and their neighbours": lambda rng, n: rng.choice([-1.0, 1.0], n) * rng.choice(_POWERS, n),
+    "ends of the range": lambda rng, n: rng.choice([-1.0, 1.0], n) * rng.choice(_ENDS, n),
+    "ties of 2**40 to 2**49": lambda rng, n: _binades(rng, n, 40, 49),
+    "specials among normals": lambda rng, n: np.where(rng.random(n) < 0.2, rng.choice(_SPECIALS, n),
+                                                     rng.normal(size=n) * 10.0 ** rng.integers(-4, 16, n)),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(family=st.sampled_from(sorted(FIXED_RANGE_FAMILIES)), seed=st.integers(0, 2**64 - 1),
+       size=st.integers(FLOAT_KERNEL_MIN_SIZE, 2 * nearq.core._FIXED_PASS + 1), step=st.sampled_from([1, 1, 3]))
+def test_cell_texts_of_a_float_array_past_the_kernel_size_are_the_repr_of_each_value(family, seed, size, step):
+    # arrays that cell_texts formats from the bits where 1e-4 <= |x| < 1e15, in one or more passes, and
+    # by repr elsewhere
+    values = FIXED_RANGE_FAMILIES[family](np.random.default_rng(seed), size * step)[::step]
+    assert cell_texts(values) == list(map(repr, values.tolist()))
 
 
 def blip_grid(n_rows, seed):
